@@ -3,7 +3,17 @@
 A small library for fitting coordinate-network range models with
 single-positive multi-label losses, plus grid and linear baselines and the
 evaluation protocols used to compare them.
+
+Set ``SINR_THREADS`` to cap the BLAS thread pools; the cap is exported here,
+before numpy is first imported.
 """
+
+import os
+
+_threads = os.environ.get("SINR_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
 
 from .data import (
     EnvRasterStack,
@@ -48,15 +58,10 @@ from .evaluate import (
     save_eval_grid,
 )
 from .geo import (
-    EncodedInput,
-    GeoCoord,
     GridSpec,
     InputLayout,
-    cell_centroid,
     cell_centroids,
     cell_indices,
-    cell_of,
-    encode_location,
     encode_locations,
     input_dim,
 )
@@ -89,7 +94,6 @@ from .net import (
     forward,
     init_adam,
     init_params,
-    load_model,
     read_model_file,
     save_model,
 )

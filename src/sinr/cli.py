@@ -1,24 +1,15 @@
 """Command-line interface: train, predict, export rasters, run evaluations.
 
 Exit codes: 0 on success, 1 on runtime failures (bad files, inconsistent
-inputs), 2 on usage errors. Set ``SINR_THREADS`` to cap the linear-algebra
-thread pools; it must be honored before numpy is first imported, so the
-assignment sits at the top of this module (effective when the CLI is the
-process entry point).
+inputs), 2 on usage errors. Every output file is written atomically.
 """
 
 from __future__ import annotations
 
-import os
-
-_threads = os.environ.get("SINR_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import csv
 import hashlib
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -56,9 +47,12 @@ from .net import (
     read_model_file,
     save_model,
 )
-from .train import TrainConfig, train
+from .train import TrainConfig, resume, train
+from .util import atomic_write, seed_u64
 
 _PREDICT_CHUNK = 65536
+#: Indices into the ``(features, y_hat)`` pair that :func:`forward` returns.
+_FEATURES, _SCORES = 0, 1
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +71,7 @@ def _sha256(path) -> str:
 def write_manifest(path, entries: list[tuple[str, object]]) -> None:
     """Write ``key=value`` lines; keys are unique and values single-line."""
     seen = set()
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for key, value in entries:
             if key in seen:
                 raise ValueError(f"duplicate manifest key {key!r}")
@@ -110,49 +104,32 @@ def _load_env_stack(args) -> EnvRasterStack | None:
 
 def _require_env_for_layout(args, layout: InputLayout, env) -> None:
     if layout is not InputLayout.COORDS and env is None:
-        args.parser.error(f"--input {layout.value} requires at least one --env-raster")
+        args.parser.error(f"{layout.value!r} inputs require at least one --env-raster")
 
 
 def _open_model(args) -> tuple[ModelFile, EnvRasterStack | None]:
     model = read_model_file(args.model)
     env = _load_env_stack(args)
-    if model.input_layout is not InputLayout.COORDS and env is None:
-        args.parser.error(
-            f"model expects {model.input_layout.value!r} inputs; pass --env-raster"
-        )
+    _require_env_for_layout(args, model.input_layout, env)
     return model, env
 
 
-def _model_predict_fn(model: ModelFile, env: EnvRasterStack | None):
-    """Chunked eval-mode forward over coordinate arrays -> (n, n_species)."""
+def _model_fn(model: ModelFile, env: EnvRasterStack | None, output: int):
+    """Chunked eval-mode forward over coordinate arrays, keeping one output:
+    ``_FEATURES`` -> (n, feature_dim) or ``_SCORES`` -> (n, n_species)."""
+    width = (model.cfg.feature_dim, model.cfg.n_species)[output]
 
-    def predict(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
+    def run(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
         lons = np.asarray(lons, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
         outs = []
         for start in range(0, lons.size, _PREDICT_CHUNK):
             sl = slice(start, start + _PREDICT_CHUNK)
             x = assemble_inputs(lons[sl], lats[sl], model.input_layout, env)
-            _, y_hat = forward(model.params, model.cfg, x, mode="eval")
-            outs.append(y_hat)
-        return np.concatenate(outs) if outs else np.empty((0, model.cfg.n_species))
+            outs.append(forward(model.params, model.cfg, x, mode="eval")[output])
+        return np.concatenate(outs) if outs else np.empty((0, width))
 
-    return predict
-
-
-def _model_feature_fn(model: ModelFile, env: EnvRasterStack | None):
-    def features(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-        lons = np.asarray(lons, dtype=np.float64)
-        lats = np.asarray(lats, dtype=np.float64)
-        outs = []
-        for start in range(0, lons.size, _PREDICT_CHUNK):
-            sl = slice(start, start + _PREDICT_CHUNK)
-            x = assemble_inputs(lons[sl], lats[sl], model.input_layout, env)
-            feats, _ = forward(model.params, model.cfg, x, mode="eval")
-            outs.append(feats)
-        return np.concatenate(outs) if outs else np.empty((0, model.cfg.feature_dim))
-
-    return features
+    return run
 
 
 @dataclass(frozen=True)
@@ -164,33 +141,35 @@ class _NamedPredictor:
         return self.predict(lons, lats)
 
 
-def _species_column(model: ModelFile, species_id: str) -> int:
+def _species_scores_on_grid(
+    model: ModelFile, env, species_id: str, grid: GridSpec
+) -> np.ndarray:
     if species_id not in model.species_ids:
         raise ValueError(
             f"species {species_id!r} is not in the model catalog "
             f"({len(model.species_ids)} species)"
         )
-    return model.species_ids.index(species_id)
-
-
-def _species_scores_on_grid(
-    model: ModelFile, env, species_id: str, grid: GridSpec
-) -> np.ndarray:
-    col = _species_column(model, species_id)
     lons, lats = cell_centroids(grid)
-    return _model_predict_fn(model, env)(lons, lats)[:, col]
+    return _model_fn(model, env, _SCORES)(lons, lats)[:, model.species_ids.index(species_id)]
 
 
-def _report_rejections(path, rejected) -> None:
+def _write_cell_scores(path, grid: GridSpec, scores: np.ndarray) -> None:
+    """``lon,lat,score`` rows in cell order, floats written with ``repr``."""
+    lons, lats = cell_centroids(grid)
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lon", "lat", "score"])
+        for i in range(grid.n_cells):
+            writer.writerow([repr(float(lons[i])), repr(float(lats[i])), repr(float(scores[i]))])
+
+
+def _load_obs(path) -> ObservationSet:
+    """Load observations, reporting each skipped row on stderr."""
+    obs, rejected = load_observations(path)
     for rej in rejected:
         print(f"{path}: row {rej.line}: {rej.reason}", file=sys.stderr)
     if rejected:
         print(f"{path}: skipped {len(rejected)} malformed rows", file=sys.stderr)
-
-
-def _load_obs(path) -> ObservationSet:
-    obs, rejected = load_observations(path)
-    _report_rejections(path, rejected)
     return obs
 
 
@@ -278,7 +257,10 @@ def cmd_train(args) -> int:
         print(f"epoch {epoch + 1}/{cfg.epochs} lr={lr:.6g} mean_loss={mean_loss:.6f}")
         sys.stdout.flush()
 
-    result = train(cfg, obs, env, checkpoint_path=args.checkpoint, on_epoch=on_epoch)
+    if args.checkpoint and os.path.exists(args.checkpoint):
+        result = resume(args.checkpoint, obs, env, expect_cfg=cfg, on_epoch=on_epoch)
+    else:
+        result = train(cfg, obs, env, checkpoint_path=args.checkpoint, on_epoch=on_epoch)
     save_model(
         result.params,
         cfg.net,
@@ -334,12 +316,7 @@ def cmd_predict(args) -> int:
     model, env = _open_model(args)
     grid = GridSpec(args.resolution)
     scores = _species_scores_on_grid(model, env, args.species, grid)
-    lons, lats = cell_centroids(grid)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lon", "lat", "score"])
-        for i in range(grid.n_cells):
-            writer.writerow([repr(float(lons[i])), repr(float(lats[i])), repr(float(scores[i]))])
+    _write_cell_scores(args.out, grid, scores)
     print(f"wrote {grid.n_cells} cell scores for {args.species} to {args.out}")
     return 0
 
@@ -352,7 +329,7 @@ def _scores_to_image(scores: np.ndarray, grid: GridSpec) -> np.ndarray:
 def write_pgm(path, pixels: np.ndarray) -> None:
     """Plain (P2) graymap, maxval 255, one image row per line."""
     pixels = np.asarray(pixels)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"P2\n{pixels.shape[1]} {pixels.shape[0]}\n255\n")
         for row in pixels:
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
@@ -392,14 +369,7 @@ def cmd_export_raster(args) -> int:
 
     write_pgm(args.out, _scores_to_image(pixels, grid))
     if args.csv:
-        lons, lats = cell_centroids(grid)
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lon", "lat", "score"])
-            for i in range(grid.n_cells):
-                writer.writerow(
-                    [repr(float(lons[i])), repr(float(lats[i])), repr(float(scores[i]))]
-                )
+        _write_cell_scores(args.csv, grid, scores)
     print(f"wrote {grid.n_lon}x{grid.n_lat} raster for {args.species} to {args.out}")
     return 0
 
@@ -410,15 +380,14 @@ def cmd_export_raster(args) -> int:
 
 
 def _eval_predictor(args, mode_for_grid: str):
-    """Resolve --model/--baseline into (species_ids, predict_fn, label)."""
+    """Resolve --model/--baseline into (predictor with species_ids, label)."""
     baseline = args.baseline
     if baseline is not None and baseline[0] == "grid":
         if args.obs is None:
             args.parser.error("--baseline grid:RES requires --obs")
         obs = _load_obs(args.obs)
         model = grid_baseline_fit(obs, GridSpec(baseline[1]))
-        pred = GridBaselinePredictor(model, mode_for_grid)
-        return pred.species_ids, pred, f"grid:{baseline[1]}"
+        return GridBaselinePredictor(model, mode_for_grid), f"grid:{baseline[1]}"
     if args.model is None:
         args.parser.error("need --model (or --baseline grid:RES)")
     model, env = _open_model(args)
@@ -430,23 +399,23 @@ def _eval_predictor(args, mode_for_grid: str):
     if not model.species_ids:
         raise ValueError("model file carries no species catalog; cannot align species")
     label = "lr" if baseline is not None else "model"
-    return model.species_ids, _model_predict_fn(model, env), label
+    return _NamedPredictor(model.species_ids, _model_fn(model, env, _SCORES)), label
 
 
 def cmd_eval_map(args) -> int:
     eval_grid = load_eval_grid(args.grid)
-    species_ids, predict, label = _eval_predictor(args, mode_for_grid="ratio")
-    known = set(species_ids)
+    predictor, label = _eval_predictor(args, mode_for_grid="ratio")
+    known = set(predictor.species_ids)
     missing = [s for s in eval_grid.species_ids if s not in known]
     usable = [s for s in eval_grid.species_ids if s in known]
     if not usable:
         raise ValueError("no evaluation species is known to the predictor")
     restricted = eval_grid.restrict(usable)
-    col = {s: i for i, s in enumerate(species_ids)}
+    col = {s: i for i, s in enumerate(predictor.species_ids)}
     cols = [col[s] for s in restricted.species_ids]
 
     def aligned(lons, lats):
-        return np.asarray(predict(lons, lats))[:, cols]
+        return np.asarray(predictor(lons, lats))[:, cols]
 
     result = map_task(aligned, restricted)
 
@@ -454,7 +423,7 @@ def cmd_eval_map(args) -> int:
         cells = np.flatnonzero((restricted.labels != -1).any(axis=0))
         lons, lats = cell_centroids(restricted.grid, cells)
         scores = aligned(lons, lats)
-        with open(args.dump_cells, "w", newline="") as fh:
+        with atomic_write(args.dump_cells, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cell", "lon", "lat", *restricted.species_ids])
             for i, cell in enumerate(cells):
@@ -463,7 +432,7 @@ def cmd_eval_map(args) -> int:
                     + [repr(float(v)) for v in scores[i]]
                 )
 
-    with open(args.report, "w", newline="") as fh:
+    with atomic_write(args.report, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["species_id", "ap", "status"])
         for sid, ap in result.per_species:
@@ -482,10 +451,9 @@ def cmd_eval_map(args) -> int:
 
 def cmd_eval_geoprior(args) -> int:
     score_set = load_classifier_scores(args.scores)
-    species_ids, predict, label = _eval_predictor(args, mode_for_grid="indicator")
-    predictor = _NamedPredictor(tuple(species_ids), predict)
+    predictor, label = _eval_predictor(args, mode_for_grid="indicator")
     result = geo_prior_delta(score_set, predictor)
-    with open(args.report, "w", newline="") as fh:
+    with atomic_write(args.report, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["record_id", "true_species", "baseline_top1", "weighted_top1"])
         for rid, true_sp, base, weighted in result.picks:
@@ -517,7 +485,7 @@ def cmd_eval_geofeature(args) -> int:
     cells = stack.fully_observed_cells()
     if cells.size < 2:
         raise ValueError("raster stack has too few fully observed cells to split")
-    rng = np.random.default_rng(args.split_seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(seed_u64(args.split_seed))
     perm = rng.permutation(cells.size)
     n_train = int(round(cells.size * args.train_frac))
     if n_train < 1 or n_train >= cells.size:
@@ -527,8 +495,10 @@ def cmd_eval_geofeature(args) -> int:
     train_cells = cells[perm[:n_train]]
     test_cells = cells[perm[n_train:]]
 
-    result = geo_feature_task(_model_feature_fn(model, stack), stack, train_cells, test_cells)
-    with open(args.report, "w", newline="") as fh:
+    result = geo_feature_task(
+        _model_fn(model, stack, _FEATURES), stack, train_cells, test_cells
+    )
+    with atomic_write(args.report, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "r2", "alpha"])
         for i, (r2, alpha) in enumerate(zip(result.per_layer_r2, result.alphas)):

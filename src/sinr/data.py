@@ -24,9 +24,11 @@ from .geo import (
     LON_MAX,
     LON_MIN,
     InputLayout,
+    _check_lonlat_arrays,
     encode_locations,
 )
 from .losses import BatchTargets
+from .util import atomic_write, seed_u64
 
 #: Streams drawn from a user seed are domain-separated with these salts.
 _SALT_SUBSAMPLE = 1
@@ -34,10 +36,6 @@ _SALT_SELECT = 2
 
 ENV_MAGIC = "ENVGRID"
 _ENV_MISSING_TOKEN = "NA"
-
-
-def _seed_u64(seed: int) -> int:
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -56,20 +54,11 @@ class ObservationSet:
         idx = np.asarray(self.species_index)
         if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
             raise ValueError("species_index must be a 1-D integer array")
-        lons = np.asarray(self.lons, dtype=np.float64)
-        lats = np.asarray(self.lats, dtype=np.float64)
-        if lons.shape != idx.shape or lats.shape != idx.shape:
+        lons, lats = _check_lonlat_arrays(self.lons, self.lats)
+        if lons.shape != idx.shape:
             raise ValueError("species_index, lons and lats must have equal length")
         if idx.size and (idx.min() < 0 or idx.max() >= len(ids)):
             raise ValueError("species_index entries must lie in [0, n_species)")
-        ok = (
-            np.isfinite(lons) & np.isfinite(lats)
-            & (lons >= LON_MIN) & (lons <= LON_MAX)
-            & (lats >= LAT_MIN) & (lats <= LAT_MAX)
-        )
-        if not np.all(ok):
-            i = int(np.flatnonzero(~ok)[0])
-            raise ValueError(f"record {i} has invalid coordinates ({lons[i]}, {lats[i]})")
         object.__setattr__(self, "species_ids", ids)
         object.__setattr__(self, "species_index", idx.astype(np.int64))
         object.__setattr__(self, "lons", lons)
@@ -159,7 +148,7 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
 
 def save_observations(obs: ObservationSet, path) -> None:
     """Write a corpus back to CSV; floats use ``repr`` so reloads are lossless."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["species_id", "lon", "lat"])
         for i in range(obs.n_records):
@@ -211,7 +200,7 @@ def subsample_cap(obs: ObservationSet, cap: int, seed: int) -> ObservationSet:
         if group.size <= cap:
             chosen.append(group)
             continue
-        rng = np.random.default_rng(np.random.SeedSequence([_seed_u64(seed), _SALT_SUBSAMPLE, s]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed_u64(seed), _SALT_SUBSAMPLE, s]))
         perm = rng.permutation(group.size)
         chosen.append(group[perm[:cap]])
     keep = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)
@@ -247,7 +236,7 @@ def select_species(
             f"n_extra={n_extra} exceeds the {candidates.size} species outside keep_ids"
         )
     if n_extra:
-        rng = np.random.default_rng(np.random.SeedSequence([_seed_u64(seed), _SALT_SELECT]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed_u64(seed), _SALT_SELECT]))
         keep[candidates[rng.permutation(candidates.size)[:n_extra]]] = True
     return _take_records(obs, keep)
 
@@ -431,7 +420,7 @@ def write_env_raster(path, grid: np.ndarray, bounds: tuple[float, float, float, 
     if grid.ndim != 2:
         raise ValueError(f"grid must be 2-D, got shape {grid.shape}")
     lon_min, lon_max, lat_min, lat_max = bounds
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(
             f"{ENV_MAGIC} {grid.shape[0]} {grid.shape[1]} "
             f"{repr(float(lon_min))} {repr(float(lon_max))} "
@@ -504,20 +493,16 @@ def sample_batch(
     cfg: SamplerConfig,
     rng: np.random.Generator,
     env: EnvRasterStack | None = None,
-) -> tuple[np.ndarray, BatchTargets, np.ndarray]:
+) -> tuple[np.ndarray, BatchTargets]:
     """Draw a training batch of records uniformly with replacement.
 
-    Returns the input matrix, the positive-species targets, and the raw
-    ``(batch, 2)`` lon/lat coordinates of the drawn records.
+    Returns the input matrix and the positive-species targets.
     """
     if obs.n_records == 0:
         raise ValueError("cannot sample from an empty observation set")
     idx = rng.integers(0, obs.n_records, size=cfg.batch_size)
-    lons = obs.lons[idx]
-    lats = obs.lats[idx]
-    x = assemble_inputs(lons, lats, cfg.input_layout, env)
-    targets = BatchTargets(obs.species_index[idx], obs.n_species)
-    return x, targets, np.column_stack([lons, lats])
+    x = assemble_inputs(obs.lons[idx], obs.lats[idx], cfg.input_layout, env)
+    return x, BatchTargets(obs.species_index[idx], obs.n_species)
 
 
 def sample_uniform_locations(

@@ -26,6 +26,7 @@ import numpy as np
 
 from .data import EnvRasterStack, ObservationSet
 from .geo import GridSpec, cell_centroids, cell_indices
+from .util import atomic_write
 
 #: Regularization strengths searched by cross-validated ridge regression.
 DEFAULT_ALPHAS = (0.1, 1.0, 10.0)
@@ -126,7 +127,7 @@ def save_eval_grid(eval_grid: EvalGrid, path) -> None:
     for sid in eval_grid.species_ids:
         if any(ch.isspace() for ch in sid):
             raise ValueError(f"species id {sid!r} contains whitespace")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(
             f"{EVAL_GRID_MAGIC} {eval_grid.grid.resolution} {len(eval_grid.species_ids)}\n"
         )

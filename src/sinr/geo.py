@@ -45,71 +45,6 @@ def input_dim(layout: InputLayout, n_env_features: int = 0) -> int:
     return n_env_features + COORD_ENCODING_DIM
 
 
-@dataclass(frozen=True)
-class GeoCoord:
-    """A point on the globe in degrees.
-
-    Longitude must lie in [-180, 180] and latitude in [-90, 90]; both bounds
-    are inclusive and values must be finite.
-
-    >>> GeoCoord(12.5, -33.0).lat
-    -33.0
-    """
-
-    lon: float
-    lat: float
-
-    def __post_init__(self) -> None:
-        lon = float(self.lon)
-        lat = float(self.lat)
-        if not (np.isfinite(lon) and np.isfinite(lat)):
-            raise ValueError(f"coordinates must be finite, got ({self.lon}, {self.lat})")
-        if not (LON_MIN <= lon <= LON_MAX):
-            raise ValueError(f"longitude {lon} outside [{LON_MIN}, {LON_MAX}]")
-        if not (LAT_MIN <= lat <= LAT_MAX):
-            raise ValueError(f"latitude {lat} outside [{LAT_MIN}, {LAT_MAX}]")
-        object.__setattr__(self, "lon", lon)
-        object.__setattr__(self, "lat", lat)
-
-
-@dataclass(frozen=True)
-class EncodedInput:
-    """A single model input vector together with the layout it follows.
-
-    For :attr:`InputLayout.COORDS` the vector has exactly four entries, each
-    in [-1, 1]. Layouts that include environmental features are longer; the
-    coordinate block, when present, occupies the final four entries.
-    """
-
-    values: np.ndarray
-    layout: InputLayout
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError(f"input vector must be 1-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("input vector contains non-finite entries")
-        if self.layout is InputLayout.COORDS:
-            if values.shape[0] != COORD_ENCODING_DIM:
-                raise ValueError(
-                    f"coords layout requires {COORD_ENCODING_DIM} entries, "
-                    f"got {values.shape[0]}"
-                )
-            if np.any(np.abs(values) > 1.0):
-                raise ValueError("coordinate encoding entries must lie in [-1, 1]")
-        elif self.layout is InputLayout.ENV:
-            if values.shape[0] < 1:
-                raise ValueError("env layout requires at least one feature")
-        else:  # ENV_PLUS_COORDS
-            if values.shape[0] < COORD_ENCODING_DIM + 1:
-                raise ValueError(
-                    "env+coords layout requires at least "
-                    f"{COORD_ENCODING_DIM + 1} entries, got {values.shape[0]}"
-                )
-        object.__setattr__(self, "values", values)
-
-
 def _check_lonlat_arrays(lons: np.ndarray, lats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lons = np.asarray(lons, dtype=np.float64)
     lats = np.asarray(lats, dtype=np.float64)
@@ -149,16 +84,6 @@ def encode_locations(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
     out[:, 2] = np.sin(np.pi * lat_s)
     out[:, 3] = np.cos(np.pi * lat_s)
     return out
-
-
-def encode_location(coord: GeoCoord) -> EncodedInput:
-    """Encode a single coordinate; see :func:`encode_locations`.
-
-    >>> encode_location(GeoCoord(0.0, 0.0)).values.tolist()
-    [0.0, 1.0, 0.0, 1.0]
-    """
-    row = encode_locations(np.array([coord.lon]), np.array([coord.lat]))[0]
-    return EncodedInput(row, InputLayout.COORDS)
 
 
 @dataclass(frozen=True)
@@ -211,11 +136,6 @@ def cell_indices(lons: np.ndarray, lats: np.ndarray, grid: GridSpec) -> np.ndarr
     return rows * grid.n_lon + cols
 
 
-def cell_of(coord: GeoCoord, grid: GridSpec) -> int:
-    """Return the flat index of the cell containing ``coord``."""
-    return int(cell_indices(np.array([coord.lon]), np.array([coord.lat]), grid)[0])
-
-
 def cell_centroids(grid: GridSpec, indices: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Return centroid ``(lons, lats)`` for ``indices`` (default: every cell)."""
     if indices is None:
@@ -231,8 +151,3 @@ def cell_centroids(grid: GridSpec, indices: np.ndarray | None = None) -> tuple[n
     lats = LAT_MIN + (rows + 0.5) * size
     return lons, lats
 
-
-def cell_centroid(grid: GridSpec, index: int) -> GeoCoord:
-    """Return the centroid of one cell as a :class:`GeoCoord`."""
-    lons, lats = cell_centroids(grid, np.array([index]))
-    return GeoCoord(float(lons[0]), float(lats[0]))

@@ -14,6 +14,7 @@ build float64 instances of the same code path.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
@@ -21,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .geo import InputLayout
+from .util import atomic_write, seed_u64
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -118,26 +120,20 @@ class NetParams:
         out += [self.w_head, self.b_head]
         return out
 
-
-def _rebuild(template: NetParams, arrays: list[np.ndarray]) -> NetParams:
-    """Repack a flat array list into the structure of ``template``."""
-    it = iter(arrays)
-    w_in = b_in = None
-    if template.w_in is not None:
-        w_in, b_in = next(it), next(it)
-    blocks = tuple(
-        ResidualBlock(next(it), next(it), next(it), next(it)) for _ in template.blocks
-    )
-    return NetParams(w_in, b_in, blocks, next(it), next(it))
+    @classmethod
+    def from_flat(cls, arrays: list[np.ndarray]) -> NetParams:
+        """Inverse of :meth:`flat`; two arrays are a bare head (identity encoder)."""
+        if len(arrays) == 2:
+            return cls(None, None, (), arrays[0], arrays[1])
+        if len(arrays) < 4 or len(arrays) % 4:
+            raise ValueError(f"{len(arrays)} arrays do not form a parameter tree")
+        blocks = tuple(ResidualBlock(*arrays[i : i + 4]) for i in range(2, len(arrays) - 2, 4))
+        return cls(arrays[0], arrays[1], blocks, arrays[-2], arrays[-1])
 
 
 def _map_arrays(fn: Callable[..., np.ndarray], *trees: NetParams) -> NetParams:
     flats = [t.flat() for t in trees]
-    return _rebuild(trees[0], [fn(*arrs) for arrs in zip(*flats)])
-
-
-def _seed_u64(seed: int) -> int:
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
+    return NetParams.from_flat([fn(*arrs) for arrs in zip(*flats)])
 
 
 def param_shapes(cfg: NetConfig) -> list[tuple[int, ...]]:
@@ -151,18 +147,6 @@ def param_shapes(cfg: NetConfig) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _params_from_arrays(cfg: NetConfig, arrays: list[np.ndarray]) -> NetParams:
-    it = iter(arrays)
-    w_in = b_in = None
-    if not cfg.identity_encoder:
-        w_in, b_in = next(it), next(it)
-    blocks = tuple(
-        ResidualBlock(next(it), next(it), next(it), next(it))
-        for _ in range(0 if cfg.identity_encoder else cfg.n_residual_layers)
-    )
-    return NetParams(w_in, b_in, blocks, next(it), next(it))
-
-
 def init_params(cfg: NetConfig) -> NetParams:
     """Draw initial parameters deterministically from ``cfg.seed``.
 
@@ -170,7 +154,7 @@ def init_params(cfg: NetConfig) -> NetParams:
     zero. Draw order is fixed (input weights, block weights in order, head
     weights) so a seed pins the full parameter vector.
     """
-    rng = np.random.default_rng(_seed_u64(cfg.seed))
+    rng = np.random.default_rng(seed_u64(cfg.seed))
 
     def draw(fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
         bound = 1.0 / np.sqrt(fan_in)
@@ -348,8 +332,7 @@ class AdamState:
 
 
 def init_adam(params: NetParams) -> AdamState:
-    zeros = _map_arrays(np.zeros_like, params)
-    return AdamState(m=zeros, v=_map_arrays(np.zeros_like, params), t=0)
+    return AdamState(m=zeros_like_params(params), v=zeros_like_params(params), t=0)
 
 
 def adam_step(
@@ -414,7 +397,6 @@ def model_to_bytes(
     input_layout: InputLayout = InputLayout.COORDS,
     species_ids: tuple[str, ...] = (),
 ) -> bytes:
-    arrays = [np.ascontiguousarray(a, dtype=np.float32) for a in params.flat()]
     flags = _FLAG_IDENTITY_ENCODER if cfg.identity_encoder else 0
     out = [
         _HEADER.pack(
@@ -437,10 +419,14 @@ def model_to_bytes(
             raise ValueError(f"species id too long to serialize: {sid[:32]!r}...")
         out.append(struct.pack("<H", len(raw)))
         out.append(raw)
-    total = sum(a.size for a in arrays)
-    out.append(struct.pack("<Q", total))
-    out += [a.tobytes() for a in arrays]
+    out.append(struct.pack("<Q", sum(a.size for a in params.flat())))
+    out += _param_chunks(params)
     return b"".join(out)
+
+
+def _param_chunks(params: NetParams) -> list[bytes]:
+    """One parameter tree as float32 bytes, in :meth:`NetParams.flat` order."""
+    return [np.ascontiguousarray(a, dtype=np.float32).tobytes() for a in params.flat()]
 
 
 class _Reader:
@@ -456,6 +442,14 @@ class _Reader:
         chunk = self.buf[self.pos : self.pos + n]
         self.pos += n
         return chunk
+
+    def params(self, cfg: NetConfig) -> NetParams:
+        """Read one float32 parameter tree shaped for ``cfg``."""
+        arrays = []
+        for shape in param_shapes(cfg):
+            data = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4")
+            arrays.append(data.astype(np.float32).reshape(shape))
+        return NetParams.from_flat(arrays)
 
 
 def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
@@ -487,21 +481,23 @@ def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
     ids = []
     for _ in range(n_ids):
         (ln,) = struct.unpack("<H", r.take(2))
-        ids.append(r.take(ln).decode("utf-8"))
+        try:
+            ids.append(r.take(ln).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"species id {len(ids)} is not valid UTF-8") from exc
 
     (total,) = struct.unpack("<Q", r.take(8))
-    shapes = param_shapes(cfg)
-    expected = sum(int(np.prod(s)) for s in shapes)
+    # Bound the declared sizes by the bytes present (every residual layer
+    # holds more than one float) before expanding them into a shape list.
+    n_layers = 0 if cfg.identity_encoder else cfg.n_residual_layers
+    if 4 * max(total, n_layers) > len(buf) - r.pos:
+        raise TruncatedFileError(f"declared sizes exceed the {len(buf) - r.pos} bytes left")
+    expected = sum(math.prod(s) for s in param_shapes(cfg))
     if total != expected:
         raise ModelFormatError(
             f"parameter count {total} does not match configuration (expected {expected})"
         )
-    arrays = []
-    for shape in shapes:
-        n = int(np.prod(shape))
-        data = np.frombuffer(r.take(4 * n), dtype="<f4").astype(np.float32)
-        arrays.append(data.reshape(shape))
-    params = _params_from_arrays(cfg, arrays)
+    params = r.params(cfg)
     return ModelFile(params, cfg, _CODE_LAYOUTS[layout_code], tuple(ids)), r.pos
 
 
@@ -515,7 +511,7 @@ def save_model(
 ) -> None:
     """Write a model file; byte-for-byte deterministic for equal inputs."""
     blob = model_to_bytes(params, cfg, input_layout, species_ids)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(blob)
 
 
@@ -529,12 +525,6 @@ def read_model_file(path) -> ModelFile:
             f"{len(buf) - consumed} unexpected trailing bytes after model data"
         )
     return model
-
-
-def load_model(path) -> tuple[NetParams, NetConfig]:
-    """Load just the parameters and configuration from a model file."""
-    model = read_model_file(path)
-    return model.params, model.cfg
 
 
 def zeros_like_params(params: NetParams) -> NetParams:
@@ -582,7 +572,6 @@ __all__ = [
     "forward",
     "init_adam",
     "init_params",
-    "load_model",
     "model_from_bytes",
     "model_to_bytes",
     "param_shapes",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -35,7 +34,7 @@ from .net import (
     NetConfig,
     NetParams,
     _Reader,
-    _rebuild,
+    _param_chunks,
     adam_step,
     backward,
     forward,
@@ -44,6 +43,7 @@ from .net import (
     model_from_bytes,
     model_to_bytes,
 )
+from .util import atomic_write, seed_u64
 
 #: Per-epoch multiplicative learning-rate decay factor.
 LR_DECAY = 0.98
@@ -148,14 +148,10 @@ class TrainResult:
     n_records_used: int
 
 
-def _seed_u64(seed: int) -> int:
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
-
-
 def _spawn_rngs(master_seed: int) -> list[np.random.Generator]:
     """Four independent streams: batches, pseudo-locations, sampled negative
     species, dropout — in that fixed order."""
-    children = np.random.SeedSequence(_seed_u64(master_seed)).spawn(4)
+    children = np.random.SeedSequence(seed_u64(master_seed)).spawn(4)
     return [np.random.default_rng(c) for c in children]
 
 
@@ -220,7 +216,7 @@ def _run(
     for epoch in range(state.epochs_done, cfg.epochs):
         lr = lr_at_epoch(cfg.initial_lr, epoch)
         for step in range(n_steps):
-            x, targets, _ = sample_batch(obs, cfg.sampler, state.rng_batch, env)
+            x, targets = sample_batch(obs, cfg.sampler, state.rng_batch, env)
             if pseudo:
                 plons, plats = sample_uniform_locations(b, state.rng_locations, bounds)
                 x = np.concatenate([x, assemble_inputs(plons, plats, layout, env)])
@@ -318,6 +314,9 @@ def resume(
     _check_inputs(state.cfg, obs, env)
     if obs.species_ids != state.species_ids:
         raise ValueError("checkpoint species catalog does not match the corpus")
+    n_steps = steps_per_epoch(obs.n_records, state.cfg.batch_size)
+    if len(state.step_losses) != state.epochs_done * n_steps:
+        raise ValueError("checkpoint step count does not match the corpus size")
     return _run(state, obs, env, checkpoint_path, stop_after_epoch, on_epoch)
 
 
@@ -363,7 +362,10 @@ def _pack_json(obj) -> bytes:
 
 def _take_json(r: _Reader):
     (n,) = struct.unpack("<I", r.take(4))
-    return json.loads(r.take(n).decode("utf-8"))
+    try:
+        return json.loads(r.take(n).decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointFormatError(f"malformed JSON section: {exc}") from exc
 
 
 def save_checkpoint(path, state: TrainState) -> None:
@@ -377,19 +379,15 @@ def save_checkpoint(path, state: TrainState) -> None:
         struct.pack("<II", _CKPT_VERSION, state.epochs_done),
         struct.pack("<Q", state.adam.t),
     ]
-    for tree in (state.adam.m, state.adam.v):
-        for arr in tree.flat():
-            out.append(np.ascontiguousarray(arr, dtype=np.float32).tobytes())
+    out += _param_chunks(state.adam.m) + _param_chunks(state.adam.v)
     losses = np.asarray(state.step_losses, dtype=np.float64)
     out.append(struct.pack("<Q", losses.size))
     out.append(losses.tobytes())
     for rng in (state.rng_batch, state.rng_locations, state.rng_negatives, state.rng_dropout):
         out.append(_pack_json(rng.bit_generator.state))
     out.append(_pack_json(train_config_to_dict(cfg)))
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(b"".join(out))
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> TrainState:
@@ -404,38 +402,41 @@ def load_checkpoint(path) -> TrainState:
     if version != _CKPT_VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     (t,) = struct.unpack("<Q", r.take(8))
-
-    def read_tree() -> NetParams:
-        arrays = []
-        for ref in model.params.flat():
-            data = np.frombuffer(r.take(4 * ref.size), dtype="<f4").astype(np.float32)
-            arrays.append(data.reshape(ref.shape))
-        return _rebuild(model.params, arrays)
-
-    m_tree = read_tree()
-    v_tree = read_tree()
+    m_tree = r.params(model.cfg)
+    v_tree = r.params(model.cfg)
     (n_losses,) = struct.unpack("<Q", r.take(8))
     losses = np.frombuffer(r.take(8 * n_losses), dtype="<f8").tolist()
 
     rngs = []
     for _ in range(4):
         rng_state = _take_json(r)
-        bitgen = rng_state.get("bit_generator")
         rng = np.random.default_rng()
+        bitgen = rng_state.get("bit_generator") if isinstance(rng_state, dict) else None
         if rng.bit_generator.state["bit_generator"] != bitgen:
             raise CheckpointFormatError(f"unsupported random generator {bitgen!r}")
-        rng.bit_generator.state = rng_state
+        try:
+            rng.bit_generator.state = rng_state
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise CheckpointFormatError(f"malformed random generator state: {exc!r}") from exc
         rngs.append(rng)
 
-    cfg = train_config_from_dict(_take_json(r))
+    cfg_dict = _take_json(r)
+    try:
+        cfg = train_config_from_dict(cfg_dict)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"malformed training configuration: {exc!r}") from exc
     if r.pos != len(buf):
         raise CheckpointFormatError(
             f"{len(buf) - r.pos} unexpected trailing bytes in checkpoint"
         )
+    if model.cfg != cfg.net or model.input_layout is not cfg.sampler.input_layout:
+        raise CheckpointFormatError("model section disagrees with the training configuration")
     if model.species_ids and len(model.species_ids) != cfg.net.n_species:
         raise CheckpointFormatError("species catalog size disagrees with configuration")
     if epochs_done > cfg.epochs:
         raise CheckpointFormatError("checkpoint claims more epochs than configured")
+    if t != len(losses):  # each step records one loss and one optimizer update
+        raise CheckpointFormatError("loss history disagrees with the optimizer step count")
     return TrainState(
         cfg=cfg,
         species_ids=model.species_ids,

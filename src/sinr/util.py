@@ -1,0 +1,33 @@
+"""Helpers shared across modules: seed normalization and atomic file output."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+
+
+def seed_u64(seed: int) -> int:
+    """Map a signed or unsigned 64-bit seed onto ``[0, 2**64)`` (two's complement)."""
+    return int(seed) & 0xFFFFFFFFFFFFFFFF
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", newline: str | None = None):
+    """Open ``path`` for writing so that readers see the old file or the new one.
+
+    Output goes to a uniquely named temporary file in the target directory,
+    which replaces ``path`` only when the ``with`` block completes; on any
+    error the temporary file is removed and ``path`` is left untouched. The
+    file is created with the same permissions a plain :func:`open` gives it.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

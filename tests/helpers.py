@@ -23,7 +23,7 @@ from sinr.losses import (
     loss_me_slds,
     loss_me_ssdl,
 )
-from sinr.net import NetConfig, NetParams, _rebuild, backward, forward, init_params
+from sinr.net import NetConfig, NetParams, backward, forward, init_params
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +165,12 @@ def fd_grads(objective, params: NetParams, h: float = 1e-5) -> NetParams:
         for i in range(flat_a.size):
             orig = flat_a[i]
             flat_a[i] = orig + h
-            up = objective(_rebuild(params, arrays))
+            up = objective(NetParams.from_flat(arrays))
             flat_a[i] = orig - h
-            down = objective(_rebuild(params, arrays))
+            down = objective(NetParams.from_flat(arrays))
             flat_a[i] = orig
             flat_g[i] = (up - down) / (2.0 * h)
-    return _rebuild(params, grads)
+    return NetParams.from_flat(grads)
 
 
 def max_rel_error(analytic: NetParams, numeric: NetParams) -> float:
@@ -200,7 +200,7 @@ def well_conditioned_setup(seed: int, h: float = 1e-5):
         seed=int(rng.integers(0, 2**31)),
     )
     params = init_params(cfg)
-    params = _rebuild(params, [a.astype(np.float64) for a in params.flat()])
+    params = NetParams.from_flat([a.astype(np.float64) for a in params.flat()])
     b = int(rng.integers(1, 5))
     x_data = rng.uniform(-1.0, 1.0, (b, cfg.input_dim))
     x_pseudo = rng.uniform(-1.0, 1.0, (b, cfg.input_dim))

@@ -1,9 +1,15 @@
 """End-to-end command-line workflows: training, prediction, raster export,
 evaluation reports, and exit-code conventions."""
 
+import importlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sinr
 from sinr.cli import main, read_manifest, write_manifest, write_pgm
 from sinr.data import load_observations, save_observations, write_env_raster
 from sinr.data import ObservationSet
@@ -212,6 +218,95 @@ def test_train_reports_rejected_rows(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "row 3" in err and "out of range" in err and "skipped 1" in err
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_train_resumes_from_checkpoint(tmp_path, capsys, monkeypatch):
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path)
+    straight = tmp_path / "straight.sinr"
+    assert run_train(tmp_path, obs_path, straight) == 0
+
+    train_module = importlib.import_module("sinr.train")
+    real_save = train_module.save_checkpoint
+
+    def save_then_stop(path, state):
+        real_save(path, state)
+        raise _Interrupted
+
+    ckpt = tmp_path / "run.ckpt"
+    resumed = tmp_path / "resumed.sinr"
+    monkeypatch.setattr(train_module, "save_checkpoint", save_then_stop)
+    with pytest.raises(_Interrupted):
+        run_train(tmp_path, obs_path, resumed, "--checkpoint", str(ckpt))
+    monkeypatch.undo()
+    assert ckpt.exists() and not resumed.exists()
+    capsys.readouterr()
+
+    assert run_train(tmp_path, obs_path, resumed, "--checkpoint", str(ckpt)) == 0
+    out = capsys.readouterr().out
+    assert "epoch 1/2" not in out and "epoch 2/2" in out
+    assert resumed.read_bytes() == straight.read_bytes()
+
+
+def test_train_refuses_a_mismatched_checkpoint(tmp_path, capsys):
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path)
+    ckpt = tmp_path / "run.ckpt"
+    assert run_train(tmp_path, obs_path, tmp_path / "a.sinr", "--checkpoint", str(ckpt)) == 0
+    saved = ckpt.read_bytes()
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text(obs_path.read_text().replace("north", "boreal"))
+    capsys.readouterr()
+
+    out = tmp_path / "b.sinr"
+    for obs, extra in ((obs_path, ["--lr", "2e-3"]), (renamed, [])):
+        code = run_train(tmp_path, obs, out, "--checkpoint", str(ckpt), *extra)
+        assert code == 1
+        assert "checkpoint" in capsys.readouterr().err
+        assert ckpt.read_bytes() == saved and not out.exists()
+
+
+_THREAD_VARS = ("SINR_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(code: str, *args: str, **env_vars: str) -> str:
+    """Run ``code`` in a fresh interpreter with no thread caps except ``env_vars``."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(sinr.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc and at least two CPUs",
+)
+def test_sinr_threads_caps_blas_threads_on_import():
+    code = ("import os, sinr, numpy as np; a = np.ones((512, 512)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))")
+    if int(_python(code)) < 2:
+        pytest.skip("the BLAS library starts no worker threads here")
+    assert int(_python(code, SINR_THREADS="1")) == 1
+
+
+def test_model_does_not_depend_on_blas_thread_count(tmp_path):
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path, n=300)
+    code = "import sys; from sinr.cli import main; sys.exit(main(sys.argv[1:]))"
+    models = []
+    for threads in ("1", "2"):
+        models.append(tmp_path / f"threads{threads}.sinr")
+        _python(code, "train", "--obs", str(obs_path), "--out", str(models[-1]), *TRAIN_ARGS,
+                "--batch-size", "128", "--hidden-dim", "64", OPENBLAS_NUM_THREADS=threads)
+    assert models[0].read_bytes() == models[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------

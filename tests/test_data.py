@@ -371,23 +371,21 @@ def test_sample_batch_contents_and_determinism():
     rng_data = np.random.default_rng(47)
     obs = random_obs(rng_data, n_species=5, n_records=40)
     cfg = SamplerConfig(batch_size=64)
-    x, targets, coords = sample_batch(obs, cfg, np.random.default_rng(7))
+    x, targets = sample_batch(obs, cfg, np.random.default_rng(7))
     assert x.shape == (64, 4) and x.dtype == np.float32
     assert targets.positive_index.shape == (64,)
     assert np.all((targets.positive_index >= 0) & (targets.positive_index < 5))
-    # every drawn coordinate belongs to a record of the drawn species
-    by_loc = {
-        (obs.lons[i], obs.lats[i]): obs.species_index[i] for i in range(obs.n_records)
-    }
-    for (lon, lat), j in zip(coords, targets.positive_index):
-        assert by_loc[(lon, lat)] == j
+    # every drawn input row is the encoding of a record of the drawn species
+    encoded = assemble_inputs(obs.lons, obs.lats, InputLayout.COORDS)
+    by_row = {encoded[i].tobytes(): obs.species_index[i] for i in range(obs.n_records)}
+    for row, j in zip(x, targets.positive_index):
+        assert by_row[row.tobytes()] == j
     # larger-than-corpus batches must repeat records (with replacement)
-    assert len({tuple(c) for c in coords}) < 64
+    assert len({row.tobytes() for row in x}) < 64
 
-    x2, targets2, coords2 = sample_batch(obs, cfg, np.random.default_rng(7))
+    x2, targets2 = sample_batch(obs, cfg, np.random.default_rng(7))
     assert x.tobytes() == x2.tobytes()
     np.testing.assert_array_equal(targets.positive_index, targets2.positive_index)
-    assert coords.tobytes() == coords2.tobytes()
 
 
 def test_sample_uniform_locations_bounds_and_determinism():

@@ -8,17 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from sinr.geo import (
     COORD_ENCODING_DIM,
-    GeoCoord,
     GridSpec,
     InputLayout,
-    cell_centroid,
     cell_centroids,
     cell_indices,
-    cell_of,
-    encode_location,
     encode_locations,
     input_dim,
 )
+
+
+def one(value: float) -> np.ndarray:
+    return np.array([value])
 
 
 # ---------------------------------------------------------------------------
@@ -27,9 +27,7 @@ from sinr.geo import (
 
 
 def test_encode_origin_is_0101():
-    enc = encode_location(GeoCoord(0.0, 0.0))
-    assert enc.layout is InputLayout.COORDS
-    np.testing.assert_array_equal(enc.values, [0.0, 1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(encode_locations(one(0.0), one(0.0)), [[0.0, 1.0, 0.0, 1.0]])
 
 
 def test_encode_matches_scalar_reference():
@@ -53,9 +51,9 @@ def test_encode_matches_scalar_reference():
 
 def test_encode_known_values():
     # lon 90 -> half-turn fraction 0.5; lat 22.5 -> quarter-turn fraction 0.25
-    enc = encode_location(GeoCoord(90.0, 22.5))
+    enc = encode_locations(one(90.0), one(22.5))
     np.testing.assert_allclose(
-        enc.values, [1.0, math.cos(math.pi / 2), math.sqrt(0.5), math.sqrt(0.5)], atol=1e-15
+        enc, [[1.0, math.cos(math.pi / 2), math.sqrt(0.5), math.sqrt(0.5)]], atol=1e-15
     )
 
 
@@ -77,9 +75,9 @@ def test_encoding_is_bounded():
 )
 def test_out_of_range_coordinates_rejected(lon, lat):
     with pytest.raises(ValueError):
-        GeoCoord(lon, lat)
+        encode_locations(one(lon), one(lat))
     with pytest.raises(ValueError):
-        encode_locations(np.array([lon]), np.array([lat]))
+        cell_indices(one(lon), one(lat), GridSpec(2))
 
 
 def test_input_dim_per_layout():
@@ -110,7 +108,7 @@ def test_grid_spec_rejects_bad_resolution():
 def test_cell_of_hand_value():
     # resolution 2: 90-degree cells, 4 columns; (1, 1) sits one row up,
     # two columns in from the south-west corner.
-    assert cell_of(GeoCoord(1.0, 1.0), GridSpec(2)) == 6
+    np.testing.assert_array_equal(cell_indices(one(1.0), one(1.0), GridSpec(2)), [6])
 
 
 def brute_force_cell(lon: float, lat: float, grid: GridSpec) -> int:
@@ -147,8 +145,8 @@ def test_boundary_points_stay_in_range():
 
 
 def test_centroid_hand_value():
-    c = cell_centroid(GridSpec(1), 0)
-    assert (c.lon, c.lat) == (-90.0, 0.0)
+    lons, lats = cell_centroids(GridSpec(1), np.array([0]))
+    assert (lons.tolist(), lats.tolist()) == ([-90.0], [0.0])
 
 
 def test_centroid_round_trip_exhaustive():
@@ -185,7 +183,7 @@ def test_every_point_lands_in_its_containing_cell(lon, lat, resolution):
     # containment is asserted up to a slack far below any physical scale.
     slack = 1e-9
     grid = GridSpec(resolution)
-    cell = cell_of(GeoCoord(lon, lat), grid)
+    cell = int(cell_indices(one(lon), one(lat), grid)[0])
     assert 0 <= cell < grid.n_cells
     size = grid.cell_size_deg
     row, col = divmod(cell, grid.n_lon)

@@ -21,17 +21,16 @@ from sinr.net import (
     BadMagicError,
     ModelFormatError,
     NetConfig,
+    NetParams,
     NonFiniteGradientError,
     TruncatedFileError,
     UnsupportedVersionError,
-    _rebuild,
     adam_step,
     backward,
     cast_params,
     forward,
     init_adam,
     init_params,
-    load_model,
     model_from_bytes,
     model_to_bytes,
     param_shapes,
@@ -45,7 +44,7 @@ from sinr.net import (
 
 def f64_params(cfg: NetConfig):
     p = init_params(cfg)
-    return _rebuild(p, [a.astype(np.float64) for a in p.flat()])
+    return NetParams.from_flat([a.astype(np.float64) for a in p.flat()])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,7 @@ def test_zeroed_second_linear_makes_blocks_identity():
         base = 2 + 4 * i
         new_flat[base + 2] = np.zeros_like(flat[base + 2])  # w2
         new_flat[base + 3] = np.zeros_like(flat[base + 3])  # b2
-    zeroed = _rebuild(params, new_flat)
+    zeroed = NetParams.from_flat(new_flat)
     x = np.random.default_rng(0).uniform(-1, 1, (5, 4)).astype(np.float32)
     h, y = forward(zeroed, cfg, x)
     a_in = x @ params.w_in + params.b_in
@@ -186,8 +185,7 @@ def test_identity_encoder_is_logistic_regression():
 
 def test_sigmoid_outputs_are_probabilities_even_for_huge_logits():
     cfg = NetConfig(input_dim=2, n_species=1, identity_encoder=True, dropout_p=0.0)
-    big = _rebuild(
-        init_params(cfg),
+    big = NetParams.from_flat(
         [np.array([[1000.0], [0.0]], dtype=np.float32), np.array([0.0], dtype=np.float32)],
     )
     x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], dtype=np.float32)
@@ -271,10 +269,7 @@ def test_dropout_mask_scaling_keeps_expectation():
 
 def test_adam_matches_reference_recurrence():
     cfg = NetConfig(input_dim=2, n_species=1, identity_encoder=True, dropout_p=0.0)
-    params = _rebuild(
-        init_params(cfg),
-        [np.array([[0.5], [-0.5]]), np.array([0.25])],
-    )
+    params = NetParams.from_flat([np.array([[0.5], [-0.5]]), np.array([0.25])])
     state = init_adam(params)
     rng = np.random.default_rng(6)
     # independent scalar recurrence, accumulated in plain Python
@@ -284,7 +279,7 @@ def test_adam_matches_reference_recurrence():
     lr = 0.05
     for t in range(1, 6):
         gs = [rng.normal(size=a.shape) for a in params.flat()]
-        params, state = adam_step(params, _rebuild(params, gs), state, lr)
+        params, state = adam_step(params, NetParams.from_flat(gs), state, lr)
         for i, g in enumerate(gs):
             ref_m[i] = ADAM_BETA1 * ref_m[i] + (1 - ADAM_BETA1) * g
             ref_v[i] = ADAM_BETA2 * ref_v[i] + (1 - ADAM_BETA2) * g * g
@@ -300,8 +295,8 @@ def test_adam_first_step_is_signed_lr():
     """With zero moments, one step moves each coordinate by about
     -lr*sign(g) regardless of gradient magnitude (bias correction)."""
     cfg = NetConfig(input_dim=1, n_species=1, identity_encoder=True, dropout_p=0.0)
-    params = _rebuild(init_params(cfg), [np.array([[1.0]]), np.array([2.0])])
-    grads = _rebuild(params, [np.array([[3.7]]), np.array([-0.002])])
+    params = NetParams.from_flat([np.array([[1.0]]), np.array([2.0])])
+    grads = NetParams.from_flat([np.array([[3.7]]), np.array([-0.002])])
     new_params, _ = adam_step(params, grads, init_adam(params), lr=0.1)
     np.testing.assert_allclose(new_params.w_head, [[1.0 - 0.1]], atol=1e-6)
     np.testing.assert_allclose(new_params.b_head, [2.0 + 0.1], atol=1e-4)
@@ -311,10 +306,10 @@ def test_adam_rejects_non_finite_gradients():
     cfg = NetConfig(input_dim=2, n_species=1, identity_encoder=True, dropout_p=0.0)
     params = init_params(cfg)
     state = init_adam(params)
-    bad = _rebuild(params, [np.array([[np.nan], [0.0]]), np.array([0.0])])
+    bad = NetParams.from_flat([np.array([[np.nan], [0.0]]), np.array([0.0])])
     with pytest.raises(NonFiniteGradientError):
         adam_step(params, bad, state, lr=0.1)
-    bad = _rebuild(params, [np.array([[np.inf], [0.0]]), np.array([0.0])])
+    bad = NetParams.from_flat([np.array([[np.inf], [0.0]]), np.array([0.0])])
     with pytest.raises(NonFiniteGradientError):
         adam_step(params, bad, state, lr=0.1)
     assert state.t == 0  # inputs untouched
@@ -359,8 +354,7 @@ def test_identity_encoder_flag_roundtrips(tmp_path):
     mf = read_model_file(path)
     assert mf.cfg.identity_encoder is True
     assert mf.params.w_in is None
-    params2, cfg2 = load_model(path)
-    assert cfg2 == cfg and params_equal(params2, params)
+    assert mf.cfg == cfg and params_equal(mf.params, params)
 
 
 def test_model_file_error_types(tmp_path):
@@ -380,6 +374,15 @@ def test_model_file_error_types(tmp_path):
     with pytest.raises(TruncatedFileError):
         model_from_bytes(blob[: len(blob) // 2])
 
+    # a corrupt layer count must fail fast, not expand into 2**31 layer shapes
+    huge_layers = blob[:24] + _struct.pack("<I", 2**31) + blob[28:]
+    with pytest.raises(ModelFormatError):
+        model_from_bytes(huge_layers)
+
+    named = model_to_bytes(init_params(cfg), cfg, species_ids=("ab",))
+    with pytest.raises(ModelFormatError, match="UTF-8"):
+        model_from_bytes(named.replace(b"ab", b"\xff\xfe", 1))
+
     path = tmp_path / "trailing.sinr"
     path.write_bytes(blob + b"extra")
     with pytest.raises(ModelFormatError):
@@ -396,10 +399,10 @@ def test_model_predictions_survive_roundtrip(tmp_path):
     params = init_params(cfg)
     path = tmp_path / "model.sinr"
     save_model(params, cfg, path)
-    params2, cfg2 = load_model(path)
+    mf = read_model_file(path)
     x = np.random.default_rng(8).uniform(-1, 1, (10, cfg.input_dim)).astype(np.float32)
     _, y1 = forward(params, cfg, x)
-    _, y2 = forward(params2, cfg2, x)
+    _, y2 = forward(mf.params, mf.cfg, x)
     assert y1.tobytes() == y2.tobytes()
 
 

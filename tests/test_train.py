@@ -1,8 +1,13 @@
 """Deterministic training loop, learning-rate schedule, divergence handling,
 and checkpoint/resume bit-exactness."""
 
+import dataclasses
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_obs
 from sinr.data import (
@@ -14,7 +19,14 @@ from sinr.data import (
 )
 from sinr.geo import InputLayout
 from sinr.losses import LossConfig, LossVariant
-from sinr.net import ModelFormatError, NetConfig, forward, model_to_bytes, params_equal
+from sinr.net import (
+    ModelFormatError,
+    NetConfig,
+    forward,
+    model_from_bytes,
+    model_to_bytes,
+    params_equal,
+)
 from sinr.train import (
     LR_DECAY,
     CheckpointFormatError,
@@ -26,6 +38,7 @@ from sinr.train import (
     save_checkpoint,
     steps_per_epoch,
     train,
+    train_config_to_dict,
 )
 
 
@@ -283,6 +296,99 @@ def test_checkpoint_rejects_corruption(tmp_path, obs):
     bad.write_bytes(b"\x00" + blob[1:])  # corrupt the model magic
     with pytest.raises(ModelFormatError):
         load_checkpoint(bad)
+
+
+def _replace_config_section(blob: bytes, cfg: TrainConfig, section: bytes) -> bytes:
+    """The training configuration is the checkpoint's final length-prefixed
+    JSON section; swap in ``section``."""
+    raw = json.dumps(train_config_to_dict(cfg)).encode("utf-8")
+    assert blob.endswith(struct.pack("<I", len(raw)) + raw)
+    return blob[: len(blob) - len(raw) - 4] + struct.pack("<I", len(section)) + section
+
+
+def test_checkpoint_config_errors_are_format_errors(tmp_path, obs):
+    cfg = small_cfg(epochs=2)
+    ckpt = tmp_path / "run.ckpt"
+    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    blob = ckpt.read_bytes()
+    no_input_dim = train_config_to_dict(cfg)
+    del no_input_dim["net"]["input_dim"]
+    no_epochs = train_config_to_dict(cfg)
+    del no_epochs["epochs"]
+    sections = [json.dumps(d).encode() for d in (no_input_dim, no_epochs)]
+    sections += [b"{not json", b"\xff\xfe", b"[1, 2]"]
+    bad = tmp_path / "bad.ckpt"
+    for section in sections:
+        bad.write_bytes(_replace_config_section(blob, cfg, section))
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_step_history_is_cross_checked(tmp_path, obs):
+    cfg = small_cfg(epochs=3)
+    ckpt = tmp_path / "run.ckpt"
+    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=2)
+    state = load_checkpoint(ckpt)
+    bad = tmp_path / "bad.ckpt"
+
+    state.adam = dataclasses.replace(state.adam, t=state.adam.t + 1)
+    save_checkpoint(bad, state)
+    with pytest.raises(CheckpointFormatError, match="step count"):
+        load_checkpoint(bad)
+
+    state.step_losses.append(0.5)  # t matches again, but the epochs are uneven
+    save_checkpoint(bad, state)
+    with pytest.raises(ValueError, match="step count"):
+        resume(bad, obs)
+
+
+def test_resume_rejects_a_corpus_of_another_size(tmp_path, obs):
+    cfg = small_cfg(epochs=2)
+    ckpt = tmp_path / "run.ckpt"
+    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    bigger = random_obs(np.random.default_rng(1), n_species=3, n_records=90)
+    assert bigger.species_ids == obs.species_ids
+    with pytest.raises(ValueError, match="step count"):
+        resume(ckpt, bigger)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A checkpoint of a tiny run, its model prefix, and a scratch file path."""
+    cfg = small_cfg(
+        epochs=2,
+        net=NetConfig(input_dim=4, n_species=3, hidden_dim=2, n_residual_layers=1, seed=1),
+    )
+    ckpt = tmp_path_factory.mktemp("fuzz") / "run.ckpt"
+    obs = random_obs(np.random.default_rng(1), n_species=3, n_records=20)
+    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    blob = ckpt.read_bytes()
+    return blob, model_from_bytes(blob)[1], ckpt
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    which=st.sampled_from(["model", "checkpoint"]),
+)
+def test_corrupted_files_raise_only_format_errors(small_checkpoint, data, which):
+    blob, model_len, path = small_checkpoint
+    if which == "model":
+        blob = blob[:model_len]
+    cut = data.draw(st.just(len(blob)) | st.integers(0, len(blob)), label="cut")
+    buf = bytearray(blob[:cut])
+    if buf:
+        flips = data.draw(st.lists(st.integers(0, 8 * len(buf) - 1), max_size=3), label="flips")
+        for bit in flips:
+            buf[bit // 8] ^= 1 << (bit % 8)
+    try:
+        if which == "model":
+            model_from_bytes(bytes(buf))
+        else:
+            path.write_bytes(bytes(buf))
+            load_checkpoint(path)
+    except ModelFormatError:
+        pass
 
 
 def test_stop_after_epoch_validation(obs):
