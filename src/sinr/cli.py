@@ -41,13 +41,12 @@ from .geo import GridSpec, InputLayout, cell_centroids, input_dim
 from .losses import LossConfig, LossVariant
 from .net import (
     ModelFile,
-    ModelFormatError,
     NetConfig,
     forward,
     read_model_file,
     save_model,
 )
-from .train import TrainConfig, resume, train
+from .train import TrainConfig, TrainingDivergedError, resume, train
 from .util import atomic_write, seed_u64
 
 _PREDICT_CHUNK = 65536
@@ -414,15 +413,17 @@ def cmd_eval_map(args) -> int:
     col = {s: i for i, s in enumerate(predictor.species_ids)}
     cols = [col[s] for s in restricted.species_ids]
 
+    scored = []  # the one (lons, lats, scores) query map_task makes, reused by --dump-cells
+
     def aligned(lons, lats):
-        return np.asarray(predictor(lons, lats))[:, cols]
+        scored.append((lons, lats, np.asarray(predictor(lons, lats))[:, cols]))
+        return scored[-1][2]
 
     result = map_task(aligned, restricted)
 
     if args.dump_cells:
         cells = np.flatnonzero((restricted.labels != -1).any(axis=0))
-        lons, lats = cell_centroids(restricted.grid, cells)
-        scores = aligned(lons, lats)
+        [(lons, lats, scores)] = scored
         with atomic_write(args.dump_cells, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cell", "lon", "lat", *restricted.species_ids])
@@ -612,7 +613,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ModelFormatError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

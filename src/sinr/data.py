@@ -28,6 +28,7 @@ from .geo import (
     encode_locations,
 )
 from .losses import BatchTargets
+from .net import MAX_SPECIES_ID_BYTES
 from .util import atomic_write, seed_u64
 
 #: Streams drawn from a user seed are domain-separated with these salts.
@@ -51,6 +52,11 @@ class ObservationSet:
         ids = tuple(str(s) for s in self.species_ids)
         if len(set(ids)) != len(ids):
             raise ValueError("species catalog contains duplicate ids")
+        for sid in ids:
+            if len(sid.encode("utf-8")) > MAX_SPECIES_ID_BYTES:
+                raise ValueError(
+                    f"species id {sid[:32]!r}... is longer than {MAX_SPECIES_ID_BYTES} UTF-8 bytes"
+                )
         idx = np.asarray(self.species_index)
         if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
             raise ValueError("species_index must be a 1-D integer array")
@@ -99,6 +105,7 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty observations file") from None
+        header = [name.lstrip("\ufeff").strip() for name in header]  # UTF-8 BOM, padding
         cols = {}
         for name in ("species_id", "lon", "lat"):
             if name not in header:

@@ -1,22 +1,18 @@
 """Single-positive multi-label losses for presence-only training.
 
-Each training example carries exactly one confirmed-present species and no
-confirmed absences. The losses here fill in the missing supervision in two
-families: the "assume negative" (AN) family treats unobserved labels as
-absent, and the "maximum entropy" (ME) family replaces every
-``-log(1 - p)`` absence term with the Bernoulli entropy ``H(p)``.
+Each example carries one confirmed-present species j and no confirmed
+absences. Every loss is ``-log y[j]`` plus an absence term on some negatives,
+and the six variants are one table, absence term x negative selection:
 
-Within each family there are three variants distinguished by where the
-negative signal comes from:
+- absence: ``an`` ("assume negative") is ``-log(1 - p)``; ``me`` ("maximum
+  entropy") is the Bernoulli entropy ``H(p)``.
+- selection: ``ssdl`` is species j at a random pseudo-location (``y'``);
+  ``slds`` is a random other species j' at the same location; ``full`` is
+  every other species at the location and every species at a pseudo-location,
+  averaged over species, with the positive term weighted by ``lam``.
 
-- ``ssdl``: the same species at a uniformly random pseudo-location,
-- ``slds``: a uniformly random other species at the same location,
-- ``full``: every non-positive species at the data location (positive term
-  weighted by ``lam``) plus every species at a random pseudo-location.
-
-All functions return the batch-mean loss value together with exact gradients
-with respect to the prediction arrays (the ``1/batch`` factor included), so a
-caller can backpropagate them through the network. Predictions are clamped to
+Values are batch means, and the gradients with respect to the prediction
+arrays are exact (the ``1/batch`` factor included). Predictions are clamped to
 ``[CLAMP_EPS, 1 - CLAMP_EPS]`` in float64 before any logarithm, which keeps
 values and gradients finite even when a float32 sigmoid saturates.
 """
@@ -135,33 +131,6 @@ def _clamp(y_hat: np.ndarray, targets: BatchTargets, name: str) -> np.ndarray:
     return np.clip(arr, CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
-def _entropy_grad(p: np.ndarray) -> np.ndarray:
-    """d/dp of bernoulli_entropy at clamped p: log((1-p)/p)."""
-    return np.log1p(-p) - np.log(p)
-
-
-def loss_an_ssdl(
-    y_hat: np.ndarray, y_hat_rand: np.ndarray, targets: BatchTargets
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Assume-negative loss with a same-species pseudo-negative.
-
-    Per example: ``-(log y[j] + log(1 - y'[j]))`` at the positive species j,
-    where ``y'`` is the prediction at a random pseudo-location. Returns
-    ``(value, d_y_hat, d_y_hat_rand)``.
-    """
-    c = _clamp(y_hat, targets, "y_hat")
-    cr = _clamp(y_hat_rand, targets, "y_hat_rand")
-    b = targets.batch_size
-    rows = np.arange(b)
-    j = targets.positive_index
-    value = float(np.mean(-np.log(c[rows, j]) - np.log1p(-cr[rows, j])))
-    d = np.zeros_like(c)
-    dr = np.zeros_like(cr)
-    d[rows, j] = -1.0 / (c[rows, j] * b)
-    dr[rows, j] = 1.0 / ((1.0 - cr[rows, j]) * b)
-    return value, d, dr
-
-
 def _draw_j_prime(
     targets: BatchTargets,
     rng: np.random.Generator | None,
@@ -186,124 +155,14 @@ def _draw_j_prime(
     return jp.astype(np.int64)
 
 
-def loss_an_slds(
-    y_hat: np.ndarray,
-    targets: BatchTargets,
-    rng: np.random.Generator | None = None,
-    j_prime: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Assume-negative loss with a same-location different-species negative.
-
-    Per example: ``-(log y[j] + log(1 - y[j']))`` with j' drawn uniformly
-    from the non-positive species. Returns ``(value, d_y_hat, j_prime)`` so a
-    caller can replay the draw.
-    """
-    c = _clamp(y_hat, targets, "y_hat")
-    jp = _draw_j_prime(targets, rng, j_prime)
-    b = targets.batch_size
-    rows = np.arange(b)
-    j = targets.positive_index
-    value = float(np.mean(-np.log(c[rows, j]) - np.log1p(-c[rows, jp])))
-    d = np.zeros_like(c)
-    d[rows, j] = -1.0 / (c[rows, j] * b)
-    d[rows, jp] = 1.0 / ((1.0 - c[rows, jp]) * b)
-    return value, d, jp
-
-
-def loss_an_full(
-    y_hat: np.ndarray, y_hat_rand: np.ndarray, targets: BatchTargets, lam: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Assume-negative loss over every species slot.
-
-    Per example, averaged over species: ``lam * -log y[j]`` at the positive,
-    ``-log(1 - y[k])`` at every other k, and ``-log(1 - y'[k])`` at every k of
-    the pseudo-location prediction. Returns ``(value, d_y_hat, d_y_hat_rand)``.
-    """
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"lam must be a positive finite float, got {lam}")
-    c = _clamp(y_hat, targets, "y_hat")
-    cr = _clamp(y_hat_rand, targets, "y_hat_rand")
-    b = targets.batch_size
-    s = targets.n_species
-    rows = np.arange(b)
-    j = targets.positive_index
-
-    terms = -np.log1p(-c)
-    terms[rows, j] = lam * -np.log(c[rows, j])
-    value = float(np.mean((terms.sum(axis=1) + (-np.log1p(-cr)).sum(axis=1)) / s))
-
-    d = 1.0 / ((1.0 - c) * (s * b))
-    d[rows, j] = -lam / (c[rows, j] * (s * b))
-    dr = 1.0 / ((1.0 - cr) * (s * b))
-    return value, d, dr
-
-
-def loss_me_ssdl(
-    y_hat: np.ndarray, y_hat_rand: np.ndarray, targets: BatchTargets
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Maximum-entropy counterpart of :func:`loss_an_ssdl`.
-
-    The pseudo-negative term ``-log(1 - y'[j])`` is replaced by ``H(y'[j])``.
-    """
-    c = _clamp(y_hat, targets, "y_hat")
-    cr = _clamp(y_hat_rand, targets, "y_hat_rand")
-    b = targets.batch_size
-    rows = np.arange(b)
-    j = targets.positive_index
-    value = float(np.mean(-np.log(c[rows, j]) + bernoulli_entropy(cr[rows, j])))
-    d = np.zeros_like(c)
-    dr = np.zeros_like(cr)
-    d[rows, j] = -1.0 / (c[rows, j] * b)
-    dr[rows, j] = _entropy_grad(cr[rows, j]) / b
-    return value, d, dr
-
-
-def loss_me_slds(
-    y_hat: np.ndarray,
-    targets: BatchTargets,
-    rng: np.random.Generator | None = None,
-    j_prime: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Maximum-entropy counterpart of :func:`loss_an_slds`."""
-    c = _clamp(y_hat, targets, "y_hat")
-    jp = _draw_j_prime(targets, rng, j_prime)
-    b = targets.batch_size
-    rows = np.arange(b)
-    j = targets.positive_index
-    value = float(np.mean(-np.log(c[rows, j]) + bernoulli_entropy(c[rows, jp])))
-    d = np.zeros_like(c)
-    d[rows, j] = -1.0 / (c[rows, j] * b)
-    d[rows, jp] = _entropy_grad(c[rows, jp]) / b
-    return value, d, jp
-
-
-def loss_me_full(
-    y_hat: np.ndarray, y_hat_rand: np.ndarray, targets: BatchTargets, lam: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Maximum-entropy counterpart of :func:`loss_an_full`.
-
-    Every ``-log(1 - p)`` absence term becomes ``H(p)``; the weighted
-    positive term is unchanged.
-    """
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"lam must be a positive finite float, got {lam}")
-    c = _clamp(y_hat, targets, "y_hat")
-    cr = _clamp(y_hat_rand, targets, "y_hat_rand")
-    b = targets.batch_size
-    s = targets.n_species
-    rows = np.arange(b)
-    j = targets.positive_index
-
-    terms = bernoulli_entropy(c)
-    terms[rows, j] = lam * -np.log(c[rows, j])
-    value = float(np.mean((terms.sum(axis=1) + bernoulli_entropy(cr).sum(axis=1)) / s))
-
-    d = _entropy_grad(c) / (s * b)
-    d[rows, j] = -lam / (c[rows, j] * (s * b))
-    dr = _entropy_grad(cr) / (s * b)
-    return value, d, dr
+#: Absence terms at clamped p: (per-entry loss, its derivative / scale). The
+#: grouping ``1 / ((1 - p) * scale)`` is part of the numerics: computing
+#: ``(1 / (1 - p)) / scale`` rounds differently and changes trained models.
+_ABSENCE = {
+    "an": lambda p, scale: (-np.log1p(-p), 1.0 / ((1.0 - p) * scale)),
+    "me": lambda p, scale: (bernoulli_entropy(p), (np.log1p(-p) - np.log(p)) / scale),
+}
+_Triple = tuple[float, np.ndarray, np.ndarray]
 
 
 def compute_loss(
@@ -315,26 +174,76 @@ def compute_loss(
     rng: np.random.Generator | None = None,
     j_prime: np.ndarray | None = None,
 ) -> LossResult:
-    """Evaluate the configured loss variant on one batch.
-
-    ``y_hat_rand`` is required for the ssdl/full variants; ``rng`` (or a
-    replayed ``j_prime``) is required for the slds variants.
-    """
-    variant = cfg.variant
-    if needs_pseudo_negatives(variant):
+    """Evaluate the configured loss variant on one batch. ``y_hat_rand`` is
+    required for ssdl/full; ``rng`` (or a replayed ``j_prime``) for slds."""
+    family, selection = cfg.variant.value.split("-")
+    absence = _ABSENCE[family]
+    c = _clamp(y_hat, targets, "y_hat")
+    if selection != "slds":
         if y_hat_rand is None:
-            raise ValueError(f"variant {variant.value!r} requires y_hat_rand")
-        if variant is LossVariant.AN_SSDL:
-            value, d, dr = loss_an_ssdl(y_hat, y_hat_rand, targets)
-        elif variant is LossVariant.ME_SSDL:
-            value, d, dr = loss_me_ssdl(y_hat, y_hat_rand, targets)
-        elif variant is LossVariant.AN_FULL:
-            value, d, dr = loss_an_full(y_hat, y_hat_rand, targets, cfg.lam)
-        else:
-            value, d, dr = loss_me_full(y_hat, y_hat_rand, targets, cfg.lam)
-        return LossResult(value, d, d_y_hat_rand=dr)
-    if variant is LossVariant.AN_SLDS:
-        value, d, jp = loss_an_slds(y_hat, targets, rng=rng, j_prime=j_prime)
+            raise ValueError(f"variant {cfg.variant.value!r} requires y_hat_rand")
+        cr = _clamp(y_hat_rand, targets, "y_hat_rand")
+    b = targets.batch_size
+    rows = np.arange(b)
+    j = targets.positive_index
+    pos = c[rows, j]
+    dr = jp = None
+    if selection == "full":
+        s = targets.n_species
+        scale = s * b
+        terms, d = absence(c, scale)
+        terms[rows, j] = cfg.lam * -np.log(pos)
+        row_sums = terms.sum(axis=1)
+        del c, terms  # hold two B x S arrays fewer while the pseudo-location terms are built
+        terms_rand, dr = absence(cr, scale)
+        value = float(np.mean((row_sums + terms_rand.sum(axis=1)) / s))
     else:
-        value, d, jp = loss_me_slds(y_hat, targets, rng=rng, j_prime=j_prime)
-    return LossResult(value, d, j_prime=jp)
+        scale = b
+        d = np.zeros_like(c)
+        if selection == "ssdl":
+            neg_terms, neg_grad = absence(cr[rows, j], scale)
+            dr = np.zeros_like(cr)
+            dr[rows, j] = neg_grad
+        else:
+            jp = _draw_j_prime(targets, rng, j_prime)
+            neg_terms, neg_grad = absence(c[rows, jp], scale)
+            d[rows, jp] = neg_grad
+        value = float(np.mean(-np.log(pos) + neg_terms))
+    d[rows, j] = -(cfg.lam if selection == "full" else 1.0) / (pos * scale)
+    return LossResult(value, d, d_y_hat_rand=dr, j_prime=jp)
+
+
+def _triple(cfg: LossConfig, y_hat, targets, **kwargs) -> _Triple:
+    """:func:`compute_loss` as ``(value, d_y_hat, d_y_hat_rand or j_prime)``."""
+    r = compute_loss(cfg, y_hat, targets, **kwargs)
+    return r.value, r.d_y_hat, r.j_prime if r.d_y_hat_rand is None else r.d_y_hat_rand
+
+
+def loss_an_ssdl(y_hat, y_hat_rand, targets: BatchTargets) -> _Triple:
+    """``an-ssdl``; returns ``(value, d_y_hat, d_y_hat_rand)``."""
+    return _triple(LossConfig(LossVariant.AN_SSDL), y_hat, targets, y_hat_rand=y_hat_rand)
+
+
+def loss_an_slds(y_hat, targets: BatchTargets, rng=None, j_prime=None) -> _Triple:
+    """``an-slds``; returns ``(value, d_y_hat, j_prime)`` so a caller can replay the draw."""
+    return _triple(LossConfig(LossVariant.AN_SLDS), y_hat, targets, rng=rng, j_prime=j_prime)
+
+
+def loss_an_full(y_hat, y_hat_rand, targets: BatchTargets, lam: float) -> _Triple:
+    """``an-full``; returns ``(value, d_y_hat, d_y_hat_rand)``."""
+    return _triple(LossConfig(LossVariant.AN_FULL, lam), y_hat, targets, y_hat_rand=y_hat_rand)
+
+
+def loss_me_ssdl(y_hat, y_hat_rand, targets: BatchTargets) -> _Triple:
+    """``me-ssdl``; returns ``(value, d_y_hat, d_y_hat_rand)``."""
+    return _triple(LossConfig(LossVariant.ME_SSDL), y_hat, targets, y_hat_rand=y_hat_rand)
+
+
+def loss_me_slds(y_hat, targets: BatchTargets, rng=None, j_prime=None) -> _Triple:
+    """``me-slds``; returns ``(value, d_y_hat, j_prime)``."""
+    return _triple(LossConfig(LossVariant.ME_SLDS), y_hat, targets, rng=rng, j_prime=j_prime)
+
+
+def loss_me_full(y_hat, y_hat_rand, targets: BatchTargets, lam: float) -> _Triple:
+    """``me-full``; returns ``(value, d_y_hat, d_y_hat_rand)``."""
+    return _triple(LossConfig(LossVariant.ME_FULL, lam), y_hat, targets, y_hat_rand=y_hat_rand)

@@ -35,6 +35,8 @@ _LAYOUT_CODES = {InputLayout.COORDS: 0, InputLayout.ENV: 1, InputLayout.ENV_PLUS
 _CODE_LAYOUTS = {v: k for k, v in _LAYOUT_CODES.items()}
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+#: Species ids are stored with a uint16 UTF-8 byte length.
+MAX_SPECIES_ID_BYTES = 0xFFFF
 
 
 class ModelFormatError(ValueError):
@@ -415,7 +417,7 @@ def model_to_bytes(
     ]
     for sid in species_ids:
         raw = sid.encode("utf-8")
-        if len(raw) > 0xFFFF:
+        if len(raw) > MAX_SPECIES_ID_BYTES:
             raise ValueError(f"species id too long to serialize: {sid[:32]!r}...")
         out.append(struct.pack("<H", len(raw)))
         out.append(raw)
@@ -485,6 +487,8 @@ def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
             ids.append(r.take(ln).decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"species id {len(ids)} is not valid UTF-8") from exc
+    if len(set(ids)) != len(ids):
+        raise ModelFormatError("species catalog contains duplicate ids")
 
     (total,) = struct.unpack("<Q", r.take(8))
     # Bound the declared sizes by the bytes present (every residual layer
@@ -498,6 +502,8 @@ def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
             f"parameter count {total} does not match configuration (expected {expected})"
         )
     params = r.params(cfg)
+    if not all(np.isfinite(a).all() for a in params.flat()):
+        raise ModelFormatError("model parameters contain NaN or infinite values")
     return ModelFile(params, cfg, _CODE_LAYOUTS[layout_code], tuple(ids)), r.pos
 
 

@@ -13,16 +13,7 @@ import math
 import numpy as np
 
 from sinr.data import ObservationSet
-from sinr.losses import (
-    BatchTargets,
-    LossVariant,
-    loss_an_full,
-    loss_an_slds,
-    loss_an_ssdl,
-    loss_me_full,
-    loss_me_slds,
-    loss_me_ssdl,
-)
+from sinr.losses import BatchTargets, LossConfig, LossVariant, compute_loss
 from sinr.net import NetConfig, NetParams, backward, forward, init_params
 
 
@@ -114,22 +105,9 @@ def ap_oracle(scores, labels) -> float:
 
 
 def loss_value_and_grads(variant: LossVariant, y, y_rand, targets, lam, j_prime):
-    """Uniform (value, d_y, d_y_rand) view over all six loss functions."""
-    if variant is LossVariant.AN_SSDL:
-        return loss_an_ssdl(y, y_rand, targets)
-    if variant is LossVariant.ME_SSDL:
-        return loss_me_ssdl(y, y_rand, targets)
-    if variant is LossVariant.AN_FULL:
-        return loss_an_full(y, y_rand, targets, lam)
-    if variant is LossVariant.ME_FULL:
-        return loss_me_full(y, y_rand, targets, lam)
-    if variant is LossVariant.AN_SLDS:
-        value, d_y, _ = loss_an_slds(y, targets, j_prime=j_prime)
-        return value, d_y, None
-    if variant is LossVariant.ME_SLDS:
-        value, d_y, _ = loss_me_slds(y, targets, j_prime=j_prime)
-        return value, d_y, None
-    raise AssertionError(variant)
+    """Uniform (value, d_y, d_y_rand) view over all six loss variants."""
+    result = compute_loss(LossConfig(variant, lam), y, targets, y_hat_rand=y_rand, j_prime=j_prime)
+    return result.value, result.d_y_hat, result.d_y_hat_rand
 
 
 def composed_loss(params: NetParams, cfg: NetConfig, x_all, b, variant, targets, lam, j_prime):

@@ -220,6 +220,26 @@ def test_train_reports_rejected_rows(tmp_path, capsys):
     assert "row 3" in err and "out of range" in err and "skipped 1" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges
+def test_diverging_train_exits_1(tmp_path, capsys):
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path)
+    code = main(["train", "--obs", str(obs_path), "--out", str(tmp_path / "m.sinr"),
+                 *TRAIN_ARGS, "--lr", "1e38"])
+    assert code == 1
+    assert "error: non-finite loss" in capsys.readouterr().err
+    assert not (tmp_path / "m.sinr").exists()
+
+
+def test_overlong_species_id_fails_before_training(tmp_path, capsys):
+    obs_path = tmp_path / "obs.csv"
+    obs_path.write_text("species_id,lon,lat\n" + "x" * 65536 + ",10.0,20.0\nok,1.0,2.0\n")
+    code = run_train(tmp_path, obs_path, tmp_path / "m.sinr")
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "65535 UTF-8 bytes" in err and "epoch" not in out
+
+
 class _Interrupted(Exception):
     pass
 
@@ -453,6 +473,31 @@ def test_eval_map_dump_cells(tmp_path, capsys):
     rows = dump.read_text().strip().splitlines()
     assert rows[0] == "cell,lon,lat,a,b"
     assert len(rows) == 3  # two valid cells
+
+
+def test_eval_map_dump_cells_runs_the_model_once(tmp_path, capsys, monkeypatch):
+    obs_path, grid_path = grid_fixture(tmp_path)
+    model_path = tmp_path / "flat.sinr"
+    flat_model(model_path, species=("a", "b"))
+    cli_module = importlib.import_module("sinr.cli")
+    rows = []
+
+    def counting_forward(params, cfg, x, **kwargs):
+        rows.append(len(x))
+        return forward(params, cfg, x, **kwargs)
+
+    monkeypatch.setattr(cli_module, "forward", counting_forward)
+    grid = GridSpec(60)
+    labels = np.full((2, grid.n_cells), -1, dtype=np.int8)
+    labels[:, :200] = np.arange(200) % 2, 1 - np.arange(200) % 2
+    save_eval_grid(EvalGrid(grid, ("a", "b"), labels), grid_path)
+    report, dump = tmp_path / "map.csv", tmp_path / "cells.csv"
+    code = main(["eval", "map", "--model", str(model_path), "--grid", str(grid_path),
+                 "--report", str(report), "--dump-cells", str(dump)])
+    assert code == 0
+    capsys.readouterr()
+    assert rows == [200]
+    assert len(dump.read_text().strip().splitlines()) == 201
 
 
 def test_eval_geoprior_flat_model_changes_nothing(tmp_path, capsys):

@@ -99,6 +99,16 @@ def test_load_observations_requires_columns(tmp_path):
         load_observations(p)
 
 
+def test_load_observations_tolerates_bom_and_padded_header(tmp_path):
+    p = tmp_path / "obs.csv"
+    for header in ("\ufeffspecies_id,lon,lat", "species_id, lon, lat"):
+        p.write_bytes(f"{header}\nplover,1.5,-2.25\n".encode("utf-8"))
+        obs, rejected = load_observations(p)
+        assert rejected == () and obs.species_ids == ("plover",)
+        np.testing.assert_array_equal(obs.lons, [1.5])
+        np.testing.assert_array_equal(obs.lats, [-2.25])
+
+
 def test_save_load_roundtrip_is_lossless(tmp_path):
     """Every record survives bit-exactly (the reloaded catalog is ordered by
     first appearance, so records are compared by species name)."""

@@ -383,6 +383,15 @@ def test_model_file_error_types(tmp_path):
     with pytest.raises(ModelFormatError, match="UTF-8"):
         model_from_bytes(named.replace(b"ab", b"\xff\xfe", 1))
 
+    with pytest.raises(ModelFormatError, match="duplicate"):
+        model_from_bytes(model_to_bytes(init_params(cfg), cfg, species_ids=("ab", "ab")))
+
+    params = init_params(cfg)
+    for bad in (np.nan, np.inf):
+        params.w_head[0, 0] = bad
+        with pytest.raises(ModelFormatError, match="NaN or infinite"):
+            model_from_bytes(model_to_bytes(params, cfg))
+
     path = tmp_path / "trailing.sinr"
     path.write_bytes(blob + b"extra")
     with pytest.raises(ModelFormatError):
