@@ -126,6 +126,8 @@ def _model_fn(model: ModelFile, env: EnvRasterStack | None, output: int):
             sl = slice(start, start + _PREDICT_CHUNK)
             x = assemble_inputs(lons[sl], lats[sl], model.input_layout, env)
             outs.append(forward(model.params, model.cfg, x, mode="eval")[output])
+        if len(outs) == 1:  # one chunk: concatenate would only copy it
+            return outs[0]
         return np.concatenate(outs) if outs else np.empty((0, width))
 
     return run

@@ -19,6 +19,7 @@ anything with that shape works (network, baseline, oracle).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -136,9 +137,19 @@ def save_eval_grid(eval_grid: EvalGrid, path) -> None:
                 fh.write(f"{sid} {cell} {int(eval_grid.labels[s, cell])}\n")
 
 
+#: Body lines as ``save_eval_grid`` writes them (``id cell label``, one space
+#: apart, no blank lines): such a body is parsed in bulk.
+_PLAIN_BODY = re.compile(r"(?:\S+ [0-9]+ [01]\n)*")
+
+
 def load_eval_grid(path) -> EvalGrid:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        text = fh.read()
+    first, _, body = text.partition("\n")
+    if body and not body.endswith("\n"):
+        body += "\n"
+    plain = first != "" and first == first.strip() and _PLAIN_BODY.fullmatch(body)
+    lines = [first] if plain else [ln.strip() for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty evaluation grid file")
     head = lines[0].split()
@@ -149,9 +160,51 @@ def load_eval_grid(path) -> EvalGrid:
     except ValueError:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from None
     grid = GridSpec(resolution)
+    entries = _plain_entries(body, grid) if plain else None
+    if entries is None:
+        entries = _checked_entries(path, body.split("\n")[:-1] if plain else lines[1:], grid)
+    species_ids, species, cells, values = entries
+    if len(species_ids) != n_species:
+        raise ValueError(
+            f"{path}: header declares {n_species} species, file lists {len(species_ids)}"
+        )
+    keys = species * grid.n_cells + cells
+    _, first_seen = np.unique(keys, return_index=True)
+    if first_seen.size != keys.size:
+        repeat = np.ones(keys.size, dtype=bool)
+        repeat[first_seen] = False
+        i = int(np.argmax(repeat))  # the first entry that repeats an earlier one
+        raise ValueError(
+            f"{path}: duplicate entry for species index {species[i]}, cell {cells[i]}"
+        )
+    labels = np.full((n_species, grid.n_cells), -1, dtype=np.int8)
+    labels[species, cells] = values
+    return EvalGrid(grid=grid, species_ids=species_ids, labels=labels)
+
+
+def _plain_entries(body: str, grid: GridSpec):
+    """(species ids in order of appearance, species index, cell, label) per
+    entry of a body matching ``_PLAIN_BODY``; None if a cell is out of range,
+    so that the line-by-line pass reports it."""
+    tokens = body.split()
+    ids = tokens[0::3]
+    try:
+        cells = np.array(tokens[1::3], dtype=np.int64)
+    except OverflowError:
+        return None
+    if cells.size and cells.max() >= grid.n_cells:
+        return None
+    index = {sid: i for i, sid in enumerate(dict.fromkeys(ids))}
+    species = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+    values = (np.array(tokens[2::3], dtype=str) == "1").astype(np.int8)
+    return tuple(index), species, cells, values
+
+
+def _checked_entries(path, lines: list[str], grid: GridSpec):
+    """``_plain_entries`` for any body, line by line, raising on the first bad line."""
     catalog: dict[str, int] = {}
     entries = []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed line {ln!r}")
@@ -167,16 +220,8 @@ def load_eval_grid(path) -> EvalGrid:
         if sid not in catalog:
             catalog[sid] = len(catalog)
         entries.append((catalog[sid], cell, label))
-    if len(catalog) != n_species:
-        raise ValueError(
-            f"{path}: header declares {n_species} species, file lists {len(catalog)}"
-        )
-    labels = np.full((n_species, grid.n_cells), -1, dtype=np.int8)
-    for s, cell, label in entries:
-        if labels[s, cell] != -1:
-            raise ValueError(f"{path}: duplicate entry for species index {s}, cell {cell}")
-        labels[s, cell] = label
-    return EvalGrid(grid=grid, species_ids=tuple(catalog), labels=labels)
+    rows = np.array(entries, dtype=np.int64).reshape(-1, 3)
+    return tuple(catalog), rows[:, 0], rows[:, 1], rows[:, 2].astype(np.int8)
 
 
 @dataclass(frozen=True)

@@ -123,12 +123,18 @@ def bernoulli_entropy(p):
     return h
 
 
-def _clamp(y_hat: np.ndarray, targets: BatchTargets, name: str) -> np.ndarray:
-    arr = np.asarray(y_hat, dtype=np.float64)
+def _checked(y_hat, targets: BatchTargets, name: str) -> np.ndarray:
+    arr = np.asarray(y_hat)
     expected = (targets.batch_size, targets.n_species)
     if arr.shape != expected:
         raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
-    return np.clip(arr, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    return arr
+
+
+def _clamp(arr: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``arr`` clamped to ``[CLAMP_EPS, 1 - CLAMP_EPS]``."""
+    out = arr.astype(np.float64)
+    return np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
 
 
 def _draw_j_prime(
@@ -155,11 +161,22 @@ def _draw_j_prime(
     return jp.astype(np.int64)
 
 
-#: Absence terms at clamped p: (per-entry loss, its derivative / scale). The
-#: grouping ``1 / ((1 - p) * scale)`` is part of the numerics: computing
-#: ``(1 / (1 - p)) / scale`` rounds differently and changes trained models.
+def _an_absence(p: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    grad = np.subtract(1.0, p)
+    grad *= scale
+    np.divide(1.0, grad, out=grad)
+    np.negative(p, out=p)
+    np.log1p(p, out=p)
+    np.negative(p, out=p)
+    return p, grad
+
+
+#: Absence terms at clamped p: (per-entry loss, its derivative / scale). ``an``
+#: overwrites p with ``-log1p(-p)`` and returns ``1 / ((1 - p) * scale)``; that
+#: grouping is part of the numerics, since ``(1 / (1 - p)) / scale`` rounds
+#: differently and changes trained models.
 _ABSENCE = {
-    "an": lambda p, scale: (-np.log1p(-p), 1.0 / ((1.0 - p) * scale)),
+    "an": _an_absence,
     "me": lambda p, scale: (bernoulli_entropy(p), (np.log1p(-p) - np.log(p)) / scale),
 }
 _Triple = tuple[float, np.ndarray, np.ndarray]
@@ -178,35 +195,38 @@ def compute_loss(
     required for ssdl/full; ``rng`` (or a replayed ``j_prime``) for slds."""
     family, selection = cfg.variant.value.split("-")
     absence = _ABSENCE[family]
-    c = _clamp(y_hat, targets, "y_hat")
+    y_hat = _checked(y_hat, targets, "y_hat")
     if selection != "slds":
         if y_hat_rand is None:
             raise ValueError(f"variant {cfg.variant.value!r} requires y_hat_rand")
-        cr = _clamp(y_hat_rand, targets, "y_hat_rand")
+        y_hat_rand = _checked(y_hat_rand, targets, "y_hat_rand")
     b = targets.batch_size
     rows = np.arange(b)
     j = targets.positive_index
-    pos = c[rows, j]
     dr = jp = None
     if selection == "full":
         s = targets.n_species
         scale = s * b
+        c = _clamp(y_hat)
+        pos = c[rows, j]
         terms, d = absence(c, scale)
         terms[rows, j] = cfg.lam * -np.log(pos)
         row_sums = terms.sum(axis=1)
-        del c, terms  # hold two B x S arrays fewer while the pseudo-location terms are built
-        terms_rand, dr = absence(cr, scale)
+        del c, terms  # hold one B x S array fewer while the pseudo-location terms are built
+        terms_rand, dr = absence(_clamp(y_hat_rand), scale)
         value = float(np.mean((row_sums + terms_rand.sum(axis=1)) / s))
     else:
+        # Only B (ssdl) or 2B (slds) entries are read: gather them, then clamp.
         scale = b
-        d = np.zeros_like(c)
+        pos = _clamp(y_hat[rows, j])
+        d = np.zeros_like(y_hat, dtype=np.float64)
         if selection == "ssdl":
-            neg_terms, neg_grad = absence(cr[rows, j], scale)
-            dr = np.zeros_like(cr)
+            neg_terms, neg_grad = absence(_clamp(y_hat_rand[rows, j]), scale)
+            dr = np.zeros_like(y_hat_rand, dtype=np.float64)
             dr[rows, j] = neg_grad
         else:
             jp = _draw_j_prime(targets, rng, j_prime)
-            neg_terms, neg_grad = absence(c[rows, jp], scale)
+            neg_terms, neg_grad = absence(_clamp(y_hat[rows, jp]), scale)
             d[rows, jp] = neg_grad
         value = float(np.mean(-np.log(pos) + neg_terms))
     d[rows, j] = -(cfg.lam if selection == "full" else 1.0) / (pos * scale)

@@ -56,7 +56,8 @@ class TruncatedFileError(ModelFormatError):
 
 
 class NonFiniteGradientError(FloatingPointError):
-    """An optimizer update was handed NaN or infinite gradient entries."""
+    """An optimizer update was handed NaN or infinite gradient entries, or
+    its result has NaN or infinite parameters."""
 
 
 @dataclass(frozen=True)
@@ -184,15 +185,24 @@ def init_params(cfg: NetConfig) -> NetParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid, clamped strictly inside (0, 1)."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Numerically stable sigmoid, clamped strictly inside (0, 1).
+
+    ``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))`` for z < 0,
+    without selecting either half: ``e = exp(-|z|)`` is exactly ``exp(-z)``
+    or ``exp(z)``, and ``max(sign(z), e)`` is the numerator (1 where z >= 0,
+    -0 included; ``e`` where z < 0), so every entry gets the rounding of its
+    branch's formula.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.sign(z)
+    np.maximum(out, e, out=out)
+    e += 1
+    np.divide(out, e, out=out)
     one = z.dtype.type(1)
     zero = z.dtype.type(0)
-    return np.clip(out, np.nextafter(zero, one), np.nextafter(one, zero))
+    return np.clip(out, np.nextafter(zero, one), np.nextafter(one, zero), out=out)
 
 
 @dataclass
@@ -263,7 +273,8 @@ def forward(
             cache.block_v.append(v)
             cache.block_mask.append(mask)
             h = h + np.maximum(v, 0)
-    z = h @ params.w_head + params.b_head
+    z = h @ params.w_head
+    z += params.b_head
     y_hat = _sigmoid(z)
     cache.features = h
     cache.y_hat = y_hat
@@ -292,7 +303,10 @@ def backward(
     feats = cache.features
     if d_y_hat is not None:
         y = cache.y_hat
-        dz = (np.asarray(d_y_hat) * (y * (1.0 - y))).astype(dtype, copy=False)
+        # d_y_hat * (y * (1 - y)) in d_y_hat's precision, rounded once to dtype
+        dz = 1.0 - y
+        dz *= y
+        np.multiply(d_y_hat, dz, out=dz)
     else:
         dz = np.zeros_like(cache.y_hat)
     g_w_head = feats.T @ dz
@@ -348,8 +362,9 @@ def adam_step(
 ) -> tuple[NetParams, AdamState]:
     """One bias-corrected Adam update; returns new params and state.
 
-    Fails fast with :class:`NonFiniteGradientError` if any gradient entry is
-    NaN or infinite, leaving the inputs untouched.
+    Raises :class:`NonFiniteGradientError`, leaving the inputs untouched, if
+    any gradient entry is NaN or infinite, or if the update itself overflows
+    (a huge learning rate) to a NaN or infinite parameter.
     """
     for g in grads.flat():
         if not np.all(np.isfinite(g)):
@@ -367,6 +382,11 @@ def adam_step(
         new_m,
         new_v,
     )
+    for p in new_p.flat():
+        if not np.all(np.isfinite(p)):
+            raise NonFiniteGradientError(
+                f"non-finite parameters after the update at step {t} (lr={lr!r})"
+            )
     return new_p, AdamState(m=new_m, v=new_v, t=t)
 
 

@@ -220,26 +220,30 @@ def _run(
             if pseudo:
                 plons, plats = sample_uniform_locations(b, state.rng_locations, bounds)
                 x = np.concatenate([x, assemble_inputs(plons, plats, layout, env)])
-            _, y_all, cache = forward(
-                state.params, cfg.net, x, mode="train", rng=state.rng_dropout,
-                return_cache=True,
-            )
-            result = compute_loss(
-                cfg.loss,
-                y_all[:b],
-                targets,
-                y_hat_rand=y_all[b:] if pseudo else None,
-                rng=state.rng_negatives,
-            )
-            if not np.isfinite(result.value):
-                raise TrainingDivergedError(epoch, step, result.value)
-            d_y = (
-                np.concatenate([result.d_y_hat, result.d_y_hat_rand])
-                if pseudo
-                else result.d_y_hat
-            )
-            grads = backward(state.params, cfg.net, cache, d_y_hat=d_y)
-            state.params, state.adam = adam_step(state.params, grads, state.adam, lr)
+            # A diverging step overflows. The finite-loss check and adam_step's
+            # finite-gradient and finite-parameter checks report it; numpy's
+            # warnings would only print source lines ahead of that error.
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, y_all, cache = forward(
+                    state.params, cfg.net, x, mode="train", rng=state.rng_dropout,
+                    return_cache=True,
+                )
+                result = compute_loss(
+                    cfg.loss,
+                    y_all[:b],
+                    targets,
+                    y_hat_rand=y_all[b:] if pseudo else None,
+                    rng=state.rng_negatives,
+                )
+                if not np.isfinite(result.value):
+                    raise TrainingDivergedError(epoch, step, result.value)
+                d_y = (
+                    np.concatenate([result.d_y_hat, result.d_y_hat_rand])
+                    if pseudo
+                    else result.d_y_hat
+                )
+                grads = backward(state.params, cfg.net, cache, d_y_hat=d_y)
+                state.params, state.adam = adam_step(state.params, grads, state.adam, lr)
             state.step_losses.append(result.value)
         state.epochs_done = epoch + 1
         if on_epoch is not None:

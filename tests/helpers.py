@@ -76,6 +76,25 @@ def disk_labels(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Reference sigmoid
+# ---------------------------------------------------------------------------
+
+
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The two-branch stable sigmoid with boolean-mask selects, clamped
+    strictly inside (0, 1): ``1 / (1 + exp(-z))`` where z >= 0 and
+    ``exp(z) / (1 + exp(z))`` elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    one = z.dtype.type(1)
+    zero = z.dtype.type(0)
+    return np.clip(out, np.nextafter(zero, one), np.nextafter(one, zero))
+
+
+# ---------------------------------------------------------------------------
 # Reference average precision (definition-level, O(n^2))
 # ---------------------------------------------------------------------------
 

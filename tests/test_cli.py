@@ -220,7 +220,7 @@ def test_train_reports_rejected_rows(tmp_path, capsys):
     assert "row 3" in err and "out of range" in err and "skipped 1" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # divergence is reported without numpy warnings
 def test_diverging_train_exits_1(tmp_path, capsys):
     obs_path = tmp_path / "obs.csv"
     make_obs_csv(obs_path)
@@ -229,6 +229,21 @@ def test_diverging_train_exits_1(tmp_path, capsys):
     assert code == 1
     assert "error: non-finite loss" in capsys.readouterr().err
     assert not (tmp_path / "m.sinr").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_last_update_exits_1(tmp_path, capsys):
+    # One epoch of one step: no later step's loss check sees the overflowed
+    # parameters, so the update itself must be checked.
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path)
+    code = main(["train", "--obs", str(obs_path), "--out", str(tmp_path / "m.sinr"),
+                 *TRAIN_ARGS, "--epochs", "1", "--batch-size", "128", "--lr", "1e39",
+                 "--checkpoint", str(tmp_path / "m.ckpt")])
+    assert code == 1
+    assert "error: non-finite parameters" in capsys.readouterr().err
+    assert not (tmp_path / "m.sinr").exists()
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_overlong_species_id_fails_before_training(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sinr.evaluate as evaluate_module
 from helpers import ap_oracle
 from sinr.data import EnvRasterStack, ObservationSet, load_env_rasters, write_env_raster
 from sinr.evaluate import (
@@ -137,6 +138,41 @@ def test_eval_grid_load_rejects_duplicates_and_bad_labels(tmp_path):
     path.write_text("WRONG 1 1\nsp 0 1\n")
     with pytest.raises(ValueError, match="header"):
         load_eval_grid(path)
+
+
+@pytest.mark.parametrize("form", ["plain", "free"])
+def test_eval_grid_load_agrees_across_line_forms(tmp_path, form, monkeypatch):
+    """The form save_eval_grid writes is parsed in bulk, any other spacing line
+    by line; both give the same grid and the same first error."""
+    path = tmp_path / "g.evalgrid"
+
+    def write(lines):
+        if form == "plain":
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path.write_text("\n\n".join(" " + ln.replace(" ", "\t") + "  " for ln in lines))
+
+    if form == "plain":
+        def line_by_line(*args):
+            raise AssertionError("a plain valid file was parsed line by line")
+
+        with monkeypatch.context() as m:
+            m.setattr(evaluate_module, "_checked_entries", line_by_line)
+            write(["EVALGRID 1 2", "b 1 0", "a 1 1", "b 0 1"])
+            load_eval_grid(path)
+    write(["EVALGRID 1 2", "b 1 0", "a 1 1", "b 0 1"])
+    eg = load_eval_grid(path)
+    assert eg.species_ids == ("b", "a")
+    np.testing.assert_array_equal(eg.labels, [[1, 0], [-1, 1]])
+    for lines, message in [
+        (["b 1 0", "a 0 1", "b 1 1"], "duplicate entry for species index 0, cell 1$"),
+        (["b 1 0", "a 2 1", "a 7 1"], r"cell index 2 outside \[0, 2\)$"),
+        (["b 1 0", "a 99999999999999999999 1"], "cell index 99999999999999999999 outside"),
+        (["b 1 0"], "declares 2 species, file lists 1$"),
+    ]:
+        write(["EVALGRID 1 2", *lines])
+        with pytest.raises(ValueError, match=message):
+            load_eval_grid(path)
 
 
 def test_save_eval_grid_rejects_whitespace_ids(tmp_path):

@@ -10,6 +10,7 @@ from helpers import (
     fd_grads,
     gather_gradcheck_setups,
     max_rel_error,
+    reference_sigmoid,
 )
 from sinr.geo import InputLayout
 from sinr.losses import BatchTargets, LossVariant
@@ -25,6 +26,7 @@ from sinr.net import (
     NonFiniteGradientError,
     TruncatedFileError,
     UnsupportedVersionError,
+    _sigmoid,
     adam_step,
     backward,
     cast_params,
@@ -195,6 +197,39 @@ def test_sigmoid_outputs_are_probabilities_even_for_huge_logits():
     assert y[2, 0] == 0.5
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_masked_reference_bit_for_bit(dtype):
+    fi = np.finfo(dtype)
+    edges = [0.0, -0.0, np.inf, -np.inf, fi.smallest_subnormal, -fi.smallest_subnormal,
+             fi.tiny, -fi.tiny, 88.7, -88.7, 104.0, -104.0, 709.8, -709.8, fi.max, -fi.max]
+    rng = np.random.default_rng(0)
+    z = np.concatenate([np.array(edges, dtype=dtype),
+                        (rng.standard_normal(5000) * 40).astype(dtype)])
+    m = (rng.standard_normal((37, 53)) * 20).astype(dtype)
+    for arr in (z, m, m.T, m[::2, ::3], np.empty((0, 4), dtype=dtype)):
+        before = arr.copy()
+        got, want = _sigmoid(arr), reference_sigmoid(arr)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(arr, before)
+    assert np.isnan(_sigmoid(np.array([np.nan], dtype=dtype))[0])
+
+
+def test_backward_leaves_its_inputs_untouched():
+    cfg = NetConfig(input_dim=3, n_species=6, hidden_dim=5, n_residual_layers=1)
+    rng = np.random.default_rng(4)
+    for params in (init_params(cfg), f64_params(cfg)):
+        _, y, cache = forward(params, cfg, rng.standard_normal((8, 3)), mode="train",
+                              rng=np.random.default_rng(1), return_cache=True)
+        y_before = y.copy()
+        for d_dtype in (np.float32, np.float64):
+            d_y = rng.standard_normal(y.shape).astype(d_dtype)
+            d_before = d_y.copy()
+            backward(params, cfg, cache, d_y_hat=d_y)
+            np.testing.assert_array_equal(d_y, d_before)
+            np.testing.assert_array_equal(cache.y_hat, y_before)
+
+
 def test_forward_validates_inputs():
     cfg = NetConfig(input_dim=4, n_species=2, hidden_dim=4, n_residual_layers=1)
     params = init_params(cfg)
@@ -313,6 +348,16 @@ def test_adam_rejects_non_finite_gradients():
     with pytest.raises(NonFiniteGradientError):
         adam_step(params, bad, state, lr=0.1)
     assert state.t == 0  # inputs untouched
+
+
+def test_adam_rejects_an_update_that_overflows():
+    cfg = NetConfig(input_dim=2, n_species=1, identity_encoder=True, dropout_p=0.0)
+    params = init_params(cfg)
+    state = init_adam(params)
+    grads = NetParams.from_flat([np.ones((2, 1), np.float32), np.ones(1, np.float32)])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError, match="parameters"):
+        adam_step(params, grads, state, lr=1e39)  # inf as a float32 step size
+    assert state.t == 0
 
 
 # ---------------------------------------------------------------------------
