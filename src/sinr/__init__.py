@@ -10,9 +10,11 @@ before numpy is first imported.
 
 import os
 
+#: The BLAS thread-count variables that ``SINR_THREADS`` sets.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _threads = os.environ.get("SINR_THREADS")
 if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for _var in _THREAD_VARS:
         os.environ.setdefault(_var, _threads)
 
 from .data import (

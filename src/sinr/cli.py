@@ -10,13 +10,14 @@ import argparse
 import csv
 import hashlib
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import _THREAD_VARS, __version__
 from .data import (
     EnvRasterStack,
     ObservationSet,
@@ -79,6 +80,23 @@ def write_manifest(path, entries: list[tuple[str, object]]) -> None:
             if "\n" in text or "=" in key:
                 raise ValueError(f"manifest entry {key!r} is not single-line key=value")
             fh.write(f"{key}={text}\n")
+
+
+def _environment() -> list[tuple[str, str]]:
+    """Manifest entries naming the interpreter, numpy, its BLAS and the BLAS
+    thread-count variables set for this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # numpy before 1.26 has no mode="dicts"
+        blas = {}
+    threads = " ".join(f"{v}:{os.environ[v]}" for v in _THREAD_VARS if v in os.environ)
+    return [
+        ("python_version", platform.python_version()),
+        ("numpy_version", np.__version__),
+        ("blas_name", blas.get("name", "unknown")),
+        ("blas_version", blas.get("version", "unknown")),
+        ("blas_threads", threads or "default"),
+    ]
 
 
 def read_manifest(path) -> dict[str, str]:
@@ -275,6 +293,7 @@ def cmd_train(args) -> int:
         ("manifest_version", 1),
         ("tool", f"sinr/{__version__}"),
         ("command", "train"),
+        *_environment(),
         ("created_unix", int(start)),
         ("elapsed_seconds", round(time.time() - start, 3)),
         ("master_seed", args.seed),

@@ -93,12 +93,14 @@ class BatchTargets:
 
 @dataclass(frozen=True)
 class LossResult:
-    """Loss value plus gradients for whichever prediction arrays were used."""
+    """Loss value (the mean of ``row_losses``, one per example) plus
+    gradients for whichever prediction arrays were used."""
 
     value: float
     d_y_hat: np.ndarray
     d_y_hat_rand: np.ndarray | None = None
     j_prime: np.ndarray | None = None
+    row_losses: np.ndarray | None = None
 
 
 def bernoulli_entropy(p):
@@ -190,9 +192,12 @@ def compute_loss(
     y_hat_rand: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     j_prime: np.ndarray | None = None,
+    batch_size: int | None = None,
 ) -> LossResult:
     """Evaluate the configured loss variant on one batch. ``y_hat_rand`` is
-    required for ssdl/full; ``rng`` (or a replayed ``j_prime``) for slds."""
+    required for ssdl/full; ``rng`` (or a replayed ``j_prime``) for slds.
+    Gradients are normalised by ``batch_size`` (default: the rows given), so a
+    batch may be passed in row blocks."""
     family, selection = cfg.variant.value.split("-")
     absence = _ABSENCE[family]
     y_hat = _checked(y_hat, targets, "y_hat")
@@ -200,8 +205,8 @@ def compute_loss(
         if y_hat_rand is None:
             raise ValueError(f"variant {cfg.variant.value!r} requires y_hat_rand")
         y_hat_rand = _checked(y_hat_rand, targets, "y_hat_rand")
-    b = targets.batch_size
-    rows = np.arange(b)
+    b = targets.batch_size if batch_size is None else batch_size
+    rows = np.arange(targets.batch_size)
     j = targets.positive_index
     dr = jp = None
     if selection == "full":
@@ -214,7 +219,7 @@ def compute_loss(
         row_sums = terms.sum(axis=1)
         del c, terms  # hold one B x S array fewer while the pseudo-location terms are built
         terms_rand, dr = absence(_clamp(y_hat_rand), scale)
-        value = float(np.mean((row_sums + terms_rand.sum(axis=1)) / s))
+        row_losses = (row_sums + terms_rand.sum(axis=1)) / s
     else:
         # Only B (ssdl) or 2B (slds) entries are read: gather them, then clamp.
         scale = b
@@ -228,9 +233,9 @@ def compute_loss(
             jp = _draw_j_prime(targets, rng, j_prime)
             neg_terms, neg_grad = absence(_clamp(y_hat[rows, jp]), scale)
             d[rows, jp] = neg_grad
-        value = float(np.mean(-np.log(pos) + neg_terms))
+        row_losses = -np.log(pos) + neg_terms
     d[rows, j] = -(cfg.lam if selection == "full" else 1.0) / (pos * scale)
-    return LossResult(value, d, d_y_hat_rand=dr, j_prime=jp)
+    return LossResult(float(np.mean(row_losses)), d, dr, jp, row_losses)
 
 
 def _triple(cfg: LossConfig, y_hat, targets, **kwargs) -> _Triple:

@@ -123,6 +123,13 @@ class NetParams:
         out += [self.w_head, self.b_head]
         return out
 
+    def names(self) -> list[str]:
+        """Array names in :meth:`flat` order, such as ``blocks[1].w2``."""
+        out = [] if self.w_in is None else ["w_in", "b_in"]
+        for i in range(len(self.blocks)):
+            out += [f"blocks[{i}].{n}" for n in ("w1", "b1", "w2", "b2")]
+        return out + ["w_head", "b_head"]
+
     @classmethod
     def from_flat(cls, arrays: list[np.ndarray]) -> NetParams:
         """Inverse of :meth:`flat`; two arrays are a bare head (identity encoder)."""
@@ -217,7 +224,31 @@ class ForwardCache:
     block_v: list[np.ndarray] = field(default_factory=list)
     block_mask: list[np.ndarray | None] = field(default_factory=list)
     features: np.ndarray | None = None
-    y_hat: np.ndarray | None = None
+
+
+#: Least output entries per row block of the head. OpenBLAS picks its GEMM
+#: kernel by M*N*K (at most 1e6 takes another kernel, with other bits), so a
+#: block of at least this many entries takes the kernel of the whole product.
+HEAD_BLOCK_ENTRIES = 1 << 21
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` row ranges of at least ``HEAD_BLOCK_ENTRIES / n_cols``
+    rows, never 1 row unless ``n_rows`` is 1; a short last block is merged
+    into the one before it."""
+    step = max(2, -(-HEAD_BLOCK_ENTRIES // n_cols))
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] < step:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_rows]))
+
+
+def logit_grad_in_place(y: np.ndarray, d_y: np.ndarray) -> np.ndarray:
+    """Overwrite sigmoid outputs ``y`` with ``dL/dz = d_y * y * (1 - y)``,
+    computed in ``d_y``'s precision and rounded once to ``y``'s dtype."""
+    dz = 1.0 - y
+    dz *= y
+    return np.multiply(d_y, dz, out=y)
 
 
 def forward(
@@ -273,11 +304,12 @@ def forward(
             cache.block_v.append(v)
             cache.block_mask.append(mask)
             h = h + np.maximum(v, 0)
-    z = h @ params.w_head
-    z += params.b_head
-    y_hat = _sigmoid(z)
+    y_hat = np.empty((h.shape[0], params.w_head.shape[1]), dtype=dtype)
+    for r0, r1 in row_blocks(*y_hat.shape):
+        z = h[r0:r1] @ params.w_head
+        z += params.b_head
+        y_hat[r0:r1] = _sigmoid(z)
     cache.features = h
-    cache.y_hat = y_hat
     if return_cache:
         return h, y_hat, cache
     return h, y_hat
@@ -287,28 +319,25 @@ def backward(
     params: NetParams,
     cfg: NetConfig,
     cache: ForwardCache,
-    d_y_hat: np.ndarray | None = None,
+    d_z: np.ndarray | None = None,
     d_features: np.ndarray | None = None,
 ) -> NetParams:
     """Exact reverse-mode gradients for a cached forward pass.
 
-    ``d_y_hat`` and/or ``d_features`` give the upstream derivative of a
-    scalar objective with respect to the forward outputs; the result is a
+    ``d_z`` (the derivative of a scalar objective with respect to the head
+    logits, see :func:`logit_grad_in_place`) and/or ``d_features`` (with
+    respect to the features) seed the pass; the result is a
     :class:`NetParams` tree of derivatives with respect to every parameter,
     in the parameters' dtype.
     """
-    if d_y_hat is None and d_features is None:
-        raise ValueError("backward needs d_y_hat and/or d_features")
+    if d_z is None and d_features is None:
+        raise ValueError("backward needs d_z and/or d_features")
     dtype = params.w_head.dtype
     feats = cache.features
-    if d_y_hat is not None:
-        y = cache.y_hat
-        # d_y_hat * (y * (1 - y)) in d_y_hat's precision, rounded once to dtype
-        dz = 1.0 - y
-        dz *= y
-        np.multiply(d_y_hat, dz, out=dz)
+    if d_z is None:
+        dz = np.zeros((feats.shape[0], params.w_head.shape[1]), dtype=dtype)
     else:
-        dz = np.zeros_like(cache.y_hat)
+        dz = np.asarray(d_z).astype(dtype, copy=False)
     g_w_head = feats.T @ dz
     g_b_head = dz.sum(axis=0)
     dh = dz @ params.w_head.T
@@ -366,10 +395,10 @@ def adam_step(
     any gradient entry is NaN or infinite, or if the update itself overflows
     (a huge learning rate) to a NaN or infinite parameter.
     """
-    for g in grads.flat():
+    for name, g in zip(grads.names(), grads.flat()):
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(
-                f"non-finite gradient entries at step {state.t + 1}"
+                f"non-finite gradient entries in {name} at step {state.t + 1}"
             )
     t = state.t + 1
     bc1 = 1.0 - beta1**t
@@ -598,12 +627,14 @@ __all__ = [
     "forward",
     "init_adam",
     "init_params",
+    "logit_grad_in_place",
     "model_from_bytes",
     "model_to_bytes",
     "param_shapes",
     "params_close",
     "params_equal",
     "read_model_file",
+    "row_blocks",
     "save_model",
     "zeros_like_params",
 ]

@@ -10,6 +10,7 @@ uninterrupted one.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -27,7 +28,14 @@ from .data import (
     subsample_cap,
 )
 from .geo import InputLayout, input_dim
-from .losses import LossConfig, LossVariant, compute_loss, needs_pseudo_negatives
+from .losses import (
+    BatchTargets,
+    LossConfig,
+    LossVariant,
+    _draw_j_prime,
+    compute_loss,
+    needs_pseudo_negatives,
+)
 from .net import (
     AdamState,
     ModelFormatError,
@@ -40,8 +48,10 @@ from .net import (
     forward,
     init_adam,
     init_params,
+    logit_grad_in_place,
     model_from_bytes,
     model_to_bytes,
+    row_blocks,
 )
 from .util import atomic_write, seed_u64
 
@@ -49,7 +59,7 @@ from .util import atomic_write, seed_u64
 LR_DECAY = 0.98
 
 _CKPT_MAGIC = b"CKPT"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -129,6 +139,7 @@ class TrainState:
     params: NetParams
     adam: AdamState
     epochs_done: int
+    corpus_sha256: bytes  # of the effective corpus; resume refuses other records
     step_losses: list[float] = field(default_factory=list)
     rng_batch: np.random.Generator = None
     rng_locations: np.random.Generator = None
@@ -163,6 +174,14 @@ def _effective_obs(cfg: TrainConfig, obs: ObservationSet) -> ObservationSet:
     return subsample_cap(obs, cap, cfg.sampler.subsample_seed)
 
 
+def _corpus_sha256(obs: ObservationSet) -> bytes:
+    """sha256 of the records a run trains on: species index, lons, lats."""
+    digest = hashlib.sha256()
+    for arr, dtype in ((obs.species_index, "<i8"), (obs.lons, "<f8"), (obs.lats, "<f8")):
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return digest.digest()
+
+
 def _check_inputs(cfg: TrainConfig, obs: ObservationSet, env: EnvRasterStack | None) -> None:
     if obs.n_records == 0:
         raise ValueError("cannot train on an empty observation set")
@@ -192,6 +211,42 @@ def _pseudo_bounds(env: EnvRasterStack | None, layout: InputLayout):
     # With environmental inputs the model's domain is the raster extent, so
     # pseudo-locations are drawn over it rather than the full globe.
     return (env.lon_min, env.lon_max, env.lat_min, env.lat_max)
+
+
+def _loss_and_grads(
+    state: TrainState, x: np.ndarray, targets: BatchTargets, epoch: int, step: int
+) -> tuple[float, NetParams]:
+    """Loss value and parameter gradients of one batch; ``x`` holds its rows,
+    then any pseudo-location rows. The loss runs over row blocks of the head
+    output and overwrites it with dL/dz, so a step holds one array of the
+    head's shape; each block does the whole matrix's arithmetic, bit for bit."""
+    cfg = state.cfg
+    b = targets.batch_size
+    pseudo = needs_pseudo_negatives(cfg.loss.variant)
+    _, y_all, cache = forward(
+        state.params, cfg.net, x, mode="train", rng=state.rng_dropout, return_cache=True
+    )
+    # slds variants draw the negative species of the whole batch in one call.
+    j_prime = None if pseudo else _draw_j_prime(targets, state.rng_negatives, None)
+    row_losses = []
+    for r0, r1 in row_blocks(b, targets.n_species):
+        y, y_rand = y_all[r0:r1], y_all[b + r0 : b + r1] if pseudo else None
+        result = compute_loss(
+            cfg.loss,
+            y,
+            BatchTargets(targets.positive_index[r0:r1], targets.n_species),
+            y_hat_rand=y_rand,
+            j_prime=None if pseudo else j_prime[r0:r1],
+            batch_size=b,
+        )
+        row_losses.append(result.row_losses)
+        logit_grad_in_place(y, result.d_y_hat)
+        if pseudo:
+            logit_grad_in_place(y_rand, result.d_y_hat_rand)
+    value = float(np.mean(np.concatenate(row_losses)))
+    if not np.isfinite(value):
+        raise TrainingDivergedError(epoch, step, value)
+    return value, backward(state.params, cfg.net, cache, d_z=y_all)
 
 
 def _run(
@@ -224,27 +279,9 @@ def _run(
             # finite-gradient and finite-parameter checks report it; numpy's
             # warnings would only print source lines ahead of that error.
             with np.errstate(over="ignore", invalid="ignore"):
-                _, y_all, cache = forward(
-                    state.params, cfg.net, x, mode="train", rng=state.rng_dropout,
-                    return_cache=True,
-                )
-                result = compute_loss(
-                    cfg.loss,
-                    y_all[:b],
-                    targets,
-                    y_hat_rand=y_all[b:] if pseudo else None,
-                    rng=state.rng_negatives,
-                )
-                if not np.isfinite(result.value):
-                    raise TrainingDivergedError(epoch, step, result.value)
-                d_y = (
-                    np.concatenate([result.d_y_hat, result.d_y_hat_rand])
-                    if pseudo
-                    else result.d_y_hat
-                )
-                grads = backward(state.params, cfg.net, cache, d_y_hat=d_y)
+                value, grads = _loss_and_grads(state, x, targets, epoch, step)
                 state.params, state.adam = adam_step(state.params, grads, state.adam, lr)
-            state.step_losses.append(result.value)
+            state.step_losses.append(value)
         state.epochs_done = epoch + 1
         if on_epoch is not None:
             on_epoch(epoch, float(np.mean(state.step_losses[-n_steps:])), lr)
@@ -288,6 +325,7 @@ def train(
         params=params,
         adam=init_adam(params),
         epochs_done=0,
+        corpus_sha256=_corpus_sha256(obs),
         rng_batch=rngs[0],
         rng_locations=rngs[1],
         rng_negatives=rngs[2],
@@ -321,6 +359,8 @@ def resume(
     n_steps = steps_per_epoch(obs.n_records, state.cfg.batch_size)
     if len(state.step_losses) != state.epochs_done * n_steps:
         raise ValueError("checkpoint step count does not match the corpus size")
+    if _corpus_sha256(obs) != state.corpus_sha256:
+        raise ValueError("checkpoint was written for other observation records")
     return _run(state, obs, env, checkpoint_path, stop_after_epoch, on_epoch)
 
 
@@ -354,8 +394,9 @@ def train_config_from_dict(d: dict) -> TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint file: model blob, then a "CKPT" section with optimizer moments,
-# rng states, loss history, and the full TrainConfig.
+# Checkpoint file: model blob, then a "CKPT" section with the sha256 of the
+# training records, optimizer moments, rng states, loss history, and the full
+# TrainConfig.
 # ---------------------------------------------------------------------------
 
 
@@ -381,6 +422,7 @@ def save_checkpoint(path, state: TrainState) -> None:
         ),
         _CKPT_MAGIC,
         struct.pack("<II", _CKPT_VERSION, state.epochs_done),
+        state.corpus_sha256,
         struct.pack("<Q", state.adam.t),
     ]
     out += _param_chunks(state.adam.m) + _param_chunks(state.adam.v)
@@ -405,6 +447,7 @@ def load_checkpoint(path) -> TrainState:
     version, epochs_done = struct.unpack("<II", r.take(8))
     if version != _CKPT_VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+    corpus_sha256 = r.take(32)
     (t,) = struct.unpack("<Q", r.take(8))
     m_tree = r.params(model.cfg)
     v_tree = r.params(model.cfg)
@@ -447,6 +490,7 @@ def load_checkpoint(path) -> TrainState:
         params=model.params,
         adam=AdamState(m=m_tree, v=v_tree, t=int(t)),
         epochs_done=int(epochs_done),
+        corpus_sha256=corpus_sha256,
         step_losses=losses,
         rng_batch=rngs[0],
         rng_locations=rngs[1],

@@ -13,8 +13,14 @@ import math
 import numpy as np
 
 from sinr.data import ObservationSet
-from sinr.losses import BatchTargets, LossConfig, LossVariant, compute_loss
-from sinr.net import NetConfig, NetParams, backward, forward, init_params
+from sinr.losses import (
+    BatchTargets,
+    LossConfig,
+    LossVariant,
+    compute_loss,
+    needs_pseudo_negatives,
+)
+from sinr.net import NetConfig, NetParams, backward, forward, init_params, logit_grad_in_place
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +154,28 @@ def composed_grads(params: NetParams, cfg: NetConfig, x_all, b, variant, targets
         d_all = np.concatenate([d_y, np.zeros_like(y_all[b:]) if d_y_rand is None else d_y_rand])
     else:
         d_all = d_y
-    return backward(params, cfg, cache, d_y_hat=d_all)
+    return backward(params, cfg, cache, d_z=logit_grad_in_place(y_all, d_all))
+
+
+def reference_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
+    """One training step's ``(loss value, parameter gradients)`` on whole
+    matrices: ``forward``, ``compute_loss`` on the full batch, the
+    concatenated dL/dy, the dL/dy -> dL/dz chain, then ``backward``.
+
+    ``cfg`` is a ``TrainConfig``; ``x`` holds the batch rows, then the
+    pseudo-location rows when the loss uses them.
+    """
+    b = targets.batch_size
+    pseudo = needs_pseudo_negatives(cfg.loss.variant)
+    _, y_all, cache = forward(params, cfg.net, x, mode="train", rng=rng_dropout,
+                              return_cache=True)
+    result = compute_loss(cfg.loss, y_all[:b], targets,
+                          y_hat_rand=y_all[b:] if pseudo else None, rng=rng_negatives)
+    d_y = np.concatenate([result.d_y_hat, result.d_y_hat_rand]) if pseudo else result.d_y_hat
+    d_z = 1.0 - y_all
+    d_z *= y_all
+    np.multiply(d_y, d_z, out=d_z)
+    return result.value, backward(params, cfg.net, cache, d_z=d_z)
 
 
 def fd_grads(objective, params: NetParams, h: float = 1e-5) -> NetParams:

@@ -3,6 +3,7 @@ evaluation reports, and exit-code conventions."""
 
 import importlib
 import os
+import platform
 import subprocess
 import sys
 
@@ -174,6 +175,22 @@ def test_train_writes_model_and_manifest(tmp_path, capsys):
     assert manifest["obs_sha256"] == hashlib.sha256(obs_path.read_bytes()).hexdigest()
 
 
+def test_train_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
+    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path)
+    model_path = tmp_path / "m.sinr"
+    assert run_train(tmp_path, obs_path, model_path) == 0
+    manifest = read_manifest(str(model_path) + ".manifest")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["python_version"] == platform.python_version()
+    assert manifest["numpy_version"] == np.__version__
+    assert (manifest["blas_name"], manifest["blas_version"]) == (blas["name"], blas["version"])
+    assert manifest["blas_threads"] == "OPENBLAS_NUM_THREADS:1"
+
+
 def test_train_is_reproducible_across_invocations(tmp_path, capsys):
     obs_path = tmp_path / "obs.csv"
     make_obs_csv(obs_path)
@@ -303,6 +320,34 @@ def test_train_refuses_a_mismatched_checkpoint(tmp_path, capsys):
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err
         assert ckpt.read_bytes() == saved and not out.exists()
+
+
+def test_train_refuses_a_checkpoint_of_other_records(tmp_path, capsys, monkeypatch):
+    obs_path = tmp_path / "obs.csv"
+    obs = make_obs_csv(obs_path)
+    moved = tmp_path / "moved.csv"  # same species column and size, other coordinates
+    save_observations(ObservationSet(obs.species_ids, obs.species_index, -obs.lons, obs.lats),
+                      moved)
+
+    train_module = importlib.import_module("sinr.train")
+    real_save = train_module.save_checkpoint
+
+    def save_then_stop(path, state):
+        real_save(path, state)
+        raise _Interrupted
+
+    ckpt = tmp_path / "run.ckpt"
+    out = tmp_path / "m.sinr"
+    monkeypatch.setattr(train_module, "save_checkpoint", save_then_stop)
+    with pytest.raises(_Interrupted):
+        run_train(tmp_path, obs_path, out, "--checkpoint", str(ckpt))
+    monkeypatch.undo()
+    saved = ckpt.read_bytes()
+    capsys.readouterr()
+
+    assert run_train(tmp_path, moved, out, "--checkpoint", str(ckpt)) == 1
+    assert "checkpoint" in capsys.readouterr().err
+    assert ckpt.read_bytes() == saved and not out.exists()
 
 
 _THREAD_VARS = ("SINR_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -4,6 +4,7 @@ dropout semantics, the Adam optimizer, and the binary model file format."""
 import numpy as np
 import pytest
 
+import sinr.net
 from helpers import (
     composed_grads,
     composed_loss,
@@ -33,12 +34,14 @@ from sinr.net import (
     forward,
     init_adam,
     init_params,
+    logit_grad_in_place,
     model_from_bytes,
     model_to_bytes,
     param_shapes,
     params_close,
     params_equal,
     read_model_file,
+    row_blocks,
     save_model,
     zeros_like_params,
 )
@@ -83,7 +86,7 @@ def test_head_bias_gradient_closed_form():
     params = f64_params(cfg)
     x = np.random.default_rng(2).uniform(-1, 1, (6, 4))
     _, y, cache = forward(params, cfg, x, mode="eval", return_cache=True)
-    grads = backward(params, cfg, cache, d_y_hat=np.ones_like(y))
+    grads = backward(params, cfg, cache, d_z=logit_grad_in_place(y.copy(), np.ones_like(y)))
     np.testing.assert_allclose(grads.b_head, (y * (1 - y)).sum(axis=0), rtol=1e-12)
 
 
@@ -179,7 +182,7 @@ def test_identity_encoder_is_logistic_regression():
     # closed-form logistic-regression gradient
     _, _, cache = forward(params, cfg, x, return_cache=True)
     d_y = np.random.default_rng(5).uniform(-1, 1, y.shape)
-    grads = backward(params, cfg, cache, d_y_hat=d_y)
+    grads = backward(params, cfg, cache, d_z=logit_grad_in_place(y.copy(), d_y))
     dz = d_y * y * (1 - y)
     np.testing.assert_allclose(grads.w_head, x.T @ dz, rtol=1e-12)
     np.testing.assert_allclose(grads.b_head, dz.sum(axis=0), rtol=1e-12)
@@ -221,13 +224,29 @@ def test_backward_leaves_its_inputs_untouched():
     for params in (init_params(cfg), f64_params(cfg)):
         _, y, cache = forward(params, cfg, rng.standard_normal((8, 3)), mode="train",
                               rng=np.random.default_rng(1), return_cache=True)
-        y_before = y.copy()
+        features_before = cache.features.copy()
         for d_dtype in (np.float32, np.float64):
             d_y = rng.standard_normal(y.shape).astype(d_dtype)
             d_before = d_y.copy()
-            backward(params, cfg, cache, d_y_hat=d_y)
+            d_z = logit_grad_in_place(y.copy(), d_y)
             np.testing.assert_array_equal(d_y, d_before)
-            np.testing.assert_array_equal(cache.y_hat, y_before)
+            d_z_before = d_z.copy()
+            backward(params, cfg, cache, d_z=d_z)
+            np.testing.assert_array_equal(d_z, d_z_before)
+            np.testing.assert_array_equal(cache.features, features_before)
+
+
+@pytest.mark.parametrize("entries", [1, 7, 64, 1 << 21])
+def test_row_blocks_are_never_short(monkeypatch, entries):
+    monkeypatch.setattr(sinr.net, "HEAD_BLOCK_ENTRIES", entries)
+    for n_rows in range(40):
+        for n_cols in (1, 3, 16, 5000, 3_000_000):
+            blocks = row_blocks(n_rows, n_cols)
+            edges = [0] + [r1 for _, r1 in blocks]
+            assert [r0 for r0, _ in blocks] == edges[:-1] and edges[-1] == n_rows
+            for r0, r1 in blocks:
+                assert (r1 - r0) * n_cols >= entries or blocks == [(0, n_rows)]
+                assert r1 - r0 >= 2 or n_rows == 1
 
 
 def test_forward_validates_inputs():
@@ -358,6 +377,18 @@ def test_adam_rejects_an_update_that_overflows():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError, match="parameters"):
         adam_step(params, grads, state, lr=1e39)  # inf as a float32 step size
     assert state.t == 0
+
+
+def test_adam_names_the_first_non_finite_gradient():
+    cfg = NetConfig(input_dim=2, n_species=3, hidden_dim=4, n_residual_layers=2)
+    params = init_params(cfg)
+    grads = zeros_like_params(params)
+    grads.blocks[1].w2[0, 1] = np.nan
+    grads.w_head[1, 2] = np.inf
+    state = AdamState(zeros_like_params(params), zeros_like_params(params), t=6)
+    with pytest.raises(NonFiniteGradientError,
+                       match=r"^non-finite gradient entries in blocks\[1\]\.w2 at step 7$"):
+        adam_step(params, grads, state, lr=0.1)
 
 
 # ---------------------------------------------------------------------------

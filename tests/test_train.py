@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_obs
+import sinr.net
+from helpers import random_obs, reference_step
 from sinr.data import (
     ObservationSet,
     SamplerConfig,
@@ -18,20 +19,26 @@ from sinr.data import (
     write_env_raster,
 )
 from sinr.geo import InputLayout
-from sinr.losses import LossConfig, LossVariant
+from sinr.losses import BatchTargets, LossConfig, LossVariant, needs_pseudo_negatives
 from sinr.net import (
     ModelFormatError,
     NetConfig,
+    cast_params,
     forward,
+    init_adam,
+    init_params,
     model_from_bytes,
     model_to_bytes,
     params_equal,
+    row_blocks,
 )
 from sinr.train import (
     LR_DECAY,
     CheckpointFormatError,
     TrainConfig,
     TrainingDivergedError,
+    TrainState,
+    _loss_and_grads,
     load_checkpoint,
     lr_at_epoch,
     resume,
@@ -215,6 +222,48 @@ def test_pseudo_location_stream_usage(tmp_path, obs, variant, consumes):
     assert moved is consumes
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_row_blocked_step_matches_the_whole_matrix_step(monkeypatch, variant, dtype):
+    """The step's head, loss and dL/dz run over row blocks; its loss value and
+    gradients must have the bits of the whole-matrix composition.
+
+    The blocks here hold at least 20 rows x 1,000 species over 64 features.
+    OpenBLAS runs an SGEMM of M*N*K <= 1e6 on another kernel, with other
+    rounding; these blocks have M*N*K >= 1.28e6, so each gets the kernel, and
+    so the bits, of the whole product. DGEMM row slices of this shape match
+    the whole product at any row count."""
+    b, s = 105, 1000
+    cfg = small_cfg(
+        net=NetConfig(input_dim=4, n_species=s, hidden_dim=64, n_residual_layers=2, seed=2),
+        loss=LossConfig(variant, lam=50.0),
+        sampler=SamplerConfig(batch_size=b),
+        batch_size=b,
+    )
+    params = cast_params(init_params(cfg.net), dtype)
+    rng = np.random.default_rng(9)
+    n_rows = 2 * b if needs_pseudo_negatives(variant) else b
+    x = rng.uniform(-1.0, 1.0, (n_rows, cfg.net.input_dim))
+    targets = BatchTargets(rng.integers(0, s, b), s)
+    assert row_blocks(n_rows, s) == [(0, n_rows)]  # the reference's forward is one block
+    want_value, want = reference_step(
+        params, cfg, x, targets, np.random.default_rng(1), np.random.default_rng(2)
+    )
+
+    monkeypatch.setattr(sinr.net, "HEAD_BLOCK_ENTRIES", 20 * s)
+    for rows in (n_rows, b):  # the head's blocks, then the loss's
+        blocks = row_blocks(rows, s)
+        assert len(blocks) >= 5 and blocks[-1][1] - blocks[-1][0] > 20  # merged remainder
+    state = TrainState(
+        cfg, tuple(map(str, range(s))), params, init_adam(params), 0, b"",
+        rng_dropout=np.random.default_rng(1), rng_negatives=np.random.default_rng(2),
+    )
+    value, got = _loss_and_grads(state, x, targets, 0, 0)
+    assert struct.pack("<d", value) == struct.pack("<d", want_value)
+    for name, g, w in zip(want.names(), got.flat(), want.flat()):
+        assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint / resume
 # ---------------------------------------------------------------------------
@@ -296,6 +345,10 @@ def test_checkpoint_rejects_corruption(tmp_path, obs):
     bad.write_bytes(b"\x00" + blob[1:])  # corrupt the model magic
     with pytest.raises(ModelFormatError):
         load_checkpoint(bad)
+    at = model_from_bytes(blob)[1] + 4  # the version field after the "CKPT" magic
+    bad.write_bytes(blob[:at] + struct.pack("<I", 1) + blob[at + 4 :])
+    with pytest.raises(CheckpointFormatError, match="version 1"):
+        load_checkpoint(bad)  # a version-1 file holds no corpus fingerprint
 
 
 def _replace_config_section(blob: bytes, cfg: TrainConfig, section: bytes) -> bytes:
