@@ -44,6 +44,7 @@ from .net import (
     ModelFile,
     NetConfig,
     forward,
+    head_columns,
     read_model_file,
     save_model,
 )
@@ -131,10 +132,14 @@ def _open_model(args) -> tuple[ModelFile, EnvRasterStack | None]:
     return model, env
 
 
-def _model_fn(model: ModelFile, env: EnvRasterStack | None, output: int):
+def _model_fn(model: ModelFile, env: EnvRasterStack | None, output: int,
+              column: int | None = None):
     """Chunked eval-mode forward over coordinate arrays, keeping one output:
-    ``_FEATURES`` -> (n, feature_dim) or ``_SCORES`` -> (n, n_species)."""
-    width = (model.cfg.feature_dim, model.cfg.n_species)[output]
+    ``_FEATURES`` -> (n, feature_dim) or ``_SCORES`` -> (n, n_species), or
+    with ``column`` that species' scores, (n,), for which each chunk computes
+    only the head columns :func:`head_columns` plans."""
+    cfg = model.cfg
+    empty = (0,) if column is not None else (0, (cfg.feature_dim, cfg.n_species)[output])
 
     def run(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
         lons = np.asarray(lons, dtype=np.float64)
@@ -143,10 +148,15 @@ def _model_fn(model: ModelFile, env: EnvRasterStack | None, output: int):
         for start in range(0, lons.size, _PREDICT_CHUNK):
             sl = slice(start, start + _PREDICT_CHUNK)
             x = assemble_inputs(lons[sl], lats[sl], model.input_layout, env)
-            outs.append(forward(model.params, model.cfg, x, mode="eval")[output])
+            if column is None:
+                outs.append(forward(model.params, cfg, x, mode="eval")[output])
+            else:
+                cols = head_columns([column], len(x), cfg.feature_dim, cfg.n_species)
+                y = forward(model.params, cfg, x, mode="eval", columns=cols)[_SCORES]
+                outs.append(y[:, column if cols is None else np.searchsorted(cols, column)])
         if len(outs) == 1:  # one chunk: concatenate would only copy it
             return outs[0]
-        return np.concatenate(outs) if outs else np.empty((0, width))
+        return np.concatenate(outs) if outs else np.empty(empty)
 
     return run
 
@@ -168,8 +178,8 @@ def _species_scores_on_grid(
             f"species {species_id!r} is not in the model catalog "
             f"({len(model.species_ids)} species)"
         )
-    lons, lats = cell_centroids(grid)
-    return _model_fn(model, env, _SCORES)(lons, lats)[:, model.species_ids.index(species_id)]
+    column = model.species_ids.index(species_id)
+    return _model_fn(model, env, _SCORES, column)(*cell_centroids(grid))
 
 
 def _write_cell_scores(path, grid: GridSpec, scores: np.ndarray) -> None:

@@ -243,6 +243,27 @@ def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n_rows]))
 
 
+#: Largest M*N*K that OpenBLAS runs on its small-matrix GEMM kernel.
+SMALL_GEMM_MAX = 1_000_000
+
+
+def head_columns(needed, n_rows: int, n_feat: int, n_species: int) -> np.ndarray | None:
+    """Head columns to compute when only ``needed`` are read: those, sorted
+    and unique, padded with the lowest unused ids so the head product takes
+    the dense product's GEMM kernel, and so its bits. A 1-column product runs
+    GEMV and one of M*N*K <= ``SMALL_GEMM_MAX`` the small-matrix kernel, both
+    with other rounding. ``None`` (every column) when the count reaches
+    ``n_species``."""
+    cols = np.unique(np.asarray(needed, dtype=np.int64))
+    count = max(cols.size, 2, SMALL_GEMM_MAX // (n_rows * n_feat) + 1)
+    if count >= n_species:
+        return None
+    free = np.ones(count, dtype=bool)  # the lowest unused ids lie below count
+    free[cols[cols < count]] = False
+    pad = np.flatnonzero(free)[: count - cols.size]
+    return np.sort(np.concatenate([cols, pad]))
+
+
 def logit_grad_in_place(y: np.ndarray, d_y: np.ndarray) -> np.ndarray:
     """Overwrite sigmoid outputs ``y`` with ``dL/dz = d_y * y * (1 - y)``,
     computed in ``d_y``'s precision and rounded once to ``y``'s dtype."""
@@ -258,14 +279,17 @@ def forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     return_cache: bool = False,
+    columns: np.ndarray | None = None,
 ):
     """Run the network on a batch ``x`` of shape ``(batch, input_dim)``.
 
     Returns ``(features, y_hat)``, or ``(features, y_hat, cache)`` when
-    ``return_cache`` is set. In ``"train"`` mode with ``dropout_p > 0`` an
-    inverted-dropout mask (kept units scaled by ``1/(1-p)``) is drawn from
-    ``rng`` inside each residual block, one mask per block in block order; in
-    ``"eval"`` mode dropout is disabled and no random numbers are consumed.
+    ``return_cache`` is set; ``y_hat`` has every species, or the head
+    ``columns`` given (see :func:`head_columns`). In ``"train"`` mode with
+    ``dropout_p > 0`` an inverted-dropout mask (kept units scaled by
+    ``1/(1-p)``) is drawn from ``rng`` inside each residual block, one mask per
+    block in block order; in ``"eval"`` mode dropout is disabled and no random
+    numbers are consumed.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -304,10 +328,13 @@ def forward(
             cache.block_v.append(v)
             cache.block_mask.append(mask)
             h = h + np.maximum(v, 0)
-    y_hat = np.empty((h.shape[0], params.w_head.shape[1]), dtype=dtype)
+    w_head, b_head = params.w_head, params.b_head
+    if columns is not None:
+        w_head, b_head = w_head[:, columns], b_head[columns]
+    y_hat = np.empty((h.shape[0], w_head.shape[1]), dtype=dtype)
     for r0, r1 in row_blocks(*y_hat.shape):
-        z = h[r0:r1] @ params.w_head
-        z += params.b_head
+        z = h[r0:r1] @ w_head
+        z += b_head
         y_hat[r0:r1] = _sigmoid(z)
     cache.features = h
     if return_cache:
@@ -321,6 +348,7 @@ def backward(
     cache: ForwardCache,
     d_z: np.ndarray | None = None,
     d_features: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
 ) -> NetParams:
     """Exact reverse-mode gradients for a cached forward pass.
 
@@ -328,19 +356,25 @@ def backward(
     logits, see :func:`logit_grad_in_place`) and/or ``d_features`` (with
     respect to the features) seed the pass; the result is a
     :class:`NetParams` tree of derivatives with respect to every parameter,
-    in the parameters' dtype.
+    in the parameters' dtype. With the ``columns`` of a gathered forward,
+    ``d_z`` holds those columns and the other head columns get zero gradients.
     """
     if d_z is None and d_features is None:
         raise ValueError("backward needs d_z and/or d_features")
     dtype = params.w_head.dtype
     feats = cache.features
+    w_head = params.w_head if columns is None else params.w_head[:, columns]
     if d_z is None:
-        dz = np.zeros((feats.shape[0], params.w_head.shape[1]), dtype=dtype)
+        dz = np.zeros((feats.shape[0], w_head.shape[1]), dtype=dtype)
     else:
         dz = np.asarray(d_z).astype(dtype, copy=False)
     g_w_head = feats.T @ dz
     g_b_head = dz.sum(axis=0)
-    dh = dz @ params.w_head.T
+    dh = dz @ w_head.T
+    if columns is not None:  # the columns not computed get zero gradients
+        full_w, full_b = np.zeros_like(params.w_head), np.zeros_like(params.b_head)
+        full_w[:, columns], full_b[columns] = g_w_head, g_b_head
+        g_w_head, g_b_head = full_w, full_b
     if d_features is not None:
         dh = dh + np.asarray(d_features).astype(dtype, copy=False)
 
@@ -625,6 +659,7 @@ __all__ = [
     "backward",
     "cast_params",
     "forward",
+    "head_columns",
     "init_adam",
     "init_params",
     "logit_grad_in_place",

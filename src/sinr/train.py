@@ -46,6 +46,7 @@ from .net import (
     adam_step,
     backward,
     forward,
+    head_columns,
     init_adam,
     init_params,
     logit_grad_in_place,
@@ -213,18 +214,36 @@ def _pseudo_bounds(env: EnvRasterStack | None, layout: InputLayout):
     return (env.lon_min, env.lon_max, env.lat_min, env.lat_max)
 
 
+#: Variants whose loss reads only the positive species' column (at the record
+#: and at its pseudo-location): their steps compute only those head columns.
+#: The bits hold because each dL/dz row has one nonzero entry. slds rows have
+#: two, which ``backward``'s ``dz @ w_head.T`` adds in other BLAS K-chunks
+#: once the other columns are dropped, with other bits.
+_GATHERED = (LossVariant.AN_SSDL, LossVariant.ME_SSDL)
+
+
 def _loss_and_grads(
     state: TrainState, x: np.ndarray, targets: BatchTargets, epoch: int, step: int
 ) -> tuple[float, NetParams]:
     """Loss value and parameter gradients of one batch; ``x`` holds its rows,
     then any pseudo-location rows. The loss runs over row blocks of the head
     output and overwrites it with dL/dz, so a step holds one array of the
-    head's shape; each block does the whole matrix's arithmetic, bit for bit."""
+    head's shape; each block does the whole matrix's arithmetic, bit for bit.
+    ssdl variants compute only the head columns they read (see
+    :func:`head_columns`), with the bits of the dense step."""
     cfg = state.cfg
     b = targets.batch_size
     pseudo = needs_pseudo_negatives(cfg.loss.variant)
+    columns = None
+    if cfg.loss.variant in _GATHERED:
+        columns = head_columns(
+            targets.positive_index, len(x), cfg.net.feature_dim, targets.n_species
+        )
+    if columns is not None:
+        targets = BatchTargets(np.searchsorted(columns, targets.positive_index), len(columns))
     _, y_all, cache = forward(
-        state.params, cfg.net, x, mode="train", rng=state.rng_dropout, return_cache=True
+        state.params, cfg.net, x, mode="train", rng=state.rng_dropout, return_cache=True,
+        columns=columns,
     )
     # slds variants draw the negative species of the whole batch in one call.
     j_prime = None if pseudo else _draw_j_prime(targets, state.rng_negatives, None)
@@ -246,7 +265,7 @@ def _loss_and_grads(
     value = float(np.mean(np.concatenate(row_losses)))
     if not np.isfinite(value):
         raise TrainingDivergedError(epoch, step, value)
-    return value, backward(state.params, cfg.net, cache, d_z=y_all)
+    return value, backward(state.params, cfg.net, cache, d_z=y_all, columns=columns)
 
 
 def _run(

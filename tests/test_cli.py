@@ -12,13 +12,15 @@ import pytest
 
 import sinr
 from sinr.cli import main, read_manifest, write_manifest, write_pgm
-from sinr.data import load_observations, save_observations, write_env_raster
+from sinr.data import assemble_inputs, load_observations, save_observations, write_env_raster
 from sinr.data import ObservationSet
 from sinr.evaluate import EvalGrid, save_eval_grid
 from sinr.geo import GridSpec, InputLayout, cell_centroids
 from sinr.net import (
     NetConfig,
+    NetParams,
     forward,
+    head_columns,
     init_params,
     read_model_file,
     save_model,
@@ -377,16 +379,37 @@ def test_sinr_threads_caps_blas_threads_on_import():
     assert int(_python(code, SINR_THREADS="1")) == 1
 
 
-def test_model_does_not_depend_on_blas_thread_count(tmp_path):
-    obs_path = tmp_path / "obs.csv"
-    make_obs_csv(obs_path, n=300)
+def _models_at_thread_counts(tmp_path, obs_path, *extra) -> list[bytes]:
+    """Model bytes of one ``sinr train`` run under 1 and under 2 BLAS threads."""
     code = "import sys; from sinr.cli import main; sys.exit(main(sys.argv[1:]))"
     models = []
     for threads in ("1", "2"):
         models.append(tmp_path / f"threads{threads}.sinr")
         _python(code, "train", "--obs", str(obs_path), "--out", str(models[-1]), *TRAIN_ARGS,
-                "--batch-size", "128", "--hidden-dim", "64", OPENBLAS_NUM_THREADS=threads)
-    assert models[0].read_bytes() == models[1].read_bytes()
+                "--batch-size", "128", "--hidden-dim", "64", *extra,
+                OPENBLAS_NUM_THREADS=threads)
+    return [m.read_bytes() for m in models]
+
+
+def test_model_does_not_depend_on_blas_thread_count(tmp_path):
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path, n=300)
+    one, two = _models_at_thread_counts(tmp_path, obs_path)
+    assert one == two
+
+
+def test_gathered_head_model_does_not_depend_on_blas_thread_count(tmp_path):
+    """an-ssdl over 200 species: a 128-record batch holds at most 128 of
+    them, so its steps compute at most 128 head columns."""
+    assert len(head_columns(range(128), 256, 64, 200)) == 128
+    rng = np.random.default_rng(1)
+    n = 300
+    obs = ObservationSet(tuple(f"sp{i:03d}" for i in range(200)), np.arange(n) % 200,
+                         rng.uniform(-170, 170, n), rng.uniform(-80, 80, n))
+    obs_path = tmp_path / "obs.csv"
+    save_observations(obs, obs_path)
+    one, two = _models_at_thread_counts(tmp_path, obs_path, "--loss", "an-ssdl")
+    assert one == two
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +443,43 @@ def test_predict_matches_in_process_forward(tmp_path, capsys):
         lon_s, lat_s, score_s = row.split(",")
         assert lon_s == repr(float(lons[i]))
         assert score_s == repr(float(y[i, col]))
+
+
+def test_single_species_maps_compute_only_the_planned_head_columns(tmp_path, monkeypatch,
+                                                                   capsys):
+    """predict and export-raster --csv compute 2 of 50 head columns per chunk
+    (16,200 cells x 2 x 64 features > 1e6) and write the dense column's bytes."""
+    cfg = NetConfig(input_dim=4, n_species=50, hidden_dim=64, n_residual_layers=2,
+                    dropout_p=0.0, seed=4)
+    params = init_params(cfg)
+    params = NetParams.from_flat(params.flat()[:-1] + [np.linspace(-2, 2, 50, dtype=np.float32)])
+    model_path = tmp_path / "m.sinr"
+    save_model(params, cfg, model_path, species_ids=tuple(f"sp{i}" for i in range(50)))
+    model = read_model_file(model_path)
+    grid = GridSpec(90)
+    lons, lats = cell_centroids(grid)
+    _, y = forward(model.params, model.cfg, assemble_inputs(lons, lats, InputLayout.COORDS, None))
+    want = ["lon,lat,score"] + [
+        f"{float(lons[i])!r},{float(lats[i])!r},{float(y[i, 37])!r}" for i in range(grid.n_cells)
+    ]
+
+    cli_module = importlib.import_module("sinr.cli")
+    widths = []
+
+    def recording(*args, _real=cli_module.forward, **kwargs):
+        out = _real(*args, **kwargs)
+        widths.append(out[1].shape[1])
+        return out
+
+    monkeypatch.setattr(cli_module, "forward", recording)
+    common = ["--model", str(model_path), "--species", "sp37", "--resolution", "90"]
+    assert main(["predict", *common, "--out", str(tmp_path / "p.csv")]) == 0
+    assert main(["export-raster", *common, "--out", str(tmp_path / "m.pgm"),
+                 "--binary-threshold", "fixed:0.5", "--csv", str(tmp_path / "e.csv")]) == 0
+    capsys.readouterr()
+    assert grid.n_cells == 16_200 and widths == [2, 2]
+    for name in ("p.csv", "e.csv"):
+        assert (tmp_path / name).read_text().splitlines() == want
 
 
 def test_export_raster_flat_model_is_mid_gray(tmp_path, capsys):

@@ -32,6 +32,7 @@ from sinr.net import (
     backward,
     cast_params,
     forward,
+    head_columns,
     init_adam,
     init_params,
     logit_grad_in_place,
@@ -247,6 +248,39 @@ def test_row_blocks_are_never_short(monkeypatch, entries):
             for r0, r1 in blocks:
                 assert (r1 - r0) * n_cols >= entries or blocks == [(0, n_rows)]
                 assert r1 - r0 >= 2 or n_rows == 1
+
+
+def test_head_columns_hand_values():
+    assert head_columns([5], 4096, 256, 10_000).tolist() == [0, 5]  # never 1 column
+    assert head_columns([0, 0], 4096, 256, 10_000).tolist() == [0, 1]
+    assert head_columns([300], 16, 256, 10_000).tolist() == list(range(244)) + [300]
+    assert head_columns([3], 16, 256, 10_000).tolist() == list(range(245))
+    assert head_columns([3], 16, 256, 246).tolist() == list(range(245))
+    assert head_columns([3], 16, 256, 245) is None  # 245 columns are every column
+    assert head_columns([0, 1], 2, 1, 3) is None
+
+
+def test_head_columns_pad_past_the_small_gemm_kernel():
+    """The plan holds the needed columns, sorted and unique, plus the lowest
+    unused ids until rows * columns * features > 1e6 (at least 2 columns);
+    ``None`` once that reaches every species."""
+    rng = np.random.default_rng(0)
+    for n_rows, n_feat in [(16, 7), (64, 64), (128, 5), (210, 64), (1000, 1000), (4096, 256)]:
+        least = max(2, sinr.net.SMALL_GEMM_MAX // (n_rows * n_feat) + 1)
+        for n_species in sorted({2, 3, least, least + 1, least + 50, 47_375}):
+            for n_needed in (1, 2, 40, 3000):
+                needed = rng.integers(0, n_species, n_needed)
+                want = np.unique(needed)
+                cols = head_columns(needed, n_rows, n_feat, n_species)
+                if max(least, want.size) >= n_species:
+                    assert cols is None
+                    continue
+                assert cols.size == max(least, want.size) >= 2
+                assert np.array_equal(cols, np.unique(cols)) and np.isin(want, cols).all()
+                assert n_rows * cols.size * n_feat > sinr.net.SMALL_GEMM_MAX
+                pad = np.setdiff1d(cols, want)
+                free = np.setdiff1d(np.arange(n_species), want)
+                assert np.array_equal(pad, free[: pad.size])
 
 
 def test_forward_validates_inputs():

@@ -22,24 +22,45 @@ TRACED = [
 ]
 
 
-def test_training_calls_the_traced_names_through_their_globals(monkeypatch):
+def _train_counting_traced_calls(monkeypatch, variant, n_species, hidden):
+    """Train one epoch with every ``TRACED`` name counted; returns the call
+    counts, the head widths ``sinr.train.forward`` returned, and the steps."""
     calls = collections.Counter()
+    widths = []
     for module, attr in TRACED:
         mod = importlib.import_module(module)
 
         def counted(*args, _real=getattr(mod, attr), _name=f"{module}.{attr}", **kwargs):
             calls[_name] += 1
-            return _real(*args, **kwargs)
+            out = _real(*args, **kwargs)
+            if _name == "sinr.train.forward":
+                widths.append(out[1].shape[1])
+            return out
 
         monkeypatch.setattr(mod, attr, counted)
-    obs = random_obs(np.random.default_rng(0), n_species=3, n_records=40)
+    obs = random_obs(np.random.default_rng(0), n_species=n_species, n_records=40)
     cfg = TrainConfig(
-        net=NetConfig(input_dim=4, n_species=3, hidden_dim=4, n_residual_layers=1, seed=1),
-        loss=LossConfig(LossVariant.AN_FULL),
+        net=NetConfig(input_dim=4, n_species=n_species, hidden_dim=hidden,
+                      n_residual_layers=1, seed=1),
+        loss=LossConfig(variant),
         sampler=SamplerConfig(batch_size=16),
         epochs=1,
         batch_size=16,
     )
     train(cfg, obs)
-    steps = steps_per_epoch(obs.n_records, cfg.batch_size)
+    return calls, widths, steps_per_epoch(obs.n_records, cfg.batch_size)
+
+
+def test_training_calls_the_traced_names_through_their_globals(monkeypatch):
+    calls, widths, steps = _train_counting_traced_calls(monkeypatch, LossVariant.AN_FULL, 3, 4)
     assert calls == {f"{m}.{a}": steps for m, a in TRACED}
+    assert widths == [3] * steps
+
+
+def test_gathered_head_steps_call_the_traced_names_once_per_step(monkeypatch):
+    """32 rows x 64 features: an an-ssdl step computes 489 of 600 head columns."""
+    calls, widths, steps = _train_counting_traced_calls(
+        monkeypatch, LossVariant.AN_SSDL, 600, 64
+    )
+    assert calls == {f"{m}.{a}": steps for m, a in TRACED}
+    assert widths == [489] * steps

@@ -2,6 +2,7 @@
 and checkpoint/resume bit-exactness."""
 
 import dataclasses
+import importlib
 import json
 import struct
 
@@ -25,6 +26,7 @@ from sinr.net import (
     NetConfig,
     cast_params,
     forward,
+    head_columns,
     init_adam,
     init_params,
     model_from_bytes,
@@ -259,6 +261,72 @@ def test_row_blocked_step_matches_the_whole_matrix_step(monkeypatch, variant, dt
         rng_dropout=np.random.default_rng(1), rng_negatives=np.random.default_rng(2),
     )
     value, got = _loss_and_grads(state, x, targets, 0, 0)
+    assert struct.pack("<d", value) == struct.pack("<d", want_value)
+    for name, g, w in zip(want.names(), got.flat(), want.flat()):
+        assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
+
+
+# (batch size, species, positive species of the batch, head columns computed,
+# least rows per head block or None), over 64 features; rows are 2 * batch.
+GATHER_CASES = {
+    # one species, padded to the 63 columns that take 250 x 63 x 64 > 1e6
+    "one-species": (125, 1000, [7], 63, None),
+    # 62 species give 250 x 62 x 64 = 992,000 <= 1e6, so one more is padded on
+    "just-under": (125, 1000, range(0, 620, 10), 63, None),
+    "just-over": (125, 1000, range(0, 630, 10), 63, None),  # 1,008,000: no padding
+    # 16,000 x 1 x 64 > 1e6, yet one column would run GEMV: two columns
+    "one-species-u2": (8000, 50, [31], 2, None),
+    "two-species": (8000, 50, [3, 40], 2, None),
+    # several head and loss row blocks of at least 270 rows x 60 columns x 64
+    "row-blocks": (1000, 3000, range(0, 3000, 50), 60, 270),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(GATHER_CASES))
+@pytest.mark.parametrize("variant", [LossVariant.AN_SSDL, LossVariant.ME_SSDL])
+def test_gathered_head_step_matches_the_dense_step(monkeypatch, variant, case, dtype):
+    """ssdl steps compute only the head columns their loss reads, padded past
+    OpenBLAS's small-matrix switch (M*N*K <= 1e6) and never one column (GEMV);
+    the loss value and every gradient must keep the dense step's bits.
+
+    SGEMM column gathers of the large kernel match the dense product's
+    columns at every shape tried. DGEMM ones do not always: from about 200
+    columns, and at 2 BLAS threads from 65 columns over 64 features, they
+    differ in the last bit. float64 parameters exist only in tests, so every
+    case here computes at most 63 columns."""
+    b, s, species, n_cols, block_rows = GATHER_CASES[case]
+    cfg = small_cfg(
+        net=NetConfig(input_dim=4, n_species=s, hidden_dim=64, n_residual_layers=2, seed=2),
+        loss=LossConfig(variant),
+        sampler=SamplerConfig(batch_size=b),
+        batch_size=b,
+    )
+    params = cast_params(init_params(cfg.net), dtype)
+    params = dataclasses.replace(params, b_head=np.linspace(-1, 1, s).astype(dtype))
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-1.0, 1.0, (2 * b, cfg.net.input_dim))
+    j = rng.choice(list(species), b)
+    j[: len(species)] = list(species)  # every listed species occurs
+    targets = BatchTargets(j, s)
+    columns = head_columns(j, 2 * b, 64, s)
+    assert columns is not None and len(columns) == n_cols
+    want_value, want = reference_step(
+        params, cfg, x, targets, np.random.default_rng(1), np.random.default_rng(2)
+    )
+
+    if block_rows is not None:
+        monkeypatch.setattr(sinr.net, "HEAD_BLOCK_ENTRIES", block_rows * len(columns))
+        assert len(row_blocks(2 * b, n_cols)) >= 5 and len(row_blocks(b, n_cols)) >= 3
+    calls = []
+    monkeypatch.setattr(importlib.import_module("sinr.train"), "forward",
+                        lambda *a, **k: calls.append(k) or forward(*a, **k))
+    state = TrainState(
+        cfg, tuple(map(str, range(s))), params, init_adam(params), 0, b"",
+        rng_dropout=np.random.default_rng(1), rng_negatives=np.random.default_rng(2),
+    )
+    value, got = _loss_and_grads(state, x, targets, 0, 0)
+    assert np.array_equal(calls[0]["columns"], columns)
     assert struct.pack("<d", value) == struct.pack("<d", want_value)
     for name, g, w in zip(want.names(), got.flat(), want.flat()):
         assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
