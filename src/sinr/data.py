@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, count, filterfalse, repeat
 
 import numpy as np
 
@@ -37,6 +38,12 @@ _SALT_SELECT = 2
 
 ENV_MAGIC = "ENVGRID"
 _ENV_MISSING_TOKEN = "NA"
+_NA_AS_NAN = {_ENV_MISSING_TOKEN: "nan"}.get  # called as (token, token)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+#: Characters per ``readlines`` chunk of an observations CSV. Smaller chunks
+#: stay in cache and leave fewer memory pools held by the catalog's id strings.
+_CSV_CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,12 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
     ``lat`` (extra columns are ignored). Rows with unparseable or
     out-of-range coordinates, or the wrong field count, are returned as
     :class:`RowRejection` entries; everything else becomes the corpus.
+
+    The body is read in chunks of about ``_CSV_CHUNK_CHARS`` characters. A
+    chunk of plain lines (the header's field count each, no quote, no CR
+    except in CRLF line ends) with no bad row is parsed in bulk. Any other
+    chunk takes the per-row pass, and from a chunk with a quote on, so does
+    the rest of the file; both passes give the same result.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -114,43 +127,91 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
         need = max(cols.values()) + 1
 
         catalog: dict[str, int] = {}
-        sp, lons, lats = [], [], []
+        parts = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
         rejected: list[RowRejection] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < need:
-                rejected.append(RowRejection(line_no, "too few fields"))
-                continue
-            sid = row[cols["species_id"]].strip()
-            if not sid:
-                rejected.append(RowRejection(line_no, "empty species_id"))
-                continue
-            try:
-                lon = float(row[cols["lon"]])
-                lat = float(row[cols["lat"]])
-            except ValueError:
-                rejected.append(RowRejection(line_no, "unparseable coordinate"))
-                continue
-            if not (np.isfinite(lon) and np.isfinite(lat)):
-                rejected.append(RowRejection(line_no, "non-finite coordinate"))
-                continue
-            if not (LON_MIN <= lon <= LON_MAX and LAT_MIN <= lat <= LAT_MAX):
-                rejected.append(RowRejection(line_no, "coordinate out of range"))
-                continue
-            if sid not in catalog:
-                catalog[sid] = len(catalog)
-            sp.append(catalog[sid])
-            lons.append(lon)
-            lats.append(lat)
+        line_no = 2
+        for lines in iter(lambda: fh.readlines(_CSV_CHUNK_CHARS), []):
+            chunk = "".join(lines).replace("\r\n", "\n")  # csv.writer's line ends
+            plain = (
+                '"' not in chunk
+                and "\r" not in chunk
+                and max(map(len, lines)) <= csv.field_size_limit()  # csv raises past it
+                and set(map(str.count, lines, repeat(","))) == {len(header) - 1}
+            )
+            part = _plain_rows(chunk, len(lines), len(header), cols, catalog) if plain else None
+            if part is None:
+                # A quoted field may hold line breaks, so from a quote on the
+                # per-row pass reads the rest of the file.
+                rows = csv.reader(chain(lines, fh) if '"' in chunk else lines)
+                part = _checked_rows(rows, line_no, cols, need, catalog, rejected)
+            parts.append(part)
+            line_no += len(lines)
 
-    obs = ObservationSet(
-        species_ids=tuple(catalog),
-        species_index=np.asarray(sp, dtype=np.int64),
-        lons=np.asarray(lons, dtype=np.float64),
-        lats=np.asarray(lats, dtype=np.float64),
-    )
+    sp, lons, lats = (np.concatenate(arrays) for arrays in zip(*parts))
+    obs = ObservationSet(species_ids=tuple(catalog), species_index=sp, lons=lons, lats=lats)
     return obs, tuple(rejected)
+
+
+def _bulk_floats(tokens: list[str], lo: float, hi: float, n_missing: int = 0):
+    """``float()`` of every token (the same bits) as one float64 array, with
+    ``NA`` read as NaN; None if a token does not parse or other than
+    ``n_missing`` values lie outside ``[lo, hi]``."""
+    try:
+        named = map(_NA_AS_NAN, tokens, tokens) if n_missing else tokens
+        values = np.fromiter(map(float, named), np.float64, len(tokens))
+    except ValueError:
+        return None
+    outside = len(tokens) - np.count_nonzero((values >= lo) & (values <= hi))
+    return values if outside == n_missing else None
+
+
+def _plain_rows(chunk: str, n_lines: int, n_fields: int, cols: dict, catalog: dict):
+    """``_checked_rows`` of ``n_lines`` lines of ``n_fields`` fields each with
+    no quote or CR, in bulk; None, with ``catalog`` untouched, if a row is bad."""
+    tokens = chunk.replace("\n", ",").split(",")
+    end = n_lines * n_fields
+    ids = list(map(str.strip, tokens[cols["species_id"] : end : n_fields]))
+    lons = _bulk_floats(tokens[cols["lon"] : end : n_fields], LON_MIN, LON_MAX)
+    lats = _bulk_floats(tokens[cols["lat"] : end : n_fields], LAT_MIN, LAT_MAX)
+    if lons is None or lats is None or "" in ids:
+        return None
+    new_ids = filterfalse(catalog.__contains__, dict.fromkeys(ids))  # in order of appearance
+    catalog.update(zip(new_ids, count(len(catalog))))
+    return np.fromiter(map(catalog.__getitem__, ids), np.int64, len(ids)), lons, lats
+
+
+def _checked_rows(rows, line_no: int, cols: dict, need: int, catalog: dict, rejected: list):
+    """The per-row pass over csv ``rows`` numbered from ``line_no``: (species
+    index, lon, lat) arrays of the good rows; bad rows go to ``rejected``."""
+    sp, lons, lats = [], [], []
+    for line_no, row in enumerate(rows, start=line_no):
+        if not row:
+            continue
+        if len(row) < need:
+            rejected.append(RowRejection(line_no, "too few fields"))
+            continue
+        sid = row[cols["species_id"]].strip()
+        if not sid:
+            rejected.append(RowRejection(line_no, "empty species_id"))
+            continue
+        try:
+            lon = float(row[cols["lon"]])
+            lat = float(row[cols["lat"]])
+        except ValueError:
+            rejected.append(RowRejection(line_no, "unparseable coordinate"))
+            continue
+        if not (np.isfinite(lon) and np.isfinite(lat)):
+            rejected.append(RowRejection(line_no, "non-finite coordinate"))
+            continue
+        if not (LON_MIN <= lon <= LON_MAX and LAT_MIN <= lat <= LAT_MAX):
+            rejected.append(RowRejection(line_no, "coordinate out of range"))
+            continue
+        if sid not in catalog:
+            catalog[sid] = len(catalog)
+        sp.append(catalog[sid])
+        lons.append(lon)
+        lats.append(lat)
+    return np.array(sp, dtype=np.int64), np.array(lons, dtype=float), np.array(lats, dtype=float)
 
 
 def save_observations(obs: ObservationSet, path) -> None:
@@ -200,17 +261,13 @@ def subsample_cap(obs: ObservationSet, cap: int, seed: int) -> ObservationSet:
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     order = np.argsort(obs.species_index, kind="stable")
-    boundaries = np.searchsorted(obs.species_index[order], np.arange(obs.n_species + 1))
-    chosen: list[np.ndarray] = []
-    for s in range(obs.n_species):
-        group = order[boundaries[s] : boundaries[s + 1]]
-        if group.size <= cap:
-            chosen.append(group)
-            continue
+    counts = obs.counts()
+    ends = np.cumsum(counts)
+    keep = np.ones(obs.n_records, dtype=bool)
+    for s in np.flatnonzero(counts > cap).tolist():  # species at or under the cap keep all
+        group = order[ends[s] - counts[s] : ends[s]]
         rng = np.random.default_rng(np.random.SeedSequence([seed_u64(seed), _SALT_SUBSAMPLE, s]))
-        perm = rng.permutation(group.size)
-        chosen.append(group[perm[:cap]])
-    keep = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)
+        keep[group[rng.permutation(group.size)[cap:]]] = False
     return ObservationSet(
         species_ids=obs.species_ids,
         species_index=obs.species_index[keep],
@@ -367,17 +424,24 @@ def _parse_env_raster(path) -> tuple[np.ndarray, tuple[float, float, float, floa
             f"{path}: expected {n_rows * n_cols} cell values, found {len(body)}"
         )
     grid = np.empty(n_rows * n_cols, dtype=np.float64)
-    for i, tok in enumerate(body):
-        if tok == _ENV_MISSING_TOKEN:
-            grid[i] = np.nan
-        else:
-            try:
-                grid[i] = float(tok)
-            except ValueError:
-                raise ValueError(f"{path}: unparseable cell value {tok!r}") from None
-            if not np.isfinite(grid[i]):
-                raise ValueError(f"{path}: non-finite cell value {tok!r}")
+    for r0 in range(0, grid.size, n_cols):  # one grid row of tokens at a time
+        row = body[r0 : r0 + n_cols]
+        values = _bulk_floats(row, -_FLOAT_MAX, _FLOAT_MAX, row.count(_ENV_MISSING_TOKEN))
+        grid[r0 : r0 + n_cols] = [_cell_value(path, t) for t in row] if values is None else values
     return grid.reshape(n_rows, n_cols), bounds
+
+
+def _cell_value(path, tok: str) -> float:
+    """The per-token pass: the value of one cell token (NaN for ``NA``)."""
+    if tok == _ENV_MISSING_TOKEN:
+        return np.nan
+    try:
+        value = float(tok)
+    except ValueError:
+        raise ValueError(f"{path}: unparseable cell value {tok!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"{path}: non-finite cell value {tok!r}")
+    return value
 
 
 def load_env_rasters(paths) -> EnvRasterStack:

@@ -322,11 +322,12 @@ def forward(
                 mask = None
                 d = r
             v = d @ blk.w2 + blk.b2
-            cache.block_h_in.append(h)
-            cache.block_u.append(u)
-            cache.block_d.append(d)
-            cache.block_v.append(v)
-            cache.block_mask.append(mask)
+            if return_cache:  # else each block's arrays are freed by the next block
+                cache.block_h_in.append(h)
+                cache.block_u.append(u)
+                cache.block_d.append(d)
+                cache.block_v.append(v)
+                cache.block_mask.append(mask)
             h = h + np.maximum(v, 0)
     w_head, b_head = params.w_head, params.b_head
     if columns is not None:

@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sinr.data as data_module
 from helpers import random_obs
 from sinr.data import (
+    _SALT_SUBSAMPLE,
     EnvRasterStack,
     ObservationSet,
+    RowRejection,
     SamplerConfig,
+    _parse_env_raster,
     assemble_inputs,
     filter_min_count,
     load_env_rasters,
@@ -23,6 +28,7 @@ from sinr.data import (
     write_env_raster,
 )
 from sinr.geo import InputLayout, encode_locations
+from sinr.util import seed_u64
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +212,47 @@ def test_subsample_cap_nesting():
     assert full.n_records == obs.n_records
 
 
+def _subsample_cap_loop(obs: ObservationSet, cap: int, seed: int) -> np.ndarray:
+    """The kept record positions, species by species, as the loader once did."""
+    order = np.argsort(obs.species_index, kind="stable")
+    boundaries = np.searchsorted(obs.species_index[order], np.arange(obs.n_species + 1))
+    chosen = [np.empty(0, dtype=np.int64)]
+    for s in range(obs.n_species):
+        group = order[boundaries[s] : boundaries[s + 1]]
+        if group.size <= cap:
+            chosen.append(group)
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence([seed_u64(seed), _SALT_SUBSAMPLE, s]))
+        chosen.append(group[rng.permutation(group.size)[:cap]])
+    return np.sort(np.concatenate(chosen))
+
+
+@pytest.mark.parametrize("case", ["mixed", "cap 1", "all under", "all over", "singletons"])
+def test_subsample_cap_matches_the_per_species_loop(case):
+    """Only species over the cap draw a permutation; the kept records are the
+    per-species loop's, on random corpora."""
+    rng = np.random.default_rng(list(case.encode()))
+    for _ in range(6):
+        n_species = int(rng.integers(1, 40))
+        cap = 1 if case == "cap 1" else int(rng.integers(1, 12))
+        low, high = {"all under": (0, cap + 1), "all over": (cap + 1, cap + 30),
+                     "singletons": (1, 2)}.get(case, (0, 30))
+        counts = rng.integers(low, high, n_species)
+        index = rng.permutation(np.repeat(np.arange(n_species), counts))
+        obs = ObservationSet(
+            tuple(f"s{i}" for i in range(n_species)), index,
+            rng.uniform(-180, 180, index.size), rng.uniform(-90, 90, index.size),
+        )
+        seed = int(rng.integers(-(2**63), 2**63))
+        keep = _subsample_cap_loop(obs, cap, seed)
+        got = subsample_cap(obs, cap, seed)
+        np.testing.assert_array_equal(got.species_index, obs.species_index[keep])
+        assert got.lons.tobytes() == obs.lons[keep].tobytes()
+        assert got.lats.tobytes() == obs.lats[keep].tobytes()
+    empty = ObservationSet(("a",), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+    assert subsample_cap(empty, 1, 0).n_records == 0
+
+
 def test_select_species_keep_and_extras():
     rng = np.random.default_rng(41)
     obs = random_obs(rng, n_species=10, n_records=500)
@@ -336,6 +383,196 @@ def test_fully_observed_cells(tmp_path):
     write_raster(b, [[1, 2], ["NA", 4]])
     stack = load_env_rasters([a, b])
     np.testing.assert_array_equal(stack.fully_observed_cells(), [0, 3])
+
+
+# ---------------------------------------------------------------------------
+# Bulk and per-row loading agree
+# ---------------------------------------------------------------------------
+
+
+def _load(loader, path, per_row: bool, chunk_chars: int = 1 << 20):
+    """A loader's result as bytes, or the type and message of what it raises;
+    ``per_row`` turns the bulk pass off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data_module, "_CSV_CHUNK_CHARS", chunk_chars)
+        if per_row:
+            m.setattr(data_module, "_plain_rows", lambda *args: None)
+            m.setattr(data_module, "_bulk_floats", lambda *args: None)
+        try:
+            result = loader(path)
+        except Exception as exc:  # compared across the two passes
+            return type(exc), str(exc)
+    if loader is load_observations:
+        obs, rejected = result
+        arrays = (obs.species_index, obs.lons, obs.lats)
+        return obs.species_ids, rejected, [(a.dtype, a.tobytes()) for a in arrays]
+    grid, bounds = result
+    return grid.shape, grid.dtype, grid.tobytes(), bounds
+
+
+def _assert_passes_agree(loader, path, text: str, chunk_chars: int = 1 << 20):
+    """The bulk pass, in chunks of ``chunk_chars``, gives what the per-row pass
+    over the whole file (one chunk: these files are smaller) gives."""
+    path.write_bytes(text.encode("utf-8"))
+    bulk = _load(loader, path, per_row=False, chunk_chars=chunk_chars)
+    assert bulk == _load(loader, path, per_row=True), text[:200]
+    return bulk
+
+
+_H = "species_id,lon,lat\n"
+_CSV_CASES = {
+    "plain": _H + "a,1.5,2\nb,-180,90\na,180,-90\n",
+    "bom": "\ufeff" + _H + "a,1,2\n",
+    "padded header": " species_id , lon ,lat \na,1,2\n",
+    "reordered and extra columns": "lat,note,species_id,lon\n2,x,a,1\n3,,b,4\n",
+    "quoted header": '"species_id","lon","lat"\na,1,2\n',
+    "quoted ids": _H + '"a",1,2\n"b,c",3,4\nd,5,6\n',
+    "quoted line break": _H + 'x,0,0\n"a\nb",1,2\nc,3,4\n',
+    "crlf": _H.replace("\n", "\r\n") + "a,1,2\r\nb,3,4\r\n",
+    "cr": _H + "a,1,2\rb,3,4\r",
+    "blank lines": _H + "\na,1,2\n\n\nb,3,4\n",
+    "short rows": _H + "a,1\nb,3,4\n",
+    "long rows": _H + "a,1,2,3\nb,3,4\n",
+    "long then short row": _H + "a,1,2,3\n4,5\n",
+    "whitespace ids": _H + " a ,1,2\na,3,4\n  ,5,6\n\t,7,8\n",
+    "empty ids": _H + ",1,2\nb,3,4\n",
+    "new id on a bad row": _H + "a,1,2\nb,500,0\nc,1,2\n",
+    "mixed line ends": _H + "a,1,2\r\nb,3,4\nc,5,6\r\n",
+    "non-finite": _H + "a,nan,2\nb,inf,4\nc,1e400,0\nd,1,-inf\ne,1,NaN\n",
+    "underscores and spaces": _H + "a,1_000,2\nb, 3 ,4\nc,1_0,+5\nd,\t6\t,-0.0\n",
+    "out of range": _H + "a,180.0000001,2\nb,-181,4\nc,0,90.5\nd,0,-1e9\n",
+    "unparseable": _H + "a,abc,2\nb,,4\nc,NA,5\nd,1,2x\ne,0x10,1\n",
+    "unicode digits": _H + "a,١٢,٣\n",
+    "no final newline": _H + "a,1,2\nb,3,4",
+    "header only": _H,
+    "empty": "",
+    "missing column": "species_id,lon\na,1\n",
+    "nul": _H + "a\x00b,1,2\n",
+    "oversized field": _H + "a" * 140_000 + ",1,2\n",
+    "overlong id": _H + "a" * 300 + ",1,2\n",
+}
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 24, 1 << 20])
+@pytest.mark.parametrize("case", list(_CSV_CASES))
+def test_csv_passes_agree_on_edge_cases(tmp_path, case, chunk_chars):
+    _assert_passes_agree(load_observations, tmp_path / "obs.csv", _CSV_CASES[case], chunk_chars)
+
+
+_CSV_FIELDS = st.sampled_from(
+    ["a", "b", " b ", "", "  ", "sp 1", "é", '"q"', '"x,y"', '"l\nm"', "0", "-0.0",
+     "12.5", "-180", "180", "90", "-90", "180.5", "nan", "inf", "-inf", "1e400", "1_000",
+     " 7 ", "NA", "abc", "+3", "1e-320"]
+) | st.floats(-200, 200).map(repr)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("loaders")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    header=st.sampled_from(
+        ["species_id,lon,lat", "lon,species_id,lat,x", "\ufefflat,lon,species_id"]
+    ),
+    ends=st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+    chunk_chars=st.sampled_from([1, 30, 1 << 20]),
+)
+def test_csv_passes_agree_on_generated_files(fuzz_dir, data, header, ends, chunk_chars):
+    n = header.count(",") + 1
+    ids = st.sampled_from(["a", "b", "c", "sp 1"])
+    numbers = st.floats(-180, 180).map(repr)
+    plain_row = st.tuples(ids, numbers, numbers, numbers).map(lambda r: ",".join(r[:n]))
+    other_row = st.lists(_CSV_FIELDS, max_size=n + 1).map(",".join)
+    rows = data.draw(st.lists(plain_row | other_row, max_size=12), label="rows")
+    tail = data.draw(st.sampled_from(["", ends]), label="tail")
+    text = ends.join([header, *rows]) + tail
+    _assert_passes_agree(load_observations, fuzz_dir / "obs.csv", text, chunk_chars)
+
+
+def test_plain_csv_chunks_never_take_the_per_row_pass(tmp_path, monkeypatch):
+    """A file written by save_observations spans several chunks, all parsed in
+    bulk; one bad row sends its own chunk, and no other, to the per-row pass."""
+    path = tmp_path / "obs.csv"
+    save_observations(random_obs(np.random.default_rng(43), n_species=9, n_records=300), path)
+    assert path.stat().st_size > 8 * 512
+    per_row = _load(load_observations, path, per_row=True)
+    first_lines = []
+
+    def checked_rows(rows, line_no, *args, _checked=data_module._checked_rows):
+        first_lines.append(line_no)
+        return _checked(rows, line_no, *args)
+
+    monkeypatch.setattr(data_module, "_checked_rows", checked_rows)
+    assert _load(load_observations, path, per_row=False, chunk_chars=512) == per_row
+    assert first_lines == []
+    lines = path.read_text().splitlines(keepends=True)
+    lines[150] = "bad,row\n"
+    path.write_text("".join(lines))
+    bulk = _load(load_observations, path, per_row=False, chunk_chars=512)
+    assert len(first_lines) == 1 and 140 < first_lines[0] <= 151
+    assert bulk[1] == (RowRejection(151, "too few fields"),)
+    assert bulk == _load(load_observations, path, per_row=True)
+
+
+_ENV_HEAD = "ENVGRID 2 3 -180 180 -90 90\n"
+_ENV_CASES = {
+    "plain": _ENV_HEAD + "1 2.5 NA\n-4 0 1e-300\n",
+    "tabs and spaces": _ENV_HEAD + "1\t2.5  NA\n\n -4\t\t0 1e-300",
+    "rows across lines": _ENV_HEAD + "1 2.5\nNA -4 0\n1e-300\n",
+    "all missing": _ENV_HEAD + "NA NA NA\nNA NA NA\n",
+    "literal nan": _ENV_HEAD + "1 2 NA\nnan 0 1\n",
+    "literal NaN beside NA": _ENV_HEAD + "1 NaN NA\n3 0 1\n",
+    "inf": _ENV_HEAD + "1 2 3\n4 -inf NA\n",
+    "overflow": _ENV_HEAD + "1 2 3\n4 1e400 6\n",
+    "signed NA": _ENV_HEAD + "1 +NA 3\n4 5 6\n",
+    "lower-case na": _ENV_HEAD + "1 na 3\n4 5 6\n",
+    "NAN": _ENV_HEAD + "1 NAN 3\n4 5 6\n",
+    "unparseable": _ENV_HEAD + "1 2 3\n4 5x 6\n",
+    "underscores": _ENV_HEAD + "1_000 2 3\n4 5 6\n",
+    "too few cells": _ENV_HEAD + "1 2 3\n4 5\n",
+    "too many cells": _ENV_HEAD + "1 2 3\n4 5 6 7\n",
+    "bad header": "ENVGRID 2 x -180 180 -90 90\n1 2 3\n4 5 6\n",
+}
+
+
+@pytest.mark.parametrize("case", list(_ENV_CASES))
+def test_envgrid_passes_agree_on_edge_cases(tmp_path, case):
+    _assert_passes_agree(_parse_env_raster, tmp_path / "layer.env", _ENV_CASES[case])
+
+
+_ENV_TOKENS = st.sampled_from(
+    ["NA", "NA", "0", "-0.0", "7", "1e-300", "nan", "inf", "-inf", "1e400", "NaN", "na",
+     "+NA", "1_0", "abc"]
+) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_envgrid_passes_agree_on_generated_files(fuzz_dir, shape, data):
+    size = shape[0] * shape[1] + data.draw(st.sampled_from([0, 0, 0, -1, 1]), label="miscount")
+    tokens = data.draw(st.lists(_ENV_TOKENS, min_size=max(size, 0), max_size=max(size, 0)))
+    seps = data.draw(st.lists(st.sampled_from([" ", "  ", "\t", "\n", " \n "]),
+                              min_size=len(tokens), max_size=len(tokens)), label="separators")
+    text = f"ENVGRID {shape[0]} {shape[1]} -180 180 -90 90\n"
+    text += "".join(t + sep for t, sep in zip(tokens, seps))
+    _assert_passes_agree(_parse_env_raster, fuzz_dir / "layer.env", text)
+
+
+def test_plain_envgrid_never_takes_the_per_token_pass(tmp_path, monkeypatch):
+    grid = np.random.default_rng(47).normal(0, 100, (6, 9))
+    grid[grid > 80] = np.nan
+    path = tmp_path / "layer.env"
+    write_env_raster(path, grid, (-180.0, 180.0, -90.0, 90.0))
+    per_token = _load(_parse_env_raster, path, per_row=True)
+    monkeypatch.setattr(data_module, "_cell_value", lambda *args: 1 / 0)
+    assert _load(_parse_env_raster, path, per_row=False) == per_token
+    assert per_token[2] == grid.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Residual coordinate network: forward/backward correctness, initialization,
 dropout semantics, the Adam optimizer, and the binary model file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,28 @@ def test_eval_mode_consumes_no_randomness():
     before = rng.bit_generator.state
     forward(params, cfg, x, mode="eval", rng=rng)
     assert rng.bit_generator.state == before
+
+
+def test_eval_forward_memory_does_not_grow_with_blocks():
+    """Without a cache, an eval forward keeps no block's activations: its
+    traced peak is the same at 2 and 6 blocks (it grew by 4 batch x hidden
+    arrays per block), and its output bytes match the caching forward's."""
+    x = np.random.default_rng(1).uniform(-1, 1, (4096, 4)).astype(np.float32)
+    peaks = []
+    for blocks in (2, 6):
+        cfg = NetConfig(input_dim=4, n_species=2, hidden_dim=128, n_residual_layers=blocks)
+        params = init_params(cfg)
+        tracemalloc.start()
+        try:
+            h, y = forward(params, cfg, x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        h_cached, y_cached, cache = forward(params, cfg, x, return_cache=True)
+        assert len(cache.block_u) == blocks
+        assert h.tobytes() == h_cached.tobytes() and y.tobytes() == y_cached.tobytes()
+    activation = x.shape[0] * 128 * 4
+    assert peaks[1] < peaks[0] + activation / 2
 
 
 def test_train_mode_dropout_requires_rng_and_perturbs():
