@@ -21,7 +21,6 @@ from .data import (
     EnvRasterStack,
     ObservationSet,
     RowRejection,
-    SamplerConfig,
     assemble_inputs,
     filter_min_count,
     load_env_rasters,
@@ -74,12 +73,7 @@ from .losses import (
     LossVariant,
     bernoulli_entropy,
     compute_loss,
-    loss_an_full,
-    loss_an_slds,
-    loss_an_ssdl,
-    loss_me_full,
-    loss_me_slds,
-    loss_me_ssdl,
+    draw_j_prime,
 )
 from .net import (
     AdamState,

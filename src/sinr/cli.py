@@ -21,7 +21,6 @@ from . import _THREAD_VARS, __version__
 from .data import (
     EnvRasterStack,
     ObservationSet,
-    SamplerConfig,
     assemble_inputs,
     filter_min_count,
     load_env_rasters,
@@ -270,16 +269,12 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(
         net=net_cfg,
         loss=LossConfig(variant=LossVariant(args.loss), lam=args.lam),
-        sampler=SamplerConfig(
-            batch_size=args.batch_size,
-            input_layout=layout,
-            cap_per_species=args.cap_per_species,
-            subsample_seed=args.seed,
-        ),
         epochs=args.epochs,
         batch_size=args.batch_size,
         initial_lr=args.lr,
         master_seed=args.seed,
+        input_layout=layout,
+        cap_per_species=args.cap_per_species,
     )
 
     def on_epoch(epoch: int, mean_loss: float, lr: float) -> None:

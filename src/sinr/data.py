@@ -30,7 +30,7 @@ from .geo import (
 )
 from .losses import BatchTargets
 from .net import MAX_SPECIES_ID_BYTES
-from .util import atomic_write, seed_u64
+from .util import atomic_write, csv_rows, seed_u64
 
 #: Streams drawn from a user seed are domain-separated with these salts.
 _SALT_SUBSAMPLE = 1
@@ -113,9 +113,8 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
     the rest of the file; both passes give the same result.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv_rows(path, fh))
         except StopIteration:
             raise ValueError(f"{path}: empty observations file") from None
         header = [name.lstrip("\ufeff").strip() for name in header]  # UTF-8 BOM, padding
@@ -142,7 +141,7 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
             if part is None:
                 # A quoted field may hold line breaks, so from a quote on the
                 # per-row pass reads the rest of the file.
-                rows = csv.reader(chain(lines, fh) if '"' in chunk else lines)
+                rows = csv_rows(path, chain(lines, fh) if '"' in chunk else lines, line_no)
                 part = _checked_rows(rows, line_no, cols, need, catalog, rejected)
             parts.append(part)
             line_no += len(lines)
@@ -511,32 +510,6 @@ def write_env_raster(path, grid: np.ndarray, bounds: tuple[float, float, float, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """How training examples are selected and batches are assembled.
-
-    ``cap_per_species`` (when set) subsamples each species down to at most
-    that many records before training, using ``subsample_seed`` so that the
-    retained subset is reproducible and nested across cap values.
-    """
-
-    batch_size: int
-    input_layout: InputLayout = InputLayout.COORDS
-    cap_per_species: int | None = None
-    subsample_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.cap_per_species is not None and self.cap_per_species < 1:
-            raise ValueError(
-                f"cap_per_species must be >= 1 when set, got {self.cap_per_species}"
-            )
-        if not (-(2**63) <= int(self.subsample_seed) < 2**64):
-            raise ValueError("subsample_seed must fit in 64 bits")
-        object.__setattr__(self, "input_layout", InputLayout(self.input_layout))
-
-
 def assemble_inputs(
     lons: np.ndarray,
     lats: np.ndarray,
@@ -561,7 +534,8 @@ def assemble_inputs(
 
 def sample_batch(
     obs: ObservationSet,
-    cfg: SamplerConfig,
+    batch_size: int,
+    layout: InputLayout,
     rng: np.random.Generator,
     env: EnvRasterStack | None = None,
 ) -> tuple[np.ndarray, BatchTargets]:
@@ -571,8 +545,8 @@ def sample_batch(
     """
     if obs.n_records == 0:
         raise ValueError("cannot sample from an empty observation set")
-    idx = rng.integers(0, obs.n_records, size=cfg.batch_size)
-    x = assemble_inputs(obs.lons[idx], obs.lats[idx], cfg.input_layout, env)
+    idx = rng.integers(0, obs.n_records, size=batch_size)
+    x = assemble_inputs(obs.lons[idx], obs.lats[idx], layout, env)
     return x, BatchTargets(obs.species_index[idx], obs.n_species)
 
 

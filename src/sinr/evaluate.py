@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import EnvRasterStack, ObservationSet
 from .geo import GridSpec, cell_centroids, cell_indices
-from .util import atomic_write
+from .util import atomic_write, csv_rows
 
 #: Regularization strengths searched by cross-validated ridge regression.
 DEFAULT_ALPHAS = (0.1, 1.0, 10.0)
@@ -322,11 +322,9 @@ class ClassifierScoreSet:
 def load_classifier_scores(path) -> ClassifierScoreSet:
     """Read classifier outputs: ``record_id,true_species,lon,lat`` followed by
     one or more ``species:score`` fields per row (no header)."""
-    import csv
-
     records = []
     with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
+        for line_no, row in enumerate(csv_rows(path, fh), start=1):
             if not row:
                 continue
             if len(row) < 5:

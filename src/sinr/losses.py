@@ -15,6 +15,9 @@ Values are batch means, and the gradients with respect to the prediction
 arrays are exact (the ``1/batch`` factor included). Predictions are clamped to
 ``[CLAMP_EPS, 1 - CLAMP_EPS]`` in float64 before any logarithm, which keeps
 values and gradients finite even when a float32 sigmoid saturates.
+
+The API is :func:`compute_loss` for every variant, plus :func:`draw_j_prime`
+for the negative species that ``slds`` reads.
 """
 
 from __future__ import annotations
@@ -99,7 +102,6 @@ class LossResult:
     value: float
     d_y_hat: np.ndarray
     d_y_hat_rand: np.ndarray | None = None
-    j_prime: np.ndarray | None = None
     row_losses: np.ndarray | None = None
 
 
@@ -139,26 +141,25 @@ def _clamp(arr: np.ndarray) -> np.ndarray:
     return np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
 
 
-def _draw_j_prime(
-    targets: BatchTargets,
-    rng: np.random.Generator | None,
-    j_prime: np.ndarray | None,
-) -> np.ndarray:
+def draw_j_prime(targets: BatchTargets, rng: np.random.Generator) -> np.ndarray:
+    """The ``slds`` negatives: per example, one species drawn uniformly from
+    the ``n_species - 1`` that are not its positive."""
     s = targets.n_species
     if s < 2:
         raise ValueError("slds variants require at least two species")
+    # Draw in [0, S-1) and shift draws at or above the positive index up by one.
+    u = rng.integers(0, s - 1, size=targets.batch_size)
+    return u + (u >= targets.positive_index)
+
+
+def _checked_j_prime(targets: BatchTargets, j_prime) -> np.ndarray:
     j = targets.positive_index
     if j_prime is None:
-        if rng is None:
-            raise ValueError("slds variants need an rng (or an explicit j_prime)")
-        # Uniform over the S-1 non-positive species: draw in [0, S-1) and
-        # shift draws at or above the positive index up by one.
-        u = rng.integers(0, s - 1, size=targets.batch_size)
-        return u + (u >= j)
+        raise ValueError("slds variants require j_prime (see draw_j_prime)")
     jp = np.asarray(j_prime)
     if jp.shape != j.shape or not np.issubdtype(jp.dtype, np.integer):
         raise ValueError("j_prime must be an integer array matching positive_index")
-    if np.any(jp < 0) or np.any(jp >= s) or np.any(jp == j):
+    if np.any(jp < 0) or np.any(jp >= targets.n_species) or np.any(jp == j):
         raise ValueError("j_prime entries must be valid non-positive species indices")
     return jp.astype(np.int64)
 
@@ -181,7 +182,6 @@ _ABSENCE = {
     "an": _an_absence,
     "me": lambda p, scale: (bernoulli_entropy(p), (np.log1p(-p) - np.log(p)) / scale),
 }
-_Triple = tuple[float, np.ndarray, np.ndarray]
 
 
 def compute_loss(
@@ -190,12 +190,11 @@ def compute_loss(
     targets: BatchTargets,
     *,
     y_hat_rand: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
     j_prime: np.ndarray | None = None,
     batch_size: int | None = None,
 ) -> LossResult:
     """Evaluate the configured loss variant on one batch. ``y_hat_rand`` is
-    required for ssdl/full; ``rng`` (or a replayed ``j_prime``) for slds.
+    required for ssdl/full; ``j_prime`` (from :func:`draw_j_prime`) for slds.
     Gradients are normalised by ``batch_size`` (default: the rows given), so a
     batch may be passed in row blocks."""
     family, selection = cfg.variant.value.split("-")
@@ -208,7 +207,7 @@ def compute_loss(
     b = targets.batch_size if batch_size is None else batch_size
     rows = np.arange(targets.batch_size)
     j = targets.positive_index
-    dr = jp = None
+    dr = None
     if selection == "full":
         s = targets.n_species
         scale = s * b
@@ -230,45 +229,10 @@ def compute_loss(
             dr = np.zeros_like(y_hat_rand, dtype=np.float64)
             dr[rows, j] = neg_grad
         else:
-            jp = _draw_j_prime(targets, rng, j_prime)
+            jp = _checked_j_prime(targets, j_prime)
             neg_terms, neg_grad = absence(_clamp(y_hat[rows, jp]), scale)
             d[rows, jp] = neg_grad
         row_losses = -np.log(pos) + neg_terms
     d[rows, j] = -(cfg.lam if selection == "full" else 1.0) / (pos * scale)
-    return LossResult(float(np.mean(row_losses)), d, dr, jp, row_losses)
+    return LossResult(float(np.mean(row_losses)), d, dr, row_losses)
 
-
-def _triple(cfg: LossConfig, y_hat, targets, **kwargs) -> _Triple:
-    """:func:`compute_loss` as ``(value, d_y_hat, d_y_hat_rand or j_prime)``."""
-    r = compute_loss(cfg, y_hat, targets, **kwargs)
-    return r.value, r.d_y_hat, r.j_prime if r.d_y_hat_rand is None else r.d_y_hat_rand
-
-
-def loss_an_ssdl(y_hat, y_hat_rand, targets: BatchTargets) -> _Triple:
-    """``an-ssdl``; returns ``(value, d_y_hat, d_y_hat_rand)``."""
-    return _triple(LossConfig(LossVariant.AN_SSDL), y_hat, targets, y_hat_rand=y_hat_rand)
-
-
-def loss_an_slds(y_hat, targets: BatchTargets, rng=None, j_prime=None) -> _Triple:
-    """``an-slds``; returns ``(value, d_y_hat, j_prime)`` so a caller can replay the draw."""
-    return _triple(LossConfig(LossVariant.AN_SLDS), y_hat, targets, rng=rng, j_prime=j_prime)
-
-
-def loss_an_full(y_hat, y_hat_rand, targets: BatchTargets, lam: float) -> _Triple:
-    """``an-full``; returns ``(value, d_y_hat, d_y_hat_rand)``."""
-    return _triple(LossConfig(LossVariant.AN_FULL, lam), y_hat, targets, y_hat_rand=y_hat_rand)
-
-
-def loss_me_ssdl(y_hat, y_hat_rand, targets: BatchTargets) -> _Triple:
-    """``me-ssdl``; returns ``(value, d_y_hat, d_y_hat_rand)``."""
-    return _triple(LossConfig(LossVariant.ME_SSDL), y_hat, targets, y_hat_rand=y_hat_rand)
-
-
-def loss_me_slds(y_hat, targets: BatchTargets, rng=None, j_prime=None) -> _Triple:
-    """``me-slds``; returns ``(value, d_y_hat, j_prime)``."""
-    return _triple(LossConfig(LossVariant.ME_SLDS), y_hat, targets, rng=rng, j_prime=j_prime)
-
-
-def loss_me_full(y_hat, y_hat_rand, targets: BatchTargets, lam: float) -> _Triple:
-    """``me-full``; returns ``(value, d_y_hat, d_y_hat_rand)``."""
-    return _triple(LossConfig(LossVariant.ME_FULL, lam), y_hat, targets, y_hat_rand=y_hat_rand)

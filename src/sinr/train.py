@@ -21,7 +21,6 @@ import numpy as np
 from .data import (
     EnvRasterStack,
     ObservationSet,
-    SamplerConfig,
     assemble_inputs,
     sample_batch,
     sample_uniform_locations,
@@ -32,8 +31,8 @@ from .losses import (
     BatchTargets,
     LossConfig,
     LossVariant,
-    _draw_j_prime,
     compute_loss,
+    draw_j_prime,
     needs_pseudo_negatives,
 )
 from .net import (
@@ -60,7 +59,7 @@ from .util import atomic_write, seed_u64
 LR_DECAY = 0.98
 
 _CKPT_MAGIC = b"CKPT"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 class TrainingDivergedError(RuntimeError):
@@ -90,15 +89,21 @@ def lr_at_epoch(initial_lr: float, epoch: int) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything that determines a training run."""
+    """Everything that determines a training run.
+
+    ``cap_per_species`` (when set) subsamples each species down to at most
+    that many records before training, drawn from ``master_seed`` so that the
+    retained subset is reproducible and nested across cap values.
+    """
 
     net: NetConfig
     loss: LossConfig
-    sampler: SamplerConfig
     epochs: int = 10
     batch_size: int = 2048
     initial_lr: float = 5e-4
     master_seed: int = 0
+    input_layout: InputLayout = InputLayout.COORDS
+    cap_per_species: int | None = None
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -107,11 +112,11 @@ class TrainConfig:
             raise ValueError(f"initial_lr must be positive, got {self.initial_lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.batch_size != self.sampler.batch_size:
+        if self.cap_per_species is not None and self.cap_per_species < 1:
             raise ValueError(
-                f"batch_size {self.batch_size} disagrees with sampler batch_size "
-                f"{self.sampler.batch_size}"
+                f"cap_per_species must be >= 1 when set, got {self.cap_per_species}"
             )
+        object.__setattr__(self, "input_layout", InputLayout(self.input_layout))
 
 
 @dataclass(frozen=True)
@@ -168,11 +173,11 @@ def _spawn_rngs(master_seed: int) -> list[np.random.Generator]:
 
 
 def _effective_obs(cfg: TrainConfig, obs: ObservationSet) -> ObservationSet:
-    """Apply the sampler's per-species cap (when set) to the corpus."""
-    cap = cfg.sampler.cap_per_species
+    """Apply the per-species cap (when set) to the corpus."""
+    cap = cfg.cap_per_species
     if cap is None:
         return obs
-    return subsample_cap(obs, cap, cfg.sampler.subsample_seed)
+    return subsample_cap(obs, cap, cfg.master_seed)
 
 
 def _corpus_sha256(obs: ObservationSet) -> bytes:
@@ -190,7 +195,7 @@ def _check_inputs(cfg: TrainConfig, obs: ObservationSet, env: EnvRasterStack | N
         raise ValueError(
             f"model expects {cfg.net.n_species} species but the corpus has {obs.n_species}"
         )
-    layout = cfg.sampler.input_layout
+    layout = cfg.input_layout
     if layout is not InputLayout.COORDS and env is None:
         raise ValueError(f"input layout {layout.value!r} requires environmental rasters")
     expected = input_dim(layout, env.n_layers if env is not None else 0)
@@ -246,7 +251,7 @@ def _loss_and_grads(
         columns=columns,
     )
     # slds variants draw the negative species of the whole batch in one call.
-    j_prime = None if pseudo else _draw_j_prime(targets, state.rng_negatives, None)
+    j_prime = None if pseudo else draw_j_prime(targets, state.rng_negatives)
     row_losses = []
     for r0, r1 in row_blocks(b, targets.n_species):
         y, y_rand = y_all[r0:r1], y_all[b + r0 : b + r1] if pseudo else None
@@ -282,7 +287,7 @@ def _run(
             f"stop_after_epoch must lie in [1, {cfg.epochs}], got {stop_after_epoch}"
         )
     n_steps = steps_per_epoch(obs.n_records, cfg.batch_size)
-    layout = cfg.sampler.input_layout
+    layout = cfg.input_layout
     pseudo = needs_pseudo_negatives(cfg.loss.variant)
     bounds = _pseudo_bounds(env, layout)
     b = cfg.batch_size
@@ -290,7 +295,7 @@ def _run(
     for epoch in range(state.epochs_done, cfg.epochs):
         lr = lr_at_epoch(cfg.initial_lr, epoch)
         for step in range(n_steps):
-            x, targets = sample_batch(obs, cfg.sampler, state.rng_batch, env)
+            x, targets = sample_batch(obs, b, layout, state.rng_batch, env)
             if pseudo:
                 plons, plats = sample_uniform_locations(b, state.rng_locations, bounds)
                 x = np.concatenate([x, assemble_inputs(plons, plats, layout, env)])
@@ -391,7 +396,7 @@ def resume(
 def train_config_to_dict(cfg: TrainConfig) -> dict:
     d = asdict(cfg)
     d["loss"]["variant"] = cfg.loss.variant.value
-    d["sampler"]["input_layout"] = cfg.sampler.input_layout.value
+    d["input_layout"] = cfg.input_layout.value
     return d
 
 
@@ -399,16 +404,12 @@ def train_config_from_dict(d: dict) -> TrainConfig:
     return TrainConfig(
         net=NetConfig(**d["net"]),
         loss=LossConfig(variant=LossVariant(d["loss"]["variant"]), lam=d["loss"]["lam"]),
-        sampler=SamplerConfig(
-            batch_size=d["sampler"]["batch_size"],
-            input_layout=InputLayout(d["sampler"]["input_layout"]),
-            cap_per_species=d["sampler"].get("cap_per_species"),
-            subsample_seed=d["sampler"].get("subsample_seed", 0),
-        ),
         epochs=d["epochs"],
         batch_size=d["batch_size"],
         initial_lr=d["initial_lr"],
         master_seed=d["master_seed"],
+        input_layout=InputLayout(d["input_layout"]),
+        cap_per_species=d["cap_per_species"],
     )
 
 
@@ -436,9 +437,7 @@ def save_checkpoint(path, state: TrainState) -> None:
     """Write the complete training state; atomic via write-then-rename."""
     cfg = state.cfg
     out = [
-        model_to_bytes(
-            state.params, cfg.net, cfg.sampler.input_layout, state.species_ids
-        ),
+        model_to_bytes(state.params, cfg.net, cfg.input_layout, state.species_ids),
         _CKPT_MAGIC,
         struct.pack("<II", _CKPT_VERSION, state.epochs_done),
         state.corpus_sha256,
@@ -495,7 +494,7 @@ def load_checkpoint(path) -> TrainState:
         raise CheckpointFormatError(
             f"{len(buf) - r.pos} unexpected trailing bytes in checkpoint"
         )
-    if model.cfg != cfg.net or model.input_layout is not cfg.sampler.input_layout:
+    if model.cfg != cfg.net or model.input_layout is not cfg.input_layout:
         raise CheckpointFormatError("model section disagrees with the training configuration")
     if model.species_ids and len(model.species_ids) != cfg.net.n_species:
         raise CheckpointFormatError("species catalog size disagrees with configuration")

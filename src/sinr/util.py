@@ -1,14 +1,28 @@
-"""Helpers shared across modules: seed normalization and atomic file output."""
+"""Helpers shared across modules: seed normalization, CSV reading and atomic
+file output."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 
 
 def seed_u64(seed: int) -> int:
     """Map a signed or unsigned 64-bit seed onto ``[0, 2**64)`` (two's complement)."""
     return int(seed) & 0xFFFFFFFFFFFFFFFF
+
+
+def csv_rows(path, lines, first_line: int = 1):
+    """The rows of ``csv.reader(lines)``, where ``lines`` starts at line
+    ``first_line`` of the file ``path``. A ``csv.Error``, such as a field
+    longer than ``csv.field_size_limit()``, is raised as a ValueError naming
+    the file and the line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {first_line - 1 + reader.line_num}: {exc}") from None
 
 
 @contextlib.contextmanager

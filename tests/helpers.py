@@ -18,6 +18,7 @@ from sinr.losses import (
     LossConfig,
     LossVariant,
     compute_loss,
+    draw_j_prime,
     needs_pseudo_negatives,
 )
 from sinr.net import NetConfig, NetParams, backward, forward, init_params, logit_grad_in_place
@@ -129,27 +130,26 @@ def ap_oracle(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 
 
-def loss_value_and_grads(variant: LossVariant, y, y_rand, targets, lam, j_prime):
-    """Uniform (value, d_y, d_y_rand) view over all six loss variants."""
-    result = compute_loss(LossConfig(variant, lam), y, targets, y_hat_rand=y_rand, j_prime=j_prime)
+def loss(variant: LossVariant | str, y, targets, lam: float = 2048.0, **kwargs):
+    """``compute_loss`` as ``(value, d_y, d_y_rand)``; ``kwargs`` are its
+    ``y_hat_rand`` and ``j_prime``."""
+    result = compute_loss(LossConfig(variant, lam), y, targets, **kwargs)
     return result.value, result.d_y_hat, result.d_y_hat_rand
 
 
 def composed_loss(params: NetParams, cfg: NetConfig, x_all, b, variant, targets, lam, j_prime):
     """Forward on data+pseudo rows, then the loss — the training objective."""
     _, y_all = forward(params, cfg, x_all, mode="eval")
-    value, _, _ = loss_value_and_grads(
-        variant, y_all[:b], y_all[b:] if len(x_all) > b else None, targets, lam, j_prime
-    )
+    value, _, _ = loss(variant, y_all[:b], targets, lam,
+                       y_hat_rand=y_all[b:] if len(x_all) > b else None, j_prime=j_prime)
     return value
 
 
 def composed_grads(params: NetParams, cfg: NetConfig, x_all, b, variant, targets, lam, j_prime):
     """Analytic parameter gradients of `composed_loss`."""
     _, y_all, cache = forward(params, cfg, x_all, mode="eval", return_cache=True)
-    _, d_y, d_y_rand = loss_value_and_grads(
-        variant, y_all[:b], y_all[b:] if len(x_all) > b else None, targets, lam, j_prime
-    )
+    _, d_y, d_y_rand = loss(variant, y_all[:b], targets, lam,
+                            y_hat_rand=y_all[b:] if len(x_all) > b else None, j_prime=j_prime)
     if len(x_all) > b:
         d_all = np.concatenate([d_y, np.zeros_like(y_all[b:]) if d_y_rand is None else d_y_rand])
     else:
@@ -170,7 +170,8 @@ def reference_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negative
     _, y_all, cache = forward(params, cfg.net, x, mode="train", rng=rng_dropout,
                               return_cache=True)
     result = compute_loss(cfg.loss, y_all[:b], targets,
-                          y_hat_rand=y_all[b:] if pseudo else None, rng=rng_negatives)
+                          y_hat_rand=y_all[b:] if pseudo else None,
+                          j_prime=None if pseudo else draw_j_prime(targets, rng_negatives))
     d_y = np.concatenate([result.d_y_hat, result.d_y_hat_rand]) if pseudo else result.d_y_hat
     d_z = 1.0 - y_all
     d_z *= y_all

@@ -18,12 +18,12 @@ from helpers import (
     composed_loss,
     disk_obs,
     fd_grads,
+    loss,
     max_rel_error,
     well_conditioned_setup,
 )
 from sinr.data import (
     ObservationSet,
-    SamplerConfig,
     assemble_inputs,
     filter_min_count,
     load_env_rasters,
@@ -47,12 +47,6 @@ from sinr.losses import (
     LossConfig,
     LossVariant,
     bernoulli_entropy,
-    loss_an_full,
-    loss_an_slds,
-    loss_an_ssdl,
-    loss_me_full,
-    loss_me_slds,
-    loss_me_ssdl,
 )
 from sinr.net import NetConfig, forward, model_to_bytes, params_equal, read_model_file, save_model
 from sinr.train import LR_DECAY, TrainConfig, lr_at_epoch, resume, train
@@ -86,7 +80,6 @@ def _disk_run(variant_value: str, seed: int):
         net=NetConfig(input_dim=4, n_species=3, hidden_dim=128, n_residual_layers=2,
                       dropout_p=0.1, seed=seed),
         loss=LossConfig(LossVariant(variant_value), lam=2048.0),
-        sampler=SamplerConfig(batch_size=256),
         epochs=10,
         batch_size=256,
         initial_lr=1e-3,
@@ -143,20 +136,16 @@ def test_criterion_01_gradients_match_finite_differences():
 def test_criterion_02_loss_hand_values():
     t2 = BatchTargets(np.array([0]), 2)
 
-    v, _, _ = loss_an_ssdl(np.array([[0.8, 0.3]]), np.array([[0.6, 0.9]]), t2)
+    v, _, _ = loss("an-ssdl", [[0.8, 0.3]], t2, y_hat_rand=[[0.6, 0.9]])
     assert abs(v - -(math.log(0.8) + math.log(1 - 0.6))) < 1e-4  # 1.1394...
 
-    v, _, _ = loss_an_slds(np.array([[0.8, 0.3]]), t2, j_prime=np.array([1]))
+    v, _, _ = loss("an-slds", [[0.8, 0.3]], t2, j_prime=np.array([1]))
     assert abs(v - -(math.log(0.8) + math.log(1 - 0.3))) < 1e-4  # 0.5798...
 
-    v, _, _ = loss_an_full(
-        np.array([[0.5]]), np.array([[0.5]]), BatchTargets(np.array([0]), 1), lam=1.0
-    )
+    v, _, _ = loss("an-full", [[0.5]], BatchTargets(np.array([0]), 1), lam=1.0, y_hat_rand=[[0.5]])
     assert abs(v - 2 * math.log(2)) < 1e-4  # 1.3863...
 
-    v, _, _ = loss_an_full(
-        np.array([[0.8, 0.3]]), np.array([[0.6, 0.9]]), t2, lam=2048.0
-    )
+    v, _, _ = loss("an-full", [[0.8, 0.3]], t2, lam=2048.0, y_hat_rand=[[0.6, 0.9]])
     hand = -0.5 * (
         2048.0 * math.log(0.8) + math.log(1 - 0.3) + math.log(1 - 0.6) + math.log(1 - 0.9)
     )
@@ -165,7 +154,7 @@ def test_criterion_02_loss_hand_values():
     def entropy(p):
         return -(p * math.log(p) + (1 - p) * math.log(1 - p))
 
-    v, _, _ = loss_me_ssdl(np.array([[0.8, 0.3]]), np.array([[0.6, 0.9]]), t2)
+    v, _, _ = loss("me-ssdl", [[0.8, 0.3]], t2, y_hat_rand=[[0.6, 0.9]])
     assert abs(v - (-math.log(0.8) + entropy(0.6))) < 1e-4  # 0.8962...
 
     assert abs(bernoulli_entropy(0.25) - entropy(0.25)) < 1e-4  # 0.5623...
@@ -186,22 +175,22 @@ def test_criterion_03_entropy_matches_log_terms_at_half():
     # the sampled-species factor, and every non-positive direct factor: pin
     # each of those predictions at 0.5 and the variants must agree.
     y_half_rand = np.full((b, s), 0.5)
-    an, _, _ = loss_an_ssdl(y_free, y_half_rand, targets)
-    me, _, _ = loss_me_ssdl(y_free, y_half_rand, targets)
+    an, _, _ = loss("an-ssdl", y_free, targets, y_hat_rand=y_half_rand)
+    me, _, _ = loss("me-ssdl", y_free, targets, y_hat_rand=y_half_rand)
     assert abs(an - me) < 1e-12
 
     jp = ((targets.positive_index + 1) % s).astype(np.int64)
     y_slds = y_free.copy()
     y_slds[np.arange(b), jp] = 0.5
-    an, _, _ = loss_an_slds(y_slds, targets, j_prime=jp)
-    me, _, _ = loss_me_slds(y_slds, targets, j_prime=jp)
+    an, _, _ = loss("an-slds", y_slds, targets, j_prime=jp)
+    me, _, _ = loss("me-slds", y_slds, targets, j_prime=jp)
     assert abs(an - me) < 1e-12
 
     y_full = np.full((b, s), 0.5)
     y_full[np.arange(b), targets.positive_index] = rng.uniform(0.05, 0.95, b)
     for lam in (1.0, 512.0):
-        an, _, _ = loss_an_full(y_full, y_half_rand, targets, lam=lam)
-        me, _, _ = loss_me_full(y_full, y_half_rand, targets, lam=lam)
+        an, _, _ = loss("an-full", y_full, targets, lam=lam, y_hat_rand=y_half_rand)
+        me, _, _ = loss("me-full", y_full, targets, lam=lam, y_hat_rand=y_half_rand)
         assert abs(an - me) < 1e-12
 
 
@@ -449,7 +438,6 @@ def test_criterion_11_determinism_and_serialization(tmp_path):
         net=NetConfig(input_dim=4, n_species=3, hidden_dim=16, n_residual_layers=1,
                       dropout_p=0.5, seed=6),
         loss=LossConfig(LossVariant.AN_FULL, lam=32.0),
-        sampler=SamplerConfig(batch_size=64),
         epochs=4,
         batch_size=64,
         initial_lr=1e-3,

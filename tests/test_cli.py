@@ -4,6 +4,7 @@ evaluation reports, and exit-code conventions."""
 import importlib
 import os
 import platform
+import struct
 import subprocess
 import sys
 
@@ -12,20 +13,29 @@ import pytest
 
 import sinr
 from sinr.cli import main, read_manifest, write_manifest, write_pgm
-from sinr.data import assemble_inputs, load_observations, save_observations, write_env_raster
-from sinr.data import ObservationSet
+from sinr.data import (
+    ObservationSet,
+    assemble_inputs,
+    load_env_rasters,
+    load_observations,
+    save_observations,
+    write_env_raster,
+)
 from sinr.evaluate import EvalGrid, save_eval_grid
-from sinr.geo import GridSpec, InputLayout, cell_centroids
+from sinr.geo import GridSpec, InputLayout, cell_centroids, input_dim
+from sinr.losses import LossConfig, LossVariant
 from sinr.net import (
     NetConfig,
     NetParams,
     forward,
     head_columns,
     init_params,
+    model_from_bytes,
     read_model_file,
     save_model,
     zeros_like_params,
 )
+from sinr.train import TrainConfig, train
 
 
 def make_obs_csv(path, n=80, seed=0):
@@ -274,6 +284,39 @@ def test_overlong_species_id_fails_before_training(tmp_path, capsys):
     assert "65535 UTF-8 bytes" in err and "epoch" not in out
 
 
+def test_train_matches_the_library_run_of_its_config(tmp_path, capsys):
+    """``sinr train`` passes ``--seed`` as every seed, the per-species cap's
+    included: its model has the bytes of ``train`` with this TrainConfig."""
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path)
+    env_path = tmp_path / "t.env"
+    write_env_raster(env_path, np.add.outer(np.linspace(-1, 1, 8), np.linspace(0, 3, 16)),
+                     (-180, 180, -90, 90))
+    cli_model = tmp_path / "cli.sinr"
+    assert run_train(tmp_path, obs_path, cli_model, "--env-raster", str(env_path),
+                     "--input", "env+coords", "--cap-per-species", "2", "--seed", "5") == 0
+    capsys.readouterr()
+
+    layout = InputLayout.ENV_PLUS_COORDS
+    cfg = TrainConfig(
+        net=NetConfig(input_dim=input_dim(layout, 1), n_species=2, hidden_dim=8,
+                      n_residual_layers=1, dropout_p=0.5, seed=5),
+        loss=LossConfig(LossVariant.AN_FULL, lam=8.0),
+        epochs=2,
+        batch_size=32,
+        initial_lr=1e-3,
+        master_seed=5,
+        input_layout=layout,
+        cap_per_species=2,
+    )
+    result = train(cfg, load_observations(obs_path)[0], load_env_rasters([env_path]))
+    assert result.n_records_used == 4
+    lib_model = tmp_path / "lib.sinr"
+    save_model(result.params, cfg.net, lib_model, input_layout=layout,
+               species_ids=result.species_ids)
+    assert cli_model.read_bytes() == lib_model.read_bytes()
+
+
 class _Interrupted(Exception):
     pass
 
@@ -324,6 +367,23 @@ def test_train_refuses_a_mismatched_checkpoint(tmp_path, capsys):
         assert ckpt.read_bytes() == saved and not out.exists()
 
 
+def test_train_refuses_a_version_2_checkpoint(tmp_path, capsys):
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path)
+    ckpt = tmp_path / "run.ckpt"
+    assert run_train(tmp_path, obs_path, tmp_path / "a.sinr", "--checkpoint", str(ckpt)) == 0
+    blob = ckpt.read_bytes()
+    at = model_from_bytes(blob)[1] + 4  # the version field after the "CKPT" magic
+    saved = blob[:at] + struct.pack("<I", 2) + blob[at + 4 :]
+    ckpt.write_bytes(saved)
+    capsys.readouterr()
+
+    out = tmp_path / "b.sinr"
+    assert run_train(tmp_path, obs_path, out, "--checkpoint", str(ckpt)) == 1
+    assert "error: unsupported checkpoint version 2" in capsys.readouterr().err
+    assert ckpt.read_bytes() == saved and not out.exists()
+
+
 def test_train_refuses_a_checkpoint_of_other_records(tmp_path, capsys, monkeypatch):
     obs_path = tmp_path / "obs.csv"
     obs = make_obs_csv(obs_path)
@@ -355,16 +415,47 @@ def test_train_refuses_a_checkpoint_of_other_records(tmp_path, capsys, monkeypat
 _THREAD_VARS = ("SINR_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _python(code: str, *args: str, **env_vars: str) -> str:
+_CLI = "import sys; from sinr.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _run_python(code: str, *args: str, **env_vars: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter with no thread caps except ``env_vars``."""
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     src = os.path.dirname(os.path.dirname(sinr.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_vars)
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=300)
+
+
+def _python(code: str, *args: str, **env_vars: str) -> str:
+    proc = _run_python(code, *args, **env_vars)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@pytest.mark.parametrize("command", ["train", "geoprior"])
+def test_csv_field_over_the_csv_limit_exits_1_without_traceback(tmp_path, command):
+    """A field longer than ``csv.field_size_limit()`` (131,072 characters) is
+    a bad input file: one ``error:`` line naming the file and the line."""
+    long_id = "x" * 140_000
+    if command == "train":
+        path = tmp_path / "obs.csv"
+        path.write_text(f"species_id,lon,lat\n{long_id},10.0,20.0\n")
+        args = ["train", "--obs", str(path), "--out", str(tmp_path / "m.sinr")]
+        line = 2
+    else:
+        path = tmp_path / "scores.csv"
+        path.write_text(f"r1,a,10.0,20.0,a:0.6,{long_id}:0.9\n")
+        model = tmp_path / "flat.sinr"
+        flat_model(model, species=("a", "b"))
+        args = ["eval", "geoprior", "--model", str(model), "--scores", str(path),
+                "--report", str(tmp_path / "gp.csv")]
+        line = 1
+    proc = _run_python(_CLI, *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}: line {line}: field larger than field limit")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(
@@ -381,11 +472,10 @@ def test_sinr_threads_caps_blas_threads_on_import():
 
 def _models_at_thread_counts(tmp_path, obs_path, *extra) -> list[bytes]:
     """Model bytes of one ``sinr train`` run under 1 and under 2 BLAS threads."""
-    code = "import sys; from sinr.cli import main; sys.exit(main(sys.argv[1:]))"
     models = []
     for threads in ("1", "2"):
         models.append(tmp_path / f"threads{threads}.sinr")
-        _python(code, "train", "--obs", str(obs_path), "--out", str(models[-1]), *TRAIN_ARGS,
+        _python(_CLI, "train", "--obs", str(obs_path), "--out", str(models[-1]), *TRAIN_ARGS,
                 "--batch-size", "128", "--hidden-dim", "64", *extra,
                 OPENBLAS_NUM_THREADS=threads)
     return [m.read_bytes() for m in models]

@@ -14,7 +14,6 @@ from sinr.data import (
     EnvRasterStack,
     ObservationSet,
     RowRejection,
-    SamplerConfig,
     _parse_env_raster,
     assemble_inputs,
     filter_min_count,
@@ -580,16 +579,6 @@ def test_plain_envgrid_never_takes_the_per_token_pass(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(batch_size=8, cap_per_species=0)
-    cfg = SamplerConfig(batch_size=8, input_layout="env+coords")
-    assert cfg.input_layout is InputLayout.ENV_PLUS_COORDS
-    assert SamplerConfig(batch_size=8).cap_per_species is None
-
-
 def test_assemble_inputs_layouts(tmp_path):
     p = tmp_path / "layer.env"
     write_raster(p, [[1, 2], [3, 4]])
@@ -617,8 +606,7 @@ def test_assemble_inputs_layouts(tmp_path):
 def test_sample_batch_contents_and_determinism():
     rng_data = np.random.default_rng(47)
     obs = random_obs(rng_data, n_species=5, n_records=40)
-    cfg = SamplerConfig(batch_size=64)
-    x, targets = sample_batch(obs, cfg, np.random.default_rng(7))
+    x, targets = sample_batch(obs, 64, InputLayout.COORDS, np.random.default_rng(7))
     assert x.shape == (64, 4) and x.dtype == np.float32
     assert targets.positive_index.shape == (64,)
     assert np.all((targets.positive_index >= 0) & (targets.positive_index < 5))
@@ -630,7 +618,7 @@ def test_sample_batch_contents_and_determinism():
     # larger-than-corpus batches must repeat records (with replacement)
     assert len({row.tobytes() for row in x}) < 64
 
-    x2, targets2 = sample_batch(obs, cfg, np.random.default_rng(7))
+    x2, targets2 = sample_batch(obs, 64, InputLayout.COORDS, np.random.default_rng(7))
     assert x.tobytes() == x2.tobytes()
     np.testing.assert_array_equal(targets.positive_index, targets2.positive_index)
 

@@ -4,7 +4,7 @@ copies of the predictions and checks their shapes before reading them."""
 import numpy as np
 import pytest
 
-from sinr.losses import BatchTargets, LossConfig, LossVariant, compute_loss
+from sinr.losses import BatchTargets, LossConfig, LossVariant, compute_loss, draw_j_prime
 
 
 @pytest.mark.parametrize("variant", list(LossVariant))
@@ -17,9 +17,10 @@ def test_compute_loss_leaves_predictions_untouched(variant, dtype):
     y[b, :2] = (1.0, 0.0)
     before = y.copy()
     targets = BatchTargets(rng.integers(0, s, b), s)
+    slds = variant.value.endswith("slds")
     compute_loss(LossConfig(variant), y[:b], targets,
-                 y_hat_rand=None if variant.value.endswith("slds") else y[b:],
-                 rng=np.random.default_rng(3))
+                 y_hat_rand=None if slds else y[b:],
+                 j_prime=draw_j_prime(targets, np.random.default_rng(3)) if slds else None)
     assert y.tobytes() == before.tobytes()
 
 

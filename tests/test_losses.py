@@ -7,18 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import loss
 from sinr.losses import (
     BatchTargets,
     LossConfig,
     LossVariant,
     bernoulli_entropy,
     compute_loss,
-    loss_an_full,
-    loss_an_slds,
-    loss_an_ssdl,
-    loss_me_full,
-    loss_me_slds,
-    loss_me_ssdl,
+    draw_j_prime,
     needs_pseudo_negatives,
 )
 
@@ -39,8 +35,8 @@ def entropy_ref(p: float) -> float:
 
 
 def test_ssdl_hand_value_and_gradients():
-    value, d_y, d_y_rand = loss_an_ssdl(
-        np.array([[0.8]]), np.array([[0.6]]), one_row_targets(0, 1)
+    value, d_y, d_y_rand = loss(
+        "an-ssdl", np.array([[0.8]]), one_row_targets(0, 1), y_hat_rand=np.array([[0.6]])
     )
     expected = -math.log(0.8) - math.log(1.0 - 0.6)
     assert abs(expected - 1.1394342831883648) < 1e-15
@@ -52,27 +48,27 @@ def test_ssdl_hand_value_and_gradients():
 
 
 def test_slds_hand_value():
-    value, d_y, j_prime = loss_an_slds(
-        np.array([[0.8, 0.3]]), one_row_targets(0, 2), j_prime=np.array([1])
+    value, d_y, _ = loss(
+        "an-slds", np.array([[0.8, 0.3]]), one_row_targets(0, 2), j_prime=np.array([1])
     )
     expected = -math.log(0.8) - math.log(1.0 - 0.3)
     assert abs(expected - 0.5798184952529422) < 1e-15
     assert abs(value - expected) < 1e-12
-    np.testing.assert_array_equal(j_prime, [1])
     np.testing.assert_allclose(d_y, [[-1.25, 1.0 / 0.7]], atol=1e-12)
 
 
 def test_full_single_species_hand_value():
-    value, _, _ = loss_an_full(
-        np.array([[0.5]]), np.array([[0.5]]), one_row_targets(0, 1), 1.0
+    value, _, _ = loss(
+        "an-full", np.array([[0.5]]), one_row_targets(0, 1), 1.0, y_hat_rand=np.array([[0.5]])
     )
     assert abs(value - 2.0 * math.log(2.0)) < 1e-12
     assert abs(2.0 * math.log(2.0) - 1.3862943611198906) < 1e-15
 
 
 def test_full_two_species_hand_value():
-    value, _, _ = loss_an_full(
-        np.array([[0.8, 0.3]]), np.array([[0.6, 0.9]]), one_row_targets(0, 2), 2048.0
+    value, _, _ = loss(
+        "an-full", np.array([[0.8, 0.3]]), one_row_targets(0, 2), 2048.0,
+        y_hat_rand=np.array([[0.6, 0.9]]),
     )
     expected = -0.5 * (
         2048.0 * math.log(0.8) + math.log(0.7) + math.log(0.4) + math.log(0.1)
@@ -84,13 +80,13 @@ def test_full_two_species_hand_value():
 def test_full_near_perfect_predictions_drive_loss_to_zero():
     y = np.array([[1.0 - 1e-9, 1e-9, 1e-9]])
     y_rand = np.full((1, 3), 1e-9)
-    value, _, _ = loss_an_full(y, y_rand, one_row_targets(0, 3), 1.0)
+    value, _, _ = loss("an-full", y, one_row_targets(0, 3), 1.0, y_hat_rand=y_rand)
     assert 0.0 <= value < 1e-6
 
 
 def test_me_ssdl_hand_value():
-    value, d_y, d_y_rand = loss_me_ssdl(
-        np.array([[0.8]]), np.array([[0.6]]), one_row_targets(0, 1)
+    value, d_y, d_y_rand = loss(
+        "me-ssdl", np.array([[0.8]]), one_row_targets(0, 1), y_hat_rand=np.array([[0.6]])
     )
     expected = -math.log(0.8) + entropy_ref(0.6)
     assert abs(expected - 0.8961552183234662) < 1e-15
@@ -127,17 +123,17 @@ def test_me_equals_an_when_replaced_terms_are_half():
     y_pos_only[np.arange(b), targets.positive_index] = rng.uniform(0.05, 0.95, b)
     y_half = np.full((b, s), 0.5)
 
-    v_an, _, _ = loss_an_ssdl(y_pos_only, y_half, targets)
-    v_me, _, _ = loss_me_ssdl(y_pos_only, y_half, targets)
+    v_an, _, _ = loss("an-ssdl", y_pos_only, targets, y_hat_rand=y_half)
+    v_me, _, _ = loss("me-ssdl", y_pos_only, targets, y_hat_rand=y_half)
     assert abs(v_an - v_me) < 1e-12
 
     jp = np.array([(t + 1) % s for t in targets.positive_index])
-    v_an, _, _ = loss_an_slds(y_pos_only, targets, j_prime=jp)
-    v_me, _, _ = loss_me_slds(y_pos_only, targets, j_prime=jp)
+    v_an, _, _ = loss("an-slds", y_pos_only, targets, j_prime=jp)
+    v_me, _, _ = loss("me-slds", y_pos_only, targets, j_prime=jp)
     assert abs(v_an - v_me) < 1e-12
 
-    v_an, _, _ = loss_an_full(y_pos_only, y_half, targets, 7.0)
-    v_me, _, _ = loss_me_full(y_pos_only, y_half, targets, 7.0)
+    v_an, _, _ = loss("an-full", y_pos_only, targets, 7.0, y_hat_rand=y_half)
+    v_me, _, _ = loss("me-full", y_pos_only, targets, 7.0, y_hat_rand=y_half)
     assert abs(v_an - v_me) < 1e-12
 
 
@@ -147,8 +143,8 @@ def test_full_reduces_to_ssdl_for_single_species_unit_weight():
     y = rng.uniform(0.1, 0.9, (b, 1))
     y_rand = rng.uniform(0.1, 0.9, (b, 1))
     targets = BatchTargets(np.zeros(b, dtype=np.int64), 1)
-    v_full, dy_full, dyr_full = loss_an_full(y, y_rand, targets, 1.0)
-    v_ssdl, dy_ssdl, dyr_ssdl = loss_an_ssdl(y, y_rand, targets)
+    v_full, dy_full, dyr_full = loss("an-full", y, targets, 1.0, y_hat_rand=y_rand)
+    v_ssdl, dy_ssdl, dyr_ssdl = loss("an-ssdl", y, targets, y_hat_rand=y_rand)
     assert abs(v_full - v_ssdl) < 1e-12
     np.testing.assert_allclose(dy_full, dy_ssdl, atol=1e-12)
     np.testing.assert_allclose(dyr_full, dyr_ssdl, atol=1e-12)
@@ -162,7 +158,7 @@ def test_full_is_affine_in_lambda():
     targets = BatchTargets(rng.integers(0, s, b).astype(np.int64), s)
 
     def value(lam):
-        v, _, _ = loss_an_full(y, y_rand, targets, lam)
+        v, _, _ = loss("an-full", y, targets, lam, y_hat_rand=y_rand)
         return v
 
     v1, v2, v9 = value(1.0), value(2.0), value(9.0)
@@ -179,8 +175,7 @@ def test_slds_draw_is_uniform_over_non_positives():
     b = 10000
     rng = np.random.default_rng(123)
     targets = BatchTargets(np.full(b, 2, dtype=np.int64), s)
-    y = np.full((b, s), 0.5)
-    _, _, j_prime = loss_an_slds(y, targets, rng=rng)
+    j_prime = draw_j_prime(targets, rng)
     assert not np.any(j_prime == 2)
     for j in (0, 1, 3, 4):
         freq = float(np.mean(j_prime == j))
@@ -189,12 +184,12 @@ def test_slds_draw_is_uniform_over_non_positives():
 
 def test_slds_requires_two_species():
     with pytest.raises(ValueError):
-        loss_an_slds(np.array([[0.5]]), one_row_targets(0, 1), rng=np.random.default_rng(0))
+        draw_j_prime(one_row_targets(0, 1), np.random.default_rng(0))
 
 
 def test_slds_rejects_j_prime_equal_to_positive():
     with pytest.raises(ValueError):
-        loss_an_slds(np.array([[0.5, 0.5]]), one_row_targets(0, 2), j_prime=np.array([0]))
+        loss("an-slds", np.array([[0.5, 0.5]]), one_row_targets(0, 2), j_prime=np.array([0]))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +204,8 @@ def test_batch_mean_and_gradient_scaling():
     y_rand = np.array([[0.4, 0.6]])
     t1 = one_row_targets(0, 2)
     t2 = BatchTargets(np.array([0, 0], dtype=np.int64), 2)
-    v1, d1, dr1 = loss_an_full(y, y_rand, t1, 3.0)
-    v2, d2, dr2 = loss_an_full(np.repeat(y, 2, 0), np.repeat(y_rand, 2, 0), t2, 3.0)
+    v1, d1, dr1 = loss("an-full", y, t1, 3.0, y_hat_rand=y_rand)
+    v2, d2, dr2 = loss("an-full", np.repeat(y, 2, 0), t2, 3.0, y_hat_rand=np.repeat(y_rand, 2, 0))
     assert abs(v1 - v2) < 1e-12
     np.testing.assert_allclose(d2, np.repeat(d1 / 2.0, 2, 0), atol=1e-12)
     np.testing.assert_allclose(dr2, np.repeat(dr1 / 2.0, 2, 0), atol=1e-12)
@@ -220,15 +215,11 @@ def test_extreme_predictions_stay_finite():
     y = np.array([[0.0, 1.0, 0.5]])
     y_rand = np.array([[1.0, 0.0, 0.5]])
     targets = one_row_targets(0, 3)
-    for fn in (loss_an_ssdl, loss_me_ssdl):
-        value, d_y, d_y_rand = fn(y, y_rand, targets)
+    for variant in ("an-ssdl", "me-ssdl", "an-full", "me-full"):
+        value, d_y, d_y_rand = loss(variant, y, targets, 2048.0, y_hat_rand=y_rand)
         assert np.isfinite(value) and value >= 0.0
         assert np.all(np.isfinite(d_y)) and np.all(np.isfinite(d_y_rand))
-    for fn in (loss_an_full, loss_me_full):
-        value, d_y, d_y_rand = fn(y, y_rand, targets, 2048.0)
-        assert np.isfinite(value) and value >= 0.0
-        assert np.all(np.isfinite(d_y)) and np.all(np.isfinite(d_y_rand))
-    value, d_y, _ = loss_an_slds(y, targets, j_prime=np.array([1]))
+    value, d_y, _ = loss("an-slds", y, targets, j_prime=np.array([1]))
     assert np.isfinite(value) and np.all(np.isfinite(d_y))
 
 
@@ -244,12 +235,12 @@ def test_losses_are_finite_and_nonnegative(y_pos, y_neg, y_rand, lam):
     yr = np.array([[y_rand, y_rand]])
     targets = one_row_targets(0, 2)
     values = [
-        loss_an_ssdl(y, yr, targets)[0],
-        loss_me_ssdl(y, yr, targets)[0],
-        loss_an_slds(y, targets, j_prime=np.array([1]))[0],
-        loss_me_slds(y, targets, j_prime=np.array([1]))[0],
-        loss_an_full(y, yr, targets, lam)[0],
-        loss_me_full(y, yr, targets, lam)[0],
+        loss("an-ssdl", y, targets, y_hat_rand=yr)[0],
+        loss("me-ssdl", y, targets, y_hat_rand=yr)[0],
+        loss("an-slds", y, targets, j_prime=np.array([1]))[0],
+        loss("me-slds", y, targets, j_prime=np.array([1]))[0],
+        loss("an-full", y, targets, lam, y_hat_rand=yr)[0],
+        loss("me-full", y, targets, lam, y_hat_rand=yr)[0],
     ]
     for v in values:
         assert math.isfinite(v) and v >= 0.0
@@ -273,33 +264,13 @@ def test_needs_pseudo_negatives_table():
         assert needs_pseudo_negatives(variant) is needed
 
 
-def test_compute_loss_dispatch_matches_direct_calls():
-    rng = np.random.default_rng(21)
-    b, s = 4, 3
-    y = rng.uniform(0.1, 0.9, (b, s))
-    yr = rng.uniform(0.1, 0.9, (b, s))
-    targets = BatchTargets(rng.integers(0, s, b).astype(np.int64), s)
-
-    res = compute_loss(LossConfig(LossVariant.AN_FULL, lam=11.0), y, targets, y_hat_rand=yr)
-    direct = loss_an_full(y, yr, targets, 11.0)
-    assert abs(res.value - direct[0]) < 1e-15
-    np.testing.assert_array_equal(res.d_y_hat, direct[1])
-    np.testing.assert_array_equal(res.d_y_hat_rand, direct[2])
-
-    jp = (targets.positive_index + 1) % s
-    res = compute_loss(LossConfig(LossVariant.ME_SLDS), y, targets, j_prime=jp)
-    direct = loss_me_slds(y, targets, j_prime=jp)
-    assert abs(res.value - direct[0]) < 1e-15
-    np.testing.assert_array_equal(res.j_prime, jp)
-
-
 def test_compute_loss_requires_pseudo_predictions_when_needed():
     y = np.array([[0.5, 0.5]])
     targets = one_row_targets(0, 2)
     with pytest.raises(ValueError):
         compute_loss(LossConfig(LossVariant.AN_SSDL), y, targets)
     with pytest.raises(ValueError):
-        compute_loss(LossConfig(LossVariant.AN_SLDS), y, targets)  # no rng, no j_prime
+        compute_loss(LossConfig(LossVariant.AN_SLDS), y, targets)  # no j_prime
 
 
 def test_loss_config_validation():
@@ -322,6 +293,7 @@ def test_batch_targets_validation():
 def test_shape_mismatch_rejected():
     targets = one_row_targets(0, 2)
     with pytest.raises(ValueError):
-        loss_an_ssdl(np.array([[0.5, 0.5]]), np.array([[0.5]]), targets)
+        loss("an-ssdl", np.array([[0.5, 0.5]]), targets, y_hat_rand=np.array([[0.5]]))
     with pytest.raises(ValueError):
-        loss_an_full(np.array([[0.5, 0.5, 0.5]]), np.array([[0.5, 0.5, 0.5]]), targets, 1.0)
+        loss("an-full", np.array([[0.5, 0.5, 0.5]]), targets, 1.0,
+             y_hat_rand=np.array([[0.5, 0.5, 0.5]]))

@@ -9,7 +9,6 @@ import importlib
 import numpy as np
 
 from helpers import random_obs
-from sinr.data import SamplerConfig
 from sinr.losses import LossConfig, LossVariant
 from sinr.net import NetConfig
 from sinr.train import TrainConfig, steps_per_epoch, train
@@ -43,7 +42,6 @@ def _train_counting_traced_calls(monkeypatch, variant, n_species, hidden):
         net=NetConfig(input_dim=4, n_species=n_species, hidden_dim=hidden,
                       n_residual_layers=1, seed=1),
         loss=LossConfig(variant),
-        sampler=SamplerConfig(batch_size=16),
         epochs=1,
         batch_size=16,
     )

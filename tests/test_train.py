@@ -14,9 +14,9 @@ import sinr.net
 from helpers import random_obs, reference_step
 from sinr.data import (
     ObservationSet,
-    SamplerConfig,
     assemble_inputs,
     load_env_rasters,
+    subsample_cap,
     write_env_raster,
 )
 from sinr.geo import InputLayout
@@ -47,6 +47,7 @@ from sinr.train import (
     save_checkpoint,
     steps_per_epoch,
     train,
+    train_config_from_dict,
     train_config_to_dict,
 )
 
@@ -56,7 +57,6 @@ def small_cfg(**over) -> TrainConfig:
         net=NetConfig(input_dim=4, n_species=3, hidden_dim=8, n_residual_layers=1,
                       dropout_p=0.5, seed=1),
         loss=LossConfig(LossVariant.AN_FULL, lam=64.0),
-        sampler=SamplerConfig(batch_size=16),
         epochs=4,
         batch_size=16,
         initial_lr=5e-4,
@@ -109,15 +109,24 @@ def test_zero_epochs_rejected():
         small_cfg(epochs=0)
 
 
-def test_batch_size_must_match_sampler():
+def test_train_config_validation():
     with pytest.raises(ValueError):
-        small_cfg(batch_size=32)  # sampler stays at 16
+        small_cfg(batch_size=0)
+    with pytest.raises(ValueError):
+        small_cfg(cap_per_species=0)
+    assert small_cfg(input_layout="env+coords").input_layout is InputLayout.ENV_PLUS_COORDS
+    assert small_cfg().cap_per_species is None
+
+
+def test_train_config_dict_round_trip():
+    cfg = small_cfg(input_layout=InputLayout.ENV_PLUS_COORDS, cap_per_species=3)
+    assert train_config_from_dict(train_config_to_dict(cfg)) == cfg
 
 
 def test_env_layout_requires_rasters(obs):
     cfg = small_cfg(
         net=NetConfig(input_dim=1, n_species=3, identity_encoder=True, dropout_p=0.0),
-        sampler=SamplerConfig(batch_size=16, input_layout=InputLayout.ENV),
+        input_layout=InputLayout.ENV,
     )
     with pytest.raises(ValueError, match="environmental rasters"):
         train(cfg, obs)
@@ -186,10 +195,13 @@ def test_on_epoch_callback(obs):
 
 
 def test_sampler_cap_is_applied(obs):
-    cfg = small_cfg(sampler=SamplerConfig(batch_size=16, cap_per_species=5,
-                                          subsample_seed=3))
+    cfg = small_cfg(cap_per_species=5)
     result = train(cfg, obs)
     assert result.n_records_used == int(np.minimum(obs.counts(), 5).sum())
+    # The cap draws its subsample from master_seed.
+    capped = subsample_cap(obs, 5, cfg.master_seed)
+    uncapped_run = train(dataclasses.replace(cfg, cap_per_species=None), capped)
+    assert params_equal(result.params, uncapped_run.params)
 
 
 def test_divergence_aborts_with_step_position(obs):
@@ -239,7 +251,6 @@ def test_row_blocked_step_matches_the_whole_matrix_step(monkeypatch, variant, dt
     cfg = small_cfg(
         net=NetConfig(input_dim=4, n_species=s, hidden_dim=64, n_residual_layers=2, seed=2),
         loss=LossConfig(variant, lam=50.0),
-        sampler=SamplerConfig(batch_size=b),
         batch_size=b,
     )
     params = cast_params(init_params(cfg.net), dtype)
@@ -299,7 +310,6 @@ def test_gathered_head_step_matches_the_dense_step(monkeypatch, variant, case, d
     cfg = small_cfg(
         net=NetConfig(input_dim=4, n_species=s, hidden_dim=64, n_residual_layers=2, seed=2),
         loss=LossConfig(variant),
-        sampler=SamplerConfig(batch_size=b),
         batch_size=b,
     )
     params = cast_params(init_params(cfg.net), dtype)
@@ -414,9 +424,9 @@ def test_checkpoint_rejects_corruption(tmp_path, obs):
     with pytest.raises(ModelFormatError):
         load_checkpoint(bad)
     at = model_from_bytes(blob)[1] + 4  # the version field after the "CKPT" magic
-    bad.write_bytes(blob[:at] + struct.pack("<I", 1) + blob[at + 4 :])
-    with pytest.raises(CheckpointFormatError, match="version 1"):
-        load_checkpoint(bad)  # a version-1 file holds no corpus fingerprint
+    bad.write_bytes(blob[:at] + struct.pack("<I", 2) + blob[at + 4 :])
+    with pytest.raises(CheckpointFormatError, match="version 2"):
+        load_checkpoint(bad)  # a version-2 file holds its configuration in another layout
 
 
 def _replace_config_section(blob: bytes, cfg: TrainConfig, section: bytes) -> bytes:
@@ -548,11 +558,11 @@ def test_identity_encoder_converges_on_separable_toy(tmp_path):
         net=NetConfig(input_dim=1, n_species=2, identity_encoder=True,
                       dropout_p=0.0, seed=2),
         loss=LossConfig(LossVariant.AN_SLDS),
-        sampler=SamplerConfig(batch_size=32, input_layout=InputLayout.ENV),
         epochs=10,
         batch_size=32,
         initial_lr=1e-2,
         master_seed=11,
+        input_layout=InputLayout.ENV,
     )
     result = train(cfg, obs, stack)
     x = assemble_inputs(obs.lons, obs.lats, InputLayout.ENV, stack)
