@@ -4,8 +4,10 @@ A small library for fitting coordinate-network range models with
 single-positive multi-label losses, plus grid and linear baselines and the
 evaluation protocols used to compare them.
 
-Set ``SINR_THREADS`` to cap the BLAS thread pools; the cap is exported here,
-before numpy is first imported.
+Set ``SINR_THREADS`` to cap the BLAS thread pools, exported here before numpy
+is first imported, and the workers that run a step's elementwise work (by
+default one per CPU the process may use). Results do not depend on the worker
+count.
 """
 
 import os

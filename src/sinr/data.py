@@ -114,7 +114,7 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
     """
     with open(path, newline="") as fh:
         try:
-            header = next(csv_rows(path, fh))
+            _, header = next(csv_rows(path, fh))
         except StopIteration:
             raise ValueError(f"{path}: empty observations file") from None
         header = [name.lstrip("\ufeff").strip() for name in header]  # UTF-8 BOM, padding
@@ -141,8 +141,8 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
             if part is None:
                 # A quoted field may hold line breaks, so from a quote on the
                 # per-row pass reads the rest of the file.
-                rows = csv_rows(path, chain(lines, fh) if '"' in chunk else lines, line_no)
-                part = _checked_rows(rows, line_no, cols, need, catalog, rejected)
+                rest = chain(lines, fh) if '"' in chunk else lines
+                part = _checked_rows(rest, line_no, path, cols, need, catalog, rejected)
             parts.append(part)
             line_no += len(lines)
 
@@ -179,11 +179,11 @@ def _plain_rows(chunk: str, n_lines: int, n_fields: int, cols: dict, catalog: di
     return np.fromiter(map(catalog.__getitem__, ids), np.int64, len(ids)), lons, lats
 
 
-def _checked_rows(rows, line_no: int, cols: dict, need: int, catalog: dict, rejected: list):
-    """The per-row pass over csv ``rows`` numbered from ``line_no``: (species
+def _checked_rows(lines, line_no: int, path, cols: dict, need: int, catalog: dict, rejected):
+    """The per-row pass over csv ``lines`` of ``path`` from line ``line_no``: (species
     index, lon, lat) arrays of the good rows; bad rows go to ``rejected``."""
     sp, lons, lats = [], [], []
-    for line_no, row in enumerate(rows, start=line_no):
+    for line_no, row in csv_rows(path, lines, line_no):
         if not row:
             continue
         if len(row) < need:

@@ -324,7 +324,7 @@ def load_classifier_scores(path) -> ClassifierScoreSet:
     one or more ``species:score`` fields per row (no header)."""
     records = []
     with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv_rows(path, fh), start=1):
+        for line_no, row in csv_rows(path, fh):
             if not row:
                 continue
             if len(row) < 5:

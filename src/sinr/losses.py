@@ -27,6 +27,9 @@ from enum import Enum
 
 import numpy as np
 
+from .net import logit_grad_in_place
+from .parallel import map_row_chunks
+
 #: Predictions are clamped this far inside the unit interval before logs.
 CLAMP_EPS = 1e-7
 
@@ -97,10 +100,11 @@ class BatchTargets:
 @dataclass(frozen=True)
 class LossResult:
     """Loss value (the mean of ``row_losses``, one per example) plus
-    gradients for whichever prediction arrays were used."""
+    gradients for whichever prediction arrays were used (None when they were
+    overwritten with dL/dz)."""
 
     value: float
-    d_y_hat: np.ndarray
+    d_y_hat: np.ndarray | None
     d_y_hat_rand: np.ndarray | None = None
     row_losses: np.ndarray | None = None
 
@@ -191,32 +195,58 @@ def compute_loss(
     *,
     y_hat_rand: np.ndarray | None = None,
     j_prime: np.ndarray | None = None,
-    batch_size: int | None = None,
+    d_z_in_place: bool = False,
 ) -> LossResult:
     """Evaluate the configured loss variant on one batch. ``y_hat_rand`` is
     required for ssdl/full; ``j_prime`` (from :func:`draw_j_prime`) for slds.
-    Gradients are normalised by ``batch_size`` (default: the rows given), so a
-    batch may be passed in row blocks."""
-    family, selection = cfg.variant.value.split("-")
-    absence = _ABSENCE[family]
+
+    With ``d_z_in_place``, the sigmoid outputs ``y_hat`` and ``y_hat_rand``
+    are overwritten with dL/dz (:func:`logit_grad_in_place`) and the result
+    holds no dL/dy arrays: the rows run in chunks on the step's workers
+    (:func:`map_row_chunks`), so no float64 array of the batch's shape is
+    built, and each chunk does the whole batch's arithmetic, bit for bit."""
+    selection = cfg.variant.value.split("-")[1]
     y_hat = _checked(y_hat, targets, "y_hat")
     if selection != "slds":
         if y_hat_rand is None:
             raise ValueError(f"variant {cfg.variant.value!r} requires y_hat_rand")
         y_hat_rand = _checked(y_hat_rand, targets, "y_hat_rand")
-    b = targets.batch_size if batch_size is None else batch_size
-    rows = np.arange(targets.batch_size)
-    j = targets.positive_index
+    jp = _checked_j_prime(targets, j_prime) if selection == "slds" else None
+    j, b = targets.positive_index, targets.batch_size
+    if not d_z_in_place:
+        row_losses, d, dr = _loss_rows(cfg, y_hat, j, y_hat_rand, jp, b)
+        return LossResult(float(np.mean(row_losses)), d, dr, row_losses)
+
+    def chunk(r0: int, r1: int) -> np.ndarray:
+        y, y_rand = y_hat[r0:r1], None if y_hat_rand is None else y_hat_rand[r0:r1]
+        jp_rows = None if jp is None else jp[r0:r1]
+        row_losses, d, dr = _loss_rows(cfg, y, j[r0:r1], y_rand, jp_rows, b)
+        logit_grad_in_place(y, d)
+        if dr is not None:
+            logit_grad_in_place(y_rand, dr)
+        return row_losses
+
+    row_losses = np.concatenate(map_row_chunks(chunk, *y_hat.shape))
+    return LossResult(float(np.mean(row_losses)), None, None, row_losses)
+
+
+def _loss_rows(cfg: LossConfig, y_hat, j, y_hat_rand, jp, b: int):
+    """``(row losses, dL/dy_hat, dL/dy_hat_rand or None)`` of the rows
+    ``y_hat`` with positives ``j`` (and slds negatives ``jp``), the gradients
+    normalised by the batch size ``b``."""
+    family, selection = cfg.variant.value.split("-")
+    absence = _ABSENCE[family]
+    rows = np.arange(len(j))
     dr = None
     if selection == "full":
-        s = targets.n_species
+        s = y_hat.shape[1]
         scale = s * b
         c = _clamp(y_hat)
         pos = c[rows, j]
         terms, d = absence(c, scale)
         terms[rows, j] = cfg.lam * -np.log(pos)
         row_sums = terms.sum(axis=1)
-        del c, terms  # hold one B x S array fewer while the pseudo-location terms are built
+        del c, terms  # hold one array fewer while the pseudo-location terms are built
         terms_rand, dr = absence(_clamp(y_hat_rand), scale)
         row_losses = (row_sums + terms_rand.sum(axis=1)) / s
     else:
@@ -229,10 +259,8 @@ def compute_loss(
             dr = np.zeros_like(y_hat_rand, dtype=np.float64)
             dr[rows, j] = neg_grad
         else:
-            jp = _checked_j_prime(targets, j_prime)
             neg_terms, neg_grad = absence(_clamp(y_hat[rows, jp]), scale)
             d[rows, jp] = neg_grad
         row_losses = -np.log(pos) + neg_terms
     d[rows, j] = -(cfg.lam if selection == "full" else 1.0) / (pos * scale)
-    return LossResult(float(np.mean(row_losses)), d, dr, row_losses)
-
+    return row_losses, d, dr

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .geo import InputLayout
+from .parallel import map_row_chunks
 from .util import atomic_write, seed_u64
 
 ADAM_BETA1 = 0.9
@@ -334,9 +335,14 @@ def forward(
         w_head, b_head = w_head[:, columns], b_head[columns]
     y_hat = np.empty((h.shape[0], w_head.shape[1]), dtype=dtype)
     for r0, r1 in row_blocks(*y_hat.shape):
-        z = h[r0:r1] @ w_head
+        np.matmul(h[r0:r1], w_head, out=y_hat[r0:r1])
+
+    def bias_and_sigmoid(r0: int, r1: int) -> None:
+        z = y_hat[r0:r1]
         z += b_head
-        y_hat[r0:r1] = _sigmoid(z)
+        z[...] = _sigmoid(z)
+
+    map_row_chunks(bias_and_sigmoid, *y_hat.shape)
     cache.features = h
     if return_cache:
         return h, y_hat, cache

@@ -48,10 +48,8 @@ from .net import (
     head_columns,
     init_adam,
     init_params,
-    logit_grad_in_place,
     model_from_bytes,
     model_to_bytes,
-    row_blocks,
 )
 from .util import atomic_write, seed_u64
 
@@ -231,9 +229,9 @@ def _loss_and_grads(
     state: TrainState, x: np.ndarray, targets: BatchTargets, epoch: int, step: int
 ) -> tuple[float, NetParams]:
     """Loss value and parameter gradients of one batch; ``x`` holds its rows,
-    then any pseudo-location rows. The loss runs over row blocks of the head
-    output and overwrites it with dL/dz, so a step holds one array of the
-    head's shape; each block does the whole matrix's arithmetic, bit for bit.
+    then any pseudo-location rows. The loss overwrites the head output with
+    dL/dz in row chunks (``compute_loss(..., d_z_in_place=True)``), so a
+    step holds one array of the head's shape.
     ssdl variants compute only the head columns they read (see
     :func:`head_columns`), with the bits of the dense step."""
     cfg = state.cfg
@@ -252,22 +250,10 @@ def _loss_and_grads(
     )
     # slds variants draw the negative species of the whole batch in one call.
     j_prime = None if pseudo else draw_j_prime(targets, state.rng_negatives)
-    row_losses = []
-    for r0, r1 in row_blocks(b, targets.n_species):
-        y, y_rand = y_all[r0:r1], y_all[b + r0 : b + r1] if pseudo else None
-        result = compute_loss(
-            cfg.loss,
-            y,
-            BatchTargets(targets.positive_index[r0:r1], targets.n_species),
-            y_hat_rand=y_rand,
-            j_prime=None if pseudo else j_prime[r0:r1],
-            batch_size=b,
-        )
-        row_losses.append(result.row_losses)
-        logit_grad_in_place(y, result.d_y_hat)
-        if pseudo:
-            logit_grad_in_place(y_rand, result.d_y_hat_rand)
-    value = float(np.mean(np.concatenate(row_losses)))
+    value = compute_loss(
+        cfg.loss, y_all[:b], targets, y_hat_rand=y_all[b:] if pseudo else None,
+        j_prime=j_prime, d_z_in_place=True,
+    ).value
     if not np.isfinite(value):
         raise TrainingDivergedError(epoch, step, value)
     return value, backward(state.params, cfg.net, cache, d_z=y_all, columns=columns)

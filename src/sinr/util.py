@@ -14,13 +14,17 @@ def seed_u64(seed: int) -> int:
 
 
 def csv_rows(path, lines, first_line: int = 1):
-    """The rows of ``csv.reader(lines)``, where ``lines`` starts at line
-    ``first_line`` of the file ``path``. A ``csv.Error``, such as a field
-    longer than ``csv.field_size_limit()``, is raised as a ValueError naming
-    the file and the line."""
+    """``(line, row)`` for the rows of ``csv.reader(lines)``, where ``lines``
+    starts at line ``first_line`` of the file ``path`` and ``line`` is the
+    row's first line (a quoted field may span lines). A ``csv.Error``, such as
+    a field longer than ``csv.field_size_limit()``, is raised as a ValueError
+    naming the file and the line."""
     reader = csv.reader(lines)
+    line = first_line
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = first_line + reader.line_num
     except csv.Error as exc:
         raise ValueError(f"{path}: line {first_line - 1 + reader.line_num}: {exc}") from None
 

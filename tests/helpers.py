@@ -8,7 +8,9 @@ loops, pure-Python accumulation) so library bugs cannot cancel out.
 
 from __future__ import annotations
 
+import importlib
 import math
+import threading
 
 import numpy as np
 
@@ -22,6 +24,25 @@ from sinr.losses import (
     needs_pseudo_negatives,
 )
 from sinr.net import NetConfig, NetParams, backward, forward, init_params, logit_grad_in_place
+
+
+def hand_off_to_a_pool_thread(monkeypatch, module: str, attr: str) -> threading.Event:
+    """Wrap ``module.attr`` so that the main thread's calls wait (up to 30 s)
+    until a pool thread has made one, which makes a pool thread run chunks of
+    a ``map_row_chunks`` with several workers and chunks. Returns the event
+    that the first pool-thread call sets."""
+    mod = importlib.import_module(module)
+    helper_ran = threading.Event()
+
+    def wrapped(*args, _real=getattr(mod, attr), **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            helper_ran.wait(timeout=30)
+        else:
+            helper_ran.set()
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(mod, attr, wrapped)
+    return helper_ran
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sinr
+from helpers import hand_off_to_a_pool_thread
 from sinr.cli import main, read_manifest, write_manifest, write_pgm
 from sinr.data import (
     ObservationSet,
@@ -35,6 +36,7 @@ from sinr.net import (
     save_model,
     zeros_like_params,
 )
+from sinr.parallel import row_chunks
 from sinr.train import TrainConfig, train
 
 
@@ -191,6 +193,7 @@ def test_train_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
     for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("SINR_THREADS", raising=False)
     obs_path = tmp_path / "obs.csv"
     make_obs_csv(obs_path)
     model_path = tmp_path / "m.sinr"
@@ -201,6 +204,10 @@ def test_train_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
     assert manifest["numpy_version"] == np.__version__
     assert (manifest["blas_name"], manifest["blas_version"]) == (blas["name"], blas["version"])
     assert manifest["blas_threads"] == "OPENBLAS_NUM_THREADS:1"
+    assert manifest["workers"] == str(len(os.sched_getaffinity(0)))
+    monkeypatch.setenv("SINR_THREADS", "3")
+    assert run_train(tmp_path, obs_path, model_path) == 0
+    assert read_manifest(str(model_path) + ".manifest")["workers"] == "3"
 
 
 def test_train_is_reproducible_across_invocations(tmp_path, capsys):
@@ -257,6 +264,42 @@ def test_diverging_train_exits_1(tmp_path, capsys):
                  *TRAIN_ARGS, "--lr", "1e38"])
     assert code == 1
     assert "error: non-finite loss" in capsys.readouterr().err
+    assert not (tmp_path / "m.sinr").exists()
+
+
+def write_2000_species_csv(path, n=6000):
+    """``n`` records over 2,000 species (record i has species i % 2,000), the
+    corpus of ROADMAP item 8."""
+    rng = np.random.default_rng(11)
+    obs = ObservationSet(tuple(f"sp{i:04d}" for i in range(2000)), np.arange(n) % 2000,
+                         rng.uniform(-170, 170, n), rng.uniform(-80, 80, n))
+    save_observations(obs, path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a worker's numpy warning would raise
+def test_diverging_train_on_two_workers_exits_1(tmp_path, capsys, monkeypatch):
+    """Each loss chunk runs in the step's np.errstate, also on a pool thread,
+    where np.errstate would otherwise be the default; a 512 x 2,000 batch
+    spans 8 chunks, and the first chunk waits until a pool thread took one."""
+    monkeypatch.setenv("SINR_THREADS", "2")
+    assert len(row_chunks(512, 2000)) == 8
+    obs_path = tmp_path / "obs.csv"
+    write_2000_species_csv(obs_path, n=2000)
+    losses_module = importlib.import_module("sinr.losses")
+    errstates = []
+
+    def loss_rows(*args, _real=losses_module._loss_rows):
+        errstates.append(np.geterr())
+        return _real(*args)
+
+    monkeypatch.setattr(losses_module, "_loss_rows", loss_rows)
+    helper_ran = hand_off_to_a_pool_thread(monkeypatch, "sinr.losses", "_loss_rows")
+    code = main(["train", "--obs", str(obs_path), "--out", str(tmp_path / "m.sinr"),
+                 *TRAIN_ARGS, "--batch-size", "512", "--lr", "1e38"])
+    assert code == 1
+    assert "error: non-finite loss" in capsys.readouterr().err
+    assert helper_ran.is_set()
+    assert all(e["over"] == e["invalid"] == "ignore" for e in errstates), errstates
     assert not (tmp_path / "m.sinr").exists()
 
 
@@ -486,6 +529,49 @@ def test_model_does_not_depend_on_blas_thread_count(tmp_path):
     make_obs_csv(obs_path, n=300)
     one, two = _models_at_thread_counts(tmp_path, obs_path)
     assert one == two
+
+
+def test_gathered_head_model_does_not_depend_on_blas_thread_count_at_2000_species(tmp_path):
+    """an-ssdl on the corpus and flags of ROADMAP item 8, where the dense-head
+    variants do depend on the BLAS thread count."""
+    obs_path = tmp_path / "obs.csv"
+    write_2000_species_csv(obs_path)
+    one, two = _models_at_thread_counts(
+        tmp_path, obs_path, "--loss", "an-ssdl", "--batch-size", "256", "--residual-layers",
+        "2", "--epochs", "2", "--seed", "5",
+    )
+    assert one == two
+
+
+_VARIANTS = tuple(v.value for v in LossVariant)
+_TRAIN_VARIANTS = (
+    "import sys; from sinr.cli import main\n"
+    "obs, out, *args = sys.argv[1:]\n"
+    f"for v in {_VARIANTS!r}:\n"
+    "    argv = ['train', '--obs', obs, '--out', f'{out}/{v}.sinr', '--loss', v, *args]\n"
+    "    assert main(argv) == 0\n"
+)
+
+
+def test_models_do_not_depend_on_the_worker_count(tmp_path):
+    """All six variants in fresh processes with 1 and with 2 workers (BLAS
+    held at one thread). A 1,024-record batch over 2,000 species spans 16
+    loss chunks and 32 head-output chunks; an ssdl batch's head columns
+    (about 800) at least 6 and 12."""
+    assert len(row_chunks(1024, 2000)) == 16
+    assert len(row_chunks(1024, 800)) >= 6
+    obs_path = tmp_path / "obs.csv"
+    write_2000_species_csv(obs_path)
+    models = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        out.mkdir()
+        _python(_TRAIN_VARIANTS, str(obs_path), str(out), "--batch-size", "1024",
+                "--hidden-dim", "32", "--residual-layers", "1", "--epochs", "1", "--seed", "5",
+                SINR_THREADS=workers, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                MKL_NUM_THREADS="1")
+        models[workers] = {v: (out / f"{v}.sinr").read_bytes() for v in _VARIANTS}
+    assert models["1"] == models["2"]
 
 
 def test_gathered_head_model_does_not_depend_on_blas_thread_count(tmp_path):

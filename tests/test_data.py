@@ -516,6 +516,17 @@ def test_plain_csv_chunks_never_take_the_per_row_pass(tmp_path, monkeypatch):
     assert bulk == _load(load_observations, path, per_row=True)
 
 
+@pytest.mark.parametrize("chunk_chars", [1, 24, 1 << 20])
+def test_rejections_after_a_quoted_line_break_name_the_line_a_row_starts_on(tmp_path,
+                                                                            chunk_chars):
+    text = _H + '"a\nb",1.0,2.0\nbad,999,2.0\n"c\n\nd",1,2\nshort,1\n\n,3,4\n'
+    ids, rejected, _ = _assert_passes_agree(load_observations, tmp_path / "obs.csv", text,
+                                            chunk_chars)
+    assert ids == ("a\nb", "c\n\nd")
+    assert rejected == (RowRejection(4, "coordinate out of range"),
+                        RowRejection(8, "too few fields"), RowRejection(10, "empty species_id"))
+
+
 _ENV_HEAD = "ENVGRID 2 3 -180 180 -90 90\n"
 _ENV_CASES = {
     "plain": _ENV_HEAD + "1 2.5 NA\n-4 0 1e-300\n",

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sinr.net
-from helpers import random_obs, reference_step
+import sinr.parallel
+from helpers import hand_off_to_a_pool_thread, random_obs, reference_step
 from sinr.data import (
     ObservationSet,
     assemble_inputs,
@@ -34,6 +35,7 @@ from sinr.net import (
     params_equal,
     row_blocks,
 )
+from sinr.parallel import row_chunks
 from sinr.train import (
     LR_DECAY,
     CheckpointFormatError,
@@ -239,14 +241,15 @@ def test_pseudo_location_stream_usage(tmp_path, obs, variant, consumes):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("variant", list(LossVariant))
 def test_row_blocked_step_matches_the_whole_matrix_step(monkeypatch, variant, dtype):
-    """The step's head, loss and dL/dz run over row blocks; its loss value and
-    gradients must have the bits of the whole-matrix composition.
+    """The step's head runs over row blocks, and its bias, sigmoid, loss and
+    dL/dz over row chunks on 1, 2 or 3 workers; its loss value and gradients
+    must have the bits of the whole-matrix composition.
 
     The blocks here hold at least 20 rows x 1,000 species over 64 features.
     OpenBLAS runs an SGEMM of M*N*K <= 1e6 on another kernel, with other
     rounding; these blocks have M*N*K >= 1.28e6, so each gets the kernel, and
     so the bits, of the whole product. DGEMM row slices of this shape match
-    the whole product at any row count."""
+    the whole product at any row count. The chunks hold 7 rows."""
     b, s = 105, 1000
     cfg = small_cfg(
         net=NetConfig(input_dim=4, n_species=s, hidden_dim=64, n_residual_layers=2, seed=2),
@@ -264,17 +267,26 @@ def test_row_blocked_step_matches_the_whole_matrix_step(monkeypatch, variant, dt
     )
 
     monkeypatch.setattr(sinr.net, "HEAD_BLOCK_ENTRIES", 20 * s)
-    for rows in (n_rows, b):  # the head's blocks, then the loss's
+    for rows in (n_rows, b):
         blocks = row_blocks(rows, s)
         assert len(blocks) >= 5 and blocks[-1][1] - blocks[-1][0] > 20  # merged remainder
-    state = TrainState(
-        cfg, tuple(map(str, range(s))), params, init_adam(params), 0, b"",
-        rng_dropout=np.random.default_rng(1), rng_negatives=np.random.default_rng(2),
-    )
-    value, got = _loss_and_grads(state, x, targets, 0, 0)
-    assert struct.pack("<d", value) == struct.pack("<d", want_value)
-    for name, g, w in zip(want.names(), got.flat(), want.flat()):
-        assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
+    monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", 7 * s)
+    assert len(row_chunks(b, s)) == 15
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sinr.parallel, "worker_count", lambda: workers)
+            handed_off = [hand_off_to_a_pool_thread(m, module, attr) for module, attr in
+                          (("sinr.net", "_sigmoid"), ("sinr.losses", "_loss_rows"))
+                          if workers > 1]
+            state = TrainState(
+                cfg, tuple(map(str, range(s))), params, init_adam(params), 0, b"",
+                rng_dropout=np.random.default_rng(1), rng_negatives=np.random.default_rng(2),
+            )
+            value, got = _loss_and_grads(state, x, targets, 0, 0)
+        assert all(event.is_set() for event in handed_off)
+        assert struct.pack("<d", value) == struct.pack("<d", want_value)
+        for name, g, w in zip(want.names(), got.flat(), want.flat()):
+            assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
 
 
 # (batch size, species, positive species of the batch, head columns computed,
