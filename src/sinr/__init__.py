@@ -4,20 +4,21 @@ A small library for fitting coordinate-network range models with
 single-positive multi-label losses, plus grid and linear baselines and the
 evaluation protocols used to compare them.
 
-Set ``SINR_THREADS`` to cap the BLAS thread pools, exported here before numpy
-is first imported, and the workers that run a step's elementwise work (by
-default one per CPU the process may use). Results do not depend on the worker
-count.
+Importing ``sinr`` holds numpy's BLAS at one thread: it sets the BLAS
+thread-count variables to 1 unless they are set, before numpy is first
+imported, then pins numpy's bundled OpenBLAS to one thread at run time
+(``sinr.parallel.BLAS_PINNED``). The package's own workers run a step's
+elementwise work and its species-head products, one per CPU the process may
+use; set ``SINR_THREADS`` to cap them. With BLAS pinned, results depend
+neither on the worker count nor on the BLAS thread count asked for.
 """
 
 import os
 
-#: The BLAS thread-count variables that ``SINR_THREADS`` sets.
+#: The BLAS thread-count variables that importing ``sinr`` sets to 1 unless set.
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-_threads = os.environ.get("SINR_THREADS")
-if _threads:
-    for _var in _THREAD_VARS:
-        os.environ.setdefault(_var, _threads)
+for _var in _THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 from .data import (
     EnvRasterStack,

@@ -47,7 +47,7 @@ from .net import (
     read_model_file,
     save_model,
 )
-from .parallel import worker_count
+from .parallel import BLAS_PINNED, worker_count
 from .train import TrainConfig, TrainingDivergedError, resume, train
 from .util import atomic_write, seed_u64
 
@@ -85,7 +85,8 @@ def write_manifest(path, entries: list[tuple[str, object]]) -> None:
 
 def _environment() -> list[tuple[str, str]]:
     """Manifest entries naming the interpreter, numpy, its BLAS, the BLAS
-    thread-count variables set for this process and the step's workers."""
+    thread-count variables set for this process, whether BLAS is pinned to
+    one thread and the step's workers."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (KeyError, TypeError):  # numpy before 1.26 has no mode="dicts"
@@ -97,6 +98,7 @@ def _environment() -> list[tuple[str, str]]:
         ("blas_name", blas.get("name", "unknown")),
         ("blas_version", blas.get("version", "unknown")),
         ("blas_threads", threads or "default"),
+        ("blas_pinned", BLAS_PINNED),
         ("workers", worker_count()),
     ]
 

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .net import logit_grad_in_place
-from .parallel import map_row_chunks
+from .parallel import map_ranges, row_chunks
 
 #: Predictions are clamped this far inside the unit interval before logs.
 CLAMP_EPS = 1e-7
@@ -203,7 +203,7 @@ def compute_loss(
     With ``d_z_in_place``, the sigmoid outputs ``y_hat`` and ``y_hat_rand``
     are overwritten with dL/dz (:func:`logit_grad_in_place`) and the result
     holds no dL/dy arrays: the rows run in chunks on the step's workers
-    (:func:`map_row_chunks`), so no float64 array of the batch's shape is
+    (:func:`row_chunks`), so no float64 array of the batch's shape is
     built, and each chunk does the whole batch's arithmetic, bit for bit."""
     selection = cfg.variant.value.split("-")[1]
     y_hat = _checked(y_hat, targets, "y_hat")
@@ -226,7 +226,7 @@ def compute_loss(
             logit_grad_in_place(y_rand, dr)
         return row_losses
 
-    row_losses = np.concatenate(map_row_chunks(chunk, *y_hat.shape))
+    row_losses = np.concatenate(map_ranges(chunk, row_chunks(*y_hat.shape)))
     return LossResult(float(np.mean(row_losses)), None, None, row_losses)
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .geo import InputLayout
-from .parallel import map_row_chunks
+from .parallel import BLAS_PINNED, map_ranges, row_chunks
 from .util import atomic_write, seed_u64
 
 ADAM_BETA1 = 0.9
@@ -227,25 +227,25 @@ class ForwardCache:
     features: np.ndarray | None = None
 
 
-#: Least output entries per row block of the head. OpenBLAS picks its GEMM
-#: kernel by M*N*K (at most 1e6 takes another kernel, with other bits), so a
-#: block of at least this many entries takes the kernel of the whole product.
-HEAD_BLOCK_ENTRIES = 1 << 21
-
-
-def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` row ranges of at least ``HEAD_BLOCK_ENTRIES / n_cols``
-    rows, never 1 row unless ``n_rows`` is 1; a short last block is merged
-    into the one before it."""
-    step = max(2, -(-HEAD_BLOCK_ENTRIES // n_cols))
-    starts = list(range(0, n_rows, step))
-    if len(starts) > 1 and n_rows - starts[-1] < step:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n_rows]))
-
-
 #: Largest M*N*K that OpenBLAS runs on its small-matrix GEMM kernel.
 SMALL_GEMM_MAX = 1_000_000
+#: Least M*N*K of a head GEMM block: past ``SMALL_GEMM_MAX``, so a block takes
+#: the whole product's kernel and bits, and worth handing to a worker.
+GEMM_BLOCK_MACS = 1 << 25
+#: Most blocks per head GEMM: 512-row blocks at 4,096 rows; smaller row blocks
+#: repack the other operand once each for a few per cent more time per block.
+GEMM_MAX_BLOCKS = 8
+
+
+def gemm_blocks(n: int, line_macs: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` ranges that split a head product along an axis of
+    ``n`` rows or columns, each costing ``line_macs`` multiply-adds: at most
+    ``GEMM_MAX_BLOCKS`` near-equal blocks, each at least 2 wide and past
+    ``GEMM_BLOCK_MACS``, else the one block ``(0, n)``. Also one block when
+    BLAS is not pinned to one thread: its own threads then run the product."""
+    least = max(2, GEMM_BLOCK_MACS // max(line_macs, 1) + 1)
+    count = max(1, min(GEMM_MAX_BLOCKS, n // least)) if BLAS_PINNED == "1" else 1
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
 def head_columns(needed, n_rows: int, n_feat: int, n_species: int) -> np.ndarray | None:
@@ -334,15 +334,15 @@ def forward(
     if columns is not None:
         w_head, b_head = w_head[:, columns], b_head[columns]
     y_hat = np.empty((h.shape[0], w_head.shape[1]), dtype=dtype)
-    for r0, r1 in row_blocks(*y_hat.shape):
-        np.matmul(h[r0:r1], w_head, out=y_hat[r0:r1])
+    map_ranges(lambda r0, r1: np.matmul(h[r0:r1], w_head, out=y_hat[r0:r1]),
+               gemm_blocks(len(h), w_head.size))
 
     def bias_and_sigmoid(r0: int, r1: int) -> None:
         z = y_hat[r0:r1]
         z += b_head
         z[...] = _sigmoid(z)
 
-    map_row_chunks(bias_and_sigmoid, *y_hat.shape)
+    map_ranges(bias_and_sigmoid, row_chunks(*y_hat.shape))
     cache.features = h
     if return_cache:
         return h, y_hat, cache
@@ -375,9 +375,18 @@ def backward(
         dz = np.zeros((feats.shape[0], w_head.shape[1]), dtype=dtype)
     else:
         dz = np.asarray(d_z).astype(dtype, copy=False)
-    g_w_head = feats.T @ dz
-    g_b_head = dz.sum(axis=0)
-    dh = dz @ w_head.T
+    # Each block of the head products writes its slice of one output array.
+    g_w_head = np.empty(w_head.shape, dtype=dtype)
+    g_b_head = np.empty(w_head.shape[1], dtype=dtype)
+
+    def head_grads(c0: int, c1: int) -> None:
+        np.matmul(feats.T, dz[:, c0:c1], out=g_w_head[:, c0:c1])
+        np.sum(dz[:, c0:c1], axis=0, out=g_b_head[c0:c1])
+
+    map_ranges(head_grads, gemm_blocks(w_head.shape[1], feats.size))
+    dh = np.empty(feats.shape, dtype=dtype)
+    map_ranges(lambda r0, r1: np.matmul(dz[r0:r1], w_head.T, out=dh[r0:r1]),
+               gemm_blocks(len(feats), w_head.size))
     if columns is not None:  # the columns not computed get zero gradients
         full_w, full_b = np.zeros_like(params.w_head), np.zeros_like(params.b_head)
         full_w[:, columns], full_b[columns] = g_w_head, g_b_head
@@ -666,6 +675,7 @@ __all__ = [
     "backward",
     "cast_params",
     "forward",
+    "gemm_blocks",
     "head_columns",
     "init_adam",
     "init_params",
@@ -676,7 +686,6 @@ __all__ = [
     "params_close",
     "params_equal",
     "read_model_file",
-    "row_blocks",
     "save_model",
     "zeros_like_params",
 ]

@@ -11,9 +11,11 @@ from __future__ import annotations
 import importlib
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 
+import sinr.net
 from sinr.data import ObservationSet
 from sinr.losses import (
     BatchTargets,
@@ -29,7 +31,7 @@ from sinr.net import NetConfig, NetParams, backward, forward, init_params, logit
 def hand_off_to_a_pool_thread(monkeypatch, module: str, attr: str) -> threading.Event:
     """Wrap ``module.attr`` so that the main thread's calls wait (up to 30 s)
     until a pool thread has made one, which makes a pool thread run chunks of
-    a ``map_row_chunks`` with several workers and chunks. Returns the event
+    a ``map_ranges`` with several workers and ranges. Returns the event
     that the first pool-thread call sets."""
     mod = importlib.import_module(module)
     helper_ran = threading.Event()
@@ -181,11 +183,17 @@ def composed_grads(params: NetParams, cfg: NetConfig, x_all, b, variant, targets
 def reference_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
     """One training step's ``(loss value, parameter gradients)`` on whole
     matrices: ``forward``, ``compute_loss`` on the full batch, the
-    concatenated dL/dy, the dL/dy -> dL/dz chain, then ``backward``.
+    concatenated dL/dy, the dL/dy -> dL/dz chain, then ``backward``, with
+    every head product in one block.
 
     ``cfg`` is a ``TrainConfig``; ``x`` holds the batch rows, then the
     pseudo-location rows when the loss uses them.
     """
+    with mock.patch.object(sinr.net, "GEMM_MAX_BLOCKS", 1):
+        return _whole_step(params, cfg, x, targets, rng_dropout, rng_negatives)
+
+
+def _whole_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
     b = targets.batch_size
     pseudo = needs_pseudo_negatives(cfg.loss.variant)
     _, y_all, cache = forward(params, cfg.net, x, mode="train", rng=rng_dropout,

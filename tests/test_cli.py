@@ -2,6 +2,7 @@
 evaluation reports, and exit-code conventions."""
 
 import importlib
+import itertools
 import os
 import platform
 import struct
@@ -29,6 +30,7 @@ from sinr.net import (
     NetConfig,
     NetParams,
     forward,
+    gemm_blocks,
     head_columns,
     init_params,
     model_from_bytes,
@@ -210,6 +212,18 @@ def test_train_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
     assert read_manifest(str(model_path) + ".manifest")["workers"] == "3"
 
 
+def test_train_manifest_records_whether_blas_is_pinned(tmp_path, capsys, monkeypatch):
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path)
+    model_path = tmp_path / "m.sinr"
+    assert run_train(tmp_path, obs_path, model_path) == 0
+    assert read_manifest(str(model_path) + ".manifest")["blas_pinned"] == "1"
+    monkeypatch.setattr("sinr.cli.BLAS_PINNED", "no: AttributeError: undefined symbol")
+    assert run_train(tmp_path, obs_path, model_path) == 0
+    manifest = read_manifest(str(model_path) + ".manifest")
+    assert manifest["blas_pinned"] == "no: AttributeError: undefined symbol"
+
+
 def test_train_is_reproducible_across_invocations(tmp_path, capsys):
     obs_path = tmp_path / "obs.csv"
     make_obs_csv(obs_path)
@@ -268,8 +282,8 @@ def test_diverging_train_exits_1(tmp_path, capsys):
 
 
 def write_2000_species_csv(path, n=6000):
-    """``n`` records over 2,000 species (record i has species i % 2,000), the
-    corpus of ROADMAP item 8."""
+    """``n`` records over 2,000 species: record i has species i % 2,000 and
+    coordinates drawn from ``default_rng(11)``."""
     rng = np.random.default_rng(11)
     obs = ObservationSet(tuple(f"sp{i:04d}" for i in range(2000)), np.arange(n) % 2000,
                          rng.uniform(-170, 170, n), rng.uniform(-80, 80, n))
@@ -501,16 +515,26 @@ def test_csv_field_over_the_csv_limit_exits_1_without_traceback(tmp_path, comman
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.skipif(
-    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
-    reason="needs /proc and at least two CPUs",
+_BLAS_THREADS = (
+    "import ctypes, sys\n"
+    "first, *modules = sys.argv[1:]\n"
+    "__import__(first)\n"
+    "from numpy._core import _multiarray_umath\n"
+    "blas = ctypes.CDLL(_multiarray_umath.__file__)\n"
+    "before = blas.scipy_openblas_get_num_threads64_()\n"
+    "for name in modules: __import__(name)\n"
+    "print(before, blas.scipy_openblas_get_num_threads64_())\n"
 )
-def test_sinr_threads_caps_blas_threads_on_import():
-    code = ("import os, sinr, numpy as np; a = np.ones((512, 512)); a @ a; "
-            "print(len(os.listdir('/proc/self/task')))")
-    if int(_python(code)) < 2:
-        pytest.skip("the BLAS library starts no worker threads here")
-    assert int(_python(code, SINR_THREADS="1")) == 1
+
+
+def test_importing_sinr_pins_blas_to_one_thread():
+    """Whatever ``SINR_THREADS`` says: with numpy loaded first under
+    ``OPENBLAS_NUM_THREADS=2`` the pin takes BLAS from 2 threads to 1, and
+    with ``sinr`` imported first and no thread variable set BLAS starts at 1."""
+    for env in ({}, {"SINR_THREADS": "1"}, {"SINR_THREADS": "2"}):
+        numpy_first = _python(_BLAS_THREADS, "numpy", "sinr", OPENBLAS_NUM_THREADS="2", **env)
+        assert numpy_first.split() == ["2", "1"], env
+        assert _python(_BLAS_THREADS, "sinr", **env).split() == ["1", "1"], env
 
 
 def _models_at_thread_counts(tmp_path, obs_path, *extra) -> list[bytes]:
@@ -532,8 +556,9 @@ def test_model_does_not_depend_on_blas_thread_count(tmp_path):
 
 
 def test_gathered_head_model_does_not_depend_on_blas_thread_count_at_2000_species(tmp_path):
-    """an-ssdl on the corpus and flags of ROADMAP item 8, where the dense-head
-    variants do depend on the BLAS thread count."""
+    """an-ssdl on 6,000 records over 2,000 species, trained with
+    ``--batch-size 256 --hidden-dim 64 --residual-layers 2 --epochs 2
+    --seed 5``: a batch's head columns are a gathered subset of the species."""
     obs_path = tmp_path / "obs.csv"
     write_2000_species_csv(obs_path)
     one, two = _models_at_thread_counts(
@@ -544,6 +569,7 @@ def test_gathered_head_model_does_not_depend_on_blas_thread_count_at_2000_specie
 
 
 _VARIANTS = tuple(v.value for v in LossVariant)
+_PINNED = "import sinr.parallel\nassert sinr.parallel.BLAS_PINNED == '1'\n"
 _TRAIN_VARIANTS = (
     "import sys; from sinr.cli import main\n"
     "obs, out, *args = sys.argv[1:]\n"
@@ -572,6 +598,28 @@ def test_models_do_not_depend_on_the_worker_count(tmp_path):
                 MKL_NUM_THREADS="1")
         models[workers] = {v: (out / f"{v}.sinr").read_bytes() for v in _VARIANTS}
     assert models["1"] == models["2"]
+
+
+def test_models_do_not_depend_on_blas_threads_or_workers(tmp_path):
+    """All six variants in fresh processes under ``OPENBLAS_NUM_THREADS`` 1
+    and 2 and ``SINR_THREADS`` 1 and 2. A 1,024-record batch over 2,000
+    species and 128 features splits each head product into at least 2
+    blocks per worker on two workers, dense (2,048 rows, or 1,024 for slds)
+    and gathered (ssdl: 2,048 rows, at least 700 of the 2,000 columns)."""
+    for rows, n_cols in [(2048, 2000), (1024, 2000), (2048, 700)]:
+        assert len(gemm_blocks(rows, 128 * n_cols)) >= 4  # h @ w_head, dz @ w_head.T
+        assert len(gemm_blocks(n_cols, rows * 128)) >= 4  # feats.T @ dz
+    obs_path = tmp_path / "obs.csv"
+    write_2000_species_csv(obs_path)
+    models = {}
+    for blas, workers in itertools.product("12", "12"):
+        out = tmp_path / f"blas{blas}-workers{workers}"
+        out.mkdir()
+        _python(_PINNED + _TRAIN_VARIANTS, str(obs_path), str(out), "--batch-size", "1024",
+                "--hidden-dim", "128", "--residual-layers", "1", "--epochs", "1",
+                "--seed", "5", SINR_THREADS=workers, OPENBLAS_NUM_THREADS=blas)
+        models[blas, workers] = {v: (out / f"{v}.sinr").read_bytes() for v in _VARIANTS}
+    assert all(got == models["1", "1"] for got in models.values())
 
 
 def test_gathered_head_model_does_not_depend_on_blas_thread_count(tmp_path):

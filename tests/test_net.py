@@ -1,12 +1,14 @@
 """Residual coordinate network: forward/backward correctness, initialization,
 dropout semantics, the Adam optimizer, and the binary model file format."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import sinr.net
+import sinr.parallel
 from helpers import (
     composed_grads,
     composed_loss,
@@ -34,6 +36,7 @@ from sinr.net import (
     backward,
     cast_params,
     forward,
+    gemm_blocks,
     head_columns,
     init_adam,
     init_params,
@@ -44,7 +47,6 @@ from sinr.net import (
     params_close,
     params_equal,
     read_model_file,
-    row_blocks,
     save_model,
     zeros_like_params,
 )
@@ -239,17 +241,107 @@ def test_backward_leaves_its_inputs_untouched():
             np.testing.assert_array_equal(cache.features, features_before)
 
 
+@pytest.fixture
+def pinned(monkeypatch):
+    """Plans as with BLAS pinned to one thread, whatever this process has."""
+    monkeypatch.setattr(sinr.net, "BLAS_PINNED", "1")
+
+
 @pytest.mark.parametrize("entries", [1, 7, 64, 1 << 21])
-def test_row_blocks_are_never_short(monkeypatch, entries):
-    monkeypatch.setattr(sinr.net, "HEAD_BLOCK_ENTRIES", entries)
-    for n_rows in range(40):
-        for n_cols in (1, 3, 16, 5000, 3_000_000):
-            blocks = row_blocks(n_rows, n_cols)
-            edges = [0] + [r1 for _, r1 in blocks]
-            assert [r0 for r0, _ in blocks] == edges[:-1] and edges[-1] == n_rows
-            for r0, r1 in blocks:
-                assert (r1 - r0) * n_cols >= entries or blocks == [(0, n_rows)]
-                assert r1 - r0 >= 2 or n_rows == 1
+def test_row_blocks_are_never_short(monkeypatch, pinned, entries):
+    """Every row or column is in exactly one block, and each block is at
+    least 2 wide and past ``GEMM_BLOCK_MACS`` multiply-adds, unless it is
+    the whole product."""
+    monkeypatch.setattr(sinr.net, "GEMM_BLOCK_MACS", entries)
+    for n in range(40):
+        for line_macs in (1, 3, 16, 5000, 3_000_000):
+            blocks = gemm_blocks(n, line_macs)
+            edges = [0] + [b for _, b in blocks]
+            assert [a for a, _ in blocks] == edges[:-1] and edges[-1] == n
+            assert len(blocks) <= sinr.net.GEMM_MAX_BLOCKS
+            if blocks != [(0, n)]:
+                assert all(b - a >= 2 and (b - a) * line_macs > entries for a, b in blocks)
+
+
+def test_gemm_blocks_hand_values(pinned):
+    assert sinr.net.GEMM_BLOCK_MACS == 1 << 25 and sinr.net.GEMM_MAX_BLOCKS == 8
+    # A dense step at 10,000 species: 4,096 rows (a batch of 2,048 plus its
+    # pseudo-locations) x 256 features. Each of the three head products gets
+    # 8 blocks, 4 per worker on two cores: 512 rows (h @ w_head, dz @ w_head.T)
+    # or 1,250 columns (feats.T @ dz).
+    assert gemm_blocks(4096, 256 * 10_000) == [(r, r + 512) for r in range(0, 4096, 512)]
+    assert gemm_blocks(10_000, 4096 * 256) == [(c, c + 1250) for c in range(0, 10_000, 1250)]
+    # 2^25 // 1,000,000 + 1 = 34 rows each: 100 // 34 = 2 blocks
+    assert gemm_blocks(100, 1_000_000) == [(0, 50), (50, 100)]
+    assert gemm_blocks(67, 1_000_000) == [(0, 67)]  # 2 x 34 rows do not fit
+    assert gemm_blocks(7, 10**9) == [(0, 2), (2, 4), (4, 7)]  # never 1 row
+    assert gemm_blocks(3, 10**9) == [(0, 3)]
+    assert gemm_blocks(0, 256) == [(0, 0)]
+    assert gemm_blocks(5, 0) == [(0, 5)]  # an empty product
+    assert gemm_blocks(65_536, 2 * 256) == [(0, 65_536)]  # a predict chunk's 2 columns
+
+
+def test_gemm_blocks_stay_past_the_small_gemm_kernel(pinned):
+    """At the real constants every block of a split product runs past
+    ``SMALL_GEMM_MAX``: the whole product's kernel, and so its bits."""
+    assert sinr.net.GEMM_BLOCK_MACS >= sinr.net.SMALL_GEMM_MAX
+    for n in (1, 2, 3, 64, 100, 333, 2048, 4096, 10_000, 47_375):
+        for line_macs in (1, 64, 512, 64 * 2000, 4096 * 256, 256 * 47_375):
+            for a, b in gemm_blocks(n, line_macs):
+                assert (b - a) * line_macs > sinr.net.SMALL_GEMM_MAX or (a, b) == (0, n)
+
+
+def test_gemm_blocks_are_whole_when_blas_is_not_pinned(monkeypatch):
+    monkeypatch.setattr(sinr.net, "BLAS_PINNED", "no: another BLAS")
+    assert gemm_blocks(4096, 256 * 10_000) == [(0, 4096)]
+
+
+# (rows, features, species, head columns or None): dense heads at several
+# shapes, and the columns of an ssdl step over 2,000 species.
+SPLIT_SHAPES = [(512, 64, 2000, None), (333, 48, 777, None), (210, 64, 1000, None),
+                (2048, 64, 2000, 800)]
+
+
+@pytest.mark.parametrize("rows, feat, species, n_cols", SPLIT_SHAPES)
+def test_split_head_products_have_the_bits_of_the_whole_products(monkeypatch, pinned, rows,
+                                                                 feat, species, n_cols):
+    """float32, 2 workers, blocks just past ``SMALL_GEMM_MAX``: the forward
+    product, ``feats.T @ dz``, ``dz.sum(axis=0)`` and ``dz @ w_head.T``
+    (through every gradient below it) equal the whole 1-thread products."""
+    cfg = NetConfig(input_dim=4, n_species=species, hidden_dim=feat, n_residual_layers=1,
+                    seed=4)
+    params = dataclasses.replace(init_params(cfg),
+                                 b_head=np.linspace(-1, 1, species).astype(np.float32))
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(-1, 1, (rows, 4))
+    columns = None if n_cols is None else np.sort(rng.choice(species, n_cols, replace=False))
+    n_out = species if columns is None else n_cols
+    w_head = params.w_head if columns is None else params.w_head[:, columns]
+    d_z = rng.standard_normal((rows, n_out)).astype(np.float32)
+
+    def step():
+        feats, y, cache = forward(params, cfg, x, return_cache=True, columns=columns)
+        return feats, y, backward(params, cfg, cache, d_z=d_z, columns=columns)
+
+    with monkeypatch.context() as whole:
+        whole.setattr(sinr.net, "GEMM_MAX_BLOCKS", 1)
+        feats, want_y, want = step()
+    monkeypatch.setattr(sinr.net, "GEMM_BLOCK_MACS", sinr.net.SMALL_GEMM_MAX)
+    monkeypatch.setattr(sinr.parallel, "worker_count", lambda: 2)
+    for n, line_macs in [(rows, feat * n_out), (n_out, rows * feat)]:
+        assert len(gemm_blocks(n, line_macs)) >= 2
+    _, y, got = step()
+
+    assert y.tobytes() == want_y.tobytes()
+    assert y.tobytes() == reference_sigmoid(feats @ w_head + params.b_head[
+        slice(None) if columns is None else columns]).tobytes()
+    g_w, g_b = got.w_head, got.b_head
+    if columns is not None:
+        g_w, g_b = g_w[:, columns], g_b[columns]
+    assert g_w.tobytes() == (feats.T @ d_z).tobytes()
+    assert g_b.tobytes() == d_z.sum(axis=0).tobytes()
+    for name, g, w in zip(want.names(), got.flat(), want.flat()):
+        assert g.tobytes() == w.tobytes(), name
 
 
 def test_head_columns_hand_values():

@@ -1,11 +1,14 @@
-"""Row chunks spread over worker threads: the plan, result order, errors,
-np.errstate in the workers, and the worker count from ``SINR_THREADS``."""
+"""Ranges spread over worker threads: the row-chunk plan, result order,
+errors, np.errstate in the workers, the worker count from ``SINR_THREADS``
+and BLAS pinned to one thread."""
 
 import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import sinr
 import sinr.parallel
 from helpers import hand_off_to_a_pool_thread, reference_sigmoid
 from sinr.net import NetConfig, cast_params, forward, init_params
-from sinr.parallel import map_row_chunks, row_chunks, worker_count
+from sinr.parallel import map_ranges, row_chunks, worker_count
 
 
 def _workers(monkeypatch, n: int) -> None:
@@ -44,7 +47,7 @@ def test_row_chunks_cover_every_row_once(monkeypatch, entries):
 def test_results_come_back_in_chunk_order(monkeypatch, n):
     monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", 10)
     _workers(monkeypatch, n)
-    assert map_row_chunks(lambda r0, r1: (r0, r1), 45, 3) == row_chunks(45, 3)
+    assert map_ranges(lambda r0, r1: (r0, r1), row_chunks(45, 3)) == row_chunks(45, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -59,7 +62,7 @@ def test_the_first_failing_chunk_is_raised(monkeypatch, n):
             raise ValueError(f"chunk {r0}")
 
     with pytest.raises(ValueError, match="chunk 3"):
-        map_row_chunks(fn, 9, 1)
+        map_ranges(fn, row_chunks(9, 1))
     assert set(range(4)) <= set(ran)  # every chunk before it ran
 
 
@@ -73,11 +76,52 @@ def test_workers_run_in_the_callers_errstate(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(over="ignore"):
-            out = map_row_chunks(lambda r0, r1: _overflow(r0, r1), 8, 1)
+            out = map_ranges(lambda r0, r1: _overflow(r0, r1), row_chunks(8, 1))
         with pytest.raises(RuntimeWarning), np.errstate(over="warn"):
-            map_row_chunks(lambda r0, r1: _overflow(r0, r1), 8, 1)
+            map_ranges(lambda r0, r1: _overflow(r0, r1), row_chunks(8, 1))
     assert helper_ran.is_set()
     assert np.isinf(np.concatenate(out)).all()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_first_failing_block_is_raised_whatever_fails_first(monkeypatch, n):
+    """Uneven blocks, as a head GEMM plan gives: block 1 fails only after
+    block 3 has failed, and block 1's exception is the one raised."""
+    _workers(monkeypatch, n)
+    blocks = [(0, 5), (5, 11), (11, 16), (16, 22), (22, 27)]
+    later_failed, ran = threading.Event(), []
+
+    def fn(a, b):
+        ran.append(a)
+        if a == 5:
+            assert later_failed.wait(timeout=30)
+            raise ValueError("block 1")
+        if a == 16:
+            later_failed.set()
+            raise ValueError("block 3")
+        return a
+
+    with pytest.raises(ValueError, match="block 1"):
+        map_ranges(fn, blocks)
+    assert sorted(ran) == [a for a, _ in blocks]
+
+
+def test_many_workers_take_every_range_once(monkeypatch):
+    """8 workers on a pool of 7 threads, whatever the CPU count, switching
+    every microsecond: each of 5,000 ranges runs exactly once and the
+    results come back in range order."""
+    pool = ThreadPoolExecutor(7)
+    monkeypatch.setattr(sinr.parallel, "_pool", lambda: pool)
+    _workers(monkeypatch, 8)
+    ranges = [(i, i + 1) for i in range(5000)]
+    ran, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = map_ranges(lambda a, b: ran.append(a) or a, ranges)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    assert out == list(range(5000)) and sorted(ran) == list(range(5000))
 
 
 def _overflow(r0: int, r1: int) -> np.ndarray:

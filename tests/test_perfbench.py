@@ -2,16 +2,21 @@
 (``perfbench/child.py``, ``WRAPS``). A renamed or inlined function would turn
 its per-layer metrics into "missing" without failing any other test."""
 
+import collections
 import importlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sinr.net
-from sinr.net import NetConfig, forward, init_params
+from helpers import hand_off_to_a_pool_thread
+from sinr.cli import main
+from sinr.data import ObservationSet, save_observations
+from sinr.net import NetConfig, forward, gemm_blocks, init_params
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,3 +53,41 @@ def test_forward_calls_sigmoid_through_its_module_global(child, monkeypatch):
     cfg = NetConfig(input_dim=3, n_species=4, hidden_dim=5, n_residual_layers=1)
     forward(init_params(cfg), cfg, np.zeros((2, 3)))
     assert calls == [(2, 4)]
+
+
+def test_memory_tracked_names_run_only_on_the_calling_thread(child, monkeypatch, tmp_path,
+                                                             capsys):
+    """The traced run starts and stops ``tracemalloc`` around each call of a
+    memory-tracked name, which segfaults Python 3.11 when such a name runs
+    on a pool thread. Train an-full and an-ssdl on 2 workers, with the head
+    products in several blocks and the row chunks on a pool thread, then
+    predict: every memory-tracked name runs on the calling thread only."""
+    tracked = [(m, a) for m, a, _, memory, _ in child.WRAPS if memory]
+    assert {a for _, a in tracked} == {"forward", "compute_loss", "backward"}
+    threads = collections.defaultdict(set)
+    for module, attr in tracked:
+        def recorded(*args, _real=getattr(importlib.import_module(module), attr),
+                     _name=f"{module}.{attr}", **kwargs):
+            threads[_name].add(threading.get_ident())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module(module), attr, recorded)
+    monkeypatch.setenv("SINR_THREADS", "2")
+    monkeypatch.setattr(sinr.net, "BLAS_PINNED", "1")
+    monkeypatch.setattr(sinr.net, "GEMM_BLOCK_MACS", sinr.net.SMALL_GEMM_MAX)
+    assert len(gemm_blocks(512, 64 * 2000)) >= 2 and len(gemm_blocks(2000, 512 * 64)) >= 2
+    pool_ran = hand_off_to_a_pool_thread(monkeypatch, "sinr.net", "_sigmoid")
+    obs_path, model = tmp_path / "obs.csv", tmp_path / "m.sinr"
+    rng = np.random.default_rng(0)
+    save_observations(ObservationSet(tuple(f"sp{i:04d}" for i in range(2000)),
+                                     np.arange(2000), rng.uniform(-170, 170, 2000),
+                                     rng.uniform(-80, 80, 2000)), obs_path)
+    for loss in ("an-full", "an-ssdl"):
+        assert main(["train", "--obs", str(obs_path), "--out", str(model), "--loss", loss,
+                     "--batch-size", "256", "--hidden-dim", "64", "--residual-layers", "1",
+                     "--epochs", "1", "--seed", "5"]) == 0
+    assert main(["predict", "--model", str(model), "--species", "sp0001", "--resolution", "3",
+                 "--out", str(tmp_path / "p.csv")]) == 0
+    capsys.readouterr()
+    assert pool_ran.is_set()
+    assert threads == {f"{m}.{a}": {threading.main_thread().ident} for m, a in tracked}

@@ -27,13 +27,13 @@ from sinr.net import (
     NetConfig,
     cast_params,
     forward,
+    gemm_blocks,
     head_columns,
     init_adam,
     init_params,
     model_from_bytes,
     model_to_bytes,
     params_equal,
-    row_blocks,
 )
 from sinr.parallel import row_chunks
 from sinr.train import (
@@ -241,15 +241,17 @@ def test_pseudo_location_stream_usage(tmp_path, obs, variant, consumes):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("variant", list(LossVariant))
 def test_row_blocked_step_matches_the_whole_matrix_step(monkeypatch, variant, dtype):
-    """The step's head runs over row blocks, and its bias, sigmoid, loss and
-    dL/dz over row chunks on 1, 2 or 3 workers; its loss value and gradients
-    must have the bits of the whole-matrix composition.
+    """The step's head products run over row and column blocks, and its
+    bias, sigmoid, loss and dL/dz over row chunks, on 1, 2 or 3 workers; its
+    loss value and gradients must have the bits of the whole-matrix
+    composition.
 
-    The blocks here hold at least 20 rows x 1,000 species over 64 features.
-    OpenBLAS runs an SGEMM of M*N*K <= 1e6 on another kernel, with other
-    rounding; these blocks have M*N*K >= 1.28e6, so each gets the kernel, and
-    so the bits, of the whole product. DGEMM row slices of this shape match
-    the whole product at any row count. The chunks hold 7 rows."""
+    The blocks here hold at least 20 rows x 1,000 species over 64 features,
+    or all rows x at least 96 (slds: 191) species. OpenBLAS runs an SGEMM of
+    M*N*K <= 1e6 on another kernel, with other rounding; these blocks have
+    M*N*K > 1.28e6, so each gets the kernel, and so the bits, of the whole
+    product. DGEMM blocks of this shape match the whole product too. The
+    chunks hold 7 rows."""
     b, s = 105, 1000
     cfg = small_cfg(
         net=NetConfig(input_dim=4, n_species=s, hidden_dim=64, n_residual_layers=2, seed=2),
@@ -261,15 +263,13 @@ def test_row_blocked_step_matches_the_whole_matrix_step(monkeypatch, variant, dt
     n_rows = 2 * b if needs_pseudo_negatives(variant) else b
     x = rng.uniform(-1.0, 1.0, (n_rows, cfg.net.input_dim))
     targets = BatchTargets(rng.integers(0, s, b), s)
-    assert row_blocks(n_rows, s) == [(0, n_rows)]  # the reference's forward is one block
     want_value, want = reference_step(
         params, cfg, x, targets, np.random.default_rng(1), np.random.default_rng(2)
     )
 
-    monkeypatch.setattr(sinr.net, "HEAD_BLOCK_ENTRIES", 20 * s)
-    for rows in (n_rows, b):
-        blocks = row_blocks(rows, s)
-        assert len(blocks) >= 5 and blocks[-1][1] - blocks[-1][0] > 20  # merged remainder
+    monkeypatch.setattr(sinr.net, "BLAS_PINNED", "1")
+    monkeypatch.setattr(sinr.net, "GEMM_BLOCK_MACS", 20 * s * 64)
+    assert len(gemm_blocks(n_rows, s * 64)) >= 5 and len(gemm_blocks(s, n_rows * 64)) >= 5
     monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", 7 * s)
     assert len(row_chunks(b, s)) == 15
     for workers in (1, 2, 3):
@@ -338,8 +338,10 @@ def test_gathered_head_step_matches_the_dense_step(monkeypatch, variant, case, d
     )
 
     if block_rows is not None:
-        monkeypatch.setattr(sinr.net, "HEAD_BLOCK_ENTRIES", block_rows * len(columns))
-        assert len(row_blocks(2 * b, n_cols)) >= 5 and len(row_blocks(b, n_cols)) >= 3
+        monkeypatch.setattr(sinr.net, "BLAS_PINNED", "1")
+        monkeypatch.setattr(sinr.net, "GEMM_BLOCK_MACS", block_rows * n_cols * 64 - 1)
+        assert len(gemm_blocks(2 * b, n_cols * 64)) >= 5
+        assert len(gemm_blocks(n_cols, 2 * b * 64)) >= 5
     calls = []
     monkeypatch.setattr(importlib.import_module("sinr.train"), "forward",
                         lambda *a, **k: calls.append(k) or forward(*a, **k))
