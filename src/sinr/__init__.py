@@ -43,7 +43,6 @@ from .evaluate import (
     GeoFeatureResult,
     GeoPriorResult,
     GridBaselineModel,
-    GridBaselinePredictor,
     MapResult,
     RidgeCvResult,
     average_precision,

@@ -28,11 +28,11 @@ from .data import (
 )
 from .evaluate import (
     EvalGrid,
-    GridBaselinePredictor,
     f1_max_threshold,
     geo_feature_task,
     geo_prior_delta,
     grid_baseline_fit,
+    grid_baseline_scores,
     load_classifier_scores,
     load_eval_grid,
     map_task,
@@ -52,8 +52,6 @@ from .train import TrainConfig, TrainingDivergedError, resume, train
 from .util import atomic_write, seed_u64
 
 _PREDICT_CHUNK = 65536
-#: Indices into the ``(features, y_hat)`` pair that :func:`forward` returns.
-_FEATURES, _SCORES = 0, 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,31 +133,26 @@ def _open_model(args) -> tuple[ModelFile, EnvRasterStack | None]:
     return model, env
 
 
-def _model_fn(model: ModelFile, env: EnvRasterStack | None, output: int,
-              column: int | None = None):
-    """Chunked eval-mode forward over coordinate arrays, keeping one output:
-    ``_FEATURES`` -> (n, feature_dim) or ``_SCORES`` -> (n, n_species), or
-    with ``column`` that species' scores, (n,), for which each chunk computes
-    only the head columns :func:`head_columns` plans."""
+def _model_fn(model: ModelFile, env: EnvRasterStack | None, columns=None):
+    """Chunked eval-mode forward over coordinate arrays: with ``columns=None``
+    the features, (n, feature_dim); given a sequence of catalog indices, their
+    scores, (n, len(columns)) in that order. Each chunk computes only the head
+    columns :func:`head_columns` plans for those (padding alone for features)."""
     cfg = model.cfg
-    empty = (0,) if column is not None else (0, (cfg.feature_dim, cfg.n_species)[output])
+    wanted = np.asarray(() if columns is None else columns, dtype=np.int64)
 
     def run(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
         lons = np.asarray(lons, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
         outs = []
-        for start in range(0, lons.size, _PREDICT_CHUNK):
+        for start in range(0, max(lons.size, 1), _PREDICT_CHUNK):  # no rows: one empty chunk
             sl = slice(start, start + _PREDICT_CHUNK)
             x = assemble_inputs(lons[sl], lats[sl], model.input_layout, env)
-            if column is None:
-                outs.append(forward(model.params, cfg, x, mode="eval")[output])
-            else:
-                cols = head_columns([column], len(x), cfg.feature_dim, cfg.n_species)
-                y = forward(model.params, cfg, x, mode="eval", columns=cols)[_SCORES]
-                outs.append(y[:, column if cols is None else np.searchsorted(cols, column)])
-        if len(outs) == 1:  # one chunk: concatenate would only copy it
-            return outs[0]
-        return np.concatenate(outs) if outs else np.empty(empty)
+            cols = head_columns(wanted, len(x), cfg.feature_dim, cfg.n_species)
+            feats, y = forward(model.params, cfg, x, mode="eval", columns=cols)
+            pick = wanted if cols is None else np.searchsorted(cols, wanted)
+            outs.append(feats if columns is None else y[:, pick])
+        return outs[0] if len(outs) == 1 else np.concatenate(outs)  # one chunk: no copy
 
     return run
 
@@ -182,7 +175,7 @@ def _species_scores_on_grid(
             f"({len(model.species_ids)} species)"
         )
     column = model.species_ids.index(species_id)
-    return _model_fn(model, env, _SCORES, column)(*cell_centroids(grid))
+    return _model_fn(model, env, [column])(*cell_centroids(grid))[:, 0]
 
 
 def _write_cell_scores(path, grid: GridSpec, scores: np.ndarray) -> None:
@@ -408,48 +401,52 @@ def cmd_export_raster(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eval_predictor(args, mode_for_grid: str):
-    """Resolve --model/--baseline into (predictor with species_ids, label)."""
+def _eval_predictor(args, mode: str, wanted_ids):
+    """Resolve --model/--baseline into (predictor, label). The predictor's
+    ``species_ids`` are the ``wanted_ids`` it knows, in that order, and it
+    scores exactly those."""
     baseline = args.baseline
     if baseline is not None and baseline[0] == "grid":
         if args.obs is None:
             args.parser.error("--baseline grid:RES requires --obs")
-        obs = _load_obs(args.obs)
-        model = grid_baseline_fit(obs, GridSpec(baseline[1]))
-        return GridBaselinePredictor(model, mode_for_grid), f"grid:{baseline[1]}"
-    if args.model is None:
-        args.parser.error("need --model (or --baseline grid:RES)")
-    model, env = _open_model(args)
-    if baseline is not None and baseline[0] == "lr":
-        if not model.cfg.identity_encoder:
-            raise ValueError(
-                "--baseline lr expects a model trained with --identity-encoder"
-            )
-    if not model.species_ids:
-        raise ValueError("model file carries no species catalog; cannot align species")
-    label = "lr" if baseline is not None else "model"
-    return _NamedPredictor(model.species_ids, _model_fn(model, env, _SCORES)), label
+        model = grid_baseline_fit(_load_obs(args.obs), GridSpec(baseline[1]))
+        label = f"grid:{baseline[1]}"
+
+        def scorer(cols):
+            return lambda lons, lats: grid_baseline_scores(model, lons, lats, mode)[:, cols]
+    else:
+        if args.model is None:
+            args.parser.error("need --model (or --baseline grid:RES)")
+        model, env = _open_model(args)
+        if baseline is not None and not model.cfg.identity_encoder:
+            raise ValueError("--baseline lr expects a model trained with --identity-encoder")
+        if not model.species_ids:
+            raise ValueError("model file carries no species catalog; cannot align species")
+        label = "lr" if baseline is not None else "model"
+
+        def scorer(cols):
+            return _model_fn(model, env, cols)
+    catalog = {s: i for i, s in enumerate(model.species_ids)}
+    ids = tuple(s for s in wanted_ids if s in catalog)
+    return _NamedPredictor(ids, scorer([catalog[s] for s in ids])), label
 
 
 def cmd_eval_map(args) -> int:
     eval_grid = load_eval_grid(args.grid)
-    predictor, label = _eval_predictor(args, mode_for_grid="ratio")
+    predictor, label = _eval_predictor(args, "ratio", eval_grid.species_ids)
+    if not predictor.species_ids:
+        raise ValueError("no evaluation species is known to the predictor")
     known = set(predictor.species_ids)
     missing = [s for s in eval_grid.species_ids if s not in known]
-    usable = [s for s in eval_grid.species_ids if s in known]
-    if not usable:
-        raise ValueError("no evaluation species is known to the predictor")
-    restricted = eval_grid.restrict(usable)
-    col = {s: i for i, s in enumerate(predictor.species_ids)}
-    cols = [col[s] for s in restricted.species_ids]
+    restricted = eval_grid.restrict(predictor.species_ids)
 
     scored = []  # the one (lons, lats, scores) query map_task makes, reused by --dump-cells
 
-    def aligned(lons, lats):
-        scored.append((lons, lats, np.asarray(predictor(lons, lats))[:, cols]))
+    def recorded(lons, lats):
+        scored.append((lons, lats, predictor(lons, lats)))
         return scored[-1][2]
 
-    result = map_task(aligned, restricted)
+    result = map_task(recorded, restricted)
 
     if args.dump_cells:
         cells = np.flatnonzero((restricted.labels != -1).any(axis=0))
@@ -482,7 +479,8 @@ def cmd_eval_map(args) -> int:
 
 def cmd_eval_geoprior(args) -> int:
     score_set = load_classifier_scores(args.scores)
-    predictor, label = _eval_predictor(args, mode_for_grid="indicator")
+    wanted = dict.fromkeys(s for rec in score_set.records for s in rec.candidates)
+    predictor, label = _eval_predictor(args, "indicator", wanted)
     result = geo_prior_delta(score_set, predictor)
     with atomic_write(args.report, newline="") as fh:
         writer = csv.writer(fh)
@@ -518,7 +516,8 @@ def cmd_eval_geofeature(args) -> int:
         raise ValueError("raster stack has too few fully observed cells to split")
     rng = np.random.default_rng(seed_u64(args.split_seed))
     perm = rng.permutation(cells.size)
-    n_train = int(round(cells.size * args.train_frac))
+    frac = args.train_frac  # outside (0, 1), nan and inf included, no split is possible
+    n_train = int(round(cells.size * frac)) if 0 < frac < 1 else 0
     if n_train < 1 or n_train >= cells.size:
         raise ValueError(
             f"--train-frac {args.train_frac} leaves an empty train or test split"
@@ -527,7 +526,7 @@ def cmd_eval_geofeature(args) -> int:
     test_cells = cells[perm[n_train:]]
 
     result = geo_feature_task(
-        _model_fn(model, stack, _FEATURES), stack, train_cells, test_cells
+        _model_fn(model, stack), stack, train_cells, test_cells
     )
     with atomic_write(args.report, newline="") as fh:
         writer = csv.writer(fh)

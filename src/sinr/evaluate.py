@@ -13,8 +13,12 @@ Four protocols:
 Plus the discretized-grid baseline, which counts observations per cell and
 predicts either a normalized ratio or a binary indicator.
 
-Predictors enter as callables mapping coordinate arrays to a score matrix;
-anything with that shape works (network, baseline, oracle).
+A predictor maps coordinate arrays ``(lons, lats)`` of length n to an (n, k)
+score matrix, one column per species in a fixed order: the evaluation grid's
+species for :func:`map_task`; for :func:`geo_prior_delta`, the
+:class:`SpeciesPredictor`'s ``species_ids``, which need cover only the
+candidate species. Each task queries it once, so a predictor that computes
+only those k columns holds n x k scores, whatever the size of its catalog.
 """
 
 from __future__ import annotations
@@ -622,21 +626,6 @@ def grid_baseline_scores(
         return (counts > 0).astype(np.float64)
     denom = np.where(model.max_counts > 0, model.max_counts, 1).astype(np.float64)
     return counts / denom
-
-
-@dataclass(frozen=True)
-class GridBaselinePredictor:
-    """Adapter giving a :class:`GridBaselineModel` the predictor interface."""
-
-    model: GridBaselineModel
-    mode: str
-
-    @property
-    def species_ids(self) -> tuple[str, ...]:
-        return self.model.species_ids
-
-    def __call__(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-        return grid_baseline_scores(self.model, lons, lats, self.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,10 @@ def head_columns(needed, n_rows: int, n_feat: int, n_species: int) -> np.ndarray
     the dense product's GEMM kernel, and so its bits. A 1-column product runs
     GEMV and one of M*N*K <= ``SMALL_GEMM_MAX`` the small-matrix kernel, both
     with other rounding. ``None`` (every column) when the count reaches
-    ``n_species``."""
+    ``n_species``, and for fewer than 2 rows: a 1-row product runs GEMV,
+    which rounds a column by its place in the column block."""
+    if n_rows < 2:
+        return None
     cols = np.unique(np.asarray(needed, dtype=np.int64))
     count = max(cols.size, 2, SMALL_GEMM_MAX // (n_rows * n_feat) + 1)
     if count >= n_species:

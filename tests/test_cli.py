@@ -23,7 +23,13 @@ from sinr.data import (
     save_observations,
     write_env_raster,
 )
-from sinr.evaluate import EvalGrid, save_eval_grid
+from sinr.evaluate import (
+    EvalGrid,
+    geo_prior_delta,
+    load_classifier_scores,
+    map_task,
+    save_eval_grid,
+)
 from sinr.geo import GridSpec, InputLayout, cell_centroids, input_dim
 from sinr.losses import LossConfig, LossVariant
 from sinr.net import (
@@ -844,6 +850,116 @@ def test_eval_map_dump_cells_runs_the_model_once(tmp_path, capsys, monkeypatch):
     assert len(dump.read_text().strip().splitlines()) == 201
 
 
+def test_eval_map_grid_baseline_scores_the_grid_species_in_grid_order(tmp_path, capsys):
+    """The grid baseline scores the evaluation species it knows in the grid's
+    order, not in its own catalog order."""
+    obs_path, _ = grid_fixture(tmp_path)
+    grid = GridSpec(2)
+    labels = np.full((3, grid.n_cells), -1, dtype=np.int8)
+    labels[:, [0, 5]] = [[0, 1], [1, 0], [1, 0]]
+    grid_path = tmp_path / "reordered.evalgrid"
+    save_eval_grid(EvalGrid(grid, ("b", "zz", "a"), labels), grid_path)
+    report, dump = tmp_path / "map.csv", tmp_path / "cells.csv"
+    assert main(["eval", "map", "--baseline", "grid:2", "--obs", str(obs_path),
+                 "--grid", str(grid_path), "--report", str(report),
+                 "--dump-cells", str(dump)]) == 0
+    capsys.readouterr()
+    assert report.read_text().splitlines() == [
+        "species_id,ap,status", "b,1.0,ok", "a,1.0,ok", "zz,,not in predictor", "MAP,1.0,n=2",
+    ]
+    lons, lats = cell_centroids(grid, np.array([0, 5]))
+    assert dump.read_text().splitlines() == [
+        "cell,lon,lat,b,a",
+        f"0,{float(lons[0])!r},{float(lats[0])!r},0.0,1.0",
+        f"5,{float(lons[1])!r},{float(lats[1])!r},1.0,0.0",
+    ]
+
+
+def test_evals_at_a_gathered_width_match_in_process_dense_forward(tmp_path, monkeypatch,
+                                                                  capsys):
+    """At 4,000 species and 256 features eval map and eval geoprior compute a
+    few head columns per forward, yet write the bytes of the dense head; a
+    one-record geoprior runs the whole head (1-row products round by column
+    position)."""
+    s = 4000
+    cfg = NetConfig(input_dim=4, n_species=s, hidden_dim=256, n_residual_layers=1,
+                    dropout_p=0.0, seed=8)
+    params = init_params(cfg)
+    params = NetParams.from_flat(params.flat()[:-1] + [np.linspace(-2, 2, s, dtype=np.float32)])
+    species = tuple(f"sp{i:04d}" for i in range(s))
+    model_path = tmp_path / "m.sinr"
+    save_model(params, cfg, model_path, species_ids=species)
+    model = read_model_file(model_path)
+
+    def dense(lons, lats):
+        return forward(model.params, model.cfg, assemble_inputs(lons, lats, InputLayout.COORDS,
+                                                                None))[1]
+
+    dense.species_ids = species
+    rng = np.random.default_rng(8)
+    grid = GridSpec(30)
+    eval_ids = ("sp3999", "sp0007", "unknown", "sp2500", "sp0000", "sp1234")
+    labels = np.full((len(eval_ids), grid.n_cells), -1, dtype=np.int8)
+    cells = np.sort(rng.choice(grid.n_cells, 300, replace=False))
+    labels[:, cells] = rng.integers(0, 2, (len(eval_ids), cells.size))
+    labels[5, cells] = 1  # no valid absence: skipped
+    eval_grid = EvalGrid(grid, eval_ids, labels)
+    grid_path = tmp_path / "g.evalgrid"
+    save_eval_grid(eval_grid, grid_path)
+    known = [sid for sid in eval_ids if sid in species]
+    lons, lats = cell_centroids(grid, cells)
+    y = dense(lons, lats)[:, [species.index(sid) for sid in known]]
+    result = map_task(lambda lo, la: y, eval_grid.restrict(known))
+    want_report = (["species_id,ap,status"] + [f"{sid},{ap!r},ok" for sid, ap in result.per_species]
+                   + [f"{sid},,{why}" for sid, why in result.skipped]
+                   + ["unknown,,not in predictor", f"MAP,{result.mean_ap!r},n=4"])
+    want_dump = [",".join(["cell", "lon", "lat", *known])] + [
+        ",".join([str(c), repr(float(lons[i])), repr(float(lats[i]))]
+                 + [repr(float(v)) for v in y[i]])
+        for i, c in enumerate(cells)
+    ]
+
+    cli_module = importlib.import_module("sinr.cli")
+    widths = []
+
+    def recording(*args, _real=cli_module.forward, **kwargs):
+        out = _real(*args, **kwargs)
+        widths.append(out[1].shape[1])
+        return out
+
+    monkeypatch.setattr(cli_module, "forward", recording)
+    report, dump = tmp_path / "map.csv", tmp_path / "cells.csv"
+    assert main(["eval", "map", "--model", str(model_path), "--grid", str(grid_path),
+                 "--report", str(report), "--dump-cells", str(dump)]) == 0
+    assert report.read_text().splitlines() == want_report
+    assert dump.read_text().splitlines() == want_dump
+    assert len(widths) == 1 and widths[0] < s
+
+    lines = []
+    for r in range(40):
+        cands = rng.choice(s, 5, replace=False)
+        fields = [f"sp{c:04d}:{rng.random()!r}" for c in cands] + [f"other:{rng.random()!r}"]
+        lines.append(",".join([f"r{r}", f"sp{cands[0]:04d}", repr(rng.uniform(-180, 180)),
+                               repr(rng.uniform(-90, 90)), *fields]))
+    for name, body, wide in [("many", lines, False), ("one", lines[:1], True)]:
+        scores_path = tmp_path / f"{name}.csv"
+        scores_path.write_text("\n".join(body) + "\n")
+        gp = geo_prior_delta(load_classifier_scores(scores_path), dense)
+        want = (["record_id,true_species,baseline_top1,weighted_top1"]
+                + [",".join(pick) for pick in gp.picks]
+                + [f"DELTA,{gp.delta_points!r},{gp.baseline_acc!r},{gp.weighted_acc!r}"])
+        widths.clear()
+        out = tmp_path / f"gp_{name}.csv"
+        assert main(["eval", "geoprior", "--model", str(model_path),
+                     "--scores", str(scores_path), "--report", str(out)]) == 0
+        assert out.read_text().splitlines() == want
+        if wide:
+            assert widths == [s]
+        else:
+            assert len(widths) == 1 and widths[0] < s and gp.weighted_acc != gp.baseline_acc
+    capsys.readouterr()
+
+
 def test_eval_geoprior_flat_model_changes_nothing(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text(
@@ -901,6 +1017,20 @@ def test_eval_geofeature_end_to_end(tmp_path, capsys):
     assert rows_[-1].startswith("MEAN,")
     mean_r2 = float(rows_[-1].split(",")[1])
     assert mean_r2 > 0.999
+
+
+@pytest.mark.parametrize("frac", ["inf", "nan", "0", "1", "-0.5"])
+def test_eval_geofeature_rejects_a_train_frac_outside_0_1(tmp_path, capsys, frac):
+    write_env_raster(tmp_path / "t.env", np.arange(32.0).reshape(4, 8), (-180, 180, -90, 90))
+    model_path = tmp_path / "id.sinr"
+    flat_model(model_path, species=("s",), identity=True)
+    assert main(["eval", "geofeature", "--model", str(model_path),
+                 "--env-raster", str(tmp_path / "t.env"), "--report", str(tmp_path / "gf.csv"),
+                 "--train-frac", frac]) == 1
+    err = capsys.readouterr().err
+    assert f"--train-frac {float(frac)} leaves an empty train or test split" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "gf.csv").exists()
 
 
 def test_eval_geofeature_rejects_baseline(tmp_path, capsys):

@@ -10,7 +10,6 @@ from sinr.evaluate import (
     ClassifierRecord,
     ClassifierScoreSet,
     EvalGrid,
-    GridBaselinePredictor,
     average_precision,
     f1_at_threshold,
     f1_max_threshold,
@@ -609,14 +608,6 @@ def test_grid_baseline_counts_match_cell_assignment():
     for i in range(300):
         assert model.counts[cells[i], species[i]] >= 1
     assert model.counts.sum() == 300
-
-
-def test_grid_baseline_predictor_adapter():
-    obs, grid = three_cell_obs()
-    predictor = GridBaselinePredictor(grid_baseline_fit(obs, grid), "ratio")
-    assert predictor.species_ids == ("x", "never")
-    lons, lats = cell_centroids(grid, np.array([0]))
-    np.testing.assert_allclose(predictor(lons, lats), [[1.0, 0.0]])
 
 
 def test_grid_baseline_rejects_unknown_mode():

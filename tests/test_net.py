@@ -377,6 +377,24 @@ def test_head_columns_pad_past_the_small_gemm_kernel():
                 assert np.array_equal(pad, free[: pad.size])
 
 
+def test_one_row_head_keeps_the_dense_bits():
+    """A 1-row head product runs GEMV, which rounds a column by its place in
+    the column block: one row computes every column, whatever is read."""
+    cfg = NetConfig(input_dim=4, n_species=10_000, hidden_dim=256, n_residual_layers=1,
+                    dropout_p=0.0, seed=5)
+    params = init_params(cfg)
+    x = np.random.default_rng(5).uniform(-1, 1, (1, 4))
+    _, dense = forward(params, cfg, x)
+    rng = np.random.default_rng(6)
+    for n_needed in (7, 40):
+        needed = np.sort(rng.choice(cfg.n_species, n_needed, replace=False))
+        cols = head_columns(needed, 1, cfg.feature_dim, cfg.n_species)
+        _, y = forward(params, cfg, x, columns=cols)
+        picked = y[:, needed if cols is None else np.searchsorted(cols, needed)]
+        assert np.array_equal(picked.view(np.uint32), dense[:, needed].view(np.uint32))
+    assert head_columns([3], 0, 256, 10_000) is None
+
+
 def test_forward_validates_inputs():
     cfg = NetConfig(input_dim=4, n_species=2, hidden_dim=4, n_residual_layers=1)
     params = init_params(cfg)
