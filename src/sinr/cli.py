@@ -179,13 +179,12 @@ def _species_scores_on_grid(
 
 
 def _write_cell_scores(path, grid: GridSpec, scores: np.ndarray) -> None:
-    """``lon,lat,score`` rows in cell order, floats written with ``repr``."""
+    """``lon,lat,score`` rows in cell order, floats written with ``repr``, in
+    one write; the bytes of ``csv.writer`` (no field needs quoting)."""
     lons, lats = cell_centroids(grid)
+    rows = map("{!r},{!r},{!r}\r\n".format, lons.tolist(), lats.tolist(), scores.tolist())
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lon", "lat", "score"])
-        for i in range(grid.n_cells):
-            writer.writerow([repr(float(lons[i])), repr(float(lats[i])), repr(float(scores[i]))])
+        fh.write("lon,lat,score\r\n" + "".join(rows))
 
 
 def _load_obs(path) -> ObservationSet:
@@ -452,13 +451,11 @@ def cmd_eval_map(args) -> int:
         cells = np.flatnonzero((restricted.labels != -1).any(axis=0))
         [(lons, lats, scores)] = scored
         with atomic_write(args.dump_cells, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cell", "lon", "lat", *restricted.species_ids])
-            for i, cell in enumerate(cells):
-                writer.writerow(
-                    [int(cell), repr(float(lons[i])), repr(float(lats[i]))]
-                    + [repr(float(v)) for v in scores[i]]
-                )
+            csv.writer(fh).writerow(["cell", "lon", "lat", *restricted.species_ids])
+            # numbers need no quoting: each row is csv.writer's bytes
+            for cell, lon, lat, row in zip(cells.tolist(), lons.tolist(), lats.tolist(),
+                                           scores.tolist()):
+                fh.write(f"{cell},{lon!r},{lat!r},{','.join(map(repr, row))}\r\n")
 
     with atomic_write(args.report, newline="") as fh:
         writer = csv.writer(fh)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .geo import InputLayout
-from .parallel import BLAS_PINNED, map_ranges, row_chunks
+from .parallel import BLAS_PINNED, CHUNK_ENTRIES, map_ranges, row_chunks
 from .util import atomic_write, seed_u64
 
 ADAM_BETA1 = 0.9
@@ -237,15 +237,33 @@ GEMM_BLOCK_MACS = 1 << 25
 GEMM_MAX_BLOCKS = 8
 
 
+def _near_equal(n: int, least: int, most: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` ranges of ``[0, n)``: ``i * n // count`` splits into
+    at most ``most`` ranges of at least ``least``, else the one range
+    ``(0, n)``, which is also the plan when BLAS is not pinned to one thread
+    (its own threads then run each product whole)."""
+    count = max(1, min(most, n // least)) if BLAS_PINNED == "1" else 1
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
 def gemm_blocks(n: int, line_macs: int) -> list[tuple[int, int]]:
     """``(start, stop)`` ranges that split a head product along an axis of
     ``n`` rows or columns, each costing ``line_macs`` multiply-adds: at most
     ``GEMM_MAX_BLOCKS`` near-equal blocks, each at least 2 wide and past
     ``GEMM_BLOCK_MACS``, else the one block ``(0, n)``. Also one block when
     BLAS is not pinned to one thread: its own threads then run the product."""
-    least = max(2, GEMM_BLOCK_MACS // max(line_macs, 1) + 1)
-    count = max(1, min(GEMM_MAX_BLOCKS, n // least)) if BLAS_PINNED == "1" else 1
-    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
+    return _near_equal(n, max(2, GEMM_BLOCK_MACS // max(line_macs, 1) + 1), GEMM_MAX_BLOCKS)
+
+
+def encoder_tiles(n: int, hidden_dim: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` row tiles in which the residual blocks of an
+    ``n``-row batch run: near-equal tiles of about ``CHUNK_ENTRIES //
+    hidden_dim`` rows, each at least 2 rows and with each block product
+    (``hidden_dim`` by ``hidden_dim``) past ``GEMM_BLOCK_MACS``, so every
+    tile's GEMMs take the whole product's kernel and bits; else the one tile
+    ``(0, n)``, also when BLAS is not pinned to one thread."""
+    least = max(2, CHUNK_ENTRIES // hidden_dim, GEMM_BLOCK_MACS // hidden_dim**2 + 1)
+    return _near_equal(n, least, n)
 
 
 def head_columns(needed, n_rows: int, n_feat: int, n_species: int) -> np.ndarray | None:
@@ -276,6 +294,48 @@ def logit_grad_in_place(y: np.ndarray, d_y: np.ndarray) -> np.ndarray:
     return np.multiply(d_y, dz, out=y)
 
 
+def _encode(params: NetParams, x: np.ndarray, dropout_p: float,
+            rng: np.random.Generator | None, cache: ForwardCache | None) -> np.ndarray:
+    """The location encoder's features for ``x``. The input layer runs as one
+    product. With ``dropout_p > 0`` one mask per block is drawn from ``rng``,
+    whole and in block order. Then every residual block runs on one row tile
+    at a time (:func:`encoder_tiles`), the tiles spread over the workers, with
+    each array's bits those of the whole-array computation. With a ``cache``
+    the tiles write its arrays; without one, a tile keeps tile-sized
+    temporaries and the features overwrite the input layer's output."""
+    a = x @ params.w_in + params.b_in
+    blocks = params.blocks
+    keep = 1.0 - dropout_p
+    dtype = a.dtype
+    masks = [(rng.random(size=a.shape) < keep).astype(dtype) / dtype.type(keep)
+             for _ in blocks] if dropout_p > 0.0 else []
+    if cache is None:
+        hs, store = [a], None
+    else:
+        hs = [np.empty_like(a) for _ in range(len(blocks) + 1)]
+        cache.a_in, cache.block_h_in = a, hs[:-1]
+        cache.block_u, cache.block_d, cache.block_v = store = tuple(
+            [np.empty_like(a) for _ in blocks] for _ in range(3))
+        cache.block_mask = masks or [None] * len(blocks)
+
+    def tile(r0: int, r1: int) -> None:
+        h = np.maximum(a[r0:r1], 0, out=hs[0][r0:r1])
+        for i, blk in enumerate(blocks):
+            u_out, d_out, v_out = (None,) * 3 if store is None else (s[i][r0:r1] for s in store)
+            u = np.matmul(h, blk.w1, out=u_out)
+            u += blk.b1
+            d = np.maximum(u, 0, out=u if d_out is None else d_out)
+            if masks:
+                d *= masks[i][r0:r1]
+            v = np.matmul(d, blk.w2, out=v_out)
+            v += blk.b2
+            relu_v = np.maximum(v, 0, out=v if v_out is None else None)
+            h = np.add(h, relu_v, out=h if store is None else hs[i + 1][r0:r1])
+
+    map_ranges(tile, encoder_tiles(*a.shape))
+    return hs[-1]
+
+
 def forward(
     params: NetParams,
     cfg: NetConfig,
@@ -291,9 +351,10 @@ def forward(
     ``return_cache`` is set; ``y_hat`` has every species, or the head
     ``columns`` given (see :func:`head_columns`). In ``"train"`` mode with
     ``dropout_p > 0`` an inverted-dropout mask (kept units scaled by
-    ``1/(1-p)``) is drawn from ``rng`` inside each residual block, one mask per
+    ``1/(1-p)``) is drawn from ``rng`` for each residual block, one mask per
     block in block order; in ``"eval"`` mode dropout is disabled and no random
-    numbers are consumed.
+    numbers are consumed. The residual blocks run in row tiles on the
+    workers (see :func:`encoder_tiles`).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -312,27 +373,8 @@ def forward(
     if cfg.identity_encoder:
         h = x
     else:
-        a = x @ params.w_in + params.b_in
-        cache.a_in = a
-        h = np.maximum(a, 0)
-        keep = 1.0 - cfg.dropout_p
-        for blk in params.blocks:
-            u = h @ blk.w1 + blk.b1
-            r = np.maximum(u, 0)
-            if use_dropout:
-                mask = (rng.random(size=r.shape) < keep).astype(dtype) / dtype.type(keep)
-                d = r * mask
-            else:
-                mask = None
-                d = r
-            v = d @ blk.w2 + blk.b2
-            if return_cache:  # else each block's arrays are freed by the next block
-                cache.block_h_in.append(h)
-                cache.block_u.append(u)
-                cache.block_d.append(d)
-                cache.block_v.append(v)
-                cache.block_mask.append(mask)
-            h = h + np.maximum(v, 0)
+        h = _encode(params, x, cfg.dropout_p if use_dropout else 0.0, rng,
+                    cache if return_cache else None)
     w_head, b_head = params.w_head, params.b_head
     if columns is not None:
         w_head, b_head = w_head[:, columns], b_head[columns]
@@ -456,14 +498,28 @@ def adam_step(
     t = state.t + 1
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    new_m = _map_arrays(lambda m, g: beta1 * m + (1.0 - beta1) * g, state.m, grads)
-    new_v = _map_arrays(lambda v, g: beta2 * v + (1.0 - beta2) * g * g, state.v, grads)
-    new_p = _map_arrays(
-        lambda p, m, v: p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps),
-        params,
-        new_m,
-        new_v,
-    )
+    new_m, new_v, new_p = [], [], []
+    # p - lr * (m / bc1) / (sqrt(v / bc2) + eps), after m = beta1 * m + (1 -
+    # beta1) * g and v = beta2 * v + (1 - beta2) * g * g: the same operations
+    # in the same order, with two temporaries per array
+    for p, m, v, g in zip(params.flat(), state.m.flat(), state.v.flat(), grads.flat()):
+        tmp = np.multiply(g, 1.0 - beta1)
+        m = np.multiply(m, beta1)
+        m += tmp
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        tmp *= g
+        v = np.multiply(v, beta2)
+        v += tmp
+        step = np.divide(m, bc1)
+        step *= lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step /= tmp
+        new_m.append(m)
+        new_v.append(v)
+        new_p.append(np.subtract(p, step, out=step))
+    new_m, new_v, new_p = map(NetParams.from_flat, (new_m, new_v, new_p))
     for p in new_p.flat():
         if not np.all(np.isfinite(p)):
             raise NonFiniteGradientError(
@@ -483,6 +539,7 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sIIIIIIIdq")
+_U16 = struct.Struct("<H")
 
 
 @dataclass(frozen=True)
@@ -547,6 +604,23 @@ class _Reader:
         self.pos += n
         return chunk
 
+    def species_ids(self, count: int) -> list[str]:
+        """``count`` ids, each a u16 UTF-8 byte length and the bytes."""
+        buf, pos, ids = self.buf, self.pos, []
+        for _ in range(count):
+            ln = _U16.unpack_from(buf, pos)[0] if pos + 2 <= len(buf) else 0
+            if pos + 2 + ln > len(buf):  # the truncation error of reading each field
+                self.pos = pos
+                self.take(2)
+                self.take(ln)
+            try:
+                ids.append(buf[pos + 2 : pos + 2 + ln].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ModelFormatError(f"species id {len(ids)} is not valid UTF-8") from exc
+            pos += 2 + ln
+        self.pos = pos
+        return ids
+
     def params(self, cfg: NetConfig) -> NetParams:
         """Read one float32 parameter tree shaped for ``cfg``."""
         arrays = []
@@ -582,13 +656,7 @@ def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
         raise ModelFormatError(f"invalid configuration in model file: {exc}") from exc
 
     (n_ids,) = struct.unpack("<I", r.take(4))
-    ids = []
-    for _ in range(n_ids):
-        (ln,) = struct.unpack("<H", r.take(2))
-        try:
-            ids.append(r.take(ln).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"species id {len(ids)} is not valid UTF-8") from exc
+    ids = r.species_ids(n_ids)
     if len(set(ids)) != len(ids):
         raise ModelFormatError("species catalog contains duplicate ids")
 
@@ -677,6 +745,7 @@ __all__ = [
     "adam_step",
     "backward",
     "cast_params",
+    "encoder_tiles",
     "forward",
     "gemm_blocks",
     "head_columns",

@@ -25,7 +25,15 @@ from sinr.losses import (
     draw_j_prime,
     needs_pseudo_negatives,
 )
-from sinr.net import NetConfig, NetParams, backward, forward, init_params, logit_grad_in_place
+from sinr.net import (
+    ForwardCache,
+    NetConfig,
+    NetParams,
+    backward,
+    forward,
+    init_params,
+    logit_grad_in_place,
+)
 
 
 def hand_off_to_a_pool_thread(monkeypatch, module: str, attr: str) -> threading.Event:
@@ -178,6 +186,36 @@ def composed_grads(params: NetParams, cfg: NetConfig, x_all, b, variant, targets
     else:
         d_all = d_y
     return backward(params, cfg, cache, d_z=logit_grad_in_place(y_all, d_all))
+
+
+def reference_encoder(params: NetParams, cfg: NetConfig, x, mode: str = "eval",
+                      rng: np.random.Generator | None = None):
+    """``(features, cache)`` of the location encoder on whole arrays: the
+    input layer, then each residual block in turn over every row, its dropout
+    mask (in train mode) drawn from ``rng`` as the block runs."""
+    dtype = params.w_head.dtype
+    x = np.asarray(x).astype(dtype, copy=False)
+    a = x @ params.w_in + params.b_in
+    cache = ForwardCache(x=x, a_in=a)
+    h = np.maximum(a, 0)
+    keep = 1.0 - cfg.dropout_p
+    for blk in params.blocks:
+        u = h @ blk.w1 + blk.b1
+        r = np.maximum(u, 0)
+        if mode == "train" and cfg.dropout_p > 0.0:
+            mask = (rng.random(size=r.shape) < keep).astype(dtype) / dtype.type(keep)
+            d = r * mask
+        else:
+            mask, d = None, r
+        v = d @ blk.w2 + blk.b2
+        cache.block_h_in.append(h)
+        cache.block_u.append(u)
+        cache.block_d.append(d)
+        cache.block_v.append(v)
+        cache.block_mask.append(mask)
+        h = h + np.maximum(v, 0)
+    cache.features = h
+    return h, cache
 
 
 def reference_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):

@@ -1,7 +1,10 @@
 """End-to-end command-line workflows: training, prediction, raster export,
 evaluation reports, and exit-code conventions."""
 
+import csv
+import dataclasses
 import importlib
+import io
 import itertools
 import os
 import platform
@@ -14,7 +17,7 @@ import pytest
 
 import sinr
 from helpers import hand_off_to_a_pool_thread
-from sinr.cli import main, read_manifest, write_manifest, write_pgm
+from sinr.cli import _write_cell_scores, main, read_manifest, write_manifest, write_pgm
 from sinr.data import (
     ObservationSet,
     assemble_inputs,
@@ -756,6 +759,30 @@ def test_export_raster_csv_sidecar(tmp_path, capsys):
     assert all(r.endswith("0.5") for r in rows[1:])
 
 
+def _csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def test_cell_scores_are_csv_writer_bytes(tmp_path):
+    """``lon,lat,score`` rows, written at once, are the bytes csv.writer gives
+    (``\\r\\n`` line ends), over a grid with negative coordinates."""
+    grid = GridSpec(3)
+    scores = np.random.default_rng(0).uniform(0, 1, grid.n_cells).astype(np.float32)
+    scores[:3] = [0.0, 1.0, np.float32(1e-30)]
+    path = tmp_path / "cells.csv"
+    _write_cell_scores(path, grid, scores)
+    lons, lats = cell_centroids(grid)
+    want = _csv_writer_bytes(["lon", "lat", "score"],
+                             [[repr(float(lons[i])), repr(float(lats[i])), repr(float(scores[i]))]
+                              for i in range(grid.n_cells)])
+    assert min(lons) < 0 and min(lats) < 0
+    assert path.read_bytes() == want
+
+
 def test_write_pgm_row_order(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(path, np.array([[0, 1], [2, 3]]))
@@ -827,8 +854,10 @@ def test_eval_map_dump_cells(tmp_path, capsys):
 
 def test_eval_map_dump_cells_runs_the_model_once(tmp_path, capsys, monkeypatch):
     obs_path, grid_path = grid_fixture(tmp_path)
-    model_path = tmp_path / "flat.sinr"
-    flat_model(model_path, species=("a", "b"))
+    model_path = tmp_path / "model.sinr"
+    cfg = NetConfig(input_dim=4, n_species=2, hidden_dim=8, n_residual_layers=1, seed=5)
+    params = dataclasses.replace(init_params(cfg), b_head=np.array([-0.5, 0.5], np.float32))
+    save_model(params, cfg, model_path, species_ids=("a", "b"))
     cli_module = importlib.import_module("sinr.cli")
     rows = []
 
@@ -847,7 +876,13 @@ def test_eval_map_dump_cells_runs_the_model_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     capsys.readouterr()
     assert rows == [200]
-    assert len(dump.read_text().strip().splitlines()) == 201
+    cells = np.arange(200)
+    lons, lats = cell_centroids(grid, cells)
+    y = forward(params, cfg, assemble_inputs(lons, lats, InputLayout.COORDS, None))[1]
+    want = _csv_writer_bytes(["cell", "lon", "lat", "a", "b"], [
+        [int(c), repr(float(lons[c])), repr(float(lats[c]))] + [repr(float(v)) for v in y[c]]
+        for c in cells])
+    assert dump.read_bytes() == want
 
 
 def test_eval_map_grid_baseline_scores_the_grid_species_in_grid_order(tmp_path, capsys):

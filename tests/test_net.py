@@ -15,6 +15,7 @@ from helpers import (
     fd_grads,
     gather_gradcheck_setups,
     max_rel_error,
+    reference_encoder,
     reference_sigmoid,
 )
 from sinr.geo import InputLayout
@@ -35,6 +36,7 @@ from sinr.net import (
     adam_step,
     backward,
     cast_params,
+    encoder_tiles,
     forward,
     gemm_blocks,
     head_columns,
@@ -294,6 +296,77 @@ def test_gemm_blocks_stay_past_the_small_gemm_kernel(pinned):
 def test_gemm_blocks_are_whole_when_blas_is_not_pinned(monkeypatch):
     monkeypatch.setattr(sinr.net, "BLAS_PINNED", "no: another BLAS")
     assert gemm_blocks(4096, 256 * 10_000) == [(0, 4096)]
+
+
+@pytest.mark.parametrize("block_macs", [1, 1000, 1 << 25])
+def test_encoder_tiles_cover_the_rows(monkeypatch, pinned, block_macs):
+    """Every row is in exactly one tile, and each tile is at least 2 rows with
+    each block product past ``GEMM_BLOCK_MACS``, unless it is the one tile."""
+    monkeypatch.setattr(sinr.net, "GEMM_BLOCK_MACS", block_macs)
+    for n in [*range(40), 513, 1025, 2000, 4097, 7170, 65_536]:
+        for hidden in (1, 4, 16, 64, 256, 1024):
+            tiles = encoder_tiles(n, hidden)
+            edges = [0] + [b for _, b in tiles]
+            assert [a for a, _ in tiles] == edges[:-1] and edges[-1] == n
+            if tiles != [(0, n)]:
+                assert all(b - a >= 2 and (b - a) * hidden**2 > block_macs for a, b in tiles)
+
+
+def test_encoder_tiles_hand_values(pinned):
+    # 2^17 // 256 = 512 rows, but a 256 x 256 block product passes 2^25
+    # multiply-adds only from 513 rows.
+    assert encoder_tiles(7200, 256) == [(i * 7200 // 14, (i + 1) * 7200 // 14) for i in range(14)]
+    assert encoder_tiles(4096, 256) == [(i * 4096 // 7, (i + 1) * 4096 // 7) for i in range(7)]
+    assert encoder_tiles(2048, 256) == [(0, 682), (682, 1365), (1365, 2048)]
+    assert encoder_tiles(1025, 256) == [(0, 1025)]
+    assert encoder_tiles(2048, 512) == [(r, r + 256) for r in range(0, 2048, 256)]
+    # a 64 x 64 block product passes 2^25 multiply-adds from 8,193 rows
+    assert encoder_tiles(16_385, 64) == [(0, 16_385)]
+    assert encoder_tiles(65_536, 64) == [(i * 65_536 // 7, (i + 1) * 65_536 // 7) for i in range(7)]
+    assert encoder_tiles(1, 256) == [(0, 1)] and encoder_tiles(0, 256) == [(0, 0)]
+
+
+def test_encoder_tiles_are_whole_when_blas_is_not_pinned(monkeypatch):
+    monkeypatch.setattr(sinr.net, "BLAS_PINNED", "no: another BLAS")
+    assert encoder_tiles(7200, 256) == [(0, 7200)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+@pytest.mark.parametrize("hidden", [4, 16, 256])
+@pytest.mark.parametrize("rows", [1, 2, 513, 1025, 2000, 4097, 7170])
+def test_tiled_encoder_has_the_bits_of_the_whole_array_encoder(monkeypatch, rows, hidden, mode,
+                                                               threads):
+    """Features, every cache array and every gradient of ``backward`` equal
+    those of the whole-array block loop, in eval and train mode, whatever
+    the tiles and the worker count."""
+    monkeypatch.setenv("SINR_THREADS", threads)
+    cfg = NetConfig(input_dim=4, n_species=3, hidden_dim=hidden, n_residual_layers=2,
+                    dropout_p=0.5, seed=rows)
+    params = init_params(cfg)
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(-1, 1, (rows, 4))
+    d_z = rng.standard_normal((rows, 3)).astype(np.float32)
+    if sinr.net.BLAS_PINNED == "1" and hidden == 256 and rows >= 2000:
+        assert len(encoder_tiles(rows, hidden)) >= 3
+
+    def dropout_rng():
+        return np.random.default_rng(7) if mode == "train" else None
+
+    want, want_cache = reference_encoder(params, cfg, x, mode, dropout_rng())
+    feats, _, cache = forward(params, cfg, x, mode, dropout_rng(), return_cache=True)
+    no_cache_feats, _ = forward(params, cfg, x, mode, dropout_rng())
+    assert feats.tobytes() == want.tobytes() and no_cache_feats.tobytes() == want.tobytes()
+    assert cache.a_in.tobytes() == want_cache.a_in.tobytes()
+    for name in ("block_h_in", "block_u", "block_d", "block_v", "block_mask"):
+        got, ref = getattr(cache, name), getattr(want_cache, name)
+        assert len(got) == len(ref) == 2, name
+        for g, r in zip(got, ref):
+            assert (g is None and r is None) or g.tobytes() == r.tobytes(), name
+    grads = backward(params, cfg, cache, d_z=d_z)
+    want_grads = backward(params, cfg, want_cache, d_z=d_z)
+    for name, g, w in zip(grads.names(), grads.flat(), want_grads.flat()):
+        assert g.tobytes() == w.tobytes(), name
 
 
 # (rows, features, species, head columns or None): dense heads at several
