@@ -179,12 +179,17 @@ def _species_scores_on_grid(
 
 
 def _write_cell_scores(path, grid: GridSpec, scores: np.ndarray) -> None:
-    """``lon,lat,score`` rows in cell order, floats written with ``repr``, in
-    one write; the bytes of ``csv.writer`` (no field needs quoting)."""
+    """``lon,lat,score`` rows in cell order, floats written with ``repr``;
+    the bytes of ``csv.writer`` (no field needs quoting). One write per
+    ``_PREDICT_CHUNK`` cells, so only that many cells' Python floats and
+    text are alive at a time."""
     lons, lats = cell_centroids(grid)
-    rows = map("{!r},{!r},{!r}\r\n".format, lons.tolist(), lats.tolist(), scores.tolist())
     with atomic_write(path, newline="") as fh:
-        fh.write("lon,lat,score\r\n" + "".join(rows))
+        fh.write("lon,lat,score\r\n")
+        for start in range(0, grid.n_cells, _PREDICT_CHUNK):
+            sl = slice(start, start + _PREDICT_CHUNK)
+            fh.write("".join(map("{!r},{!r},{!r}\r\n".format, lons[sl].tolist(),
+                                 lats[sl].tolist(), scores[sl].tolist())))
 
 
 def _load_obs(path) -> ObservationSet:
@@ -452,10 +457,10 @@ def cmd_eval_map(args) -> int:
         [(lons, lats, scores)] = scored
         with atomic_write(args.dump_cells, newline="") as fh:
             csv.writer(fh).writerow(["cell", "lon", "lat", *restricted.species_ids])
-            # numbers need no quoting: each row is csv.writer's bytes
-            for cell, lon, lat, row in zip(cells.tolist(), lons.tolist(), lats.tolist(),
-                                           scores.tolist()):
-                fh.write(f"{cell},{lon!r},{lat!r},{','.join(map(repr, row))}\r\n")
+            # numbers need no quoting: each row is csv.writer's bytes, built
+            # one row at a time so only that row's Python floats are alive
+            for cell, lon, lat, row in zip(cells.tolist(), lons.tolist(), lats.tolist(), scores):
+                fh.write(f"{cell},{lon!r},{lat!r},{','.join(map(repr, row.tolist()))}\r\n")
 
     with atomic_write(args.report, newline="") as fh:
         writer = csv.writer(fh)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .geo import InputLayout
-from .parallel import BLAS_PINNED, CHUNK_ENTRIES, map_ranges, row_chunks
+from .parallel import BLAS_PINNED, map_ranges, row_chunks
 from .util import atomic_write, seed_u64
 
 ADAM_BETA1 = 0.9
@@ -257,12 +257,12 @@ def gemm_blocks(n: int, line_macs: int) -> list[tuple[int, int]]:
 
 def encoder_tiles(n: int, hidden_dim: int) -> list[tuple[int, int]]:
     """``(start, stop)`` row tiles in which the residual blocks of an
-    ``n``-row batch run: near-equal tiles of about ``CHUNK_ENTRIES //
-    hidden_dim`` rows, each at least 2 rows and with each block product
-    (``hidden_dim`` by ``hidden_dim``) past ``GEMM_BLOCK_MACS``, so every
-    tile's GEMMs take the whole product's kernel and bits; else the one tile
-    ``(0, n)``, also when BLAS is not pinned to one thread."""
-    least = max(2, CHUNK_ENTRIES // hidden_dim, GEMM_BLOCK_MACS // hidden_dim**2 + 1)
+    ``n``-row batch run: the most near-equal tiles that are each at least 2
+    rows with each block product (``hidden_dim`` by ``hidden_dim``) past
+    ``GEMM_BLOCK_MACS``, so every tile's GEMMs take the whole product's kernel
+    and bits; else the one tile ``(0, n)``, also when BLAS is not pinned to
+    one thread."""
+    least = max(2, GEMM_BLOCK_MACS // hidden_dim**2 + 1)
     return _near_equal(n, least, n)
 
 
@@ -498,28 +498,14 @@ def adam_step(
     t = state.t + 1
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    new_m, new_v, new_p = [], [], []
-    # p - lr * (m / bc1) / (sqrt(v / bc2) + eps), after m = beta1 * m + (1 -
-    # beta1) * g and v = beta2 * v + (1 - beta2) * g * g: the same operations
-    # in the same order, with two temporaries per array
-    for p, m, v, g in zip(params.flat(), state.m.flat(), state.v.flat(), grads.flat()):
-        tmp = np.multiply(g, 1.0 - beta1)
-        m = np.multiply(m, beta1)
-        m += tmp
-        np.multiply(g, 1.0 - beta2, out=tmp)
-        tmp *= g
-        v = np.multiply(v, beta2)
-        v += tmp
-        step = np.divide(m, bc1)
-        step *= lr
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        step /= tmp
-        new_m.append(m)
-        new_v.append(v)
-        new_p.append(np.subtract(p, step, out=step))
-    new_m, new_v, new_p = map(NetParams.from_flat, (new_m, new_v, new_p))
+    new_m = _map_arrays(lambda m, g: beta1 * m + (1.0 - beta1) * g, state.m, grads)
+    new_v = _map_arrays(lambda v, g: beta2 * v + (1.0 - beta2) * g * g, state.v, grads)
+    new_p = _map_arrays(
+        lambda p, m, v: p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps),
+        params,
+        new_m,
+        new_v,
+    )
     for p in new_p.flat():
         if not np.all(np.isfinite(p)):
             raise NonFiniteGradientError(

@@ -767,9 +767,12 @@ def _csv_writer_bytes(header, rows) -> bytes:
     return buf.getvalue().encode()
 
 
-def test_cell_scores_are_csv_writer_bytes(tmp_path):
-    """``lon,lat,score`` rows, written at once, are the bytes csv.writer gives
-    (``\\r\\n`` line ends), over a grid with negative coordinates."""
+@pytest.mark.parametrize("chunk", [7, 65536])
+def test_cell_scores_are_csv_writer_bytes(tmp_path, monkeypatch, chunk):
+    """``lon,lat,score`` rows, written a chunk of cells at a time, are the
+    bytes csv.writer gives (``\\r\\n`` line ends), over a grid with negative
+    coordinates."""
+    monkeypatch.setattr(importlib.import_module("sinr.cli"), "_PREDICT_CHUNK", chunk)
     grid = GridSpec(3)
     scores = np.random.default_rng(0).uniform(0, 1, grid.n_cells).astype(np.float32)
     scores[:3] = [0.0, 1.0, np.float32(1e-30)]

@@ -313,13 +313,13 @@ def test_encoder_tiles_cover_the_rows(monkeypatch, pinned, block_macs):
 
 
 def test_encoder_tiles_hand_values(pinned):
-    # 2^17 // 256 = 512 rows, but a 256 x 256 block product passes 2^25
-    # multiply-adds only from 513 rows.
+    # a 256 x 256 block product passes 2^25 multiply-adds from 513 rows
     assert encoder_tiles(7200, 256) == [(i * 7200 // 14, (i + 1) * 7200 // 14) for i in range(14)]
     assert encoder_tiles(4096, 256) == [(i * 4096 // 7, (i + 1) * 4096 // 7) for i in range(7)]
     assert encoder_tiles(2048, 256) == [(0, 682), (682, 1365), (1365, 2048)]
     assert encoder_tiles(1025, 256) == [(0, 1025)]
-    assert encoder_tiles(2048, 512) == [(r, r + 256) for r in range(0, 2048, 256)]
+    # a 512 x 512 block product passes 2^25 multiply-adds from 129 rows
+    assert encoder_tiles(2048, 512) == [(i * 2048 // 15, (i + 1) * 2048 // 15) for i in range(15)]
     # a 64 x 64 block product passes 2^25 multiply-adds from 8,193 rows
     assert encoder_tiles(16_385, 64) == [(0, 16_385)]
     assert encoder_tiles(65_536, 64) == [(i * 65_536 // 7, (i + 1) * 65_536 // 7) for i in range(7)]
