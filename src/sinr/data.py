@@ -30,7 +30,7 @@ from .geo import (
 )
 from .losses import BatchTargets
 from .net import MAX_SPECIES_ID_BYTES
-from .util import atomic_write, csv_rows, seed_u64
+from .util import atomic_write, csv_rows, decode_errors_named, seed_u64
 
 #: Streams drawn from a user seed are domain-separated with these salts.
 _SALT_SUBSAMPLE = 1
@@ -112,7 +112,7 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
     chunk takes the per-row pass, and from a chunk with a quote on, so does
     the rest of the file; both passes give the same result.
     """
-    with open(path, newline="") as fh:
+    with decode_errors_named(path), open(path, newline="") as fh:
         try:
             _, header = next(csv_rows(path, fh))
         except StopIteration:
@@ -401,7 +401,7 @@ class EnvRasterStack:
 
 
 def _parse_env_raster(path) -> tuple[np.ndarray, tuple[float, float, float, float]]:
-    with open(path) as fh:
+    with decode_errors_named(path), open(path) as fh:
         tokens = fh.read().split()
     if not tokens or tokens[0] != ENV_MAGIC:
         raise ValueError(f"{path}: not an {ENV_MAGIC} file")

@@ -23,7 +23,6 @@ only those k columns holds n x k scores, whatever the size of its catalog.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .data import EnvRasterStack, ObservationSet
 from .geo import GridSpec, cell_centroids, cell_indices
-from .util import atomic_write, csv_rows
+from .util import atomic_write, csv_rows, decode_errors_named
 
 #: Regularization strengths searched by cross-validated ridge regression.
 DEFAULT_ALPHAS = (0.1, 1.0, 10.0)
@@ -107,7 +106,7 @@ class EvalGrid:
                 f"labels must have shape ({len(ids)}, {self.grid.n_cells}), "
                 f"got {labels.shape}"
             )
-        if not np.all(np.isin(labels, (-1, 0, 1))):
+        if labels.size and not (labels.min() >= -1 and labels.max() <= 1):
             raise ValueError("labels must be -1, 0 or 1")
         object.__setattr__(self, "species_ids", ids)
         object.__setattr__(self, "labels", labels)
@@ -136,24 +135,26 @@ def save_eval_grid(eval_grid: EvalGrid, path) -> None:
         fh.write(
             f"{EVAL_GRID_MAGIC} {eval_grid.grid.resolution} {len(eval_grid.species_ids)}\n"
         )
-        for s, sid in enumerate(eval_grid.species_ids):
-            for cell in np.flatnonzero(eval_grid.labels[s] != -1):
-                fh.write(f"{sid} {cell} {int(eval_grid.labels[s, cell])}\n")
-
-
-#: Body lines as ``save_eval_grid`` writes them (``id cell label``, one space
-#: apart, no blank lines): such a body is parsed in bulk.
-_PLAIN_BODY = re.compile(r"(?:\S+ [0-9]+ [01]\n)*")
+        for sid, row in zip(eval_grid.species_ids, eval_grid.labels):
+            cells = np.flatnonzero(row != -1)
+            # sid.join puts the id before each entry's " cell label\n"
+            fh.write(sid.join(["", *map(" {} {}\n".format, cells.tolist(), row[cells].tolist())]))
 
 
 def load_eval_grid(path) -> EvalGrid:
-    with open(path) as fh:
+    """Read the form :func:`save_eval_grid` writes.
+
+    A file in exactly that form (a header line without padding, then
+    ``id cell label`` lines one space apart) is parsed in bulk from its bytes.
+    Any other file, and any such file that the bulk pass cannot take, is read
+    line by line; both passes give the same grid and the same first error.
+    """
+    with decode_errors_named(path), open(path) as fh:
         text = fh.read()
-    first, _, body = text.partition("\n")
-    if body and not body.endswith("\n"):
-        body += "\n"
-    plain = first != "" and first == first.strip() and _PLAIN_BODY.fullmatch(body)
-    lines = [first] if plain else [ln.strip() for ln in text.split("\n") if ln.strip()]
+    end = text.find("\n")
+    first = text[:end] if end >= 0 else text
+    plain = first != "" and first == first.strip()
+    lines = [first] if plain else _stripped_lines(text)
     if not lines:
         raise ValueError(f"{path}: empty evaluation grid file")
     head = lines[0].split()
@@ -164,9 +165,14 @@ def load_eval_grid(path) -> EvalGrid:
     except ValueError:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from None
     grid = GridSpec(resolution)
-    entries = _plain_entries(body, grid) if plain else None
+    entries = None
+    if plain:
+        body = np.frombuffer(text.encode(), np.uint8)[len(first.encode()) + 1 :]
+        entries = _bulk_entries(body, grid)
+        if entries is None:
+            lines = _stripped_lines(text)
     if entries is None:
-        entries = _checked_entries(path, body.split("\n")[:-1] if plain else lines[1:], grid)
+        entries = _checked_entries(path, lines[1:], grid)
     species_ids, species, cells, values = entries
     if len(species_ids) != n_species:
         raise ValueError(
@@ -186,26 +192,91 @@ def load_eval_grid(path) -> EvalGrid:
     return EvalGrid(grid=grid, species_ids=species_ids, labels=labels)
 
 
-def _plain_entries(body: str, grid: GridSpec):
+def _stripped_lines(text: str) -> list[str]:
+    return [ln.strip() for ln in text.split("\n") if ln.strip()]
+
+
+#: Cell fields of at most this many digits are below 2**63.
+_MAX_CELL_DIGITS = 18
+#: ``_WORD_MASKS[r]`` keeps the first ``r`` bytes of a little-endian 8-byte word.
+_WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+
+
+def _bulk_entries(body: np.ndarray, grid: GridSpec):
     """(species ids in order of appearance, species index, cell, label) per
-    entry of a body matching ``_PLAIN_BODY``; None if a cell is out of range,
-    so that the line-by-line pass reports it."""
-    tokens = body.split()
-    ids = tokens[0::3]
-    try:
-        cells = np.array(tokens[1::3], dtype=np.int64)
-    except OverflowError:
+    line of ``body``, the UTF-8 bytes after the header, when every line is
+    ``id cell label`` one space apart: an id without whitespace, a cell of
+    1 to ``_MAX_CELL_DIGITS`` ASCII digits below ``grid.n_cells`` and a label
+    0 or 1; the final line break may be missing. None for any other body, an
+    empty one included, which ``_checked_entries`` then reads."""
+    # Eight zero bytes past the end let every id be read as 8-byte words.
+    tail = [ord("\n")] if body.size and body[-1] != ord("\n") else []
+    body = np.concatenate((body, np.array(tail + [0] * 8, dtype=np.uint8)))
+    # Every byte at or below the space is a separator: the ASCII whitespace
+    # (tab, line and file separators, ...) and the other control bytes. A plain
+    # line has exactly three, ' ', ' ' and '\n', the second just before the
+    # label byte. Whitespace outside ASCII is caught in the ids below.
+    sep = np.flatnonzero(body[:-8] <= ord(" "))
+    if sep.size == 0 or sep.size % 3:
         return None
-    if cells.size and cells.max() >= grid.n_cells:
+    gap1, gap2, ends = sep[0::3], sep[1::3], sep[2::3]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    id_len, width = gap1 - starts, gap2 - gap1 - 1
+    min_width, max_width = int(width.min()), int(width.max())
+    if not (
+        (body[gap1] == ord(" ")).all()
+        and (body[gap2] == ord(" ")).all()
+        and (body[ends] == ord("\n")).all()
+        and (gap2 == ends - 2).all()
+        and id_len.min() >= 1
+        and 1 <= min_width <= max_width <= _MAX_CELL_DIGITS
+    ):
         return None
-    index = {sid: i for i, sid in enumerate(dict.fromkeys(ids))}
-    species = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
-    values = (np.array(tokens[2::3], dtype=str) == "1").astype(np.int8)
-    return tuple(index), species, cells, values
+    values = body[ends - 1] - np.uint8(ord("0"))
+    if (values > 1).any():
+        return None
+
+    # Cells: one pass per digit position, from the units digit leftwards.
+    cells = np.zeros(sep.size // 3, dtype=np.int64)
+    for k in range(max_width):
+        digit = body[np.maximum(gap2 - 1 - k, 0)] - np.uint8(ord("0"))
+        if k >= min_width:
+            digit[width <= k] = 0
+        if (digit > 9).any():
+            return None
+        cells += digit * np.int64(10**k)
+    if cells.max() >= grid.n_cells:
+        return None
+
+    # Ids: a line starts a run unless its id has the bytes of the line before's,
+    # compared 8 bytes at a time: first the first word of every line, then
+    # the later words of the lines that still match.
+    words = np.ndarray((body.size - 7,), "<u8", body, 0, (1,))
+    head = words[starts] & _WORD_MASKS[np.minimum(id_len, 8)]
+    run_start = np.ones(cells.size, dtype=bool)
+    run_start[1:] = (id_len[1:] != id_len[:-1]) | (head[1:] != head[:-1])
+    same, k = np.flatnonzero(~run_start), 8
+    while same.size:
+        same = same[id_len[same] > k]
+        mask = _WORD_MASKS[np.minimum(id_len[same] - k, 8)]
+        differ = (words[starts[same] + k] ^ words[starts[same - 1] + k]) & mask != 0
+        run_start[same[differ]] = True
+        same = same[~differ]
+        k += 8
+    heads = np.flatnonzero(run_start)
+    index: dict[str, int] = {}
+    head_species = []
+    for a, b in zip(starts[heads].tolist(), gap1[heads].tolist()):
+        sid = body[a:b].tobytes().decode()
+        if not sid.isascii() and sid.split() != [sid]:  # Unicode whitespace in the id
+            return None
+        head_species.append(index.setdefault(sid, len(index)))
+    species = np.repeat(np.array(head_species, dtype=np.int64), np.diff(heads, append=cells.size))
+    return tuple(index), species, cells, values.astype(np.int8)
 
 
 def _checked_entries(path, lines: list[str], grid: GridSpec):
-    """``_plain_entries`` for any body, line by line, raising on the first bad line."""
+    """``_bulk_entries`` for any body, line by line, raising on the first bad line."""
     catalog: dict[str, int] = {}
     entries = []
     for ln in lines:
@@ -327,7 +398,7 @@ def load_classifier_scores(path) -> ClassifierScoreSet:
     """Read classifier outputs: ``record_id,true_species,lon,lat`` followed by
     one or more ``species:score`` fields per row (no header)."""
     records = []
-    with open(path, newline="") as fh:
+    with decode_errors_named(path), open(path, newline="") as fh:
         for line_no, row in csv_rows(path, fh):
             if not row:
                 continue

@@ -30,6 +30,21 @@ def csv_rows(path, lines, first_line: int = 1):
 
 
 @contextlib.contextmanager
+def decode_errors_named(path):
+    """Raise a UnicodeDecodeError from the block, such as a text file that is
+    not UTF-8, as a ValueError naming the file ``path`` and the bad byte. The
+    error's position is left out: a file read in chunks gives it within the
+    chunk, not the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValueError(
+            f"{path}: not {exc.encoding} text: {exc.reason} (byte {byte:#04x})"
+        ) from None
+
+
+@contextlib.contextmanager
 def atomic_write(path, mode: str = "w", newline: str | None = None):
     """Open ``path`` for writing so that readers see the old file or the new one.
 

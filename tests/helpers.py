@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import re
 import threading
 from unittest import mock
 
@@ -17,6 +18,8 @@ import numpy as np
 
 import sinr.net
 from sinr.data import ObservationSet
+from sinr.evaluate import EVAL_GRID_MAGIC, EvalGrid
+from sinr.geo import GridSpec
 from sinr.losses import (
     BatchTargets,
     LossConfig,
@@ -111,6 +114,95 @@ def disk_labels(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
     for s, (cx, cy) in enumerate(DISK_CENTERS):
         out[:, s] = (lons - cx) ** 2 + (lats - cy) ** 2 <= DISK_RADIUS_DEG**2
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference EVALGRID reader and writer
+# ---------------------------------------------------------------------------
+
+
+def reference_save_eval_grid(eval_grid: EvalGrid, path) -> None:
+    """The EVALGRID text form written one ``id cell label`` line at a time."""
+    with open(path, "w") as fh:
+        fh.write(f"{EVAL_GRID_MAGIC} {eval_grid.grid.resolution} {len(eval_grid.species_ids)}\n")
+        for s, sid in enumerate(eval_grid.species_ids):
+            for cell in np.flatnonzero(eval_grid.labels[s] != -1):
+                fh.write(f"{sid} {cell} {int(eval_grid.labels[s, cell])}\n")
+
+
+_REFERENCE_PLAIN_BODY = re.compile(r"(?:\S+ [0-9]+ [01]\n)*")
+
+
+def reference_load_eval_grid(path) -> EvalGrid:
+    """An EVALGRID reader that checks a plain body with a whole-body regex and
+    converts its tokens as Python strings, and reads any other body line by
+    line; errors have the library's types and messages."""
+    with open(path) as fh:
+        text = fh.read()
+    first, _, body = text.partition("\n")
+    if body and not body.endswith("\n"):
+        body += "\n"
+    plain = first != "" and first == first.strip() and _REFERENCE_PLAIN_BODY.fullmatch(body)
+    lines = [first] if plain else [ln.strip() for ln in text.split("\n") if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty evaluation grid file")
+    head = lines[0].split()
+    if len(head) != 3 or head[0] != EVAL_GRID_MAGIC:
+        raise ValueError(f"{path}: malformed header {lines[0]!r}")
+    try:
+        resolution, n_species = int(head[1]), int(head[2])
+    except ValueError:
+        raise ValueError(f"{path}: malformed header {lines[0]!r}") from None
+    grid = GridSpec(resolution)
+    entries = None
+    if plain:
+        tokens = body.split()
+        ids = tokens[0::3]
+        try:
+            cells = np.array(tokens[1::3], dtype=np.int64)
+        except OverflowError:
+            cells = None
+        if cells is not None and not (cells.size and cells.max() >= grid.n_cells):
+            index = {sid: i for i, sid in enumerate(dict.fromkeys(ids))}
+            species = np.fromiter(map(index.__getitem__, ids), np.int64, count=len(ids))
+            values = (np.array(tokens[2::3], dtype=str) == "1").astype(np.int8)
+            entries = tuple(index), species, cells, values
+    if entries is None:
+        catalog: dict[str, int] = {}
+        rows = []
+        for ln in body.split("\n")[:-1] if plain else lines[1:]:
+            parts = ln.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}: malformed line {ln!r}")
+            sid, cell_s, label_s = parts
+            try:
+                cell, label = int(cell_s), int(label_s)
+            except ValueError:
+                raise ValueError(f"{path}: malformed line {ln!r}") from None
+            if not (0 <= cell < grid.n_cells):
+                raise ValueError(f"{path}: cell index {cell} outside [0, {grid.n_cells})")
+            if label not in (0, 1):
+                raise ValueError(f"{path}: label must be 0 or 1, got {label}")
+            rows.append((catalog.setdefault(sid, len(catalog)), cell, label))
+        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        entries = tuple(catalog), table[:, 0], table[:, 1], table[:, 2].astype(np.int8)
+    species_ids, species, cells, values = entries
+    if len(species_ids) != n_species:
+        raise ValueError(
+            f"{path}: header declares {n_species} species, file lists {len(species_ids)}"
+        )
+    keys = species * grid.n_cells + cells
+    _, first_seen = np.unique(keys, return_index=True)
+    if first_seen.size != keys.size:
+        repeat = np.ones(keys.size, dtype=bool)
+        repeat[first_seen] = False
+        i = int(np.argmax(repeat))
+        raise ValueError(
+            f"{path}: duplicate entry for species index {species[i]}, cell {cells[i]}"
+        )
+    labels = np.full((n_species, grid.n_cells), -1, dtype=np.int8)
+    labels[species, cells] = values
+    return EvalGrid(grid=grid, species_ids=species_ids, labels=labels)
 
 
 # ---------------------------------------------------------------------------

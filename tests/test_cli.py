@@ -524,6 +524,36 @@ def test_csv_field_over_the_csv_limit_exits_1_without_traceback(tmp_path, comman
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("loader", ["grid", "obs", "env-raster", "scores"])
+def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, loader):
+    """A 0xff byte in an EVALGRID, observation CSV, ENVGRID or classifier-score
+    file is a bad input file: one ``error:`` line that names it."""
+    model, out = tmp_path / "flat.sinr", tmp_path / "out"
+    flat_model(model, species=("a", "b"))
+    obs = tmp_path / "obs.csv"
+    make_obs_csv(obs)
+    bad = tmp_path / f"bad.{loader}"
+    if loader == "grid":
+        bad.write_bytes(b"EVALGRID 1 1\na\xff 0 1\n")
+        args = ["eval", "map", "--model", str(model), "--grid", str(bad), "--report", str(out)]
+    elif loader == "obs":
+        bad.write_bytes(b"species_id,lon,lat\na\xff,10.0,20.0\n")
+        args = ["train", "--obs", str(bad), "--out", str(out), *TRAIN_ARGS]
+    elif loader == "env-raster":
+        bad.write_bytes(b"ENVGRID 1 1 -180 180 -90 90\n\xff\n")
+        args = ["train", "--obs", str(obs), "--env-raster", str(bad), "--out", str(out),
+                *TRAIN_ARGS]
+    else:
+        bad.write_bytes(b"r1,a,10.0,20.0,a\xff:0.6\n")
+        args = ["eval", "geoprior", "--model", str(model), "--scores", str(bad),
+                "--report", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not utf-8 text: invalid start byte (byte 0xff)\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 _BLAS_THREADS = (
     "import ctypes, sys\n"
     "first, *modules = sys.argv[1:]\n"

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sinr.evaluate as evaluate_module
-from helpers import ap_oracle
+from helpers import ap_oracle, reference_load_eval_grid, reference_save_eval_grid
 from sinr.data import EnvRasterStack, ObservationSet, load_env_rasters, write_env_raster
 from sinr.evaluate import (
     ClassifierRecord,
@@ -157,8 +158,14 @@ def test_eval_grid_load_agrees_across_line_forms(tmp_path, form, monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(evaluate_module, "_checked_entries", line_by_line)
-            write(["EVALGRID 1 2", "b 1 0", "a 1 1", "b 0 1"])
+            write(["EVALGRID 1 2", "b 1 0", "a 1 1", "b 0 1"])  # interleaved runs of ids
             load_eval_grid(path)
+            write(["EVALGRID 1 3", "été 0 1", "b 1 0", "été 1 0", "a 0 1", "b 0 1"])
+            eg = load_eval_grid(path)
+            assert eg.species_ids == ("été", "b", "a")
+            np.testing.assert_array_equal(eg.labels, [[1, 0], [1, 0], [1, -1]])
+            path.write_text("EVALGRID 1 1\na 1 1")  # no final line break
+            np.testing.assert_array_equal(load_eval_grid(path).labels, [[-1, 1]])
     write(["EVALGRID 1 2", "b 1 0", "a 1 1", "b 0 1"])
     eg = load_eval_grid(path)
     assert eg.species_ids == ("b", "a")
@@ -172,6 +179,110 @@ def test_eval_grid_load_agrees_across_line_forms(tmp_path, form, monkeypatch):
         write(["EVALGRID 1 2", *lines])
         with pytest.raises(ValueError, match=message):
             load_eval_grid(path)
+
+
+def test_save_eval_grid_writes_the_per_entry_bytes(tmp_path):
+    """One joined string per species has the bytes of one write per entry, for
+    ids with format braces and non-ASCII characters and for a species without
+    valid cells."""
+    grid = GridSpec(3)
+    rng = np.random.default_rng(5)
+    labels = rng.integers(-1, 2, (5, grid.n_cells)).astype(np.int8)
+    labels[2] = -1
+    eg = EvalGrid(grid, ("{}", "a{0}b", "empty", "été", "日本{"), labels)
+    save_eval_grid(eg, tmp_path / "bulk.evalgrid")
+    reference_save_eval_grid(eg, tmp_path / "ref.evalgrid")
+    assert (tmp_path / "bulk.evalgrid").read_bytes() == (tmp_path / "ref.evalgrid").read_bytes()
+    listed = eg.restrict(["{}", "a{0}b", "été", "日本{"])  # "empty" has no line to load
+    save_eval_grid(listed, tmp_path / "listed.evalgrid")
+    back = load_eval_grid(tmp_path / "listed.evalgrid")
+    assert back.species_ids == listed.species_ids
+    np.testing.assert_array_equal(back.labels, listed.labels)
+
+
+#: Ids the plain form can hold: several share their first 8 or 16 bytes.
+_PLAIN_IDS = st.sampled_from(
+    ["a", "b", "sp1", "été", "日本", "{x}", "abcdefgh", "abcdefgi", "abcdefghij", "abcdefghik",
+     "abcdefghijklmnop", "abcdefghijklmnoq", "abcdefghijklmnopq", "abcdefghijklmnopr",
+     "éééé", "ééééé", "a\x7fb"]
+)
+#: Also an empty id and ids holding whitespace or a control character.
+_GRID_IDS = _PLAIN_IDS | st.sampled_from(
+    ["", "x\x1cy", "a\xa0b", "a\x85b", "a\u2028b", "a\x01b", "\u3000"]
+)
+_GRID_CELLS = st.sampled_from(["0", "1", "7", "00", "01", "007", "+1", "_1", "1_0", "-1", "1a",
+                               "٣", "0" * 17 + "1", "0" * 18 + "1", "0" * 19 + "1", "9" * 18,
+                               "9" * 19, "9" * 20, "1" + "0" * 19, "9223372036854775808"])
+_GRID_LABELS = st.sampled_from(["0", "1", "2", "-1", "01", "x", "x1", "١"])
+
+
+def _grid_or_error(loader, path):
+    """The ids, label dtype and label bytes of ``loader(path)``, or its error."""
+    try:
+        eg = loader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return eg.species_ids, eg.labels.dtype, eg.labels.tobytes()
+
+
+@pytest.fixture(scope="module")
+def grid_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("evalgrid")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_eval_grid_load_agrees_with_the_token_reader(grid_fuzz_dir, data):
+    """On generated files, load_eval_grid gives the grid (ids, label bytes and
+    dtype) or the error (type and message) of a reader that checks the plain
+    form with a regex and converts its tokens as Python strings."""
+    resolution = data.draw(st.sampled_from([1, 2]), label="resolution")
+    n_cells = 2 * resolution * resolution
+    cell, label = st.integers(0, n_cells - 1).map(str), st.sampled_from(["0", "1"])
+    plain = st.tuples(_PLAIN_IDS, cell, label).map(" ".join)
+    odd_field = st.one_of(  # one field of any form, the others plain
+        st.tuples(_GRID_IDS, cell, label),
+        st.tuples(_PLAIN_IDS, _GRID_CELLS | st.just(str(n_cells)), label),
+        st.tuples(_PLAIN_IDS, cell, _GRID_LABELS),
+    )
+    body = data.draw(st.lists(plain, max_size=8), label="plain lines")
+    if data.draw(st.booleans(), label="one odd line"):
+        # Plain spacing with any field, or a blank, padded or tab-separated line.
+        gap, pad = st.sampled_from([" ", " ", "\t", "  "]), st.sampled_from(["", " ", "\t"])
+        odd = data.draw(
+            st.one_of(
+                odd_field.map(" ".join),
+                odd_field.map(" ".join),
+                st.tuples(pad, odd_field, gap, pad).map(lambda t: t[0] + t[2].join(t[1]) + t[3]),
+                st.just(""),
+            ),
+            label="odd line",
+        )
+        body.insert(data.draw(st.integers(0, len(body)), label="at"), odd)
+    listed = len({ln.split()[0] for ln in body if ln.split()})
+    n_species = data.draw(st.sampled_from([listed, listed, listed + 1]), label="declared")
+    header = data.draw(st.sampled_from([f"EVALGRID {resolution} {n_species}"] * 4
+                                       + [f" EVALGRID {resolution} {n_species}", "EVALGRID x 1"]),
+                       label="header")
+    ends = data.draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]), label="line ends")
+    tail = data.draw(st.sampled_from(["", ends]), label="tail")
+    path = grid_fuzz_dir / "g.evalgrid"
+    path.write_bytes((ends.join([header, *body]) + tail).encode())
+    assert _grid_or_error(load_eval_grid, path) == _grid_or_error(reference_load_eval_grid, path)
+
+
+@pytest.mark.parametrize("line", [
+    "a 9223372036854775807 1", "a 9223372036854775808 1", "a 9999999999999999999 1",
+    "a 0000000000000000001 1", "a 000000000000000001 1", "a 0 -1", "a 0 x1", "a 0 01",
+    "a\xa0b 0 1", "a\u2028b 0 1", "a\x85b 0 1", "a\x1cb 0 1", "a\x01b 0 1", "é\u3000 0 1",
+])
+def test_eval_grid_load_agrees_with_the_token_reader_on_one_odd_line(tmp_path, line):
+    """A field past int64, a label longer than one byte or an id holding
+    whitespace, in an otherwise plain file: the grid or error of the reference
+    reader."""
+    path = tmp_path / "g.evalgrid"
+    path.write_text(f"EVALGRID 1 2\nb 1 0\n{line}\nb 0 1\n")
+    assert _grid_or_error(load_eval_grid, path) == _grid_or_error(reference_load_eval_grid, path)
 
 
 def test_save_eval_grid_rejects_whitespace_ids(tmp_path):
