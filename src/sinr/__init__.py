@@ -71,7 +71,6 @@ from .geo import (
 from .losses import (
     BatchTargets,
     LossConfig,
-    LossResult,
     LossVariant,
     bernoulli_entropy,
     compute_loss,

@@ -101,20 +101,6 @@ def _environment() -> list[tuple[str, str]]:
     ]
 
 
-def read_manifest(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}: malformed manifest line {line!r}")
-            out[key] = value
-    return out
-
-
 def _load_env_stack(args) -> EnvRasterStack | None:
     if not args.env_raster:
         return None
@@ -644,7 +630,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, FloatingPointError, TrainingDivergedError) as exc:
+    except (ValueError, OSError, FloatingPointError, MemoryError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

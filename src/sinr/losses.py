@@ -11,10 +11,12 @@ and the six variants are one table, absence term x negative selection:
   every other species at the location and every species at a pseudo-location,
   averaged over species, with the positive term weighted by ``lam``.
 
-Values are batch means, and the gradients with respect to the prediction
-arrays are exact (the ``1/batch`` factor included). Predictions are clamped to
-``[CLAMP_EPS, 1 - CLAMP_EPS]`` in float64 before any logarithm, which keeps
-values and gradients finite even when a float32 sigmoid saturates.
+Values are batch means. :func:`compute_loss` overwrites the sigmoid outputs
+with the exact gradient with respect to the head logits, dL/dz (the
+``1/batch`` factor included), which seeds :func:`sinr.net.backward`.
+Predictions are clamped to ``[CLAMP_EPS, 1 - CLAMP_EPS]`` in float64 before
+any logarithm, which keeps values and gradients finite even when a float32
+sigmoid saturates.
 
 The API is :func:`compute_loss` for every variant, plus :func:`draw_j_prime`
 for the negative species that ``slds`` reads.
@@ -27,7 +29,6 @@ from enum import Enum
 
 import numpy as np
 
-from .net import logit_grad_in_place
 from .parallel import map_ranges, row_chunks
 
 #: Predictions are clamped this far inside the unit interval before logs.
@@ -97,18 +98,6 @@ class BatchTargets:
         return int(self.positive_index.shape[0])
 
 
-@dataclass(frozen=True)
-class LossResult:
-    """Loss value (the mean of ``row_losses``, one per example) plus
-    gradients for whichever prediction arrays were used (None when they were
-    overwritten with dL/dz)."""
-
-    value: float
-    d_y_hat: np.ndarray | None
-    d_y_hat_rand: np.ndarray | None = None
-    row_losses: np.ndarray | None = None
-
-
 def bernoulli_entropy(p):
     """Entropy of a Bernoulli(p) variable in nats, with ``0 log 0 = 0``.
 
@@ -131,8 +120,12 @@ def bernoulli_entropy(p):
     return h
 
 
-def _checked(y_hat, targets: BatchTargets, name: str) -> np.ndarray:
-    arr = np.asarray(y_hat)
+def _checked(arr, targets: BatchTargets, name: str) -> np.ndarray:
+    """``arr`` once it is a floating-point array of the batch's shape, which
+    :func:`compute_loss` can overwrite with dL/dz."""
+    if not np.issubdtype(getattr(arr, "dtype", object), np.floating):
+        kind = getattr(arr, "dtype", type(arr).__name__)
+        raise TypeError(f"{name} must be a floating-point array, got {kind}")
     expected = (targets.batch_size, targets.n_species)
     if arr.shape != expected:
         raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
@@ -188,6 +181,14 @@ _ABSENCE = {
 }
 
 
+def _logit_grad_in_place(y: np.ndarray, d_y: np.ndarray) -> None:
+    """Overwrite sigmoid outputs ``y`` with ``dL/dz = d_y * y * (1 - y)``,
+    computed in ``d_y``'s precision and rounded once to ``y``'s dtype."""
+    dz = 1.0 - y
+    dz *= y
+    np.multiply(d_y, dz, out=y)
+
+
 def compute_loss(
     cfg: LossConfig,
     y_hat: np.ndarray,
@@ -195,16 +196,24 @@ def compute_loss(
     *,
     y_hat_rand: np.ndarray | None = None,
     j_prime: np.ndarray | None = None,
-    d_z_in_place: bool = False,
-) -> LossResult:
-    """Evaluate the configured loss variant on one batch. ``y_hat_rand`` is
-    required for ssdl/full; ``j_prime`` (from :func:`draw_j_prime`) for slds.
+) -> float:
+    """The batch-mean loss of the configured variant on the sigmoid outputs
+    ``y_hat``. ``y_hat_rand`` is required for ssdl/full; ``j_prime`` (from
+    :func:`draw_j_prime`) for slds.
 
-    With ``d_z_in_place``, the sigmoid outputs ``y_hat`` and ``y_hat_rand``
-    are overwritten with dL/dz (:func:`logit_grad_in_place`) and the result
-    holds no dL/dy arrays: the rows run in chunks on the step's workers
-    (:func:`row_chunks`), so no float64 array of the batch's shape is
-    built, and each chunk does the whole batch's arithmetic, bit for bit."""
+    Overwrites ``y_hat``, and ``y_hat_rand`` when the variant reads it, with
+    dL/dz, the gradient with respect to the head logits. The rows run in
+    chunks on the step's workers (:func:`row_chunks`), so no float64 array of
+    the batch's shape is built, and each chunk does the whole batch's
+    arithmetic, bit for bit.
+
+    >>> y, y_rand = np.array([[0.8]]), np.array([[0.6]])
+    >>> compute_loss(LossConfig("an-ssdl"), y, BatchTargets(np.array([0]), 1),
+    ...              y_hat_rand=y_rand)
+    1.1394342831883648
+    >>> round(float(y[0, 0]), 12), round(float(y_rand[0, 0]), 12)
+    (-0.2, 0.6)
+    """
     selection = cfg.variant.value.split("-")[1]
     y_hat = _checked(y_hat, targets, "y_hat")
     if selection != "slds":
@@ -213,21 +222,17 @@ def compute_loss(
         y_hat_rand = _checked(y_hat_rand, targets, "y_hat_rand")
     jp = _checked_j_prime(targets, j_prime) if selection == "slds" else None
     j, b = targets.positive_index, targets.batch_size
-    if not d_z_in_place:
-        row_losses, d, dr = _loss_rows(cfg, y_hat, j, y_hat_rand, jp, b)
-        return LossResult(float(np.mean(row_losses)), d, dr, row_losses)
 
     def chunk(r0: int, r1: int) -> np.ndarray:
         y, y_rand = y_hat[r0:r1], None if y_hat_rand is None else y_hat_rand[r0:r1]
         jp_rows = None if jp is None else jp[r0:r1]
         row_losses, d, dr = _loss_rows(cfg, y, j[r0:r1], y_rand, jp_rows, b)
-        logit_grad_in_place(y, d)
+        _logit_grad_in_place(y, d)
         if dr is not None:
-            logit_grad_in_place(y_rand, dr)
+            _logit_grad_in_place(y_rand, dr)
         return row_losses
 
-    row_losses = np.concatenate(map_ranges(chunk, row_chunks(*y_hat.shape)))
-    return LossResult(float(np.mean(row_losses)), None, None, row_losses)
+    return float(np.mean(np.concatenate(map_ranges(chunk, row_chunks(*y_hat.shape)))))
 
 
 def _loss_rows(cfg: LossConfig, y_hat, j, y_hat_rand, jp, b: int):

@@ -286,14 +286,6 @@ def head_columns(needed, n_rows: int, n_feat: int, n_species: int) -> np.ndarray
     return np.sort(np.concatenate([cols, pad]))
 
 
-def logit_grad_in_place(y: np.ndarray, d_y: np.ndarray) -> np.ndarray:
-    """Overwrite sigmoid outputs ``y`` with ``dL/dz = d_y * y * (1 - y)``,
-    computed in ``d_y``'s precision and rounded once to ``y``'s dtype."""
-    dz = 1.0 - y
-    dz *= y
-    return np.multiply(d_y, dz, out=y)
-
-
 def _encode(params: NetParams, x: np.ndarray, dropout_p: float,
             rng: np.random.Generator | None, cache: ForwardCache | None) -> np.ndarray:
     """The location encoder's features for ``x``. The input layer runs as one
@@ -398,28 +390,22 @@ def backward(
     params: NetParams,
     cfg: NetConfig,
     cache: ForwardCache,
-    d_z: np.ndarray | None = None,
-    d_features: np.ndarray | None = None,
+    d_z: np.ndarray,
     columns: np.ndarray | None = None,
 ) -> NetParams:
     """Exact reverse-mode gradients for a cached forward pass.
 
-    ``d_z`` (the derivative of a scalar objective with respect to the head
-    logits, see :func:`logit_grad_in_place`) and/or ``d_features`` (with
-    respect to the features) seed the pass; the result is a
-    :class:`NetParams` tree of derivatives with respect to every parameter,
-    in the parameters' dtype. With the ``columns`` of a gathered forward,
-    ``d_z`` holds those columns and the other head columns get zero gradients.
+    ``d_z``, the derivative of a scalar objective with respect to the head
+    logits (what :func:`sinr.losses.compute_loss` leaves in the predictions),
+    seeds the pass; the result is a :class:`NetParams` tree of derivatives
+    with respect to every parameter, in the parameters' dtype. With the
+    ``columns`` of a gathered forward, ``d_z`` holds those columns and the
+    other head columns get zero gradients.
     """
-    if d_z is None and d_features is None:
-        raise ValueError("backward needs d_z and/or d_features")
     dtype = params.w_head.dtype
     feats = cache.features
     w_head = params.w_head if columns is None else params.w_head[:, columns]
-    if d_z is None:
-        dz = np.zeros((feats.shape[0], w_head.shape[1]), dtype=dtype)
-    else:
-        dz = np.asarray(d_z).astype(dtype, copy=False)
+    dz = np.asarray(d_z).astype(dtype, copy=False)
     # Each block of the head products writes its slice of one output array.
     g_w_head = np.empty(w_head.shape, dtype=dtype)
     g_b_head = np.empty(w_head.shape[1], dtype=dtype)
@@ -436,8 +422,6 @@ def backward(
         full_w, full_b = np.zeros_like(params.w_head), np.zeros_like(params.b_head)
         full_w[:, columns], full_b[columns] = g_w_head, g_b_head
         g_w_head, g_b_head = full_w, full_b
-    if d_features is not None:
-        dh = dh + np.asarray(d_features).astype(dtype, copy=False)
 
     if cfg.identity_encoder:
         return NetParams(None, None, (), g_w_head, g_b_head)
@@ -581,14 +565,18 @@ class _Reader:
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Move past the next ``n`` bytes; returns their offset."""
         if self.pos + n > len(self.buf):
             raise TruncatedFileError(
                 f"needed {n} bytes at offset {self.pos}, file has {len(self.buf)}"
             )
-        chunk = self.buf[self.pos : self.pos + n]
         self.pos += n
-        return chunk
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        pos = self.skip(n)
+        return self.buf[pos : pos + n]
 
     def species_ids(self, count: int) -> list[str]:
         """``count`` ids, each a u16 UTF-8 byte length and the bytes."""
@@ -608,10 +596,12 @@ class _Reader:
         return ids
 
     def params(self, cfg: NetConfig) -> NetParams:
-        """Read one float32 parameter tree shaped for ``cfg``."""
+        """Read one float32 parameter tree shaped for ``cfg``: one copy of
+        each block, made from a view of the buffer."""
         arrays = []
         for shape in param_shapes(cfg):
-            data = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4")
+            n = math.prod(shape)
+            data = np.frombuffer(self.buf, dtype="<f4", count=n, offset=self.skip(4 * n))
             arrays.append(data.astype(np.float32).reshape(shape))
         return NetParams.from_flat(arrays)
 
@@ -693,24 +683,12 @@ def zeros_like_params(params: NetParams) -> NetParams:
     return _map_arrays(np.zeros_like, params)
 
 
-def params_close(a: NetParams, b: NetParams, **kwargs) -> bool:
-    """True when every corresponding array pair is allclose."""
-    fa, fb = a.flat(), b.flat()
-    return len(fa) == len(fb) and all(
-        x.shape == y.shape and np.allclose(x, y, **kwargs) for x, y in zip(fa, fb)
-    )
-
-
 def params_equal(a: NetParams, b: NetParams) -> bool:
     """True when every corresponding array pair is bit-identical."""
     fa, fb = a.flat(), b.flat()
     return len(fa) == len(fb) and all(
         x.shape == y.shape and np.array_equal(x, y) for x, y in zip(fa, fb)
     )
-
-
-def cast_params(params: NetParams, dtype) -> NetParams:
-    return _map_arrays(lambda a: a.astype(dtype), params)
 
 
 __all__ = [
@@ -730,18 +708,15 @@ __all__ = [
     "UnsupportedVersionError",
     "adam_step",
     "backward",
-    "cast_params",
     "encoder_tiles",
     "forward",
     "gemm_blocks",
     "head_columns",
     "init_adam",
     "init_params",
-    "logit_grad_in_place",
     "model_from_bytes",
     "model_to_bytes",
     "param_shapes",
-    "params_close",
     "params_equal",
     "read_model_file",
     "save_model",

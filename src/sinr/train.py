@@ -229,9 +229,8 @@ def _loss_and_grads(
     state: TrainState, x: np.ndarray, targets: BatchTargets, epoch: int, step: int
 ) -> tuple[float, NetParams]:
     """Loss value and parameter gradients of one batch; ``x`` holds its rows,
-    then any pseudo-location rows. The loss overwrites the head output with
-    dL/dz in row chunks (``compute_loss(..., d_z_in_place=True)``), so a
-    step holds one array of the head's shape.
+    then any pseudo-location rows. ``compute_loss`` overwrites the head output
+    with dL/dz in row chunks, so a step holds one array of the head's shape.
     ssdl variants compute only the head columns they read (see
     :func:`head_columns`), with the bits of the dense step."""
     cfg = state.cfg
@@ -250,10 +249,8 @@ def _loss_and_grads(
     )
     # slds variants draw the negative species of the whole batch in one call.
     j_prime = None if pseudo else draw_j_prime(targets, state.rng_negatives)
-    value = compute_loss(
-        cfg.loss, y_all[:b], targets, y_hat_rand=y_all[b:] if pseudo else None,
-        j_prime=j_prime, d_z_in_place=True,
-    ).value
+    value = compute_loss(cfg.loss, y_all[:b], targets,
+                         y_hat_rand=y_all[b:] if pseudo else None, j_prime=j_prime)
     if not np.isfinite(value):
         raise TrainingDivergedError(epoch, step, value)
     return value, backward(state.params, cfg.net, cache, d_z=y_all, columns=columns)
@@ -415,7 +412,7 @@ def _take_json(r: _Reader):
     (n,) = struct.unpack("<I", r.take(4))
     try:
         return json.loads(r.take(n).decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # also arrays nested too deep
         raise CheckpointFormatError(f"malformed JSON section: {exc}") from exc
 
 

@@ -1,5 +1,6 @@
 """Shared test utilities: corpus builders, finite-difference gradient checks,
-and an exhaustive average-precision oracle.
+an exhaustive average-precision oracle, and parameter-tree and manifest
+helpers.
 
 Everything here is deliberately independent of the library's internals: the
 oracles re-derive expected values from first principles (definition-level
@@ -24,6 +25,7 @@ from sinr.losses import (
     BatchTargets,
     LossConfig,
     LossVariant,
+    _loss_rows,
     compute_loss,
     draw_j_prime,
     needs_pseudo_negatives,
@@ -35,7 +37,6 @@ from sinr.net import (
     backward,
     forward,
     init_params,
-    logit_grad_in_place,
 )
 
 
@@ -254,10 +255,15 @@ def ap_oracle(scores, labels) -> float:
 
 
 def loss(variant: LossVariant | str, y, targets, lam: float = 2048.0, **kwargs):
-    """``compute_loss`` as ``(value, d_y, d_y_rand)``; ``kwargs`` are its
-    ``y_hat_rand`` and ``j_prime``."""
-    result = compute_loss(LossConfig(variant, lam), y, targets, **kwargs)
-    return result.value, result.d_y_hat, result.d_y_hat_rand
+    """``compute_loss`` on fresh float64 copies of ``y`` and of any
+    ``y_hat_rand``, as ``(value, dL/dz, dL/dz_rand or None)``; ``kwargs`` are
+    its ``y_hat_rand`` and ``j_prime``. The inputs are left untouched."""
+    y = np.array(y, dtype=np.float64)
+    y_rand = kwargs.get("y_hat_rand")
+    if y_rand is not None:
+        kwargs["y_hat_rand"] = y_rand = np.array(y_rand, dtype=np.float64)
+    value = compute_loss(LossConfig(variant, lam), y, targets, **kwargs)
+    return value, y, y_rand
 
 
 def composed_loss(params: NetParams, cfg: NetConfig, x_all, b, variant, targets, lam, j_prime):
@@ -269,15 +275,14 @@ def composed_loss(params: NetParams, cfg: NetConfig, x_all, b, variant, targets,
 
 
 def composed_grads(params: NetParams, cfg: NetConfig, x_all, b, variant, targets, lam, j_prime):
-    """Analytic parameter gradients of `composed_loss`."""
+    """Analytic parameter gradients of `composed_loss`, as a training step
+    takes them: ``compute_loss`` overwrites the predictions with dL/dz, which
+    seed ``backward``. ``x_all`` holds pseudo-location rows only for variants
+    that read them."""
     _, y_all, cache = forward(params, cfg, x_all, mode="eval", return_cache=True)
-    _, d_y, d_y_rand = loss(variant, y_all[:b], targets, lam,
-                            y_hat_rand=y_all[b:] if len(x_all) > b else None, j_prime=j_prime)
-    if len(x_all) > b:
-        d_all = np.concatenate([d_y, np.zeros_like(y_all[b:]) if d_y_rand is None else d_y_rand])
-    else:
-        d_all = d_y
-    return backward(params, cfg, cache, d_z=logit_grad_in_place(y_all, d_all))
+    compute_loss(LossConfig(variant, lam), y_all[:b], targets,
+                 y_hat_rand=y_all[b:] if len(x_all) > b else None, j_prime=j_prime)
+    return backward(params, cfg, cache, d_z=y_all)
 
 
 def reference_encoder(params: NetParams, cfg: NetConfig, x, mode: str = "eval",
@@ -312,7 +317,7 @@ def reference_encoder(params: NetParams, cfg: NetConfig, x, mode: str = "eval",
 
 def reference_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
     """One training step's ``(loss value, parameter gradients)`` on whole
-    matrices: ``forward``, ``compute_loss`` on the full batch, the
+    matrices: ``forward``, the loss core ``_loss_rows`` on the full batch, the
     concatenated dL/dy, the dL/dy -> dL/dz chain, then ``backward``, with
     every head product in one block.
 
@@ -328,14 +333,14 @@ def _whole_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
     pseudo = needs_pseudo_negatives(cfg.loss.variant)
     _, y_all, cache = forward(params, cfg.net, x, mode="train", rng=rng_dropout,
                               return_cache=True)
-    result = compute_loss(cfg.loss, y_all[:b], targets,
-                          y_hat_rand=y_all[b:] if pseudo else None,
-                          j_prime=None if pseudo else draw_j_prime(targets, rng_negatives))
-    d_y = np.concatenate([result.d_y_hat, result.d_y_hat_rand]) if pseudo else result.d_y_hat
+    j_prime = None if pseudo else draw_j_prime(targets, rng_negatives)
+    row_losses, d_y, d_y_rand = _loss_rows(cfg.loss, y_all[:b], targets.positive_index,
+                                           y_all[b:] if pseudo else None, j_prime, b)
+    d_y = np.concatenate([d_y, d_y_rand]) if pseudo else d_y
     d_z = 1.0 - y_all
     d_z *= y_all
     np.multiply(d_y, d_z, out=d_z)
-    return result.value, backward(params, cfg.net, cache, d_z=d_z)
+    return float(np.mean(row_losses)), backward(params, cfg.net, cache, d_z=d_z)
 
 
 def fd_grads(objective, params: NetParams, h: float = 1e-5) -> NetParams:
@@ -415,4 +420,37 @@ def gather_gradcheck_setups(n: int, start_seed: int = 0):
         if setup is not None:
             out.append(setup)
         seed += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Parameter trees and manifests
+# ---------------------------------------------------------------------------
+
+
+def params_close(a: NetParams, b: NetParams, **kwargs) -> bool:
+    """True when every corresponding array pair is allclose."""
+    fa, fb = a.flat(), b.flat()
+    return len(fa) == len(fb) and all(
+        x.shape == y.shape and np.allclose(x, y, **kwargs) for x, y in zip(fa, fb)
+    )
+
+
+def cast_params(params: NetParams, dtype) -> NetParams:
+    """A copy of ``params`` with every array in ``dtype``."""
+    return NetParams.from_flat([a.astype(dtype) for a in params.flat()])
+
+
+def read_manifest(path) -> dict[str, str]:
+    """The ``key=value`` lines of a manifest as a dict."""
+    out: dict[str, str] = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path}: malformed manifest line {line!r}")
+            out[key] = value
     return out

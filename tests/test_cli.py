@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import sinr
-from helpers import hand_off_to_a_pool_thread
-from sinr.cli import _write_cell_scores, main, read_manifest, write_manifest, write_pgm
+from helpers import hand_off_to_a_pool_thread, read_manifest
+from sinr.cli import _write_cell_scores, main, write_manifest, write_pgm
 from sinr.data import (
     ObservationSet,
     assemble_inputs,
@@ -140,6 +140,26 @@ def test_unknown_species_exits_1(tmp_path, capsys):
                  "--resolution", "2", "--out", str(tmp_path / "p.csv")])
     assert code == 1
     assert "ghost" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval-map", "predict"])
+def test_unallocatable_grid_exits_1(tmp_path, capsys, command):
+    """A grid of 2e16 cells (resolution 1e8) cannot be allocated: one
+    ``error:`` line naming the allocation, no traceback."""
+    model, out = tmp_path / "flat.sinr", tmp_path / "out"
+    flat_model(model, species=("a", "b"))
+    if command == "eval-map":
+        grid = tmp_path / "huge.evalgrid"
+        grid.write_text("EVALGRID 100000000 1\na 0 1\n")
+        args = ["eval", "map", "--model", str(model), "--grid", str(grid), "--report", str(out)]
+    else:
+        args = ["predict", "--model", str(model), "--species", "a",
+                "--resolution", "100000000", "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_version_exits_0(capsys):
@@ -447,6 +467,28 @@ def test_train_refuses_a_version_2_checkpoint(tmp_path, capsys):
     out = tmp_path / "b.sinr"
     assert run_train(tmp_path, obs_path, out, "--checkpoint", str(ckpt)) == 1
     assert "error: unsupported checkpoint version 2" in capsys.readouterr().err
+    assert ckpt.read_bytes() == saved and not out.exists()
+
+
+def test_train_refuses_a_deeply_nested_checkpoint_config(tmp_path, capsys):
+    """A config section of 200,000 ``[`` exceeds the JSON decoder's recursion
+    limit: one ``error:`` line, and the checkpoint is left as it was."""
+    obs_path = tmp_path / "obs.csv"
+    make_obs_csv(obs_path)
+    ckpt = tmp_path / "run.ckpt"
+    assert run_train(tmp_path, obs_path, tmp_path / "a.sinr", "--checkpoint", str(ckpt)) == 0
+    blob = ckpt.read_bytes()
+    at = blob.rindex(b'{"net"') - 4  # the config section's u32 length, then its JSON
+    assert struct.unpack_from("<I", blob, at)[0] == len(blob) - at - 4
+    saved = blob[:at] + struct.pack("<I", 200_000) + b"[" * 200_000
+    ckpt.write_bytes(saved)
+    capsys.readouterr()
+
+    out = tmp_path / "b.sinr"
+    assert run_train(tmp_path, obs_path, out, "--checkpoint", str(ckpt)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON section: maximum recursion depth exceeded")
+    assert "Traceback" not in err
     assert ckpt.read_bytes() == saved and not out.exists()
 
 

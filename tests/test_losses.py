@@ -1,5 +1,6 @@
-"""Presence-only multi-label losses: frozen hand values, gradients, and the
-entropy-replacement relationships between the two loss families."""
+"""Presence-only multi-label losses: frozen hand values, gradients with
+respect to the head logits (dL/dz), and the entropy-replacement relationships
+between the two loss families."""
 
 import math
 
@@ -35,26 +36,26 @@ def entropy_ref(p: float) -> float:
 
 
 def test_ssdl_hand_value_and_gradients():
-    value, d_y, d_y_rand = loss(
+    value, d_z, d_z_rand = loss(
         "an-ssdl", np.array([[0.8]]), one_row_targets(0, 1), y_hat_rand=np.array([[0.6]])
     )
     expected = -math.log(0.8) - math.log(1.0 - 0.6)
     assert abs(expected - 1.1394342831883648) < 1e-15
     assert abs(value - expected) < 1e-12
-    # d/dy = -1/0.8, d/dy' = +1/(1-0.6): pushing the pseudo-negative up
-    # raises the loss, hence the positive sign.
-    np.testing.assert_allclose(d_y, [[-1.25]], atol=1e-12)
-    np.testing.assert_allclose(d_y_rand, [[2.5]], atol=1e-12)
+    # d/dz -log(sigma(z)) = sigma - 1 and d/dz -log(1 - sigma(z)) = sigma:
+    # pushing the pseudo-negative up raises the loss, hence the positive sign.
+    np.testing.assert_allclose(d_z, [[0.8 - 1.0]], atol=1e-12)
+    np.testing.assert_allclose(d_z_rand, [[0.6]], atol=1e-12)
 
 
 def test_slds_hand_value():
-    value, d_y, _ = loss(
+    value, d_z, _ = loss(
         "an-slds", np.array([[0.8, 0.3]]), one_row_targets(0, 2), j_prime=np.array([1])
     )
     expected = -math.log(0.8) - math.log(1.0 - 0.3)
     assert abs(expected - 0.5798184952529422) < 1e-15
     assert abs(value - expected) < 1e-12
-    np.testing.assert_allclose(d_y, [[-1.25, 1.0 / 0.7]], atol=1e-12)
+    np.testing.assert_allclose(d_z, [[0.8 - 1.0, 0.3]], atol=1e-12)
 
 
 def test_full_single_species_hand_value():
@@ -85,15 +86,15 @@ def test_full_near_perfect_predictions_drive_loss_to_zero():
 
 
 def test_me_ssdl_hand_value():
-    value, d_y, d_y_rand = loss(
+    value, d_z, d_z_rand = loss(
         "me-ssdl", np.array([[0.8]]), one_row_targets(0, 1), y_hat_rand=np.array([[0.6]])
     )
     expected = -math.log(0.8) + entropy_ref(0.6)
     assert abs(expected - 0.8961552183234662) < 1e-15
     assert abs(value - expected) < 1e-12
-    np.testing.assert_allclose(d_y, [[-1.25]], atol=1e-12)
-    # dH/dp = log((1-p)/p)
-    np.testing.assert_allclose(d_y_rand, [[math.log(0.4 / 0.6)]], atol=1e-12)
+    np.testing.assert_allclose(d_z, [[0.8 - 1.0]], atol=1e-12)
+    # dH/dz = dH/dp * dp/dz = log((1-p)/p) * p(1-p)
+    np.testing.assert_allclose(d_z_rand, [[math.log(0.4 / 0.6) * 0.6 * 0.4]], atol=1e-12)
 
 
 def test_entropy_values_and_range():
@@ -143,11 +144,11 @@ def test_full_reduces_to_ssdl_for_single_species_unit_weight():
     y = rng.uniform(0.1, 0.9, (b, 1))
     y_rand = rng.uniform(0.1, 0.9, (b, 1))
     targets = BatchTargets(np.zeros(b, dtype=np.int64), 1)
-    v_full, dy_full, dyr_full = loss("an-full", y, targets, 1.0, y_hat_rand=y_rand)
-    v_ssdl, dy_ssdl, dyr_ssdl = loss("an-ssdl", y, targets, y_hat_rand=y_rand)
+    v_full, dz_full, dzr_full = loss("an-full", y, targets, 1.0, y_hat_rand=y_rand)
+    v_ssdl, dz_ssdl, dzr_ssdl = loss("an-ssdl", y, targets, y_hat_rand=y_rand)
     assert abs(v_full - v_ssdl) < 1e-12
-    np.testing.assert_allclose(dy_full, dy_ssdl, atol=1e-12)
-    np.testing.assert_allclose(dyr_full, dyr_ssdl, atol=1e-12)
+    np.testing.assert_allclose(dz_full, dz_ssdl, atol=1e-12)
+    np.testing.assert_allclose(dzr_full, dzr_ssdl, atol=1e-12)
 
 
 def test_full_is_affine_in_lambda():
@@ -204,7 +205,7 @@ def test_batch_mean_and_gradient_scaling():
     y_rand = np.array([[0.4, 0.6]])
     t1 = one_row_targets(0, 2)
     t2 = BatchTargets(np.array([0, 0], dtype=np.int64), 2)
-    v1, d1, dr1 = loss("an-full", y, t1, 3.0, y_hat_rand=y_rand)
+    v1, d1, dr1 = loss("an-full", y, t1, 3.0, y_hat_rand=y_rand)  # dL/dz
     v2, d2, dr2 = loss("an-full", np.repeat(y, 2, 0), t2, 3.0, y_hat_rand=np.repeat(y_rand, 2, 0))
     assert abs(v1 - v2) < 1e-12
     np.testing.assert_allclose(d2, np.repeat(d1 / 2.0, 2, 0), atol=1e-12)
@@ -216,11 +217,11 @@ def test_extreme_predictions_stay_finite():
     y_rand = np.array([[1.0, 0.0, 0.5]])
     targets = one_row_targets(0, 3)
     for variant in ("an-ssdl", "me-ssdl", "an-full", "me-full"):
-        value, d_y, d_y_rand = loss(variant, y, targets, 2048.0, y_hat_rand=y_rand)
+        value, d_z, d_z_rand = loss(variant, y, targets, 2048.0, y_hat_rand=y_rand)
         assert np.isfinite(value) and value >= 0.0
-        assert np.all(np.isfinite(d_y)) and np.all(np.isfinite(d_y_rand))
-    value, d_y, _ = loss("an-slds", y, targets, j_prime=np.array([1]))
-    assert np.isfinite(value) and np.all(np.isfinite(d_y))
+        assert np.all(np.isfinite(d_z)) and np.all(np.isfinite(d_z_rand))
+    value, d_z, _ = loss("an-slds", y, targets, j_prime=np.array([1]))
+    assert np.isfinite(value) and np.all(np.isfinite(d_z))
 
 
 @settings(max_examples=60, derandomize=True)

@@ -15,8 +15,8 @@ import pytest
 
 import sinr
 import sinr.parallel
-from helpers import hand_off_to_a_pool_thread, reference_sigmoid
-from sinr.net import NetConfig, cast_params, forward, init_params
+from helpers import cast_params, hand_off_to_a_pool_thread, reference_sigmoid
+from sinr.net import NetConfig, forward, init_params
 from sinr.parallel import map_ranges, row_chunks, worker_count
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import sinr.net
 import sinr.parallel
-from helpers import hand_off_to_a_pool_thread, random_obs, reference_step
+from helpers import cast_params, hand_off_to_a_pool_thread, random_obs, reference_step
 from sinr.data import (
     ObservationSet,
     assemble_inputs,
@@ -25,7 +25,6 @@ from sinr.losses import BatchTargets, LossConfig, LossVariant, needs_pseudo_nega
 from sinr.net import (
     ModelFormatError,
     NetConfig,
-    cast_params,
     forward,
     gemm_blocks,
     head_columns,
