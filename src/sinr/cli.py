@@ -153,15 +153,25 @@ class _NamedPredictor:
 
 
 def _species_scores_on_grid(
-    model: ModelFile, env, species_id: str, grid: GridSpec
-) -> np.ndarray:
+    model: ModelFile, env, species_id: str, resolution: int
+) -> tuple[GridSpec, np.ndarray]:
+    """The ``--resolution`` grid and one species' scores on its cells; a grid
+    that int64 cannot index or memory cannot hold is reported under the flag."""
+    try:
+        grid = GridSpec(resolution)
+        centroids = cell_centroids(grid)  # numpy's ValueError: past the largest array
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"--resolution {resolution}: {exc}") from None
     if species_id not in model.species_ids:
         raise ValueError(
             f"species {species_id!r} is not in the model catalog "
             f"({len(model.species_ids)} species)"
         )
     column = model.species_ids.index(species_id)
-    return _model_fn(model, env, [column])(*cell_centroids(grid))[:, 0]
+    try:
+        return grid, _model_fn(model, env, [column])(*centroids)[:, 0]
+    except MemoryError as exc:
+        raise MemoryError(f"--resolution {resolution}: {exc}") from None
 
 
 def _write_cell_scores(path, grid: GridSpec, scores: np.ndarray) -> None:
@@ -326,8 +336,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, env = _open_model(args)
-    grid = GridSpec(args.resolution)
-    scores = _species_scores_on_grid(model, env, args.species, grid)
+    grid, scores = _species_scores_on_grid(model, env, args.species, args.resolution)
     _write_cell_scores(args.out, grid, scores)
     print(f"wrote {grid.n_cells} cell scores for {args.species} to {args.out}")
     return 0
@@ -349,8 +358,7 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 def cmd_export_raster(args) -> int:
     model, env = _open_model(args)
-    grid = GridSpec(args.resolution)
-    scores = _species_scores_on_grid(model, env, args.species, grid)
+    grid, scores = _species_scores_on_grid(model, env, args.species, args.resolution)
 
     if args.binary_threshold is None:
         # Continuous: probability to gray level, rounding half up.

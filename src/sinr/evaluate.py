@@ -164,7 +164,10 @@ def load_eval_grid(path) -> EvalGrid:
         resolution, n_species = int(head[1]), int(head[2])
     except ValueError:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from None
-    grid = GridSpec(resolution)
+    try:
+        grid = GridSpec(resolution)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     entries = None
     if plain:
         body = np.frombuffer(text.encode(), np.uint8)[len(first.encode()) + 1 :]
@@ -178,6 +181,8 @@ def load_eval_grid(path) -> EvalGrid:
         raise ValueError(
             f"{path}: header declares {n_species} species, file lists {len(species_ids)}"
         )
+    if n_species * grid.n_cells > 2**63 - 1:  # the keys below would wrap
+        raise ValueError(f"{path}: header {lines[0]!r} has more labels than an array holds")
     keys = species * grid.n_cells + cells
     _, first_seen = np.unique(keys, return_index=True)
     if first_seen.size != keys.size:
@@ -187,7 +192,10 @@ def load_eval_grid(path) -> EvalGrid:
         raise ValueError(
             f"{path}: duplicate entry for species index {species[i]}, cell {cells[i]}"
         )
-    labels = np.full((n_species, grid.n_cells), -1, dtype=np.int8)
+    try:
+        labels = np.full((n_species, grid.n_cells), -1, dtype=np.int8)
+    except MemoryError as exc:
+        raise ValueError(f"{path}: header {lines[0]!r}: {exc}") from None
     labels[species, cells] = values
     return EvalGrid(grid=grid, species_ids=species_ids, labels=labels)
 
@@ -498,9 +506,7 @@ def geo_prior_delta(
 # ---------------------------------------------------------------------------
 
 
-def ridge_fit(
-    x: np.ndarray, y: np.ndarray, alpha: float, fit_intercept: bool = True
-) -> tuple[np.ndarray, float]:
+def ridge_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     """Closed-form ridge regression; the intercept is not penalized.
 
     Centering both ``x`` and ``y`` before solving the regularized normal
@@ -513,17 +519,13 @@ def ridge_fit(
         raise ValueError(f"need x (n, d) and y (n,), got {x.shape} and {y.shape}")
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    if fit_intercept:
-        x_mean = x.mean(axis=0)
-        y_mean = y.mean()
-        xc = x - x_mean
-        yc = y - y_mean
-    else:
-        xc, yc = x, y
+    x_mean = x.mean(axis=0)
+    y_mean = y.mean()
+    xc = x - x_mean
+    yc = y - y_mean
     d = x.shape[1]
     w = np.linalg.solve(xc.T @ xc + alpha * np.eye(d), xc.T @ yc)
-    b = float(y_mean - x_mean @ w) if fit_intercept else 0.0
-    return w, b
+    return w, float(y_mean - x_mean @ w)
 
 
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -735,10 +737,11 @@ def f1_max_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     if not (labels == 1).any() or not (labels == 0).any():
         raise ValueError("need at least one positive and one negative label")
     uniq = np.unique(scores)
-    candidates = np.concatenate([[0.0], (uniq[:-1] + uniq[1:]) / 2.0, [1.0]])
-    best_t, best_f1 = None, -1.0
-    for t in np.sort(candidates):
-        f1 = f1_at_threshold(scores, labels, t)
-        if f1 > best_f1:  # strict: ties keep the smallest threshold
-            best_t, best_f1 = float(t), f1
-    return best_t
+    candidates = np.sort(np.concatenate([[0.0], (uniq[:-1] + uniq[1:]) / 2.0, [1.0]]))
+    pos, neg = np.sort(scores[labels == 1]), np.sort(scores[labels == 0])
+    # f1_at_threshold at every candidate: the scores >= t are predicted
+    # positive, which a NaN score (sorted last) never is
+    tp = np.count_nonzero(pos == pos) - np.searchsorted(pos, candidates, side="left")
+    fp = np.count_nonzero(neg == neg) - np.searchsorted(neg, candidates, side="left")
+    f1 = 2 * tp / (2 * tp + fp + (pos.size - tp))  # at least one positive: never 0/0
+    return float(candidates[np.argmax(f1)])  # the first maximum: ties keep the smallest

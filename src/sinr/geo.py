@@ -105,9 +105,12 @@ class GridSpec:
             self.resolution, bool
         ):
             raise TypeError(f"resolution must be an int, got {self.resolution!r}")
+        object.__setattr__(self, "resolution", int(self.resolution))
         if self.resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
-        object.__setattr__(self, "resolution", int(self.resolution))
+        if self.n_cells > 2**63 - 1:  # cell indices are int64
+            raise ValueError(f"resolution {self.resolution} has 2*R^2 cells, past the int64 "
+                             "maximum; the largest resolution is 2147483647")
 
     @property
     def n_lon(self) -> int:

@@ -215,16 +215,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations retained for :func:`backward`."""
+    """What :func:`backward` reads of a cached forward: the input ``x``; the
+    L+1 block inputs ``h``, ``h[0]`` the input layer's ReLU output and
+    ``h[-1]`` the features (``[x]`` for the identity encoder); each block's
+    dropped-out hidden units ``d`` and second pre-activations ``v``; and
+    ``dropout_scale``, the ``1/(1-p)`` of a kept unit when masks were drawn,
+    else None. The ReLU and dropout masks are read back from ``d`` and
+    ``h[0]``: ``d > 0`` exactly where the unit was kept and its pre-activation
+    was positive."""
 
     x: np.ndarray
-    a_in: np.ndarray | None
-    block_h_in: list[np.ndarray] = field(default_factory=list)
-    block_u: list[np.ndarray] = field(default_factory=list)
-    block_d: list[np.ndarray] = field(default_factory=list)
-    block_v: list[np.ndarray] = field(default_factory=list)
-    block_mask: list[np.ndarray | None] = field(default_factory=list)
-    features: np.ndarray | None = None
+    h: list[np.ndarray]
+    d: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
+    dropout_scale: np.floating | None = None
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.h[-1]
 
 
 #: Largest M*N*K that OpenBLAS runs on its small-matrix GEMM kernel.
@@ -287,45 +295,42 @@ def head_columns(needed, n_rows: int, n_feat: int, n_species: int) -> np.ndarray
 
 
 def _encode(params: NetParams, x: np.ndarray, dropout_p: float,
-            rng: np.random.Generator | None, cache: ForwardCache | None) -> np.ndarray:
-    """The location encoder's features for ``x``. The input layer runs as one
-    product. With ``dropout_p > 0`` one mask per block is drawn from ``rng``,
-    whole and in block order. Then every residual block runs on one row tile
-    at a time (:func:`encoder_tiles`), the tiles spread over the workers, with
-    each array's bits those of the whole-array computation. With a ``cache``
-    the tiles write its arrays; without one, a tile keeps tile-sized
-    temporaries and the features overwrite the input layer's output."""
+            rng: np.random.Generator | None, keep_cache: bool) -> ForwardCache:
+    """The location encoder on ``x``, as a cache whose ``features`` are the
+    result. The input layer runs as one product, and its ReLU overwrites its
+    output in place. With ``dropout_p > 0`` one mask per block is drawn from
+    ``rng``, whole and in block order. Then every residual block runs on one
+    row tile at a time (:func:`encoder_tiles`), the tiles spread over the
+    workers, with each array's bits those of the whole-array computation.
+    With ``keep_cache`` the tiles write the cache's block inputs, ``d`` and
+    ``v``; without it, a tile keeps tile-sized temporaries and the features
+    overwrite the input layer's output."""
     a = x @ params.w_in + params.b_in
     blocks = params.blocks
     keep = 1.0 - dropout_p
     dtype = a.dtype
     masks = [(rng.random(size=a.shape) < keep).astype(dtype) / dtype.type(keep)
              for _ in blocks] if dropout_p > 0.0 else []
-    if cache is None:
-        hs, store = [a], None
-    else:
-        hs = [np.empty_like(a) for _ in range(len(blocks) + 1)]
-        cache.a_in, cache.block_h_in = a, hs[:-1]
-        cache.block_u, cache.block_d, cache.block_v = store = tuple(
-            [np.empty_like(a) for _ in blocks] for _ in range(3))
-        cache.block_mask = masks or [None] * len(blocks)
+    n_cached = len(blocks) if keep_cache else 0
+    hs = [a] + [np.empty_like(a) for _ in range(n_cached)]
+    ds, vs = ([np.empty_like(a) for _ in range(n_cached)] for _ in range(2))
 
     def tile(r0: int, r1: int) -> None:
-        h = np.maximum(a[r0:r1], 0, out=hs[0][r0:r1])
+        h = np.maximum(a[r0:r1], 0, out=a[r0:r1])
         for i, blk in enumerate(blocks):
-            u_out, d_out, v_out = (None,) * 3 if store is None else (s[i][r0:r1] for s in store)
-            u = np.matmul(h, blk.w1, out=u_out)
+            u = np.matmul(h, blk.w1)
             u += blk.b1
-            d = np.maximum(u, 0, out=u if d_out is None else d_out)
+            d = np.maximum(u, 0, out=ds[i][r0:r1] if keep_cache else u)
             if masks:
                 d *= masks[i][r0:r1]
-            v = np.matmul(d, blk.w2, out=v_out)
+            v = np.matmul(d, blk.w2, out=vs[i][r0:r1] if keep_cache else None)
             v += blk.b2
-            relu_v = np.maximum(v, 0, out=v if v_out is None else None)
-            h = np.add(h, relu_v, out=h if store is None else hs[i + 1][r0:r1])
+            relu_v = np.maximum(v, 0, out=None if keep_cache else v)
+            h = np.add(h, relu_v, out=hs[i + 1][r0:r1] if keep_cache else h)
 
     map_ranges(tile, encoder_tiles(*a.shape))
-    return hs[-1]
+    scale = dtype.type(1) / dtype.type(keep) if masks else None
+    return ForwardCache(x, hs, ds, vs, scale)
 
 
 def forward(
@@ -361,12 +366,11 @@ def forward(
     if use_dropout and rng is None:
         raise ValueError("train-mode forward with dropout_p > 0 requires an rng")
 
-    cache = ForwardCache(x=x, a_in=None)
     if cfg.identity_encoder:
-        h = x
+        cache = ForwardCache(x, [x])
     else:
-        h = _encode(params, x, cfg.dropout_p if use_dropout else 0.0, rng,
-                    cache if return_cache else None)
+        cache = _encode(params, x, cfg.dropout_p if use_dropout else 0.0, rng, return_cache)
+    h = cache.features
     w_head, b_head = params.w_head, params.b_head
     if columns is not None:
         w_head, b_head = w_head[:, columns], b_head[columns]
@@ -380,7 +384,6 @@ def forward(
         z[...] = _sigmoid(z)
 
     map_ranges(bias_and_sigmoid, row_chunks(*y_hat.shape))
-    cache.features = h
     if return_cache:
         return h, y_hat, cache
     return h, y_hat
@@ -429,18 +432,18 @@ def backward(
     g_blocks: list[ResidualBlock] = []
     for i in range(len(params.blocks) - 1, -1, -1):
         blk = params.blocks[i]
-        dv = dh * (cache.block_v[i] > 0)
-        g_w2 = cache.block_d[i].T @ dv
+        dv = dh * (cache.v[i] > 0)
+        g_w2 = cache.d[i].T @ dv
         g_b2 = dv.sum(axis=0)
         dd = dv @ blk.w2.T
-        mask = cache.block_mask[i]
-        dr = dd * mask if mask is not None else dd
-        du = dr * (cache.block_u[i] > 0)
-        g_w1 = cache.block_h_in[i].T @ du
+        if cache.dropout_scale is not None:
+            dd *= cache.dropout_scale
+        du = dd * (cache.d[i] > 0)  # the ReLU and dropout masks in one
+        g_w1 = cache.h[i].T @ du
         g_b1 = du.sum(axis=0)
         g_blocks.append(ResidualBlock(g_w1, g_b1, g_w2, g_b2))
         dh = dh + du @ blk.w1.T  # skip path plus block-input path
-    da = dh * (cache.a_in > 0)
+    da = dh * (cache.h[0] > 0)
     g_w_in = cache.x.T @ da
     g_b_in = da.sum(axis=0)
     return NetParams(g_w_in, g_b_in, tuple(reversed(g_blocks)), g_w_head, g_b_head)
@@ -459,15 +462,8 @@ def init_adam(params: NetParams) -> AdamState:
     return AdamState(m=zeros_like_params(params), v=zeros_like_params(params), t=0)
 
 
-def adam_step(
-    params: NetParams,
-    grads: NetParams,
-    state: AdamState,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> tuple[NetParams, AdamState]:
+def adam_step(params: NetParams, grads: NetParams, state: AdamState,
+              lr: float) -> tuple[NetParams, AdamState]:
     """One bias-corrected Adam update; returns new params and state.
 
     Raises :class:`NonFiniteGradientError`, leaving the inputs untouched, if
@@ -480,12 +476,12 @@ def adam_step(
                 f"non-finite gradient entries in {name} at step {state.t + 1}"
             )
     t = state.t + 1
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    new_m = _map_arrays(lambda m, g: beta1 * m + (1.0 - beta1) * g, state.m, grads)
-    new_v = _map_arrays(lambda v, g: beta2 * v + (1.0 - beta2) * g * g, state.v, grads)
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    new_m = _map_arrays(lambda m, g: ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g, state.m, grads)
+    new_v = _map_arrays(lambda v, g: ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g, state.v, grads)
     new_p = _map_arrays(
-        lambda p, m, v: p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps),
+        lambda p, m, v: p - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS),
         params,
         new_m,
         new_v,

@@ -13,13 +13,14 @@ import importlib
 import math
 import re
 import threading
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
 
 import sinr.net
 from sinr.data import ObservationSet
-from sinr.evaluate import EVAL_GRID_MAGIC, EvalGrid
+from sinr.evaluate import EVAL_GRID_MAGIC, EvalGrid, f1_at_threshold
 from sinr.geo import GridSpec
 from sinr.losses import (
     BatchTargets,
@@ -34,6 +35,7 @@ from sinr.net import (
     ForwardCache,
     NetConfig,
     NetParams,
+    ResidualBlock,
     backward,
     forward,
     init_params,
@@ -154,7 +156,10 @@ def reference_load_eval_grid(path) -> EvalGrid:
         resolution, n_species = int(head[1]), int(head[2])
     except ValueError:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from None
-    grid = GridSpec(resolution)
+    try:
+        grid = GridSpec(resolution)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     entries = None
     if plain:
         tokens = body.split()
@@ -249,6 +254,21 @@ def ap_oracle(scores, labels) -> float:
     return total / hits
 
 
+def reference_f1_max_threshold(scores, labels) -> float:
+    """The F1-maximizing threshold as one ``f1_at_threshold`` pass per
+    candidate (0, 1 and the midpoints of consecutive unique scores), in
+    ascending order, keeping the first strict maximum."""
+    scores = np.asarray(scores, dtype=np.float64)
+    uniq = np.unique(scores)
+    candidates = np.concatenate([[0.0], (uniq[:-1] + uniq[1:]) / 2.0, [1.0]])
+    best_t, best_f1 = None, -1.0
+    for t in np.sort(candidates):
+        f1 = f1_at_threshold(scores, labels, t)
+        if f1 > best_f1:
+            best_t, best_f1 = float(t), f1
+    return best_t
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checking
 # ---------------------------------------------------------------------------
@@ -285,34 +305,79 @@ def composed_grads(params: NetParams, cfg: NetConfig, x_all, b, variant, targets
     return backward(params, cfg, cache, d_z=y_all)
 
 
+@dataclass
+class EncoderRecord:
+    """What the whole-array encoder computed that a ``ForwardCache`` does not
+    keep: the input layer's output ``a`` before its ReLU, each block's first
+    pre-activations ``u`` and its float dropout masks (None without dropout)."""
+
+    a: np.ndarray
+    u: list[np.ndarray] = field(default_factory=list)
+    masks: list[np.ndarray | None] = field(default_factory=list)
+
+
 def reference_encoder(params: NetParams, cfg: NetConfig, x, mode: str = "eval",
                       rng: np.random.Generator | None = None):
-    """``(features, cache)`` of the location encoder on whole arrays: the
-    input layer, then each residual block in turn over every row, its dropout
-    mask (in train mode) drawn from ``rng`` as the block runs."""
+    """``(features, cache, record)`` of the location encoder on whole arrays:
+    the input layer, then each residual block in turn over every row, its
+    dropout mask (in train mode) drawn from ``rng`` as the block runs. The
+    cache is what ``backward`` reads; the :class:`EncoderRecord` holds the
+    rest, for :func:`reference_backward`."""
     dtype = params.w_head.dtype
     x = np.asarray(x).astype(dtype, copy=False)
     a = x @ params.w_in + params.b_in
-    cache = ForwardCache(x=x, a_in=a)
     h = np.maximum(a, 0)
+    dropout = mode == "train" and cfg.dropout_p > 0.0 and len(params.blocks) > 0
     keep = 1.0 - cfg.dropout_p
+    scale = dtype.type(1) / dtype.type(keep) if dropout else None
+    cache, record = ForwardCache(x=x, h=[h], dropout_scale=scale), EncoderRecord(a)
     for blk in params.blocks:
         u = h @ blk.w1 + blk.b1
         r = np.maximum(u, 0)
-        if mode == "train" and cfg.dropout_p > 0.0:
+        if dropout:
             mask = (rng.random(size=r.shape) < keep).astype(dtype) / dtype.type(keep)
             d = r * mask
         else:
             mask, d = None, r
         v = d @ blk.w2 + blk.b2
-        cache.block_h_in.append(h)
-        cache.block_u.append(u)
-        cache.block_d.append(d)
-        cache.block_v.append(v)
-        cache.block_mask.append(mask)
         h = h + np.maximum(v, 0)
-    cache.features = h
-    return h, cache
+        cache.h.append(h)
+        cache.d.append(d)
+        cache.v.append(v)
+        record.u.append(u)
+        record.masks.append(mask)
+    return h, cache, record
+
+
+def reference_backward(params: NetParams, cfg: NetConfig, cache: ForwardCache,
+                       record: EncoderRecord, d_z) -> NetParams:
+    """``backward`` on whole arrays, reading the ReLU masks from the
+    pre-activations ``record.a`` and ``record.u`` and the dropout masks from
+    ``record.masks`` instead of from ``d`` and the block inputs."""
+    dtype = params.w_head.dtype
+    feats = cache.features
+    dz = np.asarray(d_z).astype(dtype, copy=False)
+    g_w_head, g_b_head = feats.T @ dz, dz.sum(axis=0)
+    dh = dz @ params.w_head.T
+    if cfg.identity_encoder:
+        return NetParams(None, None, (), g_w_head, g_b_head)
+    g_blocks = []
+    for i in range(len(params.blocks) - 1, -1, -1):
+        blk = params.blocks[i]
+        dv = dh * (cache.v[i] > 0)
+        g_w2 = cache.d[i].T @ dv
+        g_b2 = dv.sum(axis=0)
+        dd = dv @ blk.w2.T
+        mask = record.masks[i]
+        dr = dd * mask if mask is not None else dd
+        du = dr * (record.u[i] > 0)
+        g_w1 = cache.h[i].T @ du
+        g_b1 = du.sum(axis=0)
+        g_blocks.append(ResidualBlock(g_w1, g_b1, g_w2, g_b2))
+        dh = dh + du @ blk.w1.T
+    da = dh * (record.a > 0)
+    return NetParams(cache.x.T @ da, da.sum(axis=0), tuple(reversed(g_blocks)),
+                     g_w_head, g_b_head)
 
 
 def reference_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
@@ -394,11 +459,11 @@ def well_conditioned_setup(seed: int, h: float = 1e-5):
     x_data = rng.uniform(-1.0, 1.0, (b, cfg.input_dim))
     x_pseudo = rng.uniform(-1.0, 1.0, (b, cfg.input_dim))
     x_all = np.concatenate([x_data, x_pseudo])
-    _, y_all, cache = forward(params, cfg, x_all, mode="eval", return_cache=True)
+    _, y_all = forward(params, cfg, x_all, mode="eval")
+    _, cache, record = reference_encoder(params, cfg, x_all)
     margin = 1e-3
-    preacts = [cache.a_in] + cache.block_u + cache.block_v
-    for arr in preacts:
-        if arr is not None and np.any(np.abs(arr) < margin):
+    for arr in [record.a] + record.u + cache.v:
+        if np.any(np.abs(arr) < margin):
             return None
     if np.any(y_all < 1e-4) or np.any(y_all > 1.0 - 1e-4):
         return None

@@ -142,24 +142,52 @@ def test_unknown_species_exits_1(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval-map", "predict"])
-def test_unallocatable_grid_exits_1(tmp_path, capsys, command):
-    """A grid of 2e16 cells (resolution 1e8) cannot be allocated: one
-    ``error:`` line naming the allocation, no traceback."""
+def _huge_grid_args(tmp_path, command: str, resolution: str) -> tuple[list[str], str]:
+    """Arguments of ``eval map`` over a one-species EVALGRID, or of
+    ``predict``, at ``resolution``, and the ``error:`` prefix naming the
+    file and header or the flag."""
     model, out = tmp_path / "flat.sinr", tmp_path / "out"
     flat_model(model, species=("a", "b"))
     if command == "eval-map":
         grid = tmp_path / "huge.evalgrid"
-        grid.write_text("EVALGRID 100000000 1\na 0 1\n")
-        args = ["eval", "map", "--model", str(model), "--grid", str(grid), "--report", str(out)]
-    else:
-        args = ["predict", "--model", str(model), "--species", "a",
-                "--resolution", "100000000", "--out", str(out)]
+        grid.write_text(f"EVALGRID {resolution} 1\na 0 1\n")
+        return (["eval", "map", "--model", str(model), "--grid", str(grid), "--report", str(out)],
+                f"error: {grid}: ")
+    return (["predict", "--model", str(model), "--species", "a", "--resolution", resolution,
+             "--out", str(out)], f"error: --resolution {resolution}: ")
+
+
+@pytest.mark.parametrize("command", ["eval-map", "predict"])
+def test_unallocatable_grid_exits_1(tmp_path, capsys, command):
+    """A grid of 2e16 cells (resolution 1e8) cannot be allocated: one
+    ``error:`` line naming the file and header or the flag, and the
+    allocation, no traceback."""
+    args, named = _huge_grid_args(tmp_path, command, "100000000")
+    if command == "eval-map":
+        named += "header 'EVALGRID 100000000 1': "
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert err.startswith(named + "Unable to allocate ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("resolution", ["2147483647", "2147483648", "3037000500"])
+@pytest.mark.parametrize("command", ["eval-map", "predict"])
+def test_grid_past_int64_exits_1(tmp_path, command, resolution):
+    """2*R^2 cells past the int64 maximum (R >= 2**31), or more cells than a
+    numpy array or malloc takes (R = 2**31 - 1): exit 1 with one ``error:``
+    line naming the file or the flag, and no traceback. In a subprocess, so
+    that a command looping over the cells fails on the timeout instead of
+    hanging."""
+    args, named = _huge_grid_args(tmp_path, command, resolution)
+    proc = _run_python(_CLI, *args, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(named) and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if int(resolution) > 2147483647:
+        assert "the largest resolution is 2147483647" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_exits_0(capsys):
@@ -526,14 +554,15 @@ _THREAD_VARS = ("SINR_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_
 _CLI = "import sys; from sinr.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _run_python(code: str, *args: str, **env_vars: str) -> subprocess.CompletedProcess:
+def _run_python(code: str, *args: str, timeout: float = 300,
+                **env_vars: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter with no thread caps except ``env_vars``."""
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     src = os.path.dirname(os.path.dirname(sinr.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_vars)
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=300)
+                          text=True, timeout=timeout)
 
 
 def _python(code: str, *args: str, **env_vars: str) -> str:

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sinr.evaluate as evaluate_module
-from helpers import ap_oracle, reference_load_eval_grid, reference_save_eval_grid
+from helpers import (
+    ap_oracle,
+    reference_f1_max_threshold,
+    reference_load_eval_grid,
+    reference_save_eval_grid,
+)
 from sinr.data import EnvRasterStack, ObservationSet, load_env_rasters, write_env_raster
 from sinr.evaluate import (
     ClassifierRecord,
@@ -138,6 +143,18 @@ def test_eval_grid_load_rejects_duplicates_and_bad_labels(tmp_path):
     path.write_text("WRONG 1 1\nsp 0 1\n")
     with pytest.raises(ValueError, match="header"):
         load_eval_grid(path)
+
+
+def test_eval_grid_whose_keys_would_wrap_names_its_header(tmp_path):
+    """At resolution 2**31 - 1, 2 * n_cells wraps to -(2**34) + 4 in int64,
+    so species index 2 at cell 2**34 - 4 would share the key of species 0 at
+    cell 0: the loader names the header's label count, not a duplicate."""
+    path = tmp_path / "wrap.evalgrid"
+    path.write_text(f"EVALGRID 2147483647 3\na 0 1\nb 0 1\nc {2**34 - 4} 1\n")
+    with pytest.raises(ValueError) as exc:
+        load_eval_grid(path)
+    assert str(exc.value) == (f"{path}: header 'EVALGRID 2147483647 3' has more labels "
+                              "than an array holds")
 
 
 @pytest.mark.parametrize("form", ["plain", "free"])
@@ -464,30 +481,17 @@ def test_classifier_score_errors_name_the_line_a_row_starts_on(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def ridge_oracle(x, y, alpha, fit_intercept=True):
+def ridge_oracle(x, y, alpha):
     """Independent solve: append an unpenalized intercept column and use
     least squares on the augmented system."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = x.shape
-    if fit_intercept:
-        xa = np.hstack([x, np.ones((n, 1))])
-        reg = alpha * np.eye(d + 1)
-        reg[d, d] = 0.0  # intercept is unpenalized
-    else:
-        xa = x
-        reg = alpha * np.eye(d)
+    xa = np.hstack([x, np.ones((n, 1))])
+    reg = alpha * np.eye(d + 1)
+    reg[d, d] = 0.0  # intercept is unpenalized
     theta = np.linalg.solve(xa.T @ xa + reg, xa.T @ y)
-    if fit_intercept:
-        return theta[:d], float(theta[d])
-    return theta, 0.0
-
-
-def test_ridge_no_intercept_hand_value():
-    w, b = ridge_fit(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), 1.0,
-                     fit_intercept=False)
-    assert w[0] == pytest.approx(5 / 6, abs=1e-15)
-    assert b == 0.0
+    return theta[:d], float(theta[d])
 
 
 def test_ridge_small_alpha_recovers_exact_fit():
@@ -506,11 +510,10 @@ def test_ridge_matches_normal_equations_oracle():
         x = rng.normal(size=(n, d))
         y = rng.normal(size=n)
         alpha = float(10 ** rng.uniform(-4, 2))
-        for fit_intercept in (True, False):
-            w, b = ridge_fit(x, y, alpha, fit_intercept=fit_intercept)
-            ow, ob = ridge_oracle(x, y, alpha, fit_intercept=fit_intercept)
-            np.testing.assert_allclose(w, ow, atol=1e-8, rtol=0)
-            assert b == pytest.approx(ob, abs=1e-8)
+        w, b = ridge_fit(x, y, alpha)
+        ow, ob = ridge_oracle(x, y, alpha)
+        np.testing.assert_allclose(w, ow, atol=1e-8, rtol=0)
+        assert b == pytest.approx(ob, abs=1e-8)
 
 
 def test_ridge_solution_is_a_stationary_point():
@@ -774,6 +777,26 @@ def test_f1_exhaustive_against_brute_force():
         # No threshold anywhere can beat the canonical-candidate winner.
         for probe in np.linspace(-0.01, 1.01, 211):
             assert f1_at_threshold(scores, labels, probe) <= best + 1e-12
+
+
+_F1_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5 + 2**-53, 0.5 - 2**-54, 1.0, float("nan")]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_f1_max_threshold_matches_the_per_candidate_loop(data):
+    """On random, tie-heavy and adjacent-double scores, NaN among them, the
+    threshold (its bits) of one ``f1_at_threshold`` pass per candidate."""
+    n = data.draw(st.integers(2, 40), label="n")
+    scores = np.array(data.draw(st.lists(_F1_SCORES, min_size=n, max_size=n), label="scores"))
+    labels = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n),
+                                label="labels"))
+    labels[:2] = [1, 0]
+    got, want = f1_max_threshold(scores, labels), reference_f1_max_threshold(scores, labels)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_f1_degenerate_labels_rejected():

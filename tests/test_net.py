@@ -17,6 +17,7 @@ from helpers import (
     gather_gradcheck_setups,
     max_rel_error,
     params_close,
+    reference_backward,
     reference_encoder,
     reference_sigmoid,
 )
@@ -151,8 +152,8 @@ def test_zeroed_second_linear_makes_blocks_identity():
     zeroed = NetParams.from_flat(new_flat)
     x = np.random.default_rng(0).uniform(-1, 1, (5, 4)).astype(np.float32)
     h, y = forward(zeroed, cfg, x)
-    a_in = x @ params.w_in + params.b_in
-    expected_h = np.maximum(a_in, 0)
+    a = x @ params.w_in + params.b_in
+    expected_h = np.maximum(a, 0)
     np.testing.assert_allclose(h, expected_h, atol=1e-6)
     z = expected_h @ params.w_head + params.b_head
     np.testing.assert_allclose(y, 1.0 / (1.0 + np.exp(-z.astype(np.float64))), atol=1e-6)
@@ -331,20 +332,71 @@ def test_tiled_encoder_has_the_bits_of_the_whole_array_encoder(monkeypatch, rows
     def dropout_rng():
         return np.random.default_rng(7) if mode == "train" else None
 
-    want, want_cache = reference_encoder(params, cfg, x, mode, dropout_rng())
+    want, want_cache, _ = reference_encoder(params, cfg, x, mode, dropout_rng())
     feats, _, cache = forward(params, cfg, x, mode, dropout_rng(), return_cache=True)
     no_cache_feats, _ = forward(params, cfg, x, mode, dropout_rng())
     assert feats.tobytes() == want.tobytes() and no_cache_feats.tobytes() == want.tobytes()
-    assert cache.a_in.tobytes() == want_cache.a_in.tobytes()
-    for name in ("block_h_in", "block_u", "block_d", "block_v", "block_mask"):
+    assert cache.x.tobytes() == want_cache.x.tobytes()
+    for name, count in (("h", 3), ("d", 2), ("v", 2)):
         got, ref = getattr(cache, name), getattr(want_cache, name)
-        assert len(got) == len(ref) == 2, name
+        assert len(got) == len(ref) == count, name
         for g, r in zip(got, ref):
-            assert (g is None and r is None) or g.tobytes() == r.tobytes(), name
+            assert g.tobytes() == r.tobytes(), name
+    assert repr(cache.dropout_scale) == repr(want_cache.dropout_scale)
+    assert (cache.dropout_scale is None) == (mode == "eval")
     grads = backward(params, cfg, cache, d_z=d_z)
     want_grads = backward(params, cfg, want_cache, d_z=d_z)
     for name, g, w in zip(grads.names(), grads.flat(), want_grads.flat()):
         assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+@pytest.mark.parametrize("p", [0.0, 0.5, 0.9])
+def test_backward_has_the_bits_of_the_mask_and_preactivation_backward(monkeypatch, p, mode,
+                                                                       dtype, threads):
+    """``backward`` reads the ReLU and dropout masks back from ``d`` and the
+    first block input; its gradients have the bits of a whole-array backward
+    that reads the pre-activations and the float masks: 4,096 rows at H=256
+    (several tiles), with +0 and -0 entries and rows in ``d_z``."""
+    monkeypatch.setenv("SINR_THREADS", threads)
+    cfg = NetConfig(input_dim=4, n_species=3, hidden_dim=256, n_residual_layers=2,
+                    dropout_p=p, seed=11)
+    params = cast_params(init_params(cfg), dtype)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1, 1, (4096, 4))
+    d_z = rng.standard_normal((4096, 3))
+    d_z[rng.random(d_z.shape) < 0.2] = 0.0
+    d_z[rng.random(d_z.shape) < 0.2] = -0.0
+    d_z[rng.random(4096) < 0.1] = -0.0
+    d_z = d_z.astype(dtype)
+    _, _, cache = forward(params, cfg, x, mode, np.random.default_rng(7), return_cache=True)
+    _, want_cache, record = reference_encoder(params, cfg, x, mode, np.random.default_rng(7))
+    grads = backward(params, cfg, cache, d_z)
+    want = reference_backward(params, cfg, want_cache, record, d_z)
+    for name, g, w in zip(grads.names(), grads.flat(), want.flat()):
+        assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
+
+
+def test_train_forward_cache_keeps_only_what_backward_reads():
+    """A train-mode cached forward (4,096 rows, H=256, 4 blocks, p=0.5)
+    retains the 5 block inputs and each block's ``d`` and ``v``: 13 row x H
+    float32 arrays, below 14. Keeping the pre-activations, the input layer's
+    output and the float dropout masks as well made it 22."""
+    cfg = NetConfig(input_dim=4, n_species=2, hidden_dim=256, n_residual_layers=4,
+                    dropout_p=0.5)
+    params = init_params(cfg)
+    x = np.random.default_rng(1).uniform(-1, 1, (4096, 4)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        kept = forward(params, cfg, x, "train", np.random.default_rng(2), return_cache=True)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    cache = kept[2]
+    assert (len(cache.h), len(cache.d), len(cache.v)) == (5, 4, 4)
+    assert retained / (4096 * 256 * 4) < 14
 
 
 # (rows, features, species, head columns or None): dense heads at several
@@ -498,7 +550,7 @@ def test_eval_forward_memory_does_not_grow_with_blocks():
         finally:
             tracemalloc.stop()
         h_cached, y_cached, cache = forward(params, cfg, x, return_cache=True)
-        assert len(cache.block_u) == blocks
+        assert len(cache.d) == blocks
         assert h.tobytes() == h_cached.tobytes() and y.tobytes() == y_cached.tobytes()
     activation = x.shape[0] * 128 * 4
     assert peaks[1] < peaks[0] + activation / 2

@@ -91,3 +91,40 @@ def test_memory_tracked_names_run_only_on_the_calling_thread(child, monkeypatch,
     capsys.readouterr()
     assert pool_ran.is_set()
     assert threads == {f"{m}.{a}": {threading.main_thread().ident} for m, a in tracked}
+
+
+def test_span_attrs_read_the_training_step_calls(child, monkeypatch, tmp_path, capsys):
+    """The traced run reads the attributes of the ``net.forward``,
+    ``losses.compute_loss`` and ``net.backward`` spans from those calls'
+    arguments and results, under ``suppress(AttributeError, ...)``, so a
+    renamed cache field would empty the backward spans without failing the
+    run. On every call of real an-full and an-ssdl training runs, each
+    attribute function returns its keys."""
+    calls = collections.defaultdict(list)
+    step_module = importlib.import_module("sinr.train")
+    for attr in ("forward", "compute_loss", "backward"):
+        def recorded(*args, _real=getattr(step_module, attr), _name=attr, **kwargs):
+            result = _real(*args, **kwargs)
+            calls[_name].append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(step_module, attr, recorded)
+    obs_path = tmp_path / "obs.csv"
+    rng = np.random.default_rng(1)
+    save_observations(ObservationSet(tuple(f"sp{i:02d}" for i in range(40)),
+                                     rng.integers(0, 40, 300), rng.uniform(-170, 170, 300),
+                                     rng.uniform(-80, 80, 300)), obs_path)
+    for loss in ("an-full", "an-ssdl"):
+        calls.clear()
+        assert main(["train", "--obs", str(obs_path), "--out", str(tmp_path / "m.sinr"),
+                     "--loss", loss, "--batch-size", "64", "--hidden-dim", "8",
+                     "--residual-layers", "2", "--epochs", "1", "--seed", "3"]) == 0
+        assert len(calls["forward"]) == len(calls["compute_loss"]) == len(calls["backward"]) > 1
+        for fwd, lss, bwd in zip(calls["forward"], calls["compute_loss"], calls["backward"]):
+            f_attrs = child._forward_attrs(*fwd)
+            b_attrs = child._backward_attrs(*bwd)
+            assert set(f_attrs) == set(b_attrs) == {"rows", "cols", "feat"}
+            assert b_attrs["rows"] == f_attrs["rows"] and b_attrs["feat"] == f_attrs["feat"] == 8
+            assert b_attrs["cols"] == 40
+            assert set(child._loss_attrs(*lss)) == {"used"}
+    capsys.readouterr()
