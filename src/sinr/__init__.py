@@ -8,9 +8,10 @@ Importing ``sinr`` holds numpy's BLAS at one thread: it sets the BLAS
 thread-count variables to 1 unless they are set, before numpy is first
 imported, then pins numpy's bundled OpenBLAS to one thread at run time
 (``sinr.parallel.BLAS_PINNED``). The package's own workers run a step's
-elementwise work and its species-head products, one per CPU the process may
-use; set ``SINR_THREADS`` to cap them. With BLAS pinned, results depend
-neither on the worker count nor on the BLAS thread count asked for.
+elementwise work and its species-head products, by default one per CPU the
+process may use; ``SINR_THREADS`` sets their number. With BLAS pinned,
+results depend neither on the worker count nor on the BLAS thread count
+asked for.
 """
 
 import os

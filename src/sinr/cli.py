@@ -49,7 +49,7 @@ from .net import (
 )
 from .parallel import BLAS_PINNED, worker_count
 from .train import TrainConfig, TrainingDivergedError, resume, train
-from .util import atomic_write, seed_u64
+from .util import atomic_write, errors_named, seed_u64
 
 _PREDICT_CHUNK = 65536
 
@@ -154,14 +154,13 @@ class _NamedPredictor:
 
 def _species_scores_on_grid(
     model: ModelFile, env, species_id: str, resolution: int
-) -> tuple[GridSpec, np.ndarray]:
-    """The ``--resolution`` grid and one species' scores on its cells; a grid
-    that int64 cannot index or memory cannot hold is reported under the flag."""
-    try:
+) -> tuple[GridSpec, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The ``--resolution`` grid, its cell centroids and one species' scores on
+    its cells; a grid that int64 cannot index or memory cannot hold is
+    reported under the flag."""
+    with errors_named(f"--resolution {resolution}"):
         grid = GridSpec(resolution)
         centroids = cell_centroids(grid)  # numpy's ValueError: past the largest array
-    except (ValueError, MemoryError) as exc:
-        raise ValueError(f"--resolution {resolution}: {exc}") from None
     if species_id not in model.species_ids:
         raise ValueError(
             f"species {species_id!r} is not in the model catalog "
@@ -169,20 +168,20 @@ def _species_scores_on_grid(
         )
     column = model.species_ids.index(species_id)
     try:
-        return grid, _model_fn(model, env, [column])(*centroids)[:, 0]
+        return grid, centroids, _model_fn(model, env, [column])(*centroids)[:, 0]
     except MemoryError as exc:
         raise MemoryError(f"--resolution {resolution}: {exc}") from None
 
 
-def _write_cell_scores(path, grid: GridSpec, scores: np.ndarray) -> None:
+def _write_cell_scores(path, centroids: tuple[np.ndarray, np.ndarray], scores: np.ndarray) -> None:
     """``lon,lat,score`` rows in cell order, floats written with ``repr``;
     the bytes of ``csv.writer`` (no field needs quoting). One write per
     ``_PREDICT_CHUNK`` cells, so only that many cells' Python floats and
     text are alive at a time."""
-    lons, lats = cell_centroids(grid)
+    lons, lats = centroids
     with atomic_write(path, newline="") as fh:
         fh.write("lon,lat,score\r\n")
-        for start in range(0, grid.n_cells, _PREDICT_CHUNK):
+        for start in range(0, lons.size, _PREDICT_CHUNK):
             sl = slice(start, start + _PREDICT_CHUNK)
             fh.write("".join(map("{!r},{!r},{!r}\r\n".format, lons[sl].tolist(),
                                  lats[sl].tolist(), scores[sl].tolist())))
@@ -336,8 +335,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, env = _open_model(args)
-    grid, scores = _species_scores_on_grid(model, env, args.species, args.resolution)
-    _write_cell_scores(args.out, grid, scores)
+    grid, centroids, scores = _species_scores_on_grid(model, env, args.species, args.resolution)
+    _write_cell_scores(args.out, centroids, scores)
     print(f"wrote {grid.n_cells} cell scores for {args.species} to {args.out}")
     return 0
 
@@ -358,7 +357,7 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 def cmd_export_raster(args) -> int:
     model, env = _open_model(args)
-    grid, scores = _species_scores_on_grid(model, env, args.species, args.resolution)
+    grid, centroids, scores = _species_scores_on_grid(model, env, args.species, args.resolution)
 
     if args.binary_threshold is None:
         # Continuous: probability to gray level, rounding half up.
@@ -389,7 +388,7 @@ def cmd_export_raster(args) -> int:
 
     write_pgm(args.out, _scores_to_image(pixels, grid))
     if args.csv:
-        _write_cell_scores(args.csv, grid, scores)
+        _write_cell_scores(args.csv, centroids, scores)
     print(f"wrote {grid.n_lon}x{grid.n_lat} raster for {args.species} to {args.out}")
     return 0
 
@@ -407,8 +406,10 @@ def _eval_predictor(args, mode: str, wanted_ids):
     if baseline is not None and baseline[0] == "grid":
         if args.obs is None:
             args.parser.error("--baseline grid:RES requires --obs")
-        model = grid_baseline_fit(_load_obs(args.obs), GridSpec(baseline[1]))
+        obs = _load_obs(args.obs)
         label = f"grid:{baseline[1]}"
+        with errors_named(f"--baseline {label}"):
+            model = grid_baseline_fit(obs, GridSpec(baseline[1]))
 
         def scorer(cols):
             return lambda lons, lats: grid_baseline_scores(model, lons, lats, mode)[:, cols]

@@ -30,7 +30,7 @@ from .geo import (
 )
 from .losses import BatchTargets
 from .net import MAX_SPECIES_ID_BYTES
-from .util import atomic_write, csv_rows, decode_errors_named, seed_u64
+from .util import atomic_write, csv_rows, errors_named, seed_u64
 
 #: Streams drawn from a user seed are domain-separated with these salts.
 _SALT_SUBSAMPLE = 1
@@ -112,16 +112,16 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
     chunk takes the per-row pass, and from a chunk with a quote on, so does
     the rest of the file; both passes give the same result.
     """
-    with decode_errors_named(path), open(path, newline="") as fh:
+    with errors_named(path), open(path, newline="") as fh:
         try:
-            _, header = next(csv_rows(path, fh))
+            _, header = next(csv_rows(fh))
         except StopIteration:
-            raise ValueError(f"{path}: empty observations file") from None
+            raise ValueError("empty observations file") from None
         header = [name.lstrip("\ufeff").strip() for name in header]  # UTF-8 BOM, padding
         cols = {}
         for name in ("species_id", "lon", "lat"):
             if name not in header:
-                raise ValueError(f"{path}: missing required column {name!r}")
+                raise ValueError(f"missing required column {name!r}")
             cols[name] = header.index(name)
         need = max(cols.values()) + 1
 
@@ -142,12 +142,11 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
                 # A quoted field may hold line breaks, so from a quote on the
                 # per-row pass reads the rest of the file.
                 rest = chain(lines, fh) if '"' in chunk else lines
-                part = _checked_rows(rest, line_no, path, cols, need, catalog, rejected)
+                part = _checked_rows(rest, line_no, cols, need, catalog, rejected)
             parts.append(part)
             line_no += len(lines)
-
-    sp, lons, lats = (np.concatenate(arrays) for arrays in zip(*parts))
-    obs = ObservationSet(species_ids=tuple(catalog), species_index=sp, lons=lons, lats=lats)
+        sp, lons, lats = (np.concatenate(arrays) for arrays in zip(*parts))
+        obs = ObservationSet(species_ids=tuple(catalog), species_index=sp, lons=lons, lats=lats)
     return obs, tuple(rejected)
 
 
@@ -179,11 +178,11 @@ def _plain_rows(chunk: str, n_lines: int, n_fields: int, cols: dict, catalog: di
     return np.fromiter(map(catalog.__getitem__, ids), np.int64, len(ids)), lons, lats
 
 
-def _checked_rows(lines, line_no: int, path, cols: dict, need: int, catalog: dict, rejected):
-    """The per-row pass over csv ``lines`` of ``path`` from line ``line_no``: (species
-    index, lon, lat) arrays of the good rows; bad rows go to ``rejected``."""
+def _checked_rows(lines, line_no: int, cols: dict, need: int, catalog: dict, rejected):
+    """The per-row pass over csv ``lines`` from line ``line_no``: (species index,
+    lon, lat) arrays of the good rows; bad rows go to ``rejected``."""
     sp, lons, lats = [], [], []
-    for line_no, row in csv_rows(path, lines, line_no):
+    for line_no, row in csv_rows(lines, line_no):
         if not row:
             continue
         if len(row) < need:
@@ -401,45 +400,43 @@ class EnvRasterStack:
 
 
 def _parse_env_raster(path) -> tuple[np.ndarray, tuple[float, float, float, float]]:
-    with decode_errors_named(path), open(path) as fh:
+    with open(path) as fh:
         tokens = fh.read().split()
     if not tokens or tokens[0] != ENV_MAGIC:
-        raise ValueError(f"{path}: not an {ENV_MAGIC} file")
+        raise ValueError(f"not an {ENV_MAGIC} file")
     if len(tokens) < 7:
-        raise ValueError(f"{path}: truncated header")
+        raise ValueError("truncated header")
     try:
         n_rows, n_cols = int(tokens[1]), int(tokens[2])
         bounds = tuple(float(t) for t in tokens[3:7])
     except ValueError as exc:
-        raise ValueError(f"{path}: malformed header: {exc}") from None
+        raise ValueError(f"malformed header: {exc}") from None
     lon_min, lon_max, lat_min, lat_max = bounds
     if n_rows < 1 or n_cols < 1:
-        raise ValueError(f"{path}: grid must have at least one row and column")
+        raise ValueError("grid must have at least one row and column")
     if not (LON_MIN <= lon_min < lon_max <= LON_MAX and LAT_MIN <= lat_min < lat_max <= LAT_MAX):
-        raise ValueError(f"{path}: invalid bounds {bounds}")
+        raise ValueError(f"invalid bounds {bounds}")
     body = tokens[7:]
     if len(body) != n_rows * n_cols:
-        raise ValueError(
-            f"{path}: expected {n_rows * n_cols} cell values, found {len(body)}"
-        )
+        raise ValueError(f"expected {n_rows * n_cols} cell values, found {len(body)}")
     grid = np.empty(n_rows * n_cols, dtype=np.float64)
     for r0 in range(0, grid.size, n_cols):  # one grid row of tokens at a time
         row = body[r0 : r0 + n_cols]
         values = _bulk_floats(row, -_FLOAT_MAX, _FLOAT_MAX, row.count(_ENV_MISSING_TOKEN))
-        grid[r0 : r0 + n_cols] = [_cell_value(path, t) for t in row] if values is None else values
+        grid[r0 : r0 + n_cols] = [_cell_value(t) for t in row] if values is None else values
     return grid.reshape(n_rows, n_cols), bounds
 
 
-def _cell_value(path, tok: str) -> float:
+def _cell_value(tok: str) -> float:
     """The per-token pass: the value of one cell token (NaN for ``NA``)."""
     if tok == _ENV_MISSING_TOKEN:
         return np.nan
     try:
         value = float(tok)
     except ValueError:
-        raise ValueError(f"{path}: unparseable cell value {tok!r}") from None
+        raise ValueError(f"unparseable cell value {tok!r}") from None
     if not np.isfinite(value):
-        raise ValueError(f"{path}: non-finite cell value {tok!r}")
+        raise ValueError(f"non-finite cell value {tok!r}")
     return value
 
 
@@ -453,10 +450,16 @@ def load_env_rasters(paths) -> EnvRasterStack:
     paths = list(paths)
     if not paths:
         raise ValueError("need at least one raster file")
-    grids, bounds_list = zip(*(_parse_env_raster(p) for p in paths))
-    shapes = {g.shape for g in grids}
-    if len(shapes) != 1 or len(set(bounds_list)) != 1:
-        raise ValueError("raster layers disagree on grid shape or bounds")
+    grids, bounds_list = [], []
+    for path in paths:
+        with errors_named(path):
+            grid, bounds = _parse_env_raster(path)
+            if grids and (grid.shape != grids[0].shape or bounds != bounds_list[0]):
+                raise ValueError(f"grid shape or bounds differ from {paths[0]}")
+            if np.isnan(grid).all():
+                raise ValueError("raster layer has no observed cells")
+        grids.append(grid)
+        bounds_list.append(bounds)
     raw = np.stack(grids)
     missing = np.isnan(raw)
     e = raw.shape[0]
@@ -465,8 +468,6 @@ def load_env_rasters(paths) -> EnvRasterStack:
     values = np.zeros_like(raw)
     for i in range(e):
         good = raw[i][~missing[i]]
-        if good.size == 0:
-            raise ValueError(f"{paths[i]}: raster layer has no observed cells")
         means[i] = good.mean()
         stds[i] = good.std()
         if stds[i] > 0:

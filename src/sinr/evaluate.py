@@ -29,8 +29,8 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .data import EnvRasterStack, ObservationSet
-from .geo import GridSpec, cell_centroids, cell_indices
-from .util import atomic_write, csv_rows, decode_errors_named
+from .geo import LAT_MAX, LAT_MIN, LON_MAX, LON_MIN, GridSpec, cell_centroids, cell_indices
+from .util import atomic_write, csv_rows, errors_named
 
 #: Regularization strengths searched by cross-validated ridge regression.
 DEFAULT_ALPHAS = (0.1, 1.0, 10.0)
@@ -149,54 +149,48 @@ def load_eval_grid(path) -> EvalGrid:
     Any other file, and any such file that the bulk pass cannot take, is read
     line by line; both passes give the same grid and the same first error.
     """
-    with decode_errors_named(path), open(path) as fh:
-        text = fh.read()
-    end = text.find("\n")
-    first = text[:end] if end >= 0 else text
-    plain = first != "" and first == first.strip()
-    lines = [first] if plain else _stripped_lines(text)
-    if not lines:
-        raise ValueError(f"{path}: empty evaluation grid file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != EVAL_GRID_MAGIC:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    try:
-        resolution, n_species = int(head[1]), int(head[2])
-    except ValueError:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}") from None
-    try:
+    with errors_named(path):
+        with open(path) as fh:
+            text = fh.read()
+        end = text.find("\n")
+        first = text[:end] if end >= 0 else text
+        plain = first != "" and first == first.strip()
+        lines = [first] if plain else _stripped_lines(text)
+        if not lines:
+            raise ValueError("empty evaluation grid file")
+        head = lines[0].split()
+        if len(head) != 3 or head[0] != EVAL_GRID_MAGIC:
+            raise ValueError(f"malformed header {lines[0]!r}")
+        try:
+            resolution, n_species = int(head[1]), int(head[2])
+        except ValueError:
+            raise ValueError(f"malformed header {lines[0]!r}") from None
         grid = GridSpec(resolution)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    entries = None
-    if plain:
-        body = np.frombuffer(text.encode(), np.uint8)[len(first.encode()) + 1 :]
-        entries = _bulk_entries(body, grid)
+        entries = None
+        if plain:
+            body = np.frombuffer(text.encode(), np.uint8)[len(first.encode()) + 1 :]
+            entries = _bulk_entries(body, grid)
+            if entries is None:
+                lines = _stripped_lines(text)
         if entries is None:
-            lines = _stripped_lines(text)
-    if entries is None:
-        entries = _checked_entries(path, lines[1:], grid)
-    species_ids, species, cells, values = entries
-    if len(species_ids) != n_species:
-        raise ValueError(
-            f"{path}: header declares {n_species} species, file lists {len(species_ids)}"
-        )
-    if n_species * grid.n_cells > 2**63 - 1:  # the keys below would wrap
-        raise ValueError(f"{path}: header {lines[0]!r} has more labels than an array holds")
-    keys = species * grid.n_cells + cells
-    _, first_seen = np.unique(keys, return_index=True)
-    if first_seen.size != keys.size:
-        repeat = np.ones(keys.size, dtype=bool)
-        repeat[first_seen] = False
-        i = int(np.argmax(repeat))  # the first entry that repeats an earlier one
-        raise ValueError(
-            f"{path}: duplicate entry for species index {species[i]}, cell {cells[i]}"
-        )
-    try:
-        labels = np.full((n_species, grid.n_cells), -1, dtype=np.int8)
-    except MemoryError as exc:
-        raise ValueError(f"{path}: header {lines[0]!r}: {exc}") from None
-    labels[species, cells] = values
+            entries = _checked_entries(lines[1:], grid)
+        species_ids, species, cells, values = entries
+        if len(species_ids) != n_species:
+            raise ValueError(f"header declares {n_species} species, file lists {len(species_ids)}")
+        if n_species * grid.n_cells > 2**63 - 1:  # the keys below would wrap
+            raise ValueError(f"header {lines[0]!r} has more labels than an array holds")
+        keys = species * grid.n_cells + cells
+        _, first_seen = np.unique(keys, return_index=True)
+        if first_seen.size != keys.size:
+            repeat = np.ones(keys.size, dtype=bool)
+            repeat[first_seen] = False
+            i = int(np.argmax(repeat))  # the first entry that repeats an earlier one
+            raise ValueError(f"duplicate entry for species index {species[i]}, cell {cells[i]}")
+        try:
+            labels = np.full((n_species, grid.n_cells), -1, dtype=np.int8)
+        except MemoryError as exc:
+            raise ValueError(f"header {lines[0]!r}: {exc}") from None
+        labels[species, cells] = values
     return EvalGrid(grid=grid, species_ids=species_ids, labels=labels)
 
 
@@ -283,23 +277,23 @@ def _bulk_entries(body: np.ndarray, grid: GridSpec):
     return tuple(index), species, cells, values.astype(np.int8)
 
 
-def _checked_entries(path, lines: list[str], grid: GridSpec):
+def _checked_entries(lines: list[str], grid: GridSpec):
     """``_bulk_entries`` for any body, line by line, raising on the first bad line."""
     catalog: dict[str, int] = {}
     entries = []
     for ln in lines:
         parts = ln.split()
         if len(parts) != 3:
-            raise ValueError(f"{path}: malformed line {ln!r}")
+            raise ValueError(f"malformed line {ln!r}")
         sid, cell_s, label_s = parts
         try:
             cell, label = int(cell_s), int(label_s)
         except ValueError:
-            raise ValueError(f"{path}: malformed line {ln!r}") from None
+            raise ValueError(f"malformed line {ln!r}") from None
         if not (0 <= cell < grid.n_cells):
-            raise ValueError(f"{path}: cell index {cell} outside [0, {grid.n_cells})")
+            raise ValueError(f"cell index {cell} outside [0, {grid.n_cells})")
         if label not in (0, 1):
-            raise ValueError(f"{path}: label must be 0 or 1, got {label}")
+            raise ValueError(f"label must be 0 or 1, got {label}")
         if sid not in catalog:
             catalog[sid] = len(catalog)
         entries.append((catalog[sid], cell, label))
@@ -406,31 +400,35 @@ def load_classifier_scores(path) -> ClassifierScoreSet:
     """Read classifier outputs: ``record_id,true_species,lon,lat`` followed by
     one or more ``species:score`` fields per row (no header)."""
     records = []
-    with decode_errors_named(path), open(path, newline="") as fh:
-        for line_no, row in csv_rows(path, fh):
+    with errors_named(path), open(path, newline="") as fh:
+        for line_no, row in csv_rows(fh):
             if not row:
                 continue
             if len(row) < 5:
-                raise ValueError(f"{path}:{line_no}: expected at least 5 fields")
+                raise ValueError(f"line {line_no}: expected at least 5 fields")
             rid, true_sp, lon_s, lat_s = row[:4]
             try:
                 lon, lat = float(lon_s), float(lat_s)
             except ValueError:
-                raise ValueError(f"{path}:{line_no}: unparseable coordinates") from None
+                raise ValueError(f"line {line_no}: unparseable coordinates") from None
+            if not (np.isfinite(lon) and np.isfinite(lat)):
+                raise ValueError(f"line {line_no}: non-finite coordinate")
+            if not (LON_MIN <= lon <= LON_MAX and LAT_MIN <= lat <= LAT_MAX):
+                raise ValueError(f"line {line_no}: coordinate out of range")
             cands, scores = [], []
             for item in row[4:]:
                 sid, sep, score_s = item.rpartition(":")
                 if not sep or not sid:
-                    raise ValueError(f"{path}:{line_no}: malformed score field {item!r}")
+                    raise ValueError(f"line {line_no}: malformed score field {item!r}")
                 try:
                     scores.append(float(score_s))
                 except ValueError:
-                    raise ValueError(f"{path}:{line_no}: unparseable score in {item!r}") from None
+                    raise ValueError(f"line {line_no}: unparseable score in {item!r}") from None
                 cands.append(sid)
             records.append(
                 ClassifierRecord(rid, true_sp, lon, lat, tuple(cands), np.array(scores))
             )
-    return ClassifierScoreSet(tuple(records))
+        return ClassifierScoreSet(tuple(records))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geo import InputLayout
 from .parallel import BLAS_PINNED, map_ranges, row_chunks
-from .util import atomic_write, seed_u64
+from .util import atomic_write, errors_named, seed_u64
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -166,30 +166,14 @@ def init_params(cfg: NetConfig) -> NetParams:
     weights) so a seed pins the full parameter vector.
     """
     rng = np.random.default_rng(seed_u64(cfg.seed))
-
-    def draw(fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-    h = cfg.hidden_dim
-    if cfg.identity_encoder:
-        w_in = b_in = None
-        blocks: tuple[ResidualBlock, ...] = ()
-    else:
-        w_in = draw(cfg.input_dim, (cfg.input_dim, h))
-        b_in = np.zeros(h, dtype=np.float32)
-        blocks = tuple(
-            ResidualBlock(
-                draw(h, (h, h)),
-                np.zeros(h, dtype=np.float32),
-                draw(h, (h, h)),
-                np.zeros(h, dtype=np.float32),
-            )
-            for _ in range(cfg.n_residual_layers)
-        )
-    w_head = draw(cfg.feature_dim, (cfg.feature_dim, cfg.n_species))
-    b_head = np.zeros(cfg.n_species, dtype=np.float32)
-    return NetParams(w_in, b_in, blocks, w_head, b_head)
+    arrays = []
+    for shape in param_shapes(cfg):
+        if len(shape) == 2:  # a weight matrix; its fan-in is the first axis
+            bound = 1.0 / np.sqrt(shape[0])
+            arrays.append(rng.uniform(-bound, bound, size=shape).astype(np.float32))
+        else:
+            arrays.append(np.zeros(shape, dtype=np.float32))
+    return NetParams.from_flat(arrays)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -665,13 +649,14 @@ def save_model(
 
 def read_model_file(path) -> ModelFile:
     """Load a model file including its input layout and species catalog."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    model, consumed = model_from_bytes(buf)
-    if consumed != len(buf):
-        raise ModelFormatError(
-            f"{len(buf) - consumed} unexpected trailing bytes after model data"
-        )
+    with errors_named(path):
+        with open(path, "rb") as fh:
+            buf = fh.read()
+        model, consumed = model_from_bytes(buf)
+        if consumed != len(buf):
+            raise ModelFormatError(
+                f"{len(buf) - consumed} unexpected trailing bytes after model data"
+            )
     return model
 
 

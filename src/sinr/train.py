@@ -51,7 +51,7 @@ from .net import (
     model_from_bytes,
     model_to_bytes,
 )
-from .util import atomic_write, seed_u64
+from .util import atomic_write, errors_named, seed_u64
 
 #: Per-epoch multiplicative learning-rate decay factor.
 LR_DECAY = 0.98
@@ -438,53 +438,54 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    model, consumed = model_from_bytes(buf)
-    r = _Reader(buf)
-    r.pos = consumed
-    if r.take(4) != _CKPT_MAGIC:
-        raise CheckpointFormatError("missing checkpoint section after model data")
-    version, epochs_done = struct.unpack("<II", r.take(8))
-    if version != _CKPT_VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    corpus_sha256 = r.take(32)
-    (t,) = struct.unpack("<Q", r.take(8))
-    m_tree = r.params(model.cfg)
-    v_tree = r.params(model.cfg)
-    (n_losses,) = struct.unpack("<Q", r.take(8))
-    losses = np.frombuffer(r.take(8 * n_losses), dtype="<f8").tolist()
+    with errors_named(path):
+        with open(path, "rb") as fh:
+            buf = fh.read()
+        model, consumed = model_from_bytes(buf)
+        r = _Reader(buf)
+        r.pos = consumed
+        if r.take(4) != _CKPT_MAGIC:
+            raise CheckpointFormatError("missing checkpoint section after model data")
+        version, epochs_done = struct.unpack("<II", r.take(8))
+        if version != _CKPT_VERSION:
+            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+        corpus_sha256 = r.take(32)
+        (t,) = struct.unpack("<Q", r.take(8))
+        m_tree = r.params(model.cfg)
+        v_tree = r.params(model.cfg)
+        (n_losses,) = struct.unpack("<Q", r.take(8))
+        losses = np.frombuffer(r.take(8 * n_losses), dtype="<f8").tolist()
 
-    rngs = []
-    for _ in range(4):
-        rng_state = _take_json(r)
-        rng = np.random.default_rng()
-        bitgen = rng_state.get("bit_generator") if isinstance(rng_state, dict) else None
-        if rng.bit_generator.state["bit_generator"] != bitgen:
-            raise CheckpointFormatError(f"unsupported random generator {bitgen!r}")
+        rngs = []
+        for _ in range(4):
+            rng_state = _take_json(r)
+            rng = np.random.default_rng()
+            bitgen = rng_state.get("bit_generator") if isinstance(rng_state, dict) else None
+            if rng.bit_generator.state["bit_generator"] != bitgen:
+                raise CheckpointFormatError(f"unsupported random generator {bitgen!r}")
+            try:
+                rng.bit_generator.state = rng_state
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise CheckpointFormatError(f"malformed random generator state: {exc!r}") from exc
+            rngs.append(rng)
+
+        cfg_dict = _take_json(r)
         try:
-            rng.bit_generator.state = rng_state
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise CheckpointFormatError(f"malformed random generator state: {exc!r}") from exc
-        rngs.append(rng)
-
-    cfg_dict = _take_json(r)
-    try:
-        cfg = train_config_from_dict(cfg_dict)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"malformed training configuration: {exc!r}") from exc
-    if r.pos != len(buf):
-        raise CheckpointFormatError(
-            f"{len(buf) - r.pos} unexpected trailing bytes in checkpoint"
-        )
-    if model.cfg != cfg.net or model.input_layout is not cfg.input_layout:
-        raise CheckpointFormatError("model section disagrees with the training configuration")
-    if model.species_ids and len(model.species_ids) != cfg.net.n_species:
-        raise CheckpointFormatError("species catalog size disagrees with configuration")
-    if epochs_done > cfg.epochs:
-        raise CheckpointFormatError("checkpoint claims more epochs than configured")
-    if t != len(losses):  # each step records one loss and one optimizer update
-        raise CheckpointFormatError("loss history disagrees with the optimizer step count")
+            cfg = train_config_from_dict(cfg_dict)
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise CheckpointFormatError(f"malformed training configuration: {exc!r}") from exc
+        if r.pos != len(buf):
+            raise CheckpointFormatError(
+                f"{len(buf) - r.pos} unexpected trailing bytes in checkpoint"
+            )
+        if model.cfg != cfg.net or model.input_layout is not cfg.input_layout:
+            raise CheckpointFormatError("model section disagrees with the training configuration")
+        if model.species_ids and len(model.species_ids) != cfg.net.n_species:
+            raise CheckpointFormatError("species catalog size disagrees with configuration")
+        if epochs_done > cfg.epochs:
+            raise CheckpointFormatError("checkpoint claims more epochs than configured")
+        if t != len(losses):  # each step records one loss and one optimizer update
+            raise CheckpointFormatError("loss history disagrees with the optimizer step count")
     return TrainState(
         cfg=cfg,
         species_ids=model.species_ids,

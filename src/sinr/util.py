@@ -13,12 +13,12 @@ def seed_u64(seed: int) -> int:
     return int(seed) & 0xFFFFFFFFFFFFFFFF
 
 
-def csv_rows(path, lines, first_line: int = 1):
+def csv_rows(lines, first_line: int = 1):
     """``(line, row)`` for the rows of ``csv.reader(lines)``, where ``lines``
-    starts at line ``first_line`` of the file ``path`` and ``line`` is the
-    row's first line (a quoted field may span lines). A ``csv.Error``, such as
-    a field longer than ``csv.field_size_limit()``, is raised as a ValueError
-    naming the file and the line."""
+    starts at line ``first_line`` of its file and ``line`` is the row's first
+    line (a quoted field may span lines). A ``csv.Error``, such as a field
+    longer than ``csv.field_size_limit()``, is raised as a ValueError naming
+    the line."""
     reader = csv.reader(lines)
     line = first_line
     try:
@@ -26,22 +26,29 @@ def csv_rows(path, lines, first_line: int = 1):
             yield line, row
             line = first_line + reader.line_num
     except csv.Error as exc:
-        raise ValueError(f"{path}: line {first_line - 1 + reader.line_num}: {exc}") from None
+        raise ValueError(f"line {first_line - 1 + reader.line_num}: {exc}") from None
 
 
 @contextlib.contextmanager
-def decode_errors_named(path):
-    """Raise a UnicodeDecodeError from the block, such as a text file that is
-    not UTF-8, as a ValueError naming the file ``path`` and the bad byte. The
-    error's position is left out: a file read in chunks gives it within the
-    chunk, not the file."""
+def errors_named(name):
+    """Name the input ``name`` (a file, or a flag and its value) in the errors
+    the block raises about it. A ValueError keeps its type and gets ``name: ``
+    in front of its message; a MemoryError becomes one with that message; a
+    UnicodeDecodeError, such as a text file that is not UTF-8, becomes a
+    ValueError naming the bad byte. The decode error's position is left out:
+    a file read in chunks gives it within the chunk, not the file."""
     try:
         yield
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise ValueError(
-            f"{path}: not {exc.encoding} text: {exc.reason} (byte {byte:#04x})"
+            f"{name}: not {exc.encoding} text: {exc.reason} (byte {byte:#04x})"
         ) from None
+    except ValueError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+    except MemoryError as exc:
+        raise MemoryError(f"{name}: {exc}") from None
 
 
 @contextlib.contextmanager

@@ -212,6 +212,42 @@ def reference_load_eval_grid(path) -> EvalGrid:
 
 
 # ---------------------------------------------------------------------------
+# Reference initialization
+# ---------------------------------------------------------------------------
+
+
+def reference_init_params(cfg: NetConfig) -> NetParams:
+    """Parameters drawn layer by layer: uniform weights on
+    ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]`` from ``cfg.seed`` in the order input
+    weights, each block's ``w1`` and ``w2``, head weights; zero biases."""
+    rng = np.random.default_rng(int(cfg.seed) & 0xFFFFFFFFFFFFFFFF)
+
+    def draw(fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+
+    h = cfg.hidden_dim
+    if cfg.identity_encoder:
+        w_in = b_in = None
+        blocks: tuple[ResidualBlock, ...] = ()
+    else:
+        w_in = draw(cfg.input_dim, (cfg.input_dim, h))
+        b_in = np.zeros(h, dtype=np.float32)
+        blocks = tuple(
+            ResidualBlock(
+                draw(h, (h, h)),
+                np.zeros(h, dtype=np.float32),
+                draw(h, (h, h)),
+                np.zeros(h, dtype=np.float32),
+            )
+            for _ in range(cfg.n_residual_layers)
+        )
+    w_head = draw(cfg.feature_dim, (cfg.feature_dim, cfg.n_species))
+    b_head = np.zeros(cfg.n_species, dtype=np.float32)
+    return NetParams(w_in, b_in, blocks, w_head, b_head)
+
+
+# ---------------------------------------------------------------------------
 # Reference sigmoid
 # ---------------------------------------------------------------------------
 

@@ -494,7 +494,7 @@ def test_train_refuses_a_version_2_checkpoint(tmp_path, capsys):
 
     out = tmp_path / "b.sinr"
     assert run_train(tmp_path, obs_path, out, "--checkpoint", str(ckpt)) == 1
-    assert "error: unsupported checkpoint version 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {ckpt}: unsupported checkpoint version 2\n"
     assert ckpt.read_bytes() == saved and not out.exists()
 
 
@@ -515,7 +515,9 @@ def test_train_refuses_a_deeply_nested_checkpoint_config(tmp_path, capsys):
     out = tmp_path / "b.sinr"
     assert run_train(tmp_path, obs_path, out, "--checkpoint", str(ckpt)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed JSON section: maximum recursion depth exceeded")
+    assert err.startswith(
+        f"error: {ckpt}: malformed JSON section: maximum recursion depth exceeded"
+    )
     assert "Traceback" not in err
     assert ckpt.read_bytes() == saved and not out.exists()
 
@@ -623,6 +625,102 @@ def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, loader):
     assert err == f"error: {bad}: not utf-8 text: invalid start byte (byte 0xff)\n"
     assert "Traceback" not in err
     assert not out.exists()
+
+
+_NAMED_INPUTS = (
+    "obs", "env-raster", "grid", "scores-duplicate", "scores-true-species", "scores-range",
+    "model", "model-sizes", "checkpoint", "resolution", "baseline-grid", "baseline-memory",
+)
+
+
+@pytest.mark.parametrize("case", _NAMED_INPUTS)
+def test_input_errors_name_the_file_or_flag(tmp_path, capsys, case):
+    """An error about an input file or a grid flag is one ``error: NAME: ``
+    line, NAME the file or the flag and its value, with exit 1 and no
+    traceback: an overlong observation id, ENVGRID layers that disagree, an
+    EVALGRID header, classifier-score records, model files and checkpoints
+    that do not parse, and grids that int64 or memory cannot hold."""
+    model, out = tmp_path / "flat.sinr", tmp_path / "out"
+    flat_model(model, species=("a", "b"))
+    obs, grid = grid_fixture(tmp_path)
+    bad = tmp_path / f"bad.{case}"
+    name = bad
+    train = ["train", "--obs", str(obs), "--out", str(out), *TRAIN_ARGS]
+    if case == "obs":
+        bad.write_text(f"species_id,lon,lat\n{'x' * 65_536},1.0,2.0\n")
+        args = ["train", "--obs", str(bad), "--out", str(out), *TRAIN_ARGS]
+        message = f"species id {'x' * 32!r}... is longer than 65535 UTF-8 bytes"
+    elif case == "env-raster":
+        first = tmp_path / "first.env"
+        write_env_raster(first, np.ones((2, 4)), (-180.0, 180.0, -90.0, 90.0))
+        write_env_raster(bad, np.ones((2, 3)), (-180.0, 180.0, -90.0, 90.0))
+        args = [*train, "--input", "env", "--env-raster", str(first), "--env-raster", str(bad)]
+        message = f"grid shape or bounds differ from {first}"
+    elif case == "grid":
+        bad.write_text("EVALGRID x 1\n")
+        args = ["eval", "map", "--model", str(model), "--grid", str(bad), "--report", str(out)]
+        message = "malformed header 'EVALGRID x 1'"
+    elif case.startswith("scores"):
+        row, message = {
+            "scores-duplicate": ("r1,a,10.0,20.0,a:0.5,a:0.2", "record r1: duplicate candidate"),
+            "scores-true-species": ("r1,c,10.0,20.0,a:0.5", "record r1: true species 'c' never"),
+            "scores-range": ("r1,a,10.0,20.0,a:1.5", "record r1: scores must lie in [0, 1]"),
+        }[case]
+        bad.write_text(f"r0,a,1.0,2.0,a:0.5\n{row}\n")
+        args = ["eval", "geoprior", "--model", str(model), "--scores", str(bad),
+                "--report", str(out)]
+    elif case == "model":
+        bad.write_bytes(b"spec" + bytes(60))
+        args = ["predict", "--model", str(bad), "--species", "a", "--resolution", "2",
+                "--out", str(out)]
+        message = "bad magic b'spec'"
+    elif case == "model-sizes":
+        blob = model.read_bytes()
+        bad.write_bytes(blob[: len(blob) // 2])
+        args = ["predict", "--model", str(bad), "--species", "a", "--resolution", "2",
+                "--out", str(out)]
+        message = "declared sizes exceed the "
+    elif case == "checkpoint":
+        bad.write_bytes(b"spec" + bytes(60))
+        args = [*train, "--checkpoint", str(bad)]
+        message = "bad magic b'spec'"
+    elif case == "resolution":
+        name = "--resolution 3000000000"
+        args = ["predict", "--model", str(model), "--species", "a", "--resolution", "3000000000",
+                "--out", str(out)]
+        message = "resolution 3000000000 has 2*R^2 cells, past the int64 maximum"
+    else:
+        resolution, message = {
+            "baseline-grid": ("3000000000", "resolution 3000000000 has 2*R^2 cells"),
+            "baseline-memory": ("100000", "Unable to allocate "),
+        }[case]
+        name = f"--baseline grid:{resolution}"
+        args = ["eval", "map", "--baseline", f"grid:{resolution}", "--obs", str(obs),
+                "--grid", str(grid), "--report", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: {message}") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lon, lat, reason", [
+    ("nan", "5.0", "non-finite coordinate"),
+    ("10.0", "-inf", "non-finite coordinate"),
+    ("500", "5.0", "coordinate out of range"),
+    ("10.0", "-90.5", "coordinate out of range"),
+])
+def test_classifier_score_coordinates_are_checked_at_load(tmp_path, capsys, lon, lat, reason):
+    """A classifier-score row whose coordinates no grid holds fails on load,
+    naming the file and the line, as observation rows do."""
+    scores, model = tmp_path / "scores.csv", tmp_path / "flat.sinr"
+    scores.write_text(f"r1,a,10.0,20.0,a:0.6,b:0.9\nr2,b,{lon},{lat},b:0.8,a:0.2\n")
+    flat_model(model, species=("a", "b"))
+    report = tmp_path / "gp.csv"
+    assert main(["eval", "geoprior", "--model", str(model), "--scores", str(scores),
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {scores}: line 2: {reason}\n"
+    assert not report.exists()
 
 
 _BLAS_THREADS = (
@@ -860,6 +958,29 @@ def test_export_raster_csv_sidecar(tmp_path, capsys):
     assert all(r.endswith("0.5") for r in rows[1:])
 
 
+def test_cell_scores_reuse_the_centroids_they_were_scored_at(tmp_path, capsys, monkeypatch):
+    """predict and export-raster --csv build the grid's cell centroids once."""
+    cli_module = importlib.import_module("sinr.cli")
+    calls = []
+
+    def counting(*args, _real=cli_module.cell_centroids):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(cli_module, "cell_centroids", counting)
+    model = tmp_path / "flat.sinr"
+    flat_model(model)
+    common = ["--model", str(model), "--species", "north", "--resolution", "3"]
+    for argv in (["predict", *common, "--out", str(tmp_path / "p.csv")],
+                 ["export-raster", *common, "--out", str(tmp_path / "m.pgm"),
+                  "--csv", str(tmp_path / "m.csv")]):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
+
+
 def _csv_writer_bytes(header, rows) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
@@ -878,8 +999,8 @@ def test_cell_scores_are_csv_writer_bytes(tmp_path, monkeypatch, chunk):
     scores = np.random.default_rng(0).uniform(0, 1, grid.n_cells).astype(np.float32)
     scores[:3] = [0.0, 1.0, np.float32(1e-30)]
     path = tmp_path / "cells.csv"
-    _write_cell_scores(path, grid, scores)
     lons, lats = cell_centroids(grid)
+    _write_cell_scores(path, (lons, lats), scores)
     want = _csv_writer_bytes(["lon", "lat", "score"],
                              [[repr(float(lons[i])), repr(float(lats[i])), repr(float(scores[i]))]
                               for i in range(grid.n_cells)])

@@ -469,10 +469,10 @@ def test_classifier_score_errors_name_the_line_a_row_starts_on(tmp_path):
     """A quoted field may span lines; later rows keep their physical line."""
     path = tmp_path / "scores.csv"
     path.write_text('r1,A,10.0,20.0,"A:0.5\nB:0.25"\n\nr2,A,1.0,2.0\n')
-    with pytest.raises(ValueError, match=f"^{path}:4: expected at least 5 fields$"):
+    with pytest.raises(ValueError, match=f"^{path}: line 4: expected at least 5 fields$"):
         load_classifier_scores(path)
     path.write_text('r1,A,10.0,20.0,"A:0.5\nB:0.25"\nr2,A,1.0,2.0,"C\n:x"\n')
-    with pytest.raises(ValueError, match=f"^{path}:3: unparseable score"):
+    with pytest.raises(ValueError, match=f"^{path}: line 3: unparseable score"):
         load_classifier_scores(path)
 
 

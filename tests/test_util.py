@@ -1,4 +1,4 @@
-"""Atomic file output shared by every writer."""
+"""Atomic file output shared by every writer, and the naming of input errors."""
 
 import os
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sinr.cli import write_pgm
-from sinr.util import atomic_write
+from sinr.net import BadMagicError
+from sinr.util import atomic_write, errors_named
 
 
 class _Boom(Exception):
@@ -56,3 +57,30 @@ def test_new_files_get_the_mode_of_a_plain_open(tmp_path):
     finally:
         os.umask(old)
     assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode
+
+
+def test_errors_named_prefixes_value_errors_and_keeps_their_type():
+    with pytest.raises(BadMagicError) as exc:
+        with errors_named("m.sinr"):
+            raise BadMagicError("bad magic b'spec'")
+    assert str(exc.value) == "m.sinr: bad magic b'spec'"
+
+
+def test_errors_named_names_memory_and_decode_errors():
+    with pytest.raises(MemoryError) as exc:
+        with errors_named("--resolution 9"):
+            raise MemoryError("Unable to allocate 1 TiB")
+    assert str(exc.value) == "--resolution 9: Unable to allocate 1 TiB"
+    with pytest.raises(ValueError) as exc:
+        with errors_named("g.evalgrid"):
+            b"EVALGRID\n\xff".decode()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "g.evalgrid: not utf-8 text: invalid start byte (byte 0xff)"
+
+
+def test_errors_named_leaves_other_errors_alone():
+    for error in (OSError("No such file"), TypeError("t"), FloatingPointError("f")):
+        with pytest.raises(type(error)) as exc:
+            with errors_named("x.csv"):
+                raise error
+        assert exc.value is error and str(exc.value) == str(error)
