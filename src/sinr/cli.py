@@ -191,7 +191,7 @@ def _load_obs(path) -> ObservationSet:
     """Load observations, reporting each skipped row on stderr."""
     obs, rejected = load_observations(path)
     for rej in rejected:
-        print(f"{path}: row {rej.line}: {rej.reason}", file=sys.stderr)
+        print(f"{path}: line {rej.line}: {rej.reason}", file=sys.stderr)
     if rejected:
         print(f"{path}: skipped {len(rejected)} malformed rows", file=sys.stderr)
     return obs

@@ -373,6 +373,53 @@ def forward(
     return h, y_hat
 
 
+def _beside(*jobs: Callable[[], None]) -> None:
+    """Run independent ``jobs`` side by side, one per worker; in order on the
+    calling thread when BLAS is not pinned to one thread (its own threads
+    then run each product)."""
+    if BLAS_PINNED == "1":
+        map_ranges(lambda i, _: jobs[i](), [(i, i + 1) for i in range(len(jobs))])
+    else:
+        for job in jobs:
+            job()
+
+
+def _weight_grads(inp: np.ndarray, d_out: np.ndarray, g_w: np.ndarray, g_b: np.ndarray) -> None:
+    """A linear layer's gradients: ``inp.T @ d_out`` into ``g_w`` and the
+    column sums of ``d_out`` into ``g_b``."""
+    np.matmul(inp.T, d_out, out=g_w)
+    np.sum(d_out, axis=0, out=g_b)
+
+
+def _block_backward(blk: ResidualBlock, cache: ForwardCache, i: int,
+                    dh: np.ndarray) -> tuple[ResidualBlock, np.ndarray]:
+    """Block ``i``'s parameter gradients and the gradient at its input, from
+    ``dh``, the gradient at its output. Two rounds each run a weight gradient
+    beside an input gradient (:func:`_beside`): ``w2`` and ``b2`` beside
+    ``du``, then ``w1`` and ``b1`` beside the block input's gradient. Every
+    product runs whole, so the bits are those of running them in turn; every
+    output is allocated here, on the calling thread."""
+    h_in, d, scale, dtype = cache.h[i], cache.d[i], cache.dropout_scale, dh.dtype
+    dv = dh * (cache.v[i] > 0)
+    g_w1, g_w2 = np.empty(blk.w1.shape, dtype), np.empty(blk.w2.shape, dtype)
+    g_b1, g_b2 = np.empty(blk.b1.shape, dtype), np.empty(blk.b2.shape, dtype)
+    du, dh_in = np.empty_like(dh), np.empty_like(dh)
+
+    def hidden_grads() -> None:  # through the dropout scale and the ReLU and dropout masks
+        np.matmul(dv, blk.w2.T, out=du)
+        if scale is not None:
+            np.multiply(du, scale, out=du)
+        np.multiply(du, d > 0, out=du)
+
+    def input_grads() -> None:  # the skip path plus the first layer's path
+        np.matmul(du, blk.w1.T, out=dh_in)
+        np.add(dh, dh_in, out=dh_in)
+
+    _beside(lambda: _weight_grads(d, dv, g_w2, g_b2), hidden_grads)
+    _beside(lambda: _weight_grads(h_in, du, g_w1, g_b1), input_grads)
+    return ResidualBlock(g_w1, g_b1, g_w2, g_b2), dh_in
+
+
 def backward(
     params: NetParams,
     cfg: NetConfig,
@@ -387,7 +434,9 @@ def backward(
     seeds the pass; the result is a :class:`NetParams` tree of derivatives
     with respect to every parameter, in the parameters' dtype. With the
     ``columns`` of a gathered forward, ``d_z`` holds those columns and the
-    other head columns get zero gradients.
+    other head columns get zero gradients. The head products run in
+    :func:`gemm_blocks` on the workers, and each residual block in two rounds
+    of two products side by side (:func:`_block_backward`).
     """
     dtype = params.w_head.dtype
     feats = cache.features
@@ -396,12 +445,9 @@ def backward(
     # Each block of the head products writes its slice of one output array.
     g_w_head = np.empty(w_head.shape, dtype=dtype)
     g_b_head = np.empty(w_head.shape[1], dtype=dtype)
-
-    def head_grads(c0: int, c1: int) -> None:
-        np.matmul(feats.T, dz[:, c0:c1], out=g_w_head[:, c0:c1])
-        np.sum(dz[:, c0:c1], axis=0, out=g_b_head[c0:c1])
-
-    map_ranges(head_grads, gemm_blocks(w_head.shape[1], feats.size))
+    map_ranges(lambda c0, c1: _weight_grads(feats, dz[:, c0:c1], g_w_head[:, c0:c1],
+                                            g_b_head[c0:c1]),
+               gemm_blocks(w_head.shape[1], feats.size))
     dh = np.empty(feats.shape, dtype=dtype)
     map_ranges(lambda r0, r1: np.matmul(dz[r0:r1], w_head.T, out=dh[r0:r1]),
                gemm_blocks(len(feats), w_head.size))
@@ -415,18 +461,8 @@ def backward(
 
     g_blocks: list[ResidualBlock] = []
     for i in range(len(params.blocks) - 1, -1, -1):
-        blk = params.blocks[i]
-        dv = dh * (cache.v[i] > 0)
-        g_w2 = cache.d[i].T @ dv
-        g_b2 = dv.sum(axis=0)
-        dd = dv @ blk.w2.T
-        if cache.dropout_scale is not None:
-            dd *= cache.dropout_scale
-        du = dd * (cache.d[i] > 0)  # the ReLU and dropout masks in one
-        g_w1 = cache.h[i].T @ du
-        g_b1 = du.sum(axis=0)
-        g_blocks.append(ResidualBlock(g_w1, g_b1, g_w2, g_b2))
-        dh = dh + du @ blk.w1.T  # skip path plus block-input path
+        grads, dh = _block_backward(params.blocks[i], cache, i, dh)
+        g_blocks.append(grads)
     da = dh * (cache.h[0] > 0)
     g_w_in = cache.x.T @ da
     g_b_in = da.sum(axis=0)

@@ -357,17 +357,19 @@ def resume(
     different configuration.
     """
     state = load_checkpoint(checkpoint_path)
-    if expect_cfg is not None and expect_cfg != state.cfg:
-        raise ValueError("checkpoint configuration does not match the expected one")
+    with errors_named(checkpoint_path):
+        if expect_cfg is not None and expect_cfg != state.cfg:
+            raise ValueError("checkpoint configuration does not match the expected one")
     obs = _effective_obs(state.cfg, obs)
     _check_inputs(state.cfg, obs, env)
-    if obs.species_ids != state.species_ids:
-        raise ValueError("checkpoint species catalog does not match the corpus")
-    n_steps = steps_per_epoch(obs.n_records, state.cfg.batch_size)
-    if len(state.step_losses) != state.epochs_done * n_steps:
-        raise ValueError("checkpoint step count does not match the corpus size")
-    if _corpus_sha256(obs) != state.corpus_sha256:
-        raise ValueError("checkpoint was written for other observation records")
+    with errors_named(checkpoint_path):
+        if obs.species_ids != state.species_ids:
+            raise ValueError("checkpoint species catalog does not match the corpus")
+        n_steps = steps_per_epoch(obs.n_records, state.cfg.batch_size)
+        if len(state.step_losses) != state.epochs_done * n_steps:
+            raise ValueError("checkpoint step count does not match the corpus size")
+        if _corpus_sha256(obs) != state.corpus_sha256:
+            raise ValueError("checkpoint was written for other observation records")
     return _run(state, obs, env, checkpoint_path, stop_after_epoch, on_epoch)
 
 

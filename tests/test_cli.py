@@ -311,20 +311,21 @@ def test_train_min_count_filters_catalog(tmp_path, capsys):
 
 
 def test_train_reports_rejected_rows(tmp_path, capsys):
+    """A skipped row is named by the file line it starts on, which a quoted
+    line break in an earlier row moves down by one."""
     obs_path = tmp_path / "obs.csv"
-    obs_path.write_text(
-        "species_id,lon,lat\n"
-        "good,10.0,20.0\n"
-        "bad,999.0,20.0\n"
-        "good,-10.0,-20.0\n"
-    )
     model_path = tmp_path / "m.sinr"
-    code = main(["train", "--obs", str(obs_path), "--out", str(model_path),
-                 "--epochs", "1", "--batch-size", "2", "--hidden-dim", "4",
-                 "--residual-layers", "0", "--seed", "1"])
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "row 3" in err and "out of range" in err and "skipped 1" in err
+    for first_row, line in (("good,10.0,20.0\n", 3), ('"go\nod",10.0,20.0\n', 4)):
+        obs_path.write_text("species_id,lon,lat\n" + first_row +
+                            "bad,999.0,20.0\n"
+                            "good,-10.0,-20.0\n")
+        code = main(["train", "--obs", str(obs_path), "--out", str(model_path),
+                     "--epochs", "1", "--batch-size", "2", "--hidden-dim", "4",
+                     "--residual-layers", "0", "--seed", "1"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"{obs_path}: line {line}: coordinate out of range",
+                                    f"{obs_path}: skipped 1 malformed rows"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # divergence is reported without numpy warnings
@@ -474,10 +475,13 @@ def test_train_refuses_a_mismatched_checkpoint(tmp_path, capsys):
     capsys.readouterr()
 
     out = tmp_path / "b.sinr"
-    for obs, extra in ((obs_path, ["--lr", "2e-3"]), (renamed, [])):
+    for obs, extra, message in (
+        (obs_path, ["--lr", "2e-3"], "checkpoint configuration does not match the expected one"),
+        (renamed, [], "checkpoint species catalog does not match the corpus"),
+    ):
         code = run_train(tmp_path, obs, out, "--checkpoint", str(ckpt), *extra)
         assert code == 1
-        assert "checkpoint" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
         assert ckpt.read_bytes() == saved and not out.exists()
 
 

@@ -3,6 +3,7 @@ dropout semantics, the Adam optimizer, and the binary model file format."""
 
 import dataclasses
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -337,8 +338,8 @@ def test_encoder_tiles_are_whole_when_blas_is_not_pinned(monkeypatch):
 def test_tiled_encoder_has_the_bits_of_the_whole_array_encoder(monkeypatch, rows, hidden, mode,
                                                                threads):
     """Features, every cache array and every gradient of ``backward`` equal
-    those of the whole-array block loop, in eval and train mode, whatever
-    the tiles and the worker count."""
+    those of the whole-array block loop and its backward, in eval and train
+    mode, whatever the tiles and the worker count."""
     monkeypatch.setenv("SINR_THREADS", threads)
     cfg = NetConfig(input_dim=4, n_species=3, hidden_dim=hidden, n_residual_layers=2,
                     dropout_p=0.5, seed=rows)
@@ -352,7 +353,7 @@ def test_tiled_encoder_has_the_bits_of_the_whole_array_encoder(monkeypatch, rows
     def dropout_rng():
         return np.random.default_rng(7) if mode == "train" else None
 
-    want, want_cache, _ = reference_encoder(params, cfg, x, mode, dropout_rng())
+    want, want_cache, record = reference_encoder(params, cfg, x, mode, dropout_rng())
     feats, _, cache = forward(params, cfg, x, mode, dropout_rng(), return_cache=True)
     no_cache_feats, _ = forward(params, cfg, x, mode, dropout_rng())
     assert feats.tobytes() == want.tobytes() and no_cache_feats.tobytes() == want.tobytes()
@@ -365,23 +366,25 @@ def test_tiled_encoder_has_the_bits_of_the_whole_array_encoder(monkeypatch, rows
     assert repr(cache.dropout_scale) == repr(want_cache.dropout_scale)
     assert (cache.dropout_scale is None) == (mode == "eval")
     grads = backward(params, cfg, cache, d_z=d_z)
-    want_grads = backward(params, cfg, want_cache, d_z=d_z)
+    want_grads = reference_backward(params, cfg, want_cache, record, d_z)
     for name, g, w in zip(grads.names(), grads.flat(), want_grads.flat()):
         assert g.tobytes() == w.tobytes(), name
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", ["eval", "train"])
 @pytest.mark.parametrize("p", [0.0, 0.5, 0.9])
 def test_backward_has_the_bits_of_the_mask_and_preactivation_backward(monkeypatch, p, mode,
                                                                        dtype, threads):
     """``backward`` reads the ReLU and dropout masks back from ``d`` and the
-    first block input; its gradients have the bits of a whole-array backward
-    that reads the pre-activations and the float masks: 4,096 rows at H=256
-    (several tiles), with +0 and -0 entries and rows in ``d_z``."""
+    first block input, and runs each block's products side by side on the
+    workers; its gradients have the bits of a whole-array backward that reads
+    the pre-activations and the float masks and runs every product in turn:
+    4,096 rows at H=256 (several tiles) and the paper's 4 blocks, with +0 and
+    -0 entries and rows in ``d_z``."""
     monkeypatch.setenv("SINR_THREADS", threads)
-    cfg = NetConfig(input_dim=4, n_species=3, hidden_dim=256, n_residual_layers=2,
+    cfg = NetConfig(input_dim=4, n_species=3, hidden_dim=256, n_residual_layers=4,
                     dropout_p=p, seed=11)
     params = cast_params(init_params(cfg), dtype)
     rng = np.random.default_rng(5)
@@ -397,6 +400,69 @@ def test_backward_has_the_bits_of_the_mask_and_preactivation_backward(monkeypatc
     want = reference_backward(params, cfg, want_cache, record, d_z)
     for name, g, w in zip(grads.names(), grads.flat(), want.flat()):
         assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("threads, blas", [("2", "1"), ("1", "1"), ("2", "no: another BLAS")])
+def test_backward_runs_each_block_on_the_workers_only_when_blas_is_pinned(monkeypatch, threads,
+                                                                          blas):
+    """With 2 workers and BLAS pinned, a pool thread runs some of the
+    residual blocks' products (as in ``hand_off_to_a_pool_thread``, the
+    first one the main thread takes waits until a pool thread has run one).
+    With 1 worker, or with BLAS not pinned, the calling thread runs them all.
+    The gradients have the reference bits."""
+    monkeypatch.setenv("SINR_THREADS", threads)
+    monkeypatch.setattr(sinr.net, "BLAS_PINNED", blas)
+    cfg = NetConfig(input_dim=4, n_species=3, hidden_dim=16, n_residual_layers=4,
+                    dropout_p=0.5, seed=2)
+    params = init_params(cfg)
+    x = np.random.default_rng(3).uniform(-1, 1, (64, 4))
+    d_z = np.random.default_rng(4).standard_normal((64, 3)).astype(np.float32)
+    _, cache, record = reference_encoder(params, cfg, x, "train", np.random.default_rng(7))
+    hand_off = threads == "2" and blas == "1"
+    main, ran, pool_ran = threading.main_thread(), [], threading.Event()
+
+    def recorded(job):
+        def run():
+            if threading.current_thread() is not main:
+                pool_ran.set()
+            elif hand_off and main not in ran:
+                pool_ran.wait(timeout=30)
+            ran.append(threading.current_thread())
+            job()
+        return run
+
+    real_beside = sinr.net._beside
+    monkeypatch.setattr(sinr.net, "_beside", lambda *jobs: real_beside(*map(recorded, jobs)))
+    grads = backward(params, cfg, cache, d_z)
+    want = reference_backward(params, cfg, cache, record, d_z)
+    for name, g, w in zip(grads.names(), grads.flat(), want.flat()):
+        assert g.tobytes() == w.tobytes(), name
+    assert len(ran) == 16  # 4 blocks x 2 rounds x 2 products
+    if hand_off:
+        assert pool_ran.is_set()
+    else:
+        assert set(ran) == {main}
+
+
+def test_backward_holds_no_extra_row_buffers():
+    """A 4,096-row, H=256, 4-block backward with 2 head columns peaks below
+    5 row x H float32 arrays traced: the gradient at the block output, ``dv``,
+    ``du`` and the gradient at the block input, plus the bool masks and the
+    parameter gradients. Running the products in turn, each into a fresh
+    array, peaked at 5.76."""
+    cfg = NetConfig(input_dim=4, n_species=2, hidden_dim=256, n_residual_layers=4,
+                    dropout_p=0.5)
+    params = init_params(cfg)
+    x = np.random.default_rng(1).uniform(-1, 1, (4096, 4)).astype(np.float32)
+    _, y, cache = forward(params, cfg, x, "train", np.random.default_rng(2), return_cache=True)
+    d_z = np.random.default_rng(3).standard_normal(y.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        backward(params, cfg, cache, d_z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (4096 * 256 * 4) < 5
 
 
 def test_train_forward_cache_keeps_only_what_backward_reads():

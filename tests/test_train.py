@@ -4,6 +4,7 @@ and checkpoint/resume bit-exactness."""
 import dataclasses
 import importlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -406,7 +407,7 @@ def test_resume_rejects_mismatched_config(tmp_path, obs):
     cfg = small_cfg(epochs=3)
     ckpt = tmp_path / "run.ckpt"
     train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
-    with pytest.raises(ValueError, match="configuration"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: checkpoint configuration"):
         resume(ckpt, obs, expect_cfg=small_cfg(epochs=3, master_seed=99))
 
 
@@ -417,7 +418,7 @@ def test_resume_rejects_mismatched_corpus(tmp_path, obs):
     renamed = ObservationSet(
         ("x", "y", "z"), obs.species_index, obs.lons, obs.lats
     )
-    with pytest.raises(ValueError, match="catalog"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: checkpoint species catalog"):
         resume(ckpt, renamed)
 
 
@@ -482,7 +483,7 @@ def test_checkpoint_step_history_is_cross_checked(tmp_path, obs):
 
     state.step_losses.append(0.5)  # t matches again, but the epochs are uneven
     save_checkpoint(bad, state)
-    with pytest.raises(ValueError, match="step count"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: checkpoint step count"):
         resume(bad, obs)
 
 
@@ -492,8 +493,18 @@ def test_resume_rejects_a_corpus_of_another_size(tmp_path, obs):
     train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
     bigger = random_obs(np.random.default_rng(1), n_species=3, n_records=90)
     assert bigger.species_ids == obs.species_ids
-    with pytest.raises(ValueError, match="step count"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: checkpoint step count"):
         resume(ckpt, bigger)
+
+
+def test_resume_rejects_other_records_of_the_same_catalog_and_size(tmp_path, obs):
+    cfg = small_cfg(epochs=2)
+    ckpt = tmp_path / "run.ckpt"
+    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    moved = dataclasses.replace(obs, lons=obs.lons[::-1].copy())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: checkpoint was written for "
+                                         "other observation records$"):
+        resume(ckpt, moved)
 
 
 @pytest.fixture(scope="module")
