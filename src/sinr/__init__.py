@@ -32,7 +32,6 @@ from .data import (
     sample_batch,
     sample_uniform_locations,
     save_observations,
-    select_species,
     subsample_cap,
     write_env_raster,
 )

@@ -3,8 +3,8 @@
 An observation corpus is a list of ``(species_id, lon, lat)`` records; the
 species catalog is the distinct ids in order of first appearance, and records
 refer to species by dense catalog index. All subset operations (count
-filtering, per-species caps, species selection) preserve record order and
-keep the catalog dense.
+filtering, per-species caps) preserve record order and keep the catalog
+dense.
 
 Environmental features come from a stack of single-layer plain-text rasters
 sharing one grid; layers are z-score normalized on load with missing cells
@@ -32,9 +32,8 @@ from .losses import BatchTargets
 from .net import MAX_SPECIES_ID_BYTES
 from .util import atomic_write, csv_rows, errors_named, seed_u64
 
-#: Streams drawn from a user seed are domain-separated with these salts.
+#: The subsample stream drawn from a user seed is domain-separated with this salt.
 _SALT_SUBSAMPLE = 1
-_SALT_SELECT = 2
 
 ENV_MAGIC = "ENVGRID"
 _ENV_MISSING_TOKEN = "NA"
@@ -272,35 +271,6 @@ def subsample_cap(obs: ObservationSet, cap: int, seed: int) -> ObservationSet:
         lons=obs.lons[keep],
         lats=obs.lats[keep],
     )
-
-
-def select_species(
-    obs: ObservationSet, keep_ids, n_extra: int = 0, seed: int = 0
-) -> ObservationSet:
-    """Restrict the corpus to ``keep_ids`` plus ``n_extra`` random other species.
-
-    The extra species are drawn uniformly without replacement from the rest
-    of the catalog; for a fixed seed the extra set grows by inclusion as
-    ``n_extra`` grows. Unknown ids in ``keep_ids`` are an error.
-    """
-    keep_ids = list(keep_ids)
-    index = {s: i for i, s in enumerate(obs.species_ids)}
-    missing = [s for s in keep_ids if s not in index]
-    if missing:
-        raise ValueError(f"unknown species ids: {missing}")
-    if n_extra < 0:
-        raise ValueError(f"n_extra must be >= 0, got {n_extra}")
-    keep = np.zeros(obs.n_species, dtype=bool)
-    keep[[index[s] for s in keep_ids]] = True
-    candidates = np.flatnonzero(~keep)
-    if n_extra > candidates.size:
-        raise ValueError(
-            f"n_extra={n_extra} exceeds the {candidates.size} species outside keep_ids"
-        )
-    if n_extra:
-        rng = np.random.default_rng(np.random.SeedSequence([seed_u64(seed), _SALT_SELECT]))
-        keep[candidates[rng.permutation(candidates.size)[:n_extra]]] = True
-    return _take_records(obs, keep)
 
 
 # ---------------------------------------------------------------------------

@@ -142,11 +142,6 @@ class NetParams:
         return cls(arrays[0], arrays[1], blocks, arrays[-2], arrays[-1])
 
 
-def _map_arrays(fn: Callable[..., np.ndarray], *trees: NetParams) -> NetParams:
-    flats = [t.flat() for t in trees]
-    return NetParams.from_flat([fn(*arrs) for arrs in zip(*flats)])
-
-
 def param_shapes(cfg: NetConfig) -> list[tuple[int, ...]]:
     """Array shapes in ``NetParams.flat()`` order for this configuration."""
     h = cfg.hidden_dim
@@ -469,7 +464,7 @@ def backward(
     return NetParams(g_w_in, g_b_in, tuple(reversed(g_blocks)), g_w_head, g_b_head)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
     """First/second moment accumulators and the step counter."""
 
@@ -482,13 +477,19 @@ def init_adam(params: NetParams) -> AdamState:
     return AdamState(m=zeros_like_params(params), v=zeros_like_params(params), t=0)
 
 
-def adam_step(params: NetParams, grads: NetParams, state: AdamState,
-              lr: float) -> tuple[NetParams, AdamState]:
-    """One bias-corrected Adam update; returns new params and state.
+def adam_step(params: NetParams, grads: NetParams, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update, written in place into ``params``,
+    ``state.m`` and ``state.v`` one array at a time; ``grads`` is only read.
 
-    Raises :class:`NonFiniteGradientError`, leaving the inputs untouched, if
-    any gradient entry is NaN or infinite, or if the update itself overflows
-    (a huge learning rate) to a NaN or infinite parameter.
+    Each array runs the scalar operations of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g`` and ``p = p - lr*(m/bc1)/(sqrt(v/bc2)+eps)``
+    in that order, so p, m and v get the bits of those expressions.
+
+    Raises :class:`NonFiniteGradientError` if any gradient entry is NaN or
+    infinite; every array is checked before any is written, so the inputs
+    are left untouched. Also raises it if the update itself overflows (a
+    huge learning rate) to a NaN or infinite parameter. The arrays up to and
+    including that one have then been written, but ``state.t`` is unchanged.
     """
     for name, g in zip(grads.names(), grads.flat()):
         if not np.all(np.isfinite(g)):
@@ -498,20 +499,17 @@ def adam_step(params: NetParams, grads: NetParams, state: AdamState,
     t = state.t + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    new_m = _map_arrays(lambda m, g: ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g, state.m, grads)
-    new_v = _map_arrays(lambda v, g: ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g, state.v, grads)
-    new_p = _map_arrays(
-        lambda p, m, v: p - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS),
-        params,
-        new_m,
-        new_v,
-    )
-    for p in new_p.flat():
+    for p, m, v, g in zip(params.flat(), state.m.flat(), state.v.flat(), grads.flat()):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if not np.all(np.isfinite(p)):
             raise NonFiniteGradientError(
                 f"non-finite parameters after the update at step {t} (lr={lr!r})"
             )
-    return new_p, AdamState(m=new_m, v=new_v, t=t)
+    state.t = t
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +695,7 @@ def read_model_file(path) -> ModelFile:
 
 
 def zeros_like_params(params: NetParams) -> NetParams:
-    return _map_arrays(np.zeros_like, params)
+    return NetParams.from_flat([np.zeros_like(a) for a in params.flat()])
 
 
 def params_equal(a: NetParams, b: NetParams) -> bool:

@@ -287,7 +287,7 @@ def _run(
             # warnings would only print source lines ahead of that error.
             with np.errstate(over="ignore", invalid="ignore"):
                 value, grads = _loss_and_grads(state, x, targets, epoch, step)
-                state.params, state.adam = adam_step(state.params, grads, state.adam, lr)
+                adam_step(state.params, grads, state.adam, lr)
             state.step_losses.append(value)
         state.epochs_done = epoch + 1
         if on_epoch is not None:

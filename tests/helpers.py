@@ -32,9 +32,14 @@ from sinr.losses import (
     needs_pseudo_negatives,
 )
 from sinr.net import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
     ForwardCache,
     NetConfig,
     NetParams,
+    NonFiniteGradientError,
     ResidualBlock,
     backward,
     forward,
@@ -43,16 +48,21 @@ from sinr.net import (
 
 
 def hand_off_to_a_pool_thread(monkeypatch, module: str, attr: str) -> threading.Event:
-    """Wrap ``module.attr`` so that the main thread's calls wait (up to 30 s)
-    until a pool thread has made one, which makes a pool thread run chunks of
-    a ``map_ranges`` with several workers and ranges. Returns the event
-    that the first pool-thread call sets."""
+    """Wrap ``module.attr`` so that the main thread's first call waits (up to
+    30 s) until a pool thread has made one, which makes a pool thread run
+    chunks of a ``map_ranges`` with several workers and ranges. Returns the
+    event that the first pool-thread call sets. Code that never calls it on
+    a pool thread costs one 30 s wait, not one per call."""
     mod = importlib.import_module(module)
     helper_ran = threading.Event()
+    main_waited = False
 
     def wrapped(*args, _real=getattr(mod, attr), **kwargs):
+        nonlocal main_waited
         if threading.current_thread() is threading.main_thread():
-            helper_ran.wait(timeout=30)
+            if not main_waited:
+                main_waited = True
+                helper_ran.wait(timeout=30)
         else:
             helper_ran.set()
         return _real(*args, **kwargs)
@@ -245,6 +255,39 @@ def reference_init_params(cfg: NetConfig) -> NetParams:
     w_head = draw(cfg.feature_dim, (cfg.feature_dim, cfg.n_species))
     b_head = np.zeros(cfg.n_species, dtype=np.float32)
     return NetParams(w_in, b_in, blocks, w_head, b_head)
+
+
+# ---------------------------------------------------------------------------
+# Reference Adam
+# ---------------------------------------------------------------------------
+
+
+def reference_adam_step(params: NetParams, grads: NetParams, state: AdamState,
+                        lr: float) -> tuple[NetParams, AdamState]:
+    """Adam as whole-array expressions that build new parameter and moment
+    trees, leaving every input untouched; returns the new params and state."""
+    for name, g in zip(grads.names(), grads.flat()):
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradientError(
+                f"non-finite gradient entries in {name} at step {state.t + 1}"
+            )
+    t = state.t + 1
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+
+    def tree(fn, *trees):
+        return NetParams.from_flat([fn(*arrs) for arrs in zip(*(x.flat() for x in trees))])
+
+    new_m = tree(lambda m, g: ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g, state.m, grads)
+    new_v = tree(lambda v, g: ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g, state.v, grads)
+    new_p = tree(lambda p, m, v: p - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS),
+                 params, new_m, new_v)
+    for p in new_p.flat():
+        if not np.all(np.isfinite(p)):
+            raise NonFiniteGradientError(
+                f"non-finite parameters after the update at step {t} (lr={lr!r})"
+            )
+    return new_p, AdamState(m=new_m, v=new_v, t=t)
 
 
 # ---------------------------------------------------------------------------

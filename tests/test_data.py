@@ -22,7 +22,6 @@ from sinr.data import (
     sample_batch,
     sample_uniform_locations,
     save_observations,
-    select_species,
     subsample_cap,
     write_env_raster,
 )
@@ -250,21 +249,6 @@ def test_subsample_cap_matches_the_per_species_loop(case):
         assert got.lats.tobytes() == obs.lats[keep].tobytes()
     empty = ObservationSet(("a",), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
     assert subsample_cap(empty, 1, 0).n_records == 0
-
-
-def test_select_species_keep_and_extras():
-    rng = np.random.default_rng(41)
-    obs = random_obs(rng, n_species=10, n_records=500)
-    keep = ("sp002", "sp007")
-    only = select_species(obs, keep)
-    assert set(only.species_ids) == set(keep)
-    with2 = select_species(obs, keep, n_extra=2, seed=3)
-    assert len(with2.species_ids) == 4
-    assert set(keep) <= set(with2.species_ids)
-    with4 = select_species(obs, keep, n_extra=4, seed=3)
-    assert set(with2.species_ids) <= set(with4.species_ids)  # extras grow by inclusion
-    with pytest.raises(ValueError):
-        select_species(obs, ("nope",))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from helpers import (
     gather_gradcheck_setups,
     max_rel_error,
     params_close,
+    reference_adam_step,
     reference_backward,
     reference_encoder,
     reference_init_params,
@@ -690,7 +691,7 @@ def test_adam_matches_reference_recurrence():
     lr = 0.05
     for t in range(1, 6):
         gs = [rng.normal(size=a.shape) for a in params.flat()]
-        params, state = adam_step(params, NetParams.from_flat(gs), state, lr)
+        adam_step(params, NetParams.from_flat(gs), state, lr)
         for i, g in enumerate(gs):
             ref_m[i] = ADAM_BETA1 * ref_m[i] + (1 - ADAM_BETA1) * g
             ref_v[i] = ADAM_BETA2 * ref_v[i] + (1 - ADAM_BETA2) * g * g
@@ -708,22 +709,28 @@ def test_adam_first_step_is_signed_lr():
     cfg = NetConfig(input_dim=1, n_species=1, identity_encoder=True, dropout_p=0.0)
     params = NetParams.from_flat([np.array([[1.0]]), np.array([2.0])])
     grads = NetParams.from_flat([np.array([[3.7]]), np.array([-0.002])])
-    new_params, _ = adam_step(params, grads, init_adam(params), lr=0.1)
-    np.testing.assert_allclose(new_params.w_head, [[1.0 - 0.1]], atol=1e-6)
-    np.testing.assert_allclose(new_params.b_head, [2.0 + 0.1], atol=1e-4)
+    adam_step(params, grads, init_adam(params), lr=0.1)
+    np.testing.assert_allclose(params.w_head, [[1.0 - 0.1]], atol=1e-6)
+    np.testing.assert_allclose(params.b_head, [2.0 + 0.1], atol=1e-4)
 
 
 def test_adam_rejects_non_finite_gradients():
     cfg = NetConfig(input_dim=2, n_species=1, identity_encoder=True, dropout_p=0.0)
     params = init_params(cfg)
     state = init_adam(params)
+    before = [a.tobytes() for tree in (params, state.m, state.v) for a in tree.flat()]
     bad = NetParams.from_flat([np.array([[np.nan], [0.0]]), np.array([0.0])])
     with pytest.raises(NonFiniteGradientError):
         adam_step(params, bad, state, lr=0.1)
     bad = NetParams.from_flat([np.array([[np.inf], [0.0]]), np.array([0.0])])
     with pytest.raises(NonFiniteGradientError):
         adam_step(params, bad, state, lr=0.1)
+    # a bad last array: the finite arrays before it would change p, m and v
+    bad = NetParams.from_flat([np.array([[0.5], [-0.5]]), np.array([np.inf])])
+    with pytest.raises(NonFiniteGradientError):
+        adam_step(params, bad, state, lr=0.1)
     assert state.t == 0  # inputs untouched
+    assert [a.tobytes() for tree in (params, state.m, state.v) for a in tree.flat()] == before
 
 
 def test_adam_rejects_an_update_that_overflows():
@@ -734,6 +741,72 @@ def test_adam_rejects_an_update_that_overflows():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError, match="parameters"):
         adam_step(params, grads, state, lr=1e39)  # inf as a float32 step size
     assert state.t == 0
+
+
+def test_adam_has_the_bits_of_the_tree_form():
+    """Five in-place steps on a float32 4-block net give, at every step, the
+    bytes of p, m and v and the step count of ``reference_adam_step``, with
+    head columns whose gradient is exactly 0 (as ``backward(columns=)``
+    leaves them) and +0 and -0 entries in the gradients and in m and v."""
+    cfg = NetConfig(input_dim=4, n_species=40, hidden_dim=16, n_residual_layers=4)
+    params = init_params(cfg)
+    rng = np.random.default_rng(22)
+
+    def signed_zeros(a: np.ndarray) -> np.ndarray:
+        a[rng.random(a.shape) < 0.1] = 0.0
+        a[rng.random(a.shape) < 0.1] = -0.0
+        return a
+
+    def draw(scale: float) -> NetParams:
+        return NetParams.from_flat([
+            signed_zeros((scale * rng.standard_normal(a.shape)).astype(np.float32))
+            for a in params.flat()
+        ])
+
+    v = NetParams.from_flat([np.abs(a) for a in draw(1e-4).flat()])
+    for a in v.flat():
+        signed_zeros(a)
+    state = AdamState(draw(1e-3), v, t=3)
+    ref_params, ref_state = cast_params(params, np.float32), AdamState(  # copies
+        cast_params(state.m, np.float32), cast_params(state.v, np.float32), t=3)
+    signs_seen = set()  # the signs that -0 entries of m take after a step
+    for step in range(5):
+        grads = draw(0.1)
+        idle = rng.random(cfg.n_species) < 0.5  # columns outside this step's batch
+        grads.w_head[:, idle] = 0.0
+        grads.b_head[idle] = 0.0
+        before = [g.tobytes() for g in grads.flat()]
+        neg_zero = [np.signbit(m) & (m == 0) for m in state.m.flat()]
+        lr = 1e-2 * 0.98**step
+        ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, lr)
+        adam_step(params, grads, state, lr)
+        assert [g.tobytes() for g in grads.flat()] == before  # gradients are only read
+        assert state.t == ref_state.t == 4 + step
+        for got, want in [(params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)]:
+            assert [a.tobytes() for a in got.flat()] == [a.tobytes() for a in want.flat()]
+        for m, z in zip(state.m.flat(), neg_zero):
+            signs_seen |= set(np.signbit(m[z & (m == 0)]).tolist())
+    assert signs_seen == {False, True}  # -0 + -0 stays -0; -0 + +0 is +0
+
+
+def test_adam_holds_fewer_than_four_head_arrays():
+    """One update at H=256, S=4,000 and 4 blocks, where the head is the
+    largest array, peaks below 4 head-sized float32 arrays traced. Building
+    new parameter and moment trees peaked above 5."""
+    cfg = NetConfig(input_dim=4, n_species=4000, hidden_dim=256, n_residual_layers=4)
+    params = init_params(cfg)
+    rng = np.random.default_rng(5)
+    grads = NetParams.from_flat(
+        [rng.standard_normal(a.shape).astype(np.float32) for a in params.flat()])
+    state = init_adam(params)
+    adam_step(params, grads, state, lr=1e-3)
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / params.w_head.nbytes < 4
 
 
 def test_adam_names_the_first_non_finite_gradient():
