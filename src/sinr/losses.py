@@ -181,9 +181,22 @@ _ABSENCE = {
 }
 
 
-def _logit_grad_in_place(y: np.ndarray, d_y: np.ndarray) -> None:
+def _logit_grad_in_place(y: np.ndarray, d_y) -> None:
     """Overwrite sigmoid outputs ``y`` with ``dL/dz = d_y * y * (1 - y)``,
-    computed in ``d_y``'s precision and rounded once to ``y``'s dtype."""
+    computed in ``d_y``'s precision and rounded once to ``y``'s dtype.
+    ``d_y`` is dL/dy of every entry, or ``(cols, d)`` (see :func:`_loss_rows`):
+    then only the entries ``(r, cols[r, k])`` are read, ``y`` is zero-filled
+    and those entries are written, so every other entry's dL/dz is +0, as the
+    product with a dL/dy of 0 gives."""
+    if isinstance(d_y, tuple):
+        cols, d = d_y
+        at = np.arange(len(y))[:, None], cols
+        read = y[at]
+        dz = 1.0 - read
+        dz *= read
+        y[...] = 0
+        y[at] = d * dz
+        return
     dz = 1.0 - y
     dz *= y
     np.multiply(d_y, dz, out=y)
@@ -205,7 +218,10 @@ def compute_loss(
     dL/dz, the gradient with respect to the head logits. The rows run in
     chunks on the step's workers (:func:`row_chunks`), so no float64 array of
     the batch's shape is built, and each chunk does the whole batch's
-    arithmetic, bit for bit.
+    arithmetic, bit for bit. ssdl and slds read one or two entries a row, so
+    only those are computed: the other entries of their rows become +0,
+    whatever they held, which lets a training forward leave them as the head
+    product alone (``forward``'s ``read``).
 
     >>> y, y_rand = np.array([[0.8]]), np.array([[0.6]])
     >>> compute_loss(LossConfig("an-ssdl"), y, BatchTargets(np.array([0]), 1),
@@ -238,11 +254,13 @@ def compute_loss(
 def _loss_rows(cfg: LossConfig, y_hat, j, y_hat_rand, jp, b: int):
     """``(row losses, dL/dy_hat, dL/dy_hat_rand or None)`` of the rows
     ``y_hat`` with positives ``j`` (and slds negatives ``jp``), the gradients
-    normalised by the batch size ``b``."""
+    normalised by the batch size ``b``. The full variants give each dL/dy as
+    an array of the rows' shape. ssdl and slds read one or two entries a row
+    and give ``(cols, d)``: ``d[r, k]`` is dL/dy at ``(r, cols[r, k])`` and
+    every other entry's is 0."""
     family, selection = cfg.variant.value.split("-")
     absence = _ABSENCE[family]
     rows = np.arange(len(j))
-    dr = None
     if selection == "full":
         s = y_hat.shape[1]
         scale = s * b
@@ -253,19 +271,15 @@ def _loss_rows(cfg: LossConfig, y_hat, j, y_hat_rand, jp, b: int):
         row_sums = terms.sum(axis=1)
         del c, terms  # hold one array fewer while the pseudo-location terms are built
         terms_rand, dr = absence(_clamp(y_hat_rand), scale)
-        row_losses = (row_sums + terms_rand.sum(axis=1)) / s
+        d[rows, j] = -cfg.lam / (pos * scale)
+        return (row_sums + terms_rand.sum(axis=1)) / s, d, dr
+    # Only B (ssdl) or 2B (slds) entries are read: gather them, then clamp.
+    pos = _clamp(y_hat[rows, j])
+    d_pos = -1.0 / (pos * b)
+    if selection == "ssdl":
+        neg_terms, neg_grad = absence(_clamp(y_hat_rand[rows, j]), b)
+        d, dr = (j[:, None], d_pos[:, None]), (j[:, None], neg_grad[:, None])
     else:
-        # Only B (ssdl) or 2B (slds) entries are read: gather them, then clamp.
-        scale = b
-        pos = _clamp(y_hat[rows, j])
-        d = np.zeros_like(y_hat, dtype=np.float64)
-        if selection == "ssdl":
-            neg_terms, neg_grad = absence(_clamp(y_hat_rand[rows, j]), scale)
-            dr = np.zeros_like(y_hat_rand, dtype=np.float64)
-            dr[rows, j] = neg_grad
-        else:
-            neg_terms, neg_grad = absence(_clamp(y_hat[rows, jp]), scale)
-            d[rows, jp] = neg_grad
-        row_losses = -np.log(pos) + neg_terms
-    d[rows, j] = -(cfg.lam if selection == "full" else 1.0) / (pos * scale)
-    return row_losses, d, dr
+        neg_terms, neg_grad = absence(_clamp(y_hat[rows, jp]), b)
+        d, dr = (np.stack([j, jp], axis=1), np.stack([d_pos, neg_grad], axis=1)), None
+    return -np.log(pos) + neg_terms, d, dr

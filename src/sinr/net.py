@@ -14,6 +14,8 @@ build float64 instances of the same code path.
 
 from __future__ import annotations
 
+import copy
+import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -273,43 +275,70 @@ def head_columns(needed, n_rows: int, n_feat: int, n_species: int) -> np.ndarray
     return np.sort(np.concatenate([cols, pad]))
 
 
+#: Doubles a row tile draws at a time for a dropout mask. Pieces this small
+#: (64 KiB) are served from the allocator's free lists; tile-sized draws on
+#: the workers left about 1 MiB more resident at the training step's peak.
+MASK_PIECE_DRAWS = 8192
+
+
 def _encode(params: NetParams, x: np.ndarray, dropout_p: float,
             rng: np.random.Generator | None, keep_cache: bool) -> ForwardCache:
     """The location encoder on ``x``, as a cache whose ``features`` are the
     result. The input layer runs as one product, and its ReLU overwrites its
-    output in place. With ``dropout_p > 0`` one mask per block is drawn from
-    ``rng``, whole and in block order. Then every residual block runs on one
-    row tile at a time (:func:`encoder_tiles`), the tiles spread over the
-    workers, with each array's bits those of the whole-array computation.
-    With ``keep_cache`` the tiles write the cache's block inputs, ``d`` and
-    ``v``; without it, a tile keeps tile-sized temporaries and the features
+    output in place. Then every residual block runs on one row tile at a time
+    (:func:`encoder_tiles`), the tiles spread over the workers, with each
+    array's bits those of the whole-array computation. With ``dropout_p > 0``
+    each tile draws its rows of every block's mask from a copy of ``rng``
+    advanced to them, so the masks are those of drawing one whole mask per
+    block, in block order; ``rng`` then moves past all of them. With
+    ``keep_cache`` the tiles write the cache's block inputs, ``d`` and ``v``;
+    without it, a tile keeps tile-sized temporaries and the features
     overwrite the input layer's output."""
     a = x @ params.w_in + params.b_in
     blocks = params.blocks
     keep = 1.0 - dropout_p
     dtype = a.dtype
-    masks = [(rng.random(size=a.shape) < keep).astype(dtype) / dtype.type(keep)
-             for _ in blocks] if dropout_p > 0.0 else []
+    n, width = a.shape
+    dropout = dropout_p > 0.0 and bool(blocks)
+    if dropout:
+        # PCG64's advance(k) skips exactly k doubles, so a tile can reach its rows.
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError("train-mode dropout needs a PCG64 bit generator, "
+                            f"got {type(bitgen).__name__}")
+        start = bitgen.state
+        piece_rows = max(1, MASK_PIECE_DRAWS // width)
     n_cached = len(blocks) if keep_cache else 0
     hs = [a] + [np.empty_like(a) for _ in range(n_cached)]
     ds, vs = ([np.empty_like(a) for _ in range(n_cached)] for _ in range(2))
 
     def tile(r0: int, r1: int) -> None:
+        if dropout:
+            draws = copy.deepcopy(rng)
+            draws.bit_generator.advance(r0 * width)
         h = np.maximum(a[r0:r1], 0, out=a[r0:r1])
         for i, blk in enumerate(blocks):
             u = np.matmul(h, blk.w1)
             u += blk.b1
             d = np.maximum(u, 0, out=ds[i][r0:r1] if keep_cache else u)
-            if masks:
-                d *= masks[i][r0:r1]
+            if dropout:
+                for c in range(0, r1 - r0, piece_rows):
+                    piece = d[c:c + piece_rows]
+                    kept = draws.random(size=piece.shape) < keep
+                    piece *= kept.astype(dtype) / dtype.type(keep)
+                draws.bit_generator.advance((n - (r1 - r0)) * width)  # to the next block's rows
             v = np.matmul(d, blk.w2, out=vs[i][r0:r1] if keep_cache else None)
             v += blk.b2
             relu_v = np.maximum(v, 0, out=None if keep_cache else v)
             h = np.add(h, relu_v, out=hs[i + 1][r0:r1] if keep_cache else h)
 
-    map_ranges(tile, encoder_tiles(*a.shape))
-    scale = dtype.type(1) / dtype.type(keep) if masks else None
-    return ForwardCache(x, hs, ds, vs, scale)
+    map_ranges(tile, encoder_tiles(n, width))
+    if not dropout:
+        return ForwardCache(x, hs, ds, vs, None)
+    bitgen.advance(len(blocks) * n * width)
+    if start["has_uint32"]:  # advance drops the buffered 32-bit half, which doubles leave
+        bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": start["uinteger"]}
+    return ForwardCache(x, hs, ds, vs, dtype.type(1) / dtype.type(keep))
 
 
 def forward(
@@ -320,17 +349,23 @@ def forward(
     rng: np.random.Generator | None = None,
     return_cache: bool = False,
     columns: np.ndarray | None = None,
+    read: np.ndarray | None = None,
 ):
     """Run the network on a batch ``x`` of shape ``(batch, input_dim)``.
 
     Returns ``(features, y_hat)``, or ``(features, y_hat, cache)`` when
     ``return_cache`` is set; ``y_hat`` has every species, or the head
-    ``columns`` given (see :func:`head_columns`). In ``"train"`` mode with
+    ``columns`` given (see :func:`head_columns`). With ``read``, the one
+    ``y_hat`` column each row is read at, only those entries get the bias
+    and the sigmoid: ``y_hat[r, read[r]]`` holds row r's output and the other
+    entries hold the head product alone. In ``"train"`` mode with
     ``dropout_p > 0`` an inverted-dropout mask (kept units scaled by
-    ``1/(1-p)``) is drawn from ``rng`` for each residual block, one mask per
-    block in block order; in ``"eval"`` mode dropout is disabled and no random
-    numbers are consumed. The residual blocks run in row tiles on the
-    workers (see :func:`encoder_tiles`).
+    ``1/(1-p)``) is drawn from ``rng`` for each residual block, one whole
+    mask per block in block order, which needs a PCG64 bit generator (else
+    TypeError): the row tiles draw their rows of each mask from copies
+    advanced to them. In ``"eval"`` mode dropout is disabled and
+    no random numbers are consumed. The residual blocks run in row tiles on
+    the workers (see :func:`encoder_tiles`).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -359,8 +394,14 @@ def forward(
 
     def bias_and_sigmoid(r0: int, r1: int) -> None:
         z = y_hat[r0:r1]
-        z += b_head
-        z[...] = _sigmoid(z)
+        if read is None:
+            z += b_head
+            z[...] = _sigmoid(z)
+        else:
+            at = np.arange(r1 - r0), read[r0:r1]
+            z_read = z[at]
+            z_read += b_head[read[r0:r1]]
+            z[at] = _sigmoid(z_read)
 
     map_ranges(bias_and_sigmoid, row_chunks(*y_hat.shape))
     if return_cache:
@@ -479,27 +520,43 @@ def init_adam(params: NetParams) -> AdamState:
 
 def adam_step(params: NetParams, grads: NetParams, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, written in place into ``params``,
-    ``state.m`` and ``state.v`` one array at a time; ``grads`` is only read.
+    ``state.m`` and ``state.v``; ``grads`` is only read. Each array is split
+    into :func:`row_chunks` of its flattened entries, and the chunks of every
+    array run on the workers.
 
-    Each array runs the scalar operations of ``m = b1*m + (1-b1)*g``,
+    Each chunk runs the scalar operations of ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + (1-b2)*g*g`` and ``p = p - lr*(m/bc1)/(sqrt(v/bc2)+eps)``
     in that order, so p, m and v get the bits of those expressions.
 
     Raises :class:`NonFiniteGradientError` if any gradient entry is NaN or
-    infinite; every array is checked before any is written, so the inputs
+    infinite; every chunk is checked before any is written, so the inputs
     are left untouched. Also raises it if the update itself overflows (a
-    huge learning rate) to a NaN or infinite parameter. The arrays up to and
-    including that one have then been written, but ``state.t`` is unchanged.
+    huge learning rate) to a NaN or infinite parameter. Every chunk has then
+    been written, but ``state.t`` is unchanged.
     """
-    for name, g in zip(grads.names(), grads.flat()):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(
-                f"non-finite gradient entries in {name} at step {state.t + 1}"
-            )
+    chunks = []  # (array index, p, m, v, g) over each row chunk of each flattened array
+    arrays = zip(params.flat(), state.m.flat(), state.v.flat(), grads.flat())
+    for k, (p, m, v, g) in enumerate(arrays):
+        p, m, v = (a.reshape(-1, copy=False) for a in (p, m, v))
+        g = g.reshape(-1)
+        chunks += [(k, p[a:b], m[a:b], v[a:b], g[a:b]) for a, b in row_chunks(p.size, 1)]
+    jobs = [(i, i + 1) for i in range(len(chunks))]
+
+    def finite_grads(i: int, _) -> bool:
+        return bool(np.all(np.isfinite(chunks[i][4])))
+
+    finite = map_ranges(finite_grads, jobs)
+    if not all(finite):
+        name = grads.names()[chunks[finite.index(False)][0]]
+        raise NonFiniteGradientError(
+            f"non-finite gradient entries in {name} at step {state.t + 1}"
+        )
     t = state.t + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for p, m, v, g in zip(params.flat(), state.m.flat(), state.v.flat(), grads.flat()):
+
+    def update(i: int, _) -> None:
+        _, p, m, v, g = chunks[i]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -509,6 +566,8 @@ def adam_step(params: NetParams, grads: NetParams, state: AdamState, lr: float) 
             raise NonFiniteGradientError(
                 f"non-finite parameters after the update at step {t} (lr={lr!r})"
             )
+
+    map_ranges(update, jobs)
     state.t = t
 
 
@@ -536,12 +595,10 @@ class ModelFile:
     species_ids: tuple[str, ...]
 
 
-def model_to_bytes(
-    params: NetParams,
-    cfg: NetConfig,
-    input_layout: InputLayout = InputLayout.COORDS,
-    species_ids: tuple[str, ...] = (),
-) -> bytes:
+def _write_model(fh, params: NetParams, cfg: NetConfig, input_layout: InputLayout,
+                 species_ids: tuple[str, ...]) -> None:
+    """Write a model file's bytes to the binary stream ``fh``: the header and
+    catalog, then :func:`_write_params`."""
     flags = _FLAG_IDENTITY_ENCODER if cfg.identity_encoder else 0
     out = [
         _HEADER.pack(
@@ -565,13 +622,28 @@ def model_to_bytes(
         out.append(struct.pack("<H", len(raw)))
         out.append(raw)
     out.append(struct.pack("<Q", sum(a.size for a in params.flat())))
-    out += _param_chunks(params)
-    return b"".join(out)
+    fh.write(b"".join(out))
+    _write_params(fh, params)
 
 
-def _param_chunks(params: NetParams) -> list[bytes]:
-    """One parameter tree as float32 bytes, in :meth:`NetParams.flat` order."""
-    return [np.ascontiguousarray(a, dtype=np.float32).tobytes() for a in params.flat()]
+def _write_params(fh, params: NetParams) -> None:
+    """One parameter tree as float32, in :meth:`NetParams.flat` order: each
+    array's buffer is written as it is, without a copy when it is a C-ordered
+    float32 array."""
+    for a in params.flat():
+        fh.write(np.ascontiguousarray(a, dtype=np.float32))
+
+
+def model_to_bytes(
+    params: NetParams,
+    cfg: NetConfig,
+    input_layout: InputLayout = InputLayout.COORDS,
+    species_ids: tuple[str, ...] = (),
+) -> bytes:
+    """The bytes of a model file (see :func:`save_model`)."""
+    buf = io.BytesIO()
+    _write_model(buf, params, cfg, input_layout, species_ids)
+    return buf.getvalue()
 
 
 class _Reader:
@@ -675,10 +747,10 @@ def save_model(
     input_layout: InputLayout = InputLayout.COORDS,
     species_ids: tuple[str, ...] = (),
 ) -> None:
-    """Write a model file; byte-for-byte deterministic for equal inputs."""
-    blob = model_to_bytes(params, cfg, input_layout, species_ids)
+    """Write a model file, array by array; byte-for-byte deterministic for
+    equal inputs."""
     with atomic_write(path, "wb") as fh:
-        fh.write(blob)
+        _write_model(fh, params, cfg, input_layout, species_ids)
 
 
 def read_model_file(path) -> ModelFile:

@@ -41,7 +41,8 @@ from .net import (
     NetConfig,
     NetParams,
     _Reader,
-    _param_chunks,
+    _write_model,
+    _write_params,
     adam_step,
     backward,
     forward,
@@ -49,7 +50,6 @@ from .net import (
     init_adam,
     init_params,
     model_from_bytes,
-    model_to_bytes,
 )
 from .util import atomic_write, errors_named, seed_u64
 
@@ -232,20 +232,23 @@ def _loss_and_grads(
     then any pseudo-location rows. ``compute_loss`` overwrites the head output
     with dL/dz in row chunks, so a step holds one array of the head's shape.
     ssdl variants compute only the head columns they read (see
-    :func:`head_columns`), with the bits of the dense step."""
+    :func:`head_columns`), and the bias and sigmoid only at the entry each
+    row reads, the positive's column, with the bits of the dense step."""
     cfg = state.cfg
     b = targets.batch_size
     pseudo = needs_pseudo_negatives(cfg.loss.variant)
-    columns = None
+    columns = read = None
     if cfg.loss.variant in _GATHERED:
         columns = head_columns(
             targets.positive_index, len(x), cfg.net.feature_dim, targets.n_species
         )
-    if columns is not None:
-        targets = BatchTargets(np.searchsorted(columns, targets.positive_index), len(columns))
+        if columns is not None:
+            targets = BatchTargets(np.searchsorted(columns, targets.positive_index),
+                                   len(columns))
+        read = np.tile(targets.positive_index, 2)  # at each record and its pseudo-location
     _, y_all, cache = forward(
         state.params, cfg.net, x, mode="train", rng=state.rng_dropout, return_cache=True,
-        columns=columns,
+        columns=columns, read=read,
     )
     # slds variants draw the negative species of the whole batch in one call.
     j_prime = None if pseudo else draw_j_prime(targets, state.rng_negatives)
@@ -419,24 +422,21 @@ def _take_json(r: _Reader):
 
 
 def save_checkpoint(path, state: TrainState) -> None:
-    """Write the complete training state; atomic via write-then-rename."""
+    """Write the complete training state, piece by piece and array by array;
+    atomic via write-then-rename."""
     cfg = state.cfg
-    out = [
-        model_to_bytes(state.params, cfg.net, cfg.input_layout, state.species_ids),
-        _CKPT_MAGIC,
-        struct.pack("<II", _CKPT_VERSION, state.epochs_done),
-        state.corpus_sha256,
-        struct.pack("<Q", state.adam.t),
-    ]
-    out += _param_chunks(state.adam.m) + _param_chunks(state.adam.v)
     losses = np.asarray(state.step_losses, dtype=np.float64)
-    out.append(struct.pack("<Q", losses.size))
-    out.append(losses.tobytes())
-    for rng in (state.rng_batch, state.rng_locations, state.rng_negatives, state.rng_dropout):
-        out.append(_pack_json(rng.bit_generator.state))
-    out.append(_pack_json(train_config_to_dict(cfg)))
     with atomic_write(path, "wb") as fh:
-        fh.write(b"".join(out))
+        _write_model(fh, state.params, cfg.net, cfg.input_layout, state.species_ids)
+        fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, state.epochs_done)
+                 + state.corpus_sha256 + struct.pack("<Q", state.adam.t))
+        _write_params(fh, state.adam.m)
+        _write_params(fh, state.adam.v)
+        fh.write(struct.pack("<Q", losses.size))
+        fh.write(losses)
+        for rng in (state.rng_batch, state.rng_locations, state.rng_negatives, state.rng_dropout):
+            fh.write(_pack_json(rng.bit_generator.state))
+        fh.write(_pack_json(train_config_to_dict(cfg)))
 
 
 def load_checkpoint(path) -> TrainState:

@@ -10,8 +10,10 @@ loops, pure-Python accumulation) so library bugs cannot cancel out.
 from __future__ import annotations
 
 import importlib
+import json
 import math
 import re
+import struct
 import threading
 from dataclasses import dataclass, field
 from unittest import mock
@@ -21,7 +23,7 @@ import numpy as np
 import sinr.net
 from sinr.data import ObservationSet
 from sinr.evaluate import EVAL_GRID_MAGIC, EvalGrid, f1_at_threshold
-from sinr.geo import GridSpec
+from sinr.geo import GridSpec, InputLayout
 from sinr.losses import (
     BatchTargets,
     LossConfig,
@@ -45,6 +47,7 @@ from sinr.net import (
     forward,
     init_params,
 )
+from sinr.train import TrainState, train_config_to_dict
 
 
 def hand_off_to_a_pool_thread(monkeypatch, module: str, attr: str) -> threading.Event:
@@ -291,6 +294,51 @@ def reference_adam_step(params: NetParams, grads: NetParams, state: AdamState,
 
 
 # ---------------------------------------------------------------------------
+# Reference model file and checkpoint bytes
+# ---------------------------------------------------------------------------
+
+
+def reference_model_bytes(params: NetParams, cfg: NetConfig, input_layout: InputLayout,
+                          species_ids: tuple[str, ...]) -> bytes:
+    """A model file as one joined blob: the header fields, the species ids,
+    the float count, then every parameter array's float32 ``tobytes``."""
+    out = [struct.pack("<4sIIIIIIIdq", b"SINR", 1, int(cfg.identity_encoder),
+                       {"coords": 0, "env": 1, "env+coords": 2}[InputLayout(input_layout).value],
+                       cfg.input_dim, cfg.hidden_dim, cfg.n_residual_layers, cfg.n_species,
+                       cfg.dropout_p, int(cfg.seed)),
+           struct.pack("<I", len(species_ids))]
+    for sid in species_ids:
+        raw = sid.encode("utf-8")
+        out += [struct.pack("<H", len(raw)), raw]
+    out.append(struct.pack("<Q", sum(a.size for a in params.flat())))
+    out += [a.astype("<f4").tobytes() for a in params.flat()]
+    return b"".join(out)
+
+
+def reference_checkpoint_bytes(state: TrainState) -> bytes:
+    """A checkpoint as one joined blob: the model file, the ``CKPT`` section
+    header, m, v, the loss history, the four generator states and the
+    configuration as length-prefixed JSON."""
+    cfg = state.cfg
+
+    def packed_json(obj) -> bytes:
+        raw = json.dumps(obj).encode("utf-8")
+        return struct.pack("<I", len(raw)) + raw
+
+    out = [reference_model_bytes(state.params, cfg.net, cfg.input_layout, state.species_ids),
+           b"CKPT", struct.pack("<II", 3, state.epochs_done), state.corpus_sha256,
+           struct.pack("<Q", state.adam.t)]
+    out += [a.astype("<f4").tobytes() for tree in (state.adam.m, state.adam.v)
+            for a in tree.flat()]
+    losses = np.asarray(state.step_losses, dtype="<f8")
+    out += [struct.pack("<Q", losses.size), losses.tobytes()]
+    out += [packed_json(rng.bit_generator.state) for rng in
+            (state.rng_batch, state.rng_locations, state.rng_negatives, state.rng_dropout)]
+    out.append(packed_json(train_config_to_dict(cfg)))
+    return b"".join(out)
+
+
+# ---------------------------------------------------------------------------
 # Reference sigmoid
 # ---------------------------------------------------------------------------
 
@@ -459,11 +507,23 @@ def reference_backward(params: NetParams, cfg: NetConfig, cache: ForwardCache,
                      g_w_head, g_b_head)
 
 
+def dense_d_y(d_y, shape: tuple[int, int]) -> np.ndarray:
+    """A dL/dy of ``_loss_rows`` as an array of ``shape``: itself, or its
+    ``(cols, d)`` entries scattered into float64 zeros."""
+    if not isinstance(d_y, tuple):
+        return d_y
+    cols, d = d_y
+    out = np.zeros(shape)
+    out[np.arange(shape[0])[:, None], cols] = d
+    return out
+
+
 def reference_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
     """One training step's ``(loss value, parameter gradients)`` on whole
-    matrices: ``forward``, the loss core ``_loss_rows`` on the full batch, the
-    concatenated dL/dy, the dL/dy -> dL/dz chain, then ``backward``, with
-    every head product in one block.
+    matrices: ``forward`` with every head entry's sigmoid, the loss core
+    ``_loss_rows`` on the full batch, the concatenated dense dL/dy, the
+    dL/dy -> dL/dz chain, then ``backward``, with every head product in one
+    block.
 
     ``cfg`` is a ``TrainConfig``; ``x`` holds the batch rows, then the
     pseudo-location rows when the loss uses them.
@@ -480,7 +540,8 @@ def _whole_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
     j_prime = None if pseudo else draw_j_prime(targets, rng_negatives)
     row_losses, d_y, d_y_rand = _loss_rows(cfg.loss, y_all[:b], targets.positive_index,
                                            y_all[b:] if pseudo else None, j_prime, b)
-    d_y = np.concatenate([d_y, d_y_rand]) if pseudo else d_y
+    d_y = dense_d_y(d_y, (b, y_all.shape[1]))
+    d_y = np.concatenate([d_y, dense_d_y(d_y_rand, d_y.shape)]) if pseudo else d_y
     d_z = 1.0 - y_all
     d_z *= y_all
     np.multiply(d_y, d_z, out=d_z)

@@ -2,11 +2,13 @@
 predictions it reads with dL/dz, and checks their dtype and shape before
 reading them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import sinr.parallel
-from helpers import hand_off_to_a_pool_thread
+from helpers import dense_d_y, hand_off_to_a_pool_thread
 from sinr.losses import (
     BatchTargets,
     LossConfig,
@@ -65,10 +67,12 @@ def test_compute_loss_overwrites_predictions_with_dl_dz(monkeypatch, variant, dt
     row_losses, d_y, d_y_rand = _loss_rows(LossConfig(variant), before[:b],
                                            targets.positive_index,
                                            None if slds else before[b:], j_prime, b)
+    d_y = dense_d_y(d_y, (b, s))
     want = before.copy()
     d_z = 1.0 - want[:read]
     d_z *= want[:read]
-    np.multiply(d_y if slds else np.concatenate([d_y, d_y_rand]), d_z, out=want[:read])
+    np.multiply(d_y if slds else np.concatenate([d_y, dense_d_y(d_y_rand, (b, s))]), d_z,
+                out=want[:read])
 
     monkeypatch.setattr(sinr.parallel, "worker_count", lambda: 2)
     monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", s)
@@ -83,6 +87,51 @@ def test_compute_loss_overwrites_predictions_with_dl_dz(monkeypatch, variant, dt
     with pytest.raises(TypeError, match="y_hat must be a floating-point array, got int64"):
         compute_loss(LossConfig(variant), np.zeros((b, s), dtype=np.int64), targets,
                      y_hat_rand=None if slds else before[b:].copy(), j_prime=j_prime)
+
+
+@pytest.mark.parametrize("variant", [v for v in LossVariant if not v.value.endswith("full")])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_single_positive_losses_write_only_the_entries_they_read(monkeypatch, variant, dtype):
+    """ssdl and slds read one or two entries a row. Whatever the other
+    entries hold (a training forward leaves the head product there), they
+    end as +0, and the value and the read entries' dL/dz are those of rows
+    of sigmoid outputs. At 512 x 2,000 on one worker, the traced peak stays
+    below a tenth of one 2^17-entry float32 row chunk: no array of the rows'
+    width is built (a float64 dL/dy of each chunk was twice one)."""
+    y, targets, j_prime = _predictions(variant, dtype)
+    b, slds = targets.batch_size, j_prime is not None
+    read = b if slds else 2 * b
+    rows = np.arange(b)
+    cols = [targets.positive_index] + ([j_prime] if slds else [])
+    junk = np.resize(np.array([-0.0, -3.5, 1e30, 2.0, 0.5], dtype=dtype), y.shape)
+    for c in cols:  # the read entries keep their predictions
+        junk[rows, c] = y[rows, c]
+        junk[rows + b, c] = y[rows + b, c]
+    clean_value = compute_loss(LossConfig(variant), y[:b], targets,
+                               y_hat_rand=None if slds else y[b:], j_prime=j_prime)
+    value = compute_loss(LossConfig(variant), junk[:b], targets,
+                         y_hat_rand=None if slds else junk[b:], j_prime=j_prime)
+    assert value == clean_value
+    assert junk[:read].tobytes() == y[:read].tobytes()
+    unread = np.ones((read, targets.n_species), dtype=bool)
+    for c in cols:
+        unread[np.arange(read), np.tile(c, read // b)] = False
+    assert not np.signbit(junk[:read][unread]).any() and not junk[:read][unread].any()
+
+    monkeypatch.setattr(sinr.parallel, "worker_count", lambda: 1)
+    rng = np.random.default_rng(4)
+    b, s = 512, 2000
+    big = rng.uniform(0.0, 1.0, (2 * b, s)).astype(np.float32)
+    targets = BatchTargets(rng.integers(0, s, b), s)
+    j_prime = draw_j_prime(targets, rng) if slds else None
+    tracemalloc.start()
+    try:
+        compute_loss(LossConfig(variant), big[:b], targets,
+                     y_hat_rand=None if slds else big[b:], j_prime=j_prime)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sinr.parallel.CHUNK_ENTRIES * 4 / 10
 
 
 @pytest.mark.parametrize("family", ["an", "me"])

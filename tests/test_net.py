@@ -657,6 +657,79 @@ def test_train_mode_dropout_requires_rng_and_perturbs():
     assert y1.tobytes() != y2.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tiles_draw_their_rows_of_whole_dropout_masks(monkeypatch, workers):
+    """Two train-mode forwards at 2,048 rows, H=256 and 4 blocks run 3 row
+    tiles, each drawing its rows of every block's mask from a copy of the
+    generator advanced to them. The cache arrays equal those of drawing each
+    block's whole mask in turn, and the generator ends each forward in the
+    same state, with the 32-bit half it had buffered before."""
+    monkeypatch.setattr(sinr.net, "BLAS_PINNED", "1")
+    monkeypatch.setattr(sinr.parallel, "worker_count", lambda: workers)
+    assert len(encoder_tiles(2048, 256)) == 3
+    cfg = NetConfig(input_dim=4, n_species=3, hidden_dim=256, n_residual_layers=4,
+                    dropout_p=0.5, seed=4)
+    params = init_params(cfg)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for g in (rng, ref_rng):
+        g.integers(0, 2**32, dtype=np.uint32)
+        assert g.bit_generator.state["has_uint32"] == 1
+    for seed in (1, 2):
+        x = np.random.default_rng(seed).uniform(-1, 1, (2048, 4))
+        _, _, cache = forward(params, cfg, x, "train", rng, return_cache=True)
+        _, want, _ = reference_encoder(params, cfg, x, "train", ref_rng)
+        for name in ("h", "d", "v"):
+            got, ref = getattr(cache, name), getattr(want, name)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref], name
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.SFC64, np.random.Philox])
+def test_dropout_needs_a_pcg64_generator(bitgen):
+    """MT19937 and SFC64 cannot advance; Philox advances 4 draws a step, so
+    a tile could not reach its rows. A train-mode forward with dropout
+    refuses each before it draws; eval mode draws nothing and runs."""
+    cfg = NetConfig(input_dim=4, n_species=3, hidden_dim=8, n_residual_layers=2, seed=3)
+    params = init_params(cfg)
+    x = np.random.default_rng(1).uniform(-1, 1, (6, 4))
+    rng = np.random.Generator(bitgen(5))
+    with pytest.raises(TypeError, match=f"needs a PCG64 bit generator, got {bitgen.__name__}$"):
+        forward(params, cfg, x, mode="train", rng=rng)
+    forward(params, cfg, x, mode="eval", rng=rng)
+    assert rng.random(4).tobytes() == np.random.Generator(bitgen(5)).random(4).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_read_entries_equal_the_dense_forward(monkeypatch, dtype):
+    """With ``read``, each row's read entry equals the dense forward's, over
+    several row chunks on 2 workers, with saturated sigmoids at both ends,
+    over every head column and over gathered ones; ``_sigmoid`` sees those
+    entries alone."""
+    monkeypatch.setattr(sinr.parallel, "worker_count", lambda: 2)
+    monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", 3000)
+    cfg = NetConfig(input_dim=4, n_species=300, hidden_dim=32, n_residual_layers=2, seed=5)
+    params = cast_params(init_params(cfg), dtype)
+    params = dataclasses.replace(params, b_head=np.linspace(-60, 60, 300).astype(dtype))
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1, 1, (200, 4))
+    read = rng.integers(0, 300, 200)
+    rows = np.arange(200)
+    _, dense = forward(params, cfg, x)
+    seen = []
+    real_sigmoid = sinr.net._sigmoid
+    monkeypatch.setattr(sinr.net, "_sigmoid", lambda z: seen.append(z.size) or real_sigmoid(z))
+    _, got = forward(params, cfg, x, read=read)
+    assert got[rows, read].tobytes() == dense[rows, read].tobytes()
+    assert sum(seen) == 200 and len(seen) == 20  # 10-row chunks
+    assert {0.0, 1.0} < set(np.round(dense[rows, read].astype(np.float64), 3))
+    columns = head_columns(read[:100], 200, 32, 300)
+    assert columns is not None and len(columns) < 300
+    gathered_read = np.searchsorted(columns, np.tile(read[:100], 2))
+    _, got = forward(params, cfg, x, columns=columns, read=gathered_read)
+    full_read = np.tile(read[:100], 2)
+    assert got[rows, gathered_read].tobytes() == dense[rows, full_read].tobytes()
+
+
 def test_dropout_mask_scaling_keeps_expectation():
     """Averaged over many masks, inverted dropout reproduces the eval output
     of the dropped activation (1/keep scaling compensates the zeros)."""
@@ -743,11 +816,33 @@ def test_adam_rejects_an_update_that_overflows():
     assert state.t == 0
 
 
-def test_adam_has_the_bits_of_the_tree_form():
+def test_adam_rejects_an_update_that_overflows_in_a_middle_chunk(monkeypatch):
+    """Only the third of five 4-entry head chunks overflows (its weights sit
+    near the float32 maximum); on 2 workers the update raises, and the step
+    count is unchanged."""
+    monkeypatch.setattr(sinr.parallel, "worker_count", lambda: 2)
+    monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", 4)
+    cfg = NetConfig(input_dim=4, n_species=5, identity_encoder=True, dropout_p=0.0)
+    params = init_params(cfg)
+    params.w_head.reshape(-1)[8:12] = 3e38
+    state = init_adam(params)
+    grads = NetParams.from_flat([np.full((4, 5), -1, np.float32), np.ones(5, np.float32)])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError, match="parameters"):
+        adam_step(params, grads, state, lr=1e38)  # each weight moves by about +1e38
+    assert state.t == 0
+    assert np.isinf(params.w_head.reshape(-1)[8:12]).all()
+    assert np.isfinite(np.delete(params.w_head.reshape(-1), range(8, 12))).all()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_adam_has_the_bits_of_the_tree_form(monkeypatch, workers):
     """Five in-place steps on a float32 4-block net give, at every step, the
     bytes of p, m and v and the step count of ``reference_adam_step``, with
     head columns whose gradient is exactly 0 (as ``backward(columns=)``
-    leaves them) and +0 and -0 entries in the gradients and in m and v."""
+    leaves them) and +0 and -0 entries in the gradients and in m and v. The
+    arrays run in 7-entry chunks, which end mid-row, on 1, 2 or 3 workers."""
+    monkeypatch.setattr(sinr.parallel, "worker_count", lambda: workers)
+    monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", 7)
     cfg = NetConfig(input_dim=4, n_species=40, hidden_dim=16, n_residual_layers=4)
     params = init_params(cfg)
     rng = np.random.default_rng(22)
@@ -789,10 +884,13 @@ def test_adam_has_the_bits_of_the_tree_form():
     assert signs_seen == {False, True}  # -0 + -0 stays -0; -0 + +0 is +0
 
 
-def test_adam_holds_fewer_than_four_head_arrays():
+def test_adam_holds_less_than_one_head_array(monkeypatch):
     """One update at H=256, S=4,000 and 4 blocks, where the head is the
-    largest array, peaks below 4 head-sized float32 arrays traced. Building
-    new parameter and moment trees peaked above 5."""
+    largest array, peaks below one head-sized float32 array traced on 2
+    workers: only chunk-sized temporaries (0.58 head arrays measured).
+    Whole-array updates peaked at 3.0, and building new parameter and moment
+    trees above 5."""
+    monkeypatch.setattr(sinr.parallel, "worker_count", lambda: 2)
     cfg = NetConfig(input_dim=4, n_species=4000, hidden_dim=256, n_residual_layers=4)
     params = init_params(cfg)
     rng = np.random.default_rng(5)
@@ -806,7 +904,7 @@ def test_adam_holds_fewer_than_four_head_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / params.w_head.nbytes < 4
+    assert peak / params.w_head.nbytes < 1
 
 
 def test_adam_names_the_first_non_finite_gradient():

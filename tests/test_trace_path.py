@@ -1,7 +1,9 @@
 """The benchmark's traced run times the training layers by replacing module
 globals (``perfbench/child.py``, ``WRAPS``). A training step that stopped
 calling one of them through that global would leave its span empty without
-failing any other test."""
+failing any other test. The entries ``_sigmoid`` sees pin the head work a
+step does: every entry for the full losses, the one each row reads for
+ssdl."""
 
 import collections
 import importlib
@@ -23,14 +25,19 @@ TRACED = [
 
 def _train_counting_traced_calls(monkeypatch, variant, n_species, hidden):
     """Train one epoch with every ``TRACED`` name counted; returns the call
-    counts, the head widths ``sinr.train.forward`` returned, and the steps."""
+    counts, the head widths ``sinr.train.forward`` returned, the entries each
+    step's ``_sigmoid`` calls saw, and the steps."""
     calls = collections.Counter()
-    widths = []
+    widths, sigmoid_entries = [], []
     for module, attr in TRACED:
         mod = importlib.import_module(module)
 
         def counted(*args, _real=getattr(mod, attr), _name=f"{module}.{attr}", **kwargs):
             calls[_name] += 1
+            if _name == "sinr.train.forward":
+                sigmoid_entries.append(0)
+            elif _name == "sinr.net._sigmoid":
+                sigmoid_entries[-1] += args[0].size
             out = _real(*args, **kwargs)
             if _name == "sinr.train.forward":
                 widths.append(out[1].shape[1])
@@ -46,19 +53,25 @@ def _train_counting_traced_calls(monkeypatch, variant, n_species, hidden):
         batch_size=16,
     )
     train(cfg, obs)
-    return calls, widths, steps_per_epoch(obs.n_records, cfg.batch_size)
+    return calls, widths, sigmoid_entries, steps_per_epoch(obs.n_records, cfg.batch_size)
 
 
 def test_training_calls_the_traced_names_through_their_globals(monkeypatch):
-    calls, widths, steps = _train_counting_traced_calls(monkeypatch, LossVariant.AN_FULL, 3, 4)
+    """An an-full step's sigmoid sees every entry of its 32 rows x 3 species."""
+    calls, widths, entries, steps = _train_counting_traced_calls(
+        monkeypatch, LossVariant.AN_FULL, 3, 4
+    )
     assert calls == {f"{m}.{a}": steps for m, a in TRACED}
     assert widths == [3] * steps
+    assert entries == [32 * 3] * steps
 
 
 def test_gathered_head_steps_call_the_traced_names_once_per_step(monkeypatch):
-    """32 rows x 64 features: an an-ssdl step computes 489 of 600 head columns."""
-    calls, widths, steps = _train_counting_traced_calls(
+    """32 rows x 64 features: an an-ssdl step computes 489 of 600 head columns,
+    and its sigmoid sees only the 2B = 32 entries its loss reads."""
+    calls, widths, entries, steps = _train_counting_traced_calls(
         monkeypatch, LossVariant.AN_SSDL, 600, 64
     )
     assert calls == {f"{m}.{a}": steps for m, a in TRACED}
     assert widths == [489] * steps
+    assert entries == [2 * 16] * steps
