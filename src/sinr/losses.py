@@ -12,11 +12,15 @@ and the six variants are one table, absence term x negative selection:
   averaged over species, with the positive term weighted by ``lam``.
 
 Values are batch means. :func:`compute_loss` overwrites the sigmoid outputs
-with the exact gradient with respect to the head logits, dL/dz (the
-``1/batch`` factor included), which seeds :func:`sinr.net.backward`.
-Predictions are clamped to ``[CLAMP_EPS, 1 - CLAMP_EPS]`` in float64 before
-any logarithm, which keeps values and gradients finite even when a float32
-sigmoid saturates.
+y with the exact gradient with respect to the head logits, dL/dz, which
+seeds :func:`sinr.net.backward`: ``w (y - 1) / n`` at a positive, ``y / n``
+at an ``an`` absence and ``y (1 - y) (log(1 - c) - log c) / n`` at an ``me``
+one, where n is ``S * B`` for ``full`` and B otherwise, w is ``lam`` for the
+``full`` positive and 1 otherwise, and c is y clipped to ``[CLAMP_EPS,
+1 - CLAMP_EPS]``. The values' logarithms read c, which keeps them finite,
+while a saturated sigmoid still gets its exact gradient. Work over the
+batch's entries stays in the predictions' dtype; row sums, the mean and the
+positive entries are float64.
 
 The API is :func:`compute_loss` for every variant, plus :func:`draw_j_prime`
 for the negative species that ``slds`` reads.
@@ -121,21 +125,21 @@ def bernoulli_entropy(p):
 
 
 def _checked(arr, targets: BatchTargets, name: str) -> np.ndarray:
-    """``arr`` once it is a floating-point array of the batch's shape, which
-    :func:`compute_loss` can overwrite with dL/dz."""
-    if not np.issubdtype(getattr(arr, "dtype", object), np.floating):
-        kind = getattr(arr, "dtype", type(arr).__name__)
-        raise TypeError(f"{name} must be a floating-point array, got {kind}")
+    """``arr`` once it is a float32 or float64 array of the batch's shape: the
+    loss computes in its dtype, and the ``S * B`` it divides by overflows float16."""
+    kind = getattr(arr, "dtype", None)
+    if kind not in (np.float32, np.float64):
+        kind = type(arr).__name__ if kind is None else kind
+        raise TypeError(f"{name} must be a float32 or float64 array, got {kind}")
     expected = (targets.batch_size, targets.n_species)
     if arr.shape != expected:
         raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
     return arr
 
 
-def _clamp(arr: np.ndarray) -> np.ndarray:
-    """A float64 copy of ``arr`` clamped to ``[CLAMP_EPS, 1 - CLAMP_EPS]``."""
-    out = arr.astype(np.float64)
-    return np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
+def _clip(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """c: ``y`` clipped to ``[CLAMP_EPS, 1 - CLAMP_EPS]`` in its dtype."""
+    return np.clip(y, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
 
 
 def draw_j_prime(targets: BatchTargets, rng: np.random.Generator) -> np.ndarray:
@@ -161,45 +165,52 @@ def _checked_j_prime(targets: BatchTargets, j_prime) -> np.ndarray:
     return jp.astype(np.int64)
 
 
-def _an_absence(p: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
-    grad = np.subtract(1.0, p)
-    grad *= scale
-    np.divide(1.0, grad, out=grad)
-    np.negative(p, out=p)
-    np.log1p(p, out=p)
-    np.negative(p, out=p)
-    return p, grad
+def _row_sums(terms: np.ndarray, skip) -> np.ndarray:
+    """float64 sums over the last axis, once the ``skip`` entries are 0."""
+    if skip is not None:
+        terms[skip] = 0
+    return terms.sum(axis=-1, dtype=np.float64)
 
 
-#: Absence terms at clamped p: (per-entry loss, its derivative / scale). ``an``
-#: overwrites p with ``-log1p(-p)`` and returns ``1 / ((1 - p) * scale)``; that
-#: grouping is part of the numerics, since ``(1 / (1 - p)) / scale`` rounds
-#: differently and changes trained models.
-_ABSENCE = {
-    "an": _an_absence,
-    "me": lambda p, scale: (bernoulli_entropy(p), (np.log1p(-p) - np.log(p)) / scale),
-}
+def _an_absence(y: np.ndarray, n: int, skip) -> np.ndarray:
+    """Row sums of ``-log(1 - c)`` over the entries of ``y`` but ``skip``;
+    overwrites ``y`` with dL/dz, ``y / n``."""
+    t = _clip(y)
+    np.log1p(np.negative(t, out=t), out=t)
+    np.divide(y, n, out=y)
+    return -_row_sums(t, skip)
 
 
-def _logit_grad_in_place(y: np.ndarray, d_y) -> None:
-    """Overwrite sigmoid outputs ``y`` with ``dL/dz = d_y * y * (1 - y)``,
-    computed in ``d_y``'s precision and rounded once to ``y``'s dtype.
-    ``d_y`` is dL/dy of every entry, or ``(cols, d)`` (see :func:`_loss_rows`):
-    then only the entries ``(r, cols[r, k])`` are read, ``y`` is zero-filled
-    and those entries are written, so every other entry's dL/dz is +0, as the
-    product with a dL/dy of 0 gives."""
-    if isinstance(d_y, tuple):
-        cols, d = d_y
-        at = np.arange(len(y))[:, None], cols
-        read = y[at]
-        dz = 1.0 - read
-        dz *= read
-        y[...] = 0
-        y[at] = d * dz
-        return
-    dz = 1.0 - y
-    dz *= y
-    np.multiply(d_y, dz, out=y)
+def _me_absence(y: np.ndarray, n: int, skip) -> np.ndarray:
+    """Row sums of ``H(c) = -(c log c + (1 - c) log(1 - c))`` over the
+    entries of ``y`` but ``skip``; overwrites ``y`` with dL/dz, ``y (1 - y)
+    (log(1 - c) - log c) / n``. The two products are summed apart and log c
+    is taken twice, so that two scratch arrays are live, not four."""
+    t = _clip(y)
+    u = np.log(t)
+    u *= t
+    sums = _row_sums(u, skip)
+    np.log1p(np.negative(t, out=t), out=u)
+    t += 1
+    t *= u
+    sums += _row_sums(t, skip)
+    np.log(_clip(y, out=t), out=t)
+    u -= t
+    np.subtract(1, y, out=t)
+    t *= y
+    np.multiply(t, u, out=y)
+    np.divide(y, n, out=y)
+    return -sums
+
+
+_ABSENCE = {"an": _an_absence, "me": _me_absence}
+
+
+def _positive(y: np.ndarray, w: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(w * -log c, w * (y - 1) / n)`` of gathered positive predictions
+    ``y``: their weighted terms and dL/dz, in float64."""
+    c = _clip(y).astype(np.float64)
+    return -w * np.log(c), (y.astype(np.float64) - 1.0) * w / n
 
 
 def compute_loss(
@@ -215,19 +226,18 @@ def compute_loss(
     :func:`draw_j_prime`) for slds.
 
     Overwrites ``y_hat``, and ``y_hat_rand`` when the variant reads it, with
-    dL/dz, the gradient with respect to the head logits. The rows run in
-    chunks on the step's workers (:func:`row_chunks`), so no float64 array of
-    the batch's shape is built, and each chunk does the whole batch's
-    arithmetic, bit for bit. ssdl and slds read one or two entries a row, so
-    only those are computed: the other entries of their rows become +0,
-    whatever they held, which lets a training forward leave them as the head
-    product alone (``forward``'s ``read``).
+    dL/dz, the gradient with respect to the head logits, in their dtype. The
+    rows run in chunks on the step's workers (:func:`row_chunks`), and each
+    chunk does the whole batch's arithmetic, bit for bit. ssdl and slds read
+    one or two entries a row, so only those are computed: the other entries
+    of their rows become +0, whatever they held, which lets a training
+    forward leave them as the head product alone (``forward``'s ``read``).
 
     >>> y, y_rand = np.array([[0.8]]), np.array([[0.6]])
     >>> compute_loss(LossConfig("an-ssdl"), y, BatchTargets(np.array([0]), 1),
     ...              y_hat_rand=y_rand)
     1.1394342831883648
-    >>> round(float(y[0, 0]), 12), round(float(y_rand[0, 0]), 12)
+    >>> round(float(y[0, 0]), 12), float(y_rand[0, 0])
     (-0.2, 0.6)
     """
     selection = cfg.variant.value.split("-")[1]
@@ -240,46 +250,34 @@ def compute_loss(
     j, b = targets.positive_index, targets.batch_size
 
     def chunk(r0: int, r1: int) -> np.ndarray:
-        y, y_rand = y_hat[r0:r1], None if y_hat_rand is None else y_hat_rand[r0:r1]
-        jp_rows = None if jp is None else jp[r0:r1]
-        row_losses, d, dr = _loss_rows(cfg, y, j[r0:r1], y_rand, jp_rows, b)
-        _logit_grad_in_place(y, d)
-        if dr is not None:
-            _logit_grad_in_place(y_rand, dr)
-        return row_losses
+        return _loss_rows(cfg, y_hat[r0:r1], j[r0:r1],
+                          None if y_hat_rand is None else y_hat_rand[r0:r1],
+                          None if jp is None else jp[r0:r1], b)
 
     return float(np.mean(np.concatenate(map_ranges(chunk, row_chunks(*y_hat.shape)))))
 
 
-def _loss_rows(cfg: LossConfig, y_hat, j, y_hat_rand, jp, b: int):
-    """``(row losses, dL/dy_hat, dL/dy_hat_rand or None)`` of the rows
-    ``y_hat`` with positives ``j`` (and slds negatives ``jp``), the gradients
-    normalised by the batch size ``b``. The full variants give each dL/dy as
-    an array of the rows' shape. ssdl and slds read one or two entries a row
-    and give ``(cols, d)``: ``d[r, k]`` is dL/dy at ``(r, cols[r, k])`` and
-    every other entry's is 0."""
+def _loss_rows(cfg: LossConfig, y_hat, j, y_hat_rand, jp, b: int) -> np.ndarray:
+    """The losses of the rows ``y_hat`` with positives ``j`` (and slds
+    negatives ``jp``) of a batch of ``b``. Overwrites ``y_hat``, and
+    ``y_hat_rand`` unless None, with dL/dz; ssdl and slds write the entries
+    they read and +0 elsewhere."""
     family, selection = cfg.variant.value.split("-")
     absence = _ABSENCE[family]
     rows = np.arange(len(j))
+    pos = y_hat[rows, j]
     if selection == "full":
-        s = y_hat.shape[1]
-        scale = s * b
-        c = _clamp(y_hat)
-        pos = c[rows, j]
-        terms, d = absence(c, scale)
-        terms[rows, j] = cfg.lam * -np.log(pos)
-        row_sums = terms.sum(axis=1)
-        del c, terms  # hold one array fewer while the pseudo-location terms are built
-        terms_rand, dr = absence(_clamp(y_hat_rand), scale)
-        d[rows, j] = -cfg.lam / (pos * scale)
-        return (row_sums + terms_rand.sum(axis=1)) / s, d, dr
-    # Only B (ssdl) or 2B (slds) entries are read: gather them, then clamp.
-    pos = _clamp(y_hat[rows, j])
-    d_pos = -1.0 / (pos * b)
-    if selection == "ssdl":
-        neg_terms, neg_grad = absence(_clamp(y_hat_rand[rows, j]), b)
-        d, dr = (j[:, None], d_pos[:, None]), (j[:, None], neg_grad[:, None])
-    else:
-        neg_terms, neg_grad = absence(_clamp(y_hat[rows, jp]), b)
-        d, dr = (np.stack([j, jp], axis=1), np.stack([d_pos, neg_grad], axis=1)), None
-    return -np.log(pos) + neg_terms, d, dr
+        s, n = y_hat.shape[1], y_hat.shape[1] * b
+        sums = absence(y_hat, n, (rows, j)) + absence(y_hat_rand, n, None)
+        terms, y_hat[rows, j] = _positive(pos, cfg.lam, n)
+        return (sums + terms) / s
+    neg_of, cols = (y_hat_rand, j) if selection == "ssdl" else (y_hat, jp)
+    neg = neg_of[rows, cols][:, None]
+    terms, d_pos = _positive(pos, 1.0, b)
+    terms += absence(neg, b, None)
+    for arr in (y_hat, y_hat_rand):
+        if arr is not None:
+            arr[...] = 0
+    y_hat[rows, j] = d_pos
+    neg_of[rows, cols] = neg[:, 0]
+    return terms

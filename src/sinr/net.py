@@ -583,6 +583,8 @@ def adam_step(params: NetParams, grads: NetParams, state: AdamState, lr: float) 
 
 _HEADER = struct.Struct("<4sIIIIIIIdq")
 _U16 = struct.Struct("<H")
+#: Catalog bytes gathered before each write, so a file is never held whole.
+CATALOG_PIECE_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -598,31 +600,33 @@ class ModelFile:
 def _write_model(fh, params: NetParams, cfg: NetConfig, input_layout: InputLayout,
                  species_ids: tuple[str, ...]) -> None:
     """Write a model file's bytes to the binary stream ``fh``: the header and
-    catalog, then :func:`_write_params`."""
+    the catalog, in pieces of about :data:`CATALOG_PIECE_BYTES`, then
+    :func:`_write_params`."""
     flags = _FLAG_IDENTITY_ENCODER if cfg.identity_encoder else 0
-    out = [
-        _HEADER.pack(
-            _MAGIC,
-            _FORMAT_VERSION,
-            flags,
-            _LAYOUT_CODES[InputLayout(input_layout)],
-            cfg.input_dim,
-            cfg.hidden_dim,
-            cfg.n_residual_layers,
-            cfg.n_species,
-            cfg.dropout_p,
-            int(cfg.seed),
-        ),
-        struct.pack("<I", len(species_ids)),
-    ]
+    piece = bytearray(_HEADER.pack(
+        _MAGIC,
+        _FORMAT_VERSION,
+        flags,
+        _LAYOUT_CODES[InputLayout(input_layout)],
+        cfg.input_dim,
+        cfg.hidden_dim,
+        cfg.n_residual_layers,
+        cfg.n_species,
+        cfg.dropout_p,
+        int(cfg.seed),
+    ))
+    piece += struct.pack("<I", len(species_ids))
     for sid in species_ids:
         raw = sid.encode("utf-8")
         if len(raw) > MAX_SPECIES_ID_BYTES:
             raise ValueError(f"species id too long to serialize: {sid[:32]!r}...")
-        out.append(struct.pack("<H", len(raw)))
-        out.append(raw)
-    out.append(struct.pack("<Q", sum(a.size for a in params.flat())))
-    fh.write(b"".join(out))
+        piece += _U16.pack(len(raw))
+        piece += raw
+        if len(piece) >= CATALOG_PIECE_BYTES:
+            fh.write(piece)
+            del piece[:]
+    piece += struct.pack("<Q", sum(a.size for a in params.flat()))
+    fh.write(piece)
     _write_params(fh, params)
 
 

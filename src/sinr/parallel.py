@@ -13,7 +13,7 @@ import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-#: Entries per row chunk: a float32 chunk's float64 temporaries stay near L2.
+#: Entries per row chunk: a float32 chunk and its scratch arrays stay near L2.
 CHUNK_ENTRIES = 1 << 17
 
 

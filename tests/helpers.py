@@ -25,10 +25,10 @@ from sinr.data import ObservationSet
 from sinr.evaluate import EVAL_GRID_MAGIC, EvalGrid, f1_at_threshold
 from sinr.geo import GridSpec, InputLayout
 from sinr.losses import (
+    CLAMP_EPS,
     BatchTargets,
     LossConfig,
     LossVariant,
-    _loss_rows,
     compute_loss,
     draw_j_prime,
     needs_pseudo_negatives,
@@ -507,23 +507,61 @@ def reference_backward(params: NetParams, cfg: NetConfig, cache: ForwardCache,
                      g_w_head, g_b_head)
 
 
-def dense_d_y(d_y, shape: tuple[int, int]) -> np.ndarray:
-    """A dL/dy of ``_loss_rows`` as an array of ``shape``: itself, or its
-    ``(cols, d)`` entries scattered into float64 zeros."""
-    if not isinstance(d_y, tuple):
-        return d_y
-    cols, d = d_y
-    out = np.zeros(shape)
-    out[np.arange(shape[0])[:, None], cols] = d
-    return out
+def reference_loss(cfg: LossConfig, y, targets: BatchTargets, y_rand=None, j_prime=None):
+    """``(value, dL/dz, dL/dz of y_rand or None)`` of a loss on whole arrays,
+    from its closed forms, with new dL/dz arrays in the predictions' dtype.
+
+    A positive entry's dL/dz is ``w (y - 1) / n``, computed in float64 and
+    rounded once; an ``an`` absence's is ``y / n`` and an ``me`` absence's
+    ``y (1 - y) (log(1 - c) - log c) / n``, both in the dtype, with ``c`` the
+    prediction clipped to ``[CLAMP_EPS, 1 - CLAMP_EPS]``, ``n = S B`` for
+    full and ``B`` otherwise, and ``w = lam`` for the full positive, else 1.
+    Entries a variant does not read get +0. The value takes ``-log c`` of a
+    positive in float64 and an absence's terms in the dtype (``me``: its two
+    products summed apart), with row sums and the mean in float64."""
+    family, selection = cfg.variant.value.split("-")
+    b, s = y.shape
+    rows, j = np.arange(b), targets.positive_index
+    n, w = (s * b, cfg.lam) if selection == "full" else (b, 1.0)
+
+    def absence(p, mask):
+        c = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+        if family == "an":
+            value = -np.where(mask, np.log1p(-c), 0).sum(axis=1, dtype=np.float64)
+            grad = p / n
+        else:
+            value = -(np.where(mask, c * np.log(c), 0).sum(axis=1, dtype=np.float64)
+                      + np.where(mask, (1 - c) * np.log1p(-c), 0).sum(axis=1, dtype=np.float64))
+            grad = (1 - p) * p * (np.log1p(-c) - np.log(c)) / n
+        return value, np.where(mask, grad, 0)
+
+    def columns(cols):
+        mask = np.zeros((b, s), dtype=bool)
+        mask[rows, cols] = True
+        return mask
+
+    pos = y[rows, j]
+    rows_value = -w * np.log(np.clip(pos, CLAMP_EPS, 1.0 - CLAMP_EPS).astype(np.float64))
+    if selection == "full":
+        value, d_z = absence(y, ~columns(j))
+        value_rand, d_z_rand = absence(y_rand, np.ones((b, s), dtype=bool))
+        rows_value = (value + value_rand + rows_value) / s
+    elif selection == "ssdl":
+        value, d_z_rand = absence(y_rand, columns(j))
+        rows_value = rows_value + value
+        d_z = np.zeros_like(y)
+    else:
+        value, d_z = absence(y, columns(j_prime))
+        rows_value, d_z_rand = rows_value + value, None
+    d_z[rows, j] = (pos.astype(np.float64) - 1.0) * w / n
+    return float(np.mean(rows_value)), d_z, d_z_rand
 
 
 def reference_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
     """One training step's ``(loss value, parameter gradients)`` on whole
-    matrices: ``forward`` with every head entry's sigmoid, the loss core
-    ``_loss_rows`` on the full batch, the concatenated dense dL/dy, the
-    dL/dy -> dL/dz chain, then ``backward``, with every head product in one
-    block.
+    matrices: ``forward`` with every head entry's sigmoid, the dL/dz of
+    :func:`reference_loss` on the full batch, then ``backward``, with every
+    head product in one block.
 
     ``cfg`` is a ``TrainConfig``; ``x`` holds the batch rows, then the
     pseudo-location rows when the loss uses them.
@@ -538,14 +576,10 @@ def _whole_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
     _, y_all, cache = forward(params, cfg.net, x, mode="train", rng=rng_dropout,
                               return_cache=True)
     j_prime = None if pseudo else draw_j_prime(targets, rng_negatives)
-    row_losses, d_y, d_y_rand = _loss_rows(cfg.loss, y_all[:b], targets.positive_index,
-                                           y_all[b:] if pseudo else None, j_prime, b)
-    d_y = dense_d_y(d_y, (b, y_all.shape[1]))
-    d_y = np.concatenate([d_y, dense_d_y(d_y_rand, d_y.shape)]) if pseudo else d_y
-    d_z = 1.0 - y_all
-    d_z *= y_all
-    np.multiply(d_y, d_z, out=d_z)
-    return float(np.mean(row_losses)), backward(params, cfg.net, cache, d_z=d_z)
+    value, d_z, d_z_rand = reference_loss(cfg.loss, y_all[:b], targets,
+                                          y_all[b:] if pseudo else None, j_prime)
+    d_z = np.concatenate([d_z, d_z_rand]) if pseudo else d_z
+    return value, backward(params, cfg.net, cache, d_z=d_z)
 
 
 def fd_grads(objective, params: NetParams, h: float = 1e-5) -> NetParams:

@@ -417,9 +417,8 @@ def test_checkpoint_is_written_array_by_array(tmp_path):
     """At H=256, S=4,000 and 4 blocks (an 18 MiB file), ``save_checkpoint``
     writes the bytes of joining every piece into one blob, and its traced
     peak stays below a tenth of the file: no array is copied to bytes and
-    the file is never held whole. The peak left, about 1 MiB, is the species
-    catalog's header pieces; copying the head weights alone would add 4 MB,
-    and joining peaked at twice the file."""
+    the file is never held whole. Copying the head weights alone would add
+    4 MB, and joining peaked at twice the file."""
     cfg = small_cfg(net=NetConfig(input_dim=4, n_species=4000, hidden_dim=256,
                                   n_residual_layers=4, seed=3))
     params = init_params(cfg.net)
@@ -448,6 +447,30 @@ def test_checkpoint_is_written_array_by_array(tmp_path):
     assert (tmp_path / "run.model").read_bytes() == want
     assert model_to_bytes(params, cfg.net, species_ids=state.species_ids) == want
     assert blob.startswith(want)
+
+
+def test_species_catalog_is_written_in_pieces(tmp_path, monkeypatch):
+    """``save_model`` with a 50,000-id catalog writes the joined reference
+    bytes while its traced peak stays below 1 MiB: the catalog goes out in
+    pieces of about ``CATALOG_PIECE_BYTES``, never as two bytes objects per
+    id joined whole (13.1 MiB). Pieces of 7 bytes, which end inside ids and
+    length fields, give the same bytes."""
+    s = 50_000
+    cfg = NetConfig(input_dim=4, n_species=s, hidden_dim=2, n_residual_layers=1, seed=3)
+    params = init_params(cfg)
+    ids = tuple(f"sp{i}" + "\u00e9" * (i % 5) for i in range(s))
+    want = reference_model_bytes(params, cfg, InputLayout.ENV, ids)
+    path = tmp_path / "big.sinr"
+    tracemalloc.start()
+    try:
+        save_model(params, cfg, path, input_layout=InputLayout.ENV, species_ids=ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == want
+    assert peak < 2**20, peak
+    monkeypatch.setattr(sinr.net, "CATALOG_PIECE_BYTES", 7)
+    assert model_to_bytes(params, cfg, InputLayout.ENV, ids) == want
 
 
 def test_resume_rejects_mismatched_config(tmp_path, obs):
