@@ -40,6 +40,9 @@ _ENV_MISSING_TOKEN = "NA"
 _NA_AS_NAN = {_ENV_MISSING_TOKEN: "nan"}.get  # called as (token, token)
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
+#: Characters per piece of an ENVGRID read: its text is never held whole.
+_ENV_PIECE_CHARS = 1 << 18
+
 #: Characters per ``readlines`` chunk of an observations CSV. Smaller chunks
 #: stay in cache and leave fewer memory pools held by the catalog's id strings.
 _CSV_CHUNK_CHARS = 1 << 16
@@ -370,15 +373,33 @@ class EnvRasterStack:
 
 
 def _parse_env_raster(path) -> tuple[np.ndarray, tuple[float, float, float, float]]:
+    """An ENVGRID file's grid and bounds, its text read and parsed a piece at
+    a time. The checks run once the whole file is read, in the order of its
+    parts: the header, the cell count, then the first bad cell value."""
+    header, parts, n_cells, bad, carry = [], [], 0, None, ""
     with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens or tokens[0] != ENV_MAGIC:
+        # A token that a piece boundary splits is joined again; a last blank
+        # piece takes the final token.
+        for piece in chain(iter(lambda: fh.read(_ENV_PIECE_CHARS), ""), [" "]):
+            tokens = (carry + piece).split()
+            carry = "" if piece[-1].isspace() or not tokens else tokens.pop()
+            take = 7 - len(header)
+            header, tokens = header + tokens[:take], tokens[take:]
+            n_cells += len(tokens)
+            if bad is None and tokens:  # the bulk pass, else the per-token one
+                values = _bulk_floats(tokens, -_FLOAT_MAX, _FLOAT_MAX,
+                                      tokens.count(_ENV_MISSING_TOKEN))
+                try:
+                    parts.append([_cell_value(t) for t in tokens] if values is None else values)
+                except ValueError as exc:  # at the first bad token
+                    bad, parts = exc, []
+    if not header or header[0] != ENV_MAGIC:
         raise ValueError(f"not an {ENV_MAGIC} file")
-    if len(tokens) < 7:
+    if len(header) < 7:
         raise ValueError("truncated header")
     try:
-        n_rows, n_cols = int(tokens[1]), int(tokens[2])
-        bounds = tuple(float(t) for t in tokens[3:7])
+        n_rows, n_cols = int(header[1]), int(header[2])
+        bounds = tuple(float(t) for t in header[3:7])
     except ValueError as exc:
         raise ValueError(f"malformed header: {exc}") from None
     lon_min, lon_max, lat_min, lat_max = bounds
@@ -386,15 +407,11 @@ def _parse_env_raster(path) -> tuple[np.ndarray, tuple[float, float, float, floa
         raise ValueError("grid must have at least one row and column")
     if not (LON_MIN <= lon_min < lon_max <= LON_MAX and LAT_MIN <= lat_min < lat_max <= LAT_MAX):
         raise ValueError(f"invalid bounds {bounds}")
-    body = tokens[7:]
-    if len(body) != n_rows * n_cols:
-        raise ValueError(f"expected {n_rows * n_cols} cell values, found {len(body)}")
-    grid = np.empty(n_rows * n_cols, dtype=np.float64)
-    for r0 in range(0, grid.size, n_cols):  # one grid row of tokens at a time
-        row = body[r0 : r0 + n_cols]
-        values = _bulk_floats(row, -_FLOAT_MAX, _FLOAT_MAX, row.count(_ENV_MISSING_TOKEN))
-        grid[r0 : r0 + n_cols] = [_cell_value(t) for t in row] if values is None else values
-    return grid.reshape(n_rows, n_cols), bounds
+    if n_cells != n_rows * n_cols:
+        raise ValueError(f"expected {n_rows * n_cols} cell values, found {n_cells}")
+    if bad is not None:
+        raise bad
+    return np.concatenate(parts, dtype=np.float64).reshape(n_rows, n_cols), bounds
 
 
 def _cell_value(tok: str) -> float:

@@ -11,16 +11,18 @@ and the six variants are one table, absence term x negative selection:
   every other species at the location and every species at a pseudo-location,
   averaged over species, with the positive term weighted by ``lam``.
 
-Values are batch means. :func:`compute_loss` overwrites the sigmoid outputs
-y with the exact gradient with respect to the head logits, dL/dz, which
-seeds :func:`sinr.net.backward`: ``w (y - 1) / n`` at a positive, ``y / n``
-at an ``an`` absence and ``y (1 - y) (log(1 - c) - log c) / n`` at an ``me``
-one, where n is ``S * B`` for ``full`` and B otherwise, w is ``lam`` for the
-``full`` positive and 1 otherwise, and c is y clipped to ``[CLAMP_EPS,
-1 - CLAMP_EPS]``. The values' logarithms read c, which keeps them finite,
-while a saturated sigmoid still gets its exact gradient. Work over the
-batch's entries stays in the predictions' dtype; row sums, the mean and the
-positive entries are float64.
+Values are batch means. :func:`compute_loss` takes the sigmoid outputs y at
+the head entries a variant reads, one or two a row for ``ssdl`` and ``slds``
+(a training step computes only those: :func:`sinr.net.forward`'s ``read``),
+and overwrites them with dL/dz, the exact gradient with respect to the head
+logits, which seeds :func:`sinr.net.backward`: ``w (y - 1) / n`` at a
+positive, ``y / n`` at an ``an`` absence and ``y (1 - y) (log(1 - c) - log
+c) / n`` at an ``me`` one, where n is ``S * B`` for ``full`` and B
+otherwise, w is ``lam`` for the ``full`` positive and 1 otherwise, and c is
+y clipped to ``[CLAMP_EPS, 1 - CLAMP_EPS]``. The values' logarithms read
+c, which keeps them finite, while a saturated sigmoid still gets its exact
+gradient. Work over the batch's entries stays in the predictions' dtype;
+row sums, the mean and the positive entries are float64.
 
 The API is :func:`compute_loss` for every variant, plus :func:`draw_j_prime`
 for the negative species that ``slds`` reads.
@@ -124,16 +126,16 @@ def bernoulli_entropy(p):
     return h
 
 
-def _checked(arr, targets: BatchTargets, name: str) -> np.ndarray:
-    """``arr`` once it is a float32 or float64 array of the batch's shape: the
-    loss computes in its dtype, and the ``S * B`` it divides by overflows float16."""
+def _checked(arr, b: int, width: int, name: str) -> np.ndarray:
+    """``arr`` once it is a float32 or float64 array of ``b`` rows of
+    ``width`` entries: the loss computes in its dtype, and the ``S * B`` it
+    divides by overflows float16."""
     kind = getattr(arr, "dtype", None)
     if kind not in (np.float32, np.float64):
         kind = type(arr).__name__ if kind is None else kind
         raise TypeError(f"{name} must be a float32 or float64 array, got {kind}")
-    expected = (targets.batch_size, targets.n_species)
-    if arr.shape != expected:
-        raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
+    if arr.shape != (b, width):
+        raise ValueError(f"{name} must have shape {(b, width)}, got {arr.shape}")
     return arr
 
 
@@ -151,18 +153,6 @@ def draw_j_prime(targets: BatchTargets, rng: np.random.Generator) -> np.ndarray:
     # Draw in [0, S-1) and shift draws at or above the positive index up by one.
     u = rng.integers(0, s - 1, size=targets.batch_size)
     return u + (u >= targets.positive_index)
-
-
-def _checked_j_prime(targets: BatchTargets, j_prime) -> np.ndarray:
-    j = targets.positive_index
-    if j_prime is None:
-        raise ValueError("slds variants require j_prime (see draw_j_prime)")
-    jp = np.asarray(j_prime)
-    if jp.shape != j.shape or not np.issubdtype(jp.dtype, np.integer):
-        raise ValueError("j_prime must be an integer array matching positive_index")
-    if np.any(jp < 0) or np.any(jp >= targets.n_species) or np.any(jp == j):
-        raise ValueError("j_prime entries must be valid non-positive species indices")
-    return jp.astype(np.int64)
 
 
 def _row_sums(terms: np.ndarray, skip) -> np.ndarray:
@@ -219,19 +209,19 @@ def compute_loss(
     targets: BatchTargets,
     *,
     y_hat_rand: np.ndarray | None = None,
-    j_prime: np.ndarray | None = None,
 ) -> float:
     """The batch-mean loss of the configured variant on the sigmoid outputs
-    ``y_hat``. ``y_hat_rand`` is required for ssdl/full; ``j_prime`` (from
-    :func:`draw_j_prime`) for slds.
+    ``y_hat``, which hold the head entries the variant reads, a row per
+    example: every species for full; the positive's for ssdl, with
+    ``y_hat_rand`` the positive's at the pseudo-locations; the positive's,
+    then the negative species' (:func:`draw_j_prime`), for slds.
+    ``y_hat_rand`` is required for ssdl and full: ``(B, S)`` for full and
+    ``(B, 1)`` for ssdl.
 
     Overwrites ``y_hat``, and ``y_hat_rand`` when the variant reads it, with
     dL/dz, the gradient with respect to the head logits, in their dtype. The
     rows run in chunks on the step's workers (:func:`row_chunks`), and each
-    chunk does the whole batch's arithmetic, bit for bit. ssdl and slds read
-    one or two entries a row, so only those are computed: the other entries
-    of their rows become +0, whatever they held, which lets a training
-    forward leave them as the head product alone (``forward``'s ``read``).
+    chunk does the whole batch's arithmetic, bit for bit.
 
     >>> y, y_rand = np.array([[0.8]]), np.array([[0.6]])
     >>> compute_loss(LossConfig("an-ssdl"), y, BatchTargets(np.array([0]), 1),
@@ -241,43 +231,34 @@ def compute_loss(
     (-0.2, 0.6)
     """
     selection = cfg.variant.value.split("-")[1]
-    y_hat = _checked(y_hat, targets, "y_hat")
+    b, s = targets.batch_size, targets.n_species
+    width = {"full": s, "ssdl": 1, "slds": 2}[selection]
+    y_hat = _checked(y_hat, b, width, "y_hat")
     if selection != "slds":
         if y_hat_rand is None:
             raise ValueError(f"variant {cfg.variant.value!r} requires y_hat_rand")
-        y_hat_rand = _checked(y_hat_rand, targets, "y_hat_rand")
-    jp = _checked_j_prime(targets, j_prime) if selection == "slds" else None
-    j, b = targets.positive_index, targets.batch_size
+        y_hat_rand = _checked(y_hat_rand, b, width, "y_hat_rand")
+    j = targets.positive_index
 
     def chunk(r0: int, r1: int) -> np.ndarray:
         return _loss_rows(cfg, y_hat[r0:r1], j[r0:r1],
-                          None if y_hat_rand is None else y_hat_rand[r0:r1],
-                          None if jp is None else jp[r0:r1], b)
+                          None if y_hat_rand is None else y_hat_rand[r0:r1], b)
 
     return float(np.mean(np.concatenate(map_ranges(chunk, row_chunks(*y_hat.shape)))))
 
 
-def _loss_rows(cfg: LossConfig, y_hat, j, y_hat_rand, jp, b: int) -> np.ndarray:
-    """The losses of the rows ``y_hat`` with positives ``j`` (and slds
-    negatives ``jp``) of a batch of ``b``. Overwrites ``y_hat``, and
-    ``y_hat_rand`` unless None, with dL/dz; ssdl and slds write the entries
-    they read and +0 elsewhere."""
+def _loss_rows(cfg: LossConfig, y_hat, j, y_hat_rand, b: int) -> np.ndarray:
+    """The losses of the rows ``y_hat`` with positives ``j`` of a batch of
+    ``b``. Overwrites ``y_hat``, and ``y_hat_rand`` unless None, with dL/dz."""
     family, selection = cfg.variant.value.split("-")
     absence = _ABSENCE[family]
-    rows = np.arange(len(j))
-    pos = y_hat[rows, j]
     if selection == "full":
+        rows = np.arange(len(j))
+        pos = y_hat[rows, j]
         s, n = y_hat.shape[1], y_hat.shape[1] * b
         sums = absence(y_hat, n, (rows, j)) + absence(y_hat_rand, n, None)
         terms, y_hat[rows, j] = _positive(pos, cfg.lam, n)
         return (sums + terms) / s
-    neg_of, cols = (y_hat_rand, j) if selection == "ssdl" else (y_hat, jp)
-    neg = neg_of[rows, cols][:, None]
-    terms, d_pos = _positive(pos, 1.0, b)
-    terms += absence(neg, b, None)
-    for arr in (y_hat, y_hat_rand):
-        if arr is not None:
-            arr[...] = 0
-    y_hat[rows, j] = d_pos
-    neg_of[rows, cols] = neg[:, 0]
-    return terms
+    neg = y_hat_rand if selection == "ssdl" else y_hat[:, 1:]
+    terms, y_hat[:, 0] = _positive(y_hat[:, 0], 1.0, b)
+    return terms + absence(neg, b, None)

@@ -199,17 +199,20 @@ class ForwardCache:
     """What :func:`backward` reads of a cached forward: the input ``x``; the
     L+1 block inputs ``h``, ``h[0]`` the input layer's ReLU output and
     ``h[-1]`` the features (``[x]`` for the identity encoder); each block's
-    dropped-out hidden units ``d`` and second pre-activations ``v``; and
+    dropped-out hidden units ``d`` and second pre-activations ``v``;
     ``dropout_scale``, the ``1/(1-p)`` of a kept unit when masks were drawn,
-    else None. The ReLU and dropout masks are read back from ``d`` and
-    ``h[0]``: ``d > 0`` exactly where the unit was kept and its pre-activation
-    was positive."""
+    else None; and after a forward with ``read``, those head columns and
+    their weights, ``w_read[r, k] = w_head[:, read[r, k]]``, else None. The
+    ReLU and dropout masks are read back from ``d`` and ``h[0]``: ``d > 0``
+    exactly where the unit was kept and its pre-activation was positive."""
 
     x: np.ndarray
     h: list[np.ndarray]
     d: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
     dropout_scale: np.floating | None = None
+    read: np.ndarray | None = None
+    w_read: np.ndarray | None = None
 
     @property
     def features(self) -> np.ndarray:
@@ -355,15 +358,15 @@ def forward(
 
     Returns ``(features, y_hat)``, or ``(features, y_hat, cache)`` when
     ``return_cache`` is set; ``y_hat`` has every species, or the head
-    ``columns`` given (see :func:`head_columns`). With ``read``, the one
-    ``y_hat`` column each row is read at, only those entries get the bias
-    and the sigmoid: ``y_hat[r, read[r]]`` holds row r's output and the other
-    entries hold the head product alone. In ``"train"`` mode with
-    ``dropout_p > 0`` an inverted-dropout mask (kept units scaled by
-    ``1/(1-p)``) is drawn from ``rng`` for each residual block, one whole
-    mask per block in block order, which needs a PCG64 bit generator (else
-    TypeError): the row tiles draw their rows of each mask from copies
-    advanced to them. In ``"eval"`` mode dropout is disabled and
+    ``columns`` given (see :func:`head_columns`). With ``read``, a
+    ``(batch, k)`` array of head columns, the head is computed only at those
+    entries and ``y_hat`` is ``(batch, k)``: ``y_hat[r, k]`` is row r's
+    output for species ``read[r, k]`` (see :func:`_read_head`). In
+    ``"train"`` mode with ``dropout_p > 0`` an inverted-dropout mask (kept
+    units scaled by ``1/(1-p)``) is drawn from ``rng`` for each residual
+    block, one whole mask per block in block order, which needs a PCG64 bit
+    generator (else TypeError): the row tiles draw their rows of each mask
+    from copies advanced to them. In ``"eval"`` mode dropout is disabled and
     no random numbers are consumed. The residual blocks run in row tiles on
     the workers (see :func:`encoder_tiles`).
     """
@@ -372,6 +375,8 @@ def forward(
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ValueError(f"x must have shape (batch, {cfg.input_dim}), got {x.shape}")
+    if read is not None and (np.ndim(read) != 2 or len(read) != len(x)):
+        raise ValueError(f"read must have shape ({len(x)}, k), got {np.shape(read)}")
     dtype = params.w_head.dtype
     x = x.astype(dtype, copy=False)
     use_dropout = bool(
@@ -385,28 +390,44 @@ def forward(
     else:
         cache = _encode(params, x, cfg.dropout_p if use_dropout else 0.0, rng, return_cache)
     h = cache.features
-    w_head, b_head = params.w_head, params.b_head
-    if columns is not None:
-        w_head, b_head = w_head[:, columns], b_head[columns]
-    y_hat = np.empty((h.shape[0], w_head.shape[1]), dtype=dtype)
-    map_ranges(lambda r0, r1: np.matmul(h[r0:r1], w_head, out=y_hat[r0:r1]),
-               gemm_blocks(len(h), w_head.size))
+    if read is not None:
+        y_hat = _read_head(params, h, cache, np.asarray(read))
+    else:
+        w_head, b_head = params.w_head, params.b_head
+        if columns is not None:
+            w_head, b_head = w_head[:, columns], b_head[columns]
+        y_hat = np.empty((h.shape[0], w_head.shape[1]), dtype=dtype)
+        map_ranges(lambda r0, r1: np.matmul(h[r0:r1], w_head, out=y_hat[r0:r1]),
+                   gemm_blocks(len(h), w_head.size))
 
-    def bias_and_sigmoid(r0: int, r1: int) -> None:
-        z = y_hat[r0:r1]
-        if read is None:
+        def bias_and_sigmoid(r0: int, r1: int) -> None:
+            z = y_hat[r0:r1]
             z += b_head
             z[...] = _sigmoid(z)
-        else:
-            at = np.arange(r1 - r0), read[r0:r1]
-            z_read = z[at]
-            z_read += b_head[read[r0:r1]]
-            z[at] = _sigmoid(z_read)
 
-    map_ranges(bias_and_sigmoid, row_chunks(*y_hat.shape))
-    if return_cache:
-        return h, y_hat, cache
-    return h, y_hat
+        map_ranges(bias_and_sigmoid, row_chunks(*y_hat.shape))
+    return (h, y_hat, cache) if return_cache else (h, y_hat)
+
+
+def _read_head(params: NetParams, h: np.ndarray, cache: ForwardCache,
+               read: np.ndarray) -> np.ndarray:
+    """The head's outputs at the entries ``read`` alone: ``y[r, k] =
+    sigmoid(h[r] . w_head[:, read[r, k]] + b_head[read[r, k]])``, row-wise
+    dot products that numpy sums over the features in its pairwise order,
+    B*H work instead of the GEMM's B*H*S. The rows run in chunks on the
+    workers, each entry's bits set by its row alone; the gathered weights
+    are cached for :func:`backward`."""
+    cache.read, cache.w_read = read, np.empty(read.shape + h.shape[1:], dtype=h.dtype)
+    y_hat = np.empty(read.shape, dtype=h.dtype)
+
+    def entries(r0: int, r1: int) -> None:
+        w = cache.w_read[r0:r1]
+        w[...] = params.w_head.T[read[r0:r1]]
+        z = np.multiply(w, h[r0:r1, None, :]).sum(axis=-1)
+        y_hat[r0:r1] = _sigmoid(z + params.b_head[read[r0:r1]])
+
+    map_ranges(entries, row_chunks(len(h), cache.w_read[0].size))
+    return y_hat
 
 
 def _beside(*jobs: Callable[[], None]) -> None:
@@ -461,36 +482,35 @@ def backward(
     cfg: NetConfig,
     cache: ForwardCache,
     d_z: np.ndarray,
-    columns: np.ndarray | None = None,
 ) -> NetParams:
     """Exact reverse-mode gradients for a cached forward pass.
 
     ``d_z``, the derivative of a scalar objective with respect to the head
     logits (what :func:`sinr.losses.compute_loss` leaves in the predictions),
     seeds the pass; the result is a :class:`NetParams` tree of derivatives
-    with respect to every parameter, in the parameters' dtype. With the
-    ``columns`` of a gathered forward, ``d_z`` holds those columns and the
-    other head columns get zero gradients. The head products run in
-    :func:`gemm_blocks` on the workers, and each residual block in two rounds
-    of two products side by side (:func:`_block_backward`).
+    with respect to every parameter, in the parameters' dtype. After a
+    forward with ``read``, ``d_z`` holds the read entries alone, and the
+    head's gradients come from them (:func:`_read_head_backward`); otherwise
+    the head products run in :func:`gemm_blocks` on the workers. Each
+    residual block runs in two rounds of two products side by side
+    (:func:`_block_backward`).
     """
     dtype = params.w_head.dtype
     feats = cache.features
-    w_head = params.w_head if columns is None else params.w_head[:, columns]
     dz = np.asarray(d_z).astype(dtype, copy=False)
-    # Each block of the head products writes its slice of one output array.
-    g_w_head = np.empty(w_head.shape, dtype=dtype)
-    g_b_head = np.empty(w_head.shape[1], dtype=dtype)
-    map_ranges(lambda c0, c1: _weight_grads(feats, dz[:, c0:c1], g_w_head[:, c0:c1],
-                                            g_b_head[c0:c1]),
-               gemm_blocks(w_head.shape[1], feats.size))
-    dh = np.empty(feats.shape, dtype=dtype)
-    map_ranges(lambda r0, r1: np.matmul(dz[r0:r1], w_head.T, out=dh[r0:r1]),
-               gemm_blocks(len(feats), w_head.size))
-    if columns is not None:  # the columns not computed get zero gradients
-        full_w, full_b = np.zeros_like(params.w_head), np.zeros_like(params.b_head)
-        full_w[:, columns], full_b[columns] = g_w_head, g_b_head
-        g_w_head, g_b_head = full_w, full_b
+    if cache.read is not None:
+        g_w_head, g_b_head, dh = _read_head_backward(params, feats, cache, dz)
+    else:
+        # Each block of the head products writes its slice of one output array.
+        w_head = params.w_head
+        g_w_head = np.empty(w_head.shape, dtype=dtype)
+        g_b_head = np.empty(w_head.shape[1], dtype=dtype)
+        map_ranges(lambda c0, c1: _weight_grads(feats, dz[:, c0:c1], g_w_head[:, c0:c1],
+                                                g_b_head[c0:c1]),
+                   gemm_blocks(w_head.shape[1], feats.size))
+        dh = np.empty(feats.shape, dtype=dtype)
+        map_ranges(lambda r0, r1: np.matmul(dz[r0:r1], w_head.T, out=dh[r0:r1]),
+                   gemm_blocks(len(feats), w_head.size))
 
     if cfg.identity_encoder:
         return NetParams(None, None, (), g_w_head, g_b_head)
@@ -503,6 +523,38 @@ def backward(
     g_w_in = cache.x.T @ da
     g_b_in = da.sum(axis=0)
     return NetParams(g_w_in, g_b_in, tuple(reversed(g_blocks)), g_w_head, g_b_head)
+
+
+def _read_head_backward(params: NetParams, feats: np.ndarray, cache: ForwardCache,
+                        dz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(g_w_head, g_b_head, dh)`` from the derivatives ``dz`` at a read
+    forward's entries. Row r's feature gradient, ``sum_k dz[r, k] *
+    w_head[:, read[r, k]]``, runs in row chunks on the workers. A read
+    column's head gradients sum its entries' ``dz * feats[r]`` and ``dz`` in
+    a pairwise tree over them in row order, on the calling thread, so their
+    bits depend on those entries alone; columns no row reads get +0."""
+    read, w_read = cache.read, cache.w_read
+    dh = np.empty(feats.shape, dtype=dz.dtype)
+    map_ranges(lambda r0, r1: np.multiply(w_read[r0:r1], dz[r0:r1, :, None]).sum(
+        axis=1, out=dh[r0:r1]), row_chunks(len(feats), w_read[0].size))
+    order = np.argsort(read.reshape(-1), kind="stable")  # by column, then row
+    cols = read.reshape(-1)[order]
+    starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+    counts = np.diff(np.r_[starts, len(cols)])
+    terms = np.empty((len(cols), feats.shape[1] + 1), dtype=dz.dtype)  # dz * feats[r], dz
+    terms[:, -1] = dz.reshape(-1)[order]
+    np.multiply(feats[order // read.shape[1]], terms[:, -1:], out=terms[:, :-1])
+    at = np.arange(len(cols)) - np.repeat(starts, counts)  # place in its column's run
+    left = np.repeat(counts, counts) - at  # entries from there to the run's end
+    step = 1
+    while step < counts.max():
+        pairs = np.flatnonzero((at % (2 * step) == 0) & (left > step))
+        terms[pairs] += terms[pairs + step]
+        step *= 2
+    g_w_head, g_b_head = np.zeros_like(params.w_head), np.zeros_like(params.b_head)
+    g_w_head.T[cols[starts]] = terms[starts, :-1]
+    g_b_head[cols[starts]] = terms[starts, -1]
+    return g_w_head, g_b_head, dh
 
 
 @dataclass
@@ -781,35 +833,3 @@ def params_equal(a: NetParams, b: NetParams) -> bool:
         x.shape == y.shape and np.array_equal(x, y) for x, y in zip(fa, fb)
     )
 
-
-__all__ = [
-    "ADAM_BETA1",
-    "ADAM_BETA2",
-    "ADAM_EPS",
-    "AdamState",
-    "BadMagicError",
-    "ForwardCache",
-    "ModelFile",
-    "ModelFormatError",
-    "NetConfig",
-    "NetParams",
-    "NonFiniteGradientError",
-    "ResidualBlock",
-    "TruncatedFileError",
-    "UnsupportedVersionError",
-    "adam_step",
-    "backward",
-    "encoder_tiles",
-    "forward",
-    "gemm_blocks",
-    "head_columns",
-    "init_adam",
-    "init_params",
-    "model_from_bytes",
-    "model_to_bytes",
-    "param_shapes",
-    "params_equal",
-    "read_model_file",
-    "save_model",
-    "zeros_like_params",
-]

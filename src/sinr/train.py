@@ -46,7 +46,6 @@ from .net import (
     adam_step,
     backward,
     forward,
-    head_columns,
     init_adam,
     init_params,
     model_from_bytes,
@@ -217,46 +216,29 @@ def _pseudo_bounds(env: EnvRasterStack | None, layout: InputLayout):
     return (env.lon_min, env.lon_max, env.lat_min, env.lat_max)
 
 
-#: Variants whose loss reads only the positive species' column (at the record
-#: and at its pseudo-location): their steps compute only those head columns.
-#: The bits hold because each dL/dz row has one nonzero entry. slds rows have
-#: two, which ``backward``'s ``dz @ w_head.T`` adds in other BLAS K-chunks
-#: once the other columns are dropped, with other bits.
-_GATHERED = (LossVariant.AN_SSDL, LossVariant.ME_SSDL)
-
-
 def _loss_and_grads(
     state: TrainState, x: np.ndarray, targets: BatchTargets, epoch: int, step: int
 ) -> tuple[float, NetParams]:
     """Loss value and parameter gradients of one batch; ``x`` holds its rows,
     then any pseudo-location rows. ``compute_loss`` overwrites the head output
-    with dL/dz in row chunks, so a step holds one array of the head's shape.
-    ssdl variants compute only the head columns they read (see
-    :func:`head_columns`), and the bias and sigmoid only at the entry each
-    row reads, the positive's column, with the bits of the dense step."""
+    with dL/dz. ssdl and slds steps compute the head only at the entries
+    their loss reads (``forward``'s ``read``), so their cost does not grow
+    with S: the positive's column at each record and at its pseudo-location
+    (ssdl), or the positive's and a drawn negative species' (slds)."""
     cfg = state.cfg
-    b = targets.batch_size
+    b, j = targets.batch_size, targets.positive_index
     pseudo = needs_pseudo_negatives(cfg.loss.variant)
-    columns = read = None
-    if cfg.loss.variant in _GATHERED:
-        columns = head_columns(
-            targets.positive_index, len(x), cfg.net.feature_dim, targets.n_species
-        )
-        if columns is not None:
-            targets = BatchTargets(np.searchsorted(columns, targets.positive_index),
-                                   len(columns))
-        read = np.tile(targets.positive_index, 2)  # at each record and its pseudo-location
-    _, y_all, cache = forward(
-        state.params, cfg.net, x, mode="train", rng=state.rng_dropout, return_cache=True,
-        columns=columns, read=read,
-    )
-    # slds variants draw the negative species of the whole batch in one call.
-    j_prime = None if pseudo else draw_j_prime(targets, state.rng_negatives)
-    value = compute_loss(cfg.loss, y_all[:b], targets,
-                         y_hat_rand=y_all[b:] if pseudo else None, j_prime=j_prime)
+    read = None
+    if cfg.loss.variant in (LossVariant.AN_SSDL, LossVariant.ME_SSDL):
+        read = np.tile(j, 2)[:, None]
+    elif not pseudo:  # slds variants draw the negative species of the whole batch in one call
+        read = np.stack([j, draw_j_prime(targets, state.rng_negatives)], axis=1)
+    _, y_all, cache = forward(state.params, cfg.net, x, mode="train", rng=state.rng_dropout,
+                              return_cache=True, read=read)
+    value = compute_loss(cfg.loss, y_all[:b], targets, y_hat_rand=y_all[b:] if pseudo else None)
     if not np.isfinite(value):
         raise TrainingDivergedError(epoch, step, value)
-    return value, backward(state.params, cfg.net, cache, d_z=y_all, columns=columns)
+    return value, backward(state.params, cfg.net, cache, d_z=y_all)
 
 
 def _run(

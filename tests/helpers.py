@@ -401,16 +401,38 @@ def reference_f1_max_threshold(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 
 
-def loss(variant: LossVariant | str, y, targets, lam: float = 2048.0, **kwargs):
-    """``compute_loss`` on fresh float64 copies of ``y`` and of any
-    ``y_hat_rand``, as ``(value, dL/dz, dL/dz_rand or None)``; ``kwargs`` are
-    its ``y_hat_rand`` and ``j_prime``. The inputs are left untouched."""
-    y = np.array(y, dtype=np.float64)
-    y_rand = kwargs.get("y_hat_rand")
-    if y_rand is not None:
-        kwargs["y_hat_rand"] = y_rand = np.array(y_rand, dtype=np.float64)
-    value = compute_loss(LossConfig(variant, lam), y, targets, **kwargs)
-    return value, y, y_rand
+def read_index(variant: LossVariant | str, targets: BatchTargets, j_prime=None):
+    """``(rows, columns)`` of the dense head entries a read variant's
+    training step computes, laid out as ``forward``'s ``read`` takes them:
+    the positive's column at each record row and then at each
+    pseudo-location row (ssdl), or the positive's and ``j_prime``'s at each
+    record row (slds). None for full, which reads every entry."""
+    selection = LossVariant(variant).value.split("-")[1]
+    j = targets.positive_index
+    if selection == "full":
+        return None
+    cols = np.tile(j, 2)[:, None] if selection == "ssdl" else np.stack([j, j_prime], axis=1)
+    return np.arange(len(cols))[:, None], cols
+
+
+def loss(variant: LossVariant | str, y, targets, lam: float = 2048.0, *, y_hat_rand=None,
+         j_prime=None):
+    """``compute_loss`` on float64 copies of the entries of the dense
+    predictions ``y`` (and ``y_hat_rand``, the pseudo-location rows) that the
+    variant reads (:func:`read_index`), as ``(value, dL/dz, dL/dz_rand or
+    None)``: dense arrays with +0 at every entry not read. The inputs are
+    left untouched."""
+    b = targets.batch_size
+    y_all = np.array(y if y_hat_rand is None else np.concatenate([y, y_hat_rand]),
+                     dtype=np.float64)
+    at = read_index(variant, targets, j_prime)
+    got = y_all if at is None else y_all[at]
+    value = compute_loss(LossConfig(variant, lam), got[:b], targets,
+                         y_hat_rand=None if y_hat_rand is None else got[b:])
+    if at is not None:
+        y_all[...] = 0
+        y_all[at] = got
+    return value, y_all[:b], None if y_hat_rand is None else y_all[b:]
 
 
 def composed_loss(params: NetParams, cfg: NetConfig, x_all, b, variant, targets, lam, j_prime):
@@ -423,12 +445,15 @@ def composed_loss(params: NetParams, cfg: NetConfig, x_all, b, variant, targets,
 
 def composed_grads(params: NetParams, cfg: NetConfig, x_all, b, variant, targets, lam, j_prime):
     """Analytic parameter gradients of `composed_loss`, as a training step
-    takes them: ``compute_loss`` overwrites the predictions with dL/dz, which
-    seed ``backward``. ``x_all`` holds pseudo-location rows only for variants
-    that read them."""
-    _, y_all, cache = forward(params, cfg, x_all, mode="eval", return_cache=True)
+    takes them: the head only at the entries the loss reads (``forward``'s
+    ``read``, none for full), whose predictions ``compute_loss`` overwrites
+    with dL/dz, which seed ``backward``. ``x_all`` holds pseudo-location rows
+    only for variants that read them."""
+    at = read_index(variant, targets, j_prime)
+    _, y_all, cache = forward(params, cfg, x_all, mode="eval", return_cache=True,
+                              read=None if at is None else at[1])
     compute_loss(LossConfig(variant, lam), y_all[:b], targets,
-                 y_hat_rand=y_all[b:] if len(x_all) > b else None, j_prime=j_prime)
+                 y_hat_rand=y_all[b:] if len(x_all) > b else None)
     return backward(params, cfg, cache, d_z=y_all)
 
 

@@ -40,7 +40,6 @@ from sinr.net import (
     NetParams,
     forward,
     gemm_blocks,
-    head_columns,
     init_params,
     model_from_bytes,
     read_model_file,
@@ -767,10 +766,11 @@ def test_model_does_not_depend_on_blas_thread_count(tmp_path):
     assert one == two
 
 
-def test_gathered_head_model_does_not_depend_on_blas_thread_count_at_2000_species(tmp_path):
+def test_read_head_model_does_not_depend_on_blas_thread_count_at_2000_species(tmp_path):
     """an-ssdl on 6,000 records over 2,000 species, trained with
     ``--batch-size 256 --hidden-dim 64 --residual-layers 2 --epochs 2
-    --seed 5``: a batch's head columns are a gathered subset of the species."""
+    --seed 5``: a step computes the head only at the positive's column of
+    each of its 512 rows."""
     obs_path = tmp_path / "obs.csv"
     write_2000_species_csv(obs_path)
     one, two = _models_at_thread_counts(
@@ -794,10 +794,11 @@ _TRAIN_VARIANTS = (
 def test_models_do_not_depend_on_the_worker_count(tmp_path):
     """All six variants in fresh processes with 1 and with 2 workers (BLAS
     held at one thread). A 1,024-record batch over 2,000 species spans 16
-    loss chunks and 32 head-output chunks; an ssdl batch's head columns
-    (about 800) at least 6 and 12."""
+    loss chunks and 32 head-output chunks of a full step. An ssdl or slds
+    step's read head (2,048 x 1 or 1,024 x 2 entries over 32 features) is
+    one row chunk here; ``tests/test_train.py`` splits it over several."""
     assert len(row_chunks(1024, 2000)) == 16
-    assert len(row_chunks(1024, 800)) >= 6
+    assert len(row_chunks(2048, 32)) == len(row_chunks(1024, 2 * 32)) == 1
     obs_path = tmp_path / "obs.csv"
     write_2000_species_csv(obs_path)
     models = {}
@@ -814,13 +815,13 @@ def test_models_do_not_depend_on_the_worker_count(tmp_path):
 
 def test_models_do_not_depend_on_blas_threads_or_workers(tmp_path):
     """All six variants in fresh processes under ``OPENBLAS_NUM_THREADS`` 1
-    and 2 and ``SINR_THREADS`` 1 and 2. A 1,024-record batch over 2,000
-    species and 128 features splits each head product into at least 2
-    blocks per worker on two workers, dense (2,048 rows, or 1,024 for slds)
-    and gathered (ssdl: 2,048 rows, at least 700 of the 2,000 columns)."""
-    for rows, n_cols in [(2048, 2000), (1024, 2000), (2048, 700)]:
-        assert len(gemm_blocks(rows, 128 * n_cols)) >= 4  # h @ w_head, dz @ w_head.T
-        assert len(gemm_blocks(n_cols, rows * 128)) >= 4  # feats.T @ dz
+    and 2 and ``SINR_THREADS`` 1 and 2. A full step's 2,048 rows over 2,000
+    species and 128 features split each head product into at least 2
+    blocks per worker on two workers. ssdl and slds steps make no head GEMM:
+    their read head is row-wise dot products and per-column sums in a fixed
+    order, so only their encoder products meet BLAS."""
+    assert len(gemm_blocks(2048, 128 * 2000)) >= 4  # h @ w_head, dz @ w_head.T
+    assert len(gemm_blocks(2000, 2048 * 128)) >= 4  # feats.T @ dz
     obs_path = tmp_path / "obs.csv"
     write_2000_species_csv(obs_path)
     models = {}
@@ -834,10 +835,9 @@ def test_models_do_not_depend_on_blas_threads_or_workers(tmp_path):
     assert all(got == models["1", "1"] for got in models.values())
 
 
-def test_gathered_head_model_does_not_depend_on_blas_thread_count(tmp_path):
-    """an-ssdl over 200 species: a 128-record batch holds at most 128 of
-    them, so its steps compute at most 128 head columns."""
-    assert len(head_columns(range(128), 256, 64, 200)) == 128
+def test_read_head_model_does_not_depend_on_blas_thread_count(tmp_path):
+    """an-ssdl over 200 species, in 128-record batches: a step computes the
+    head at 256 entries, one a row."""
     rng = np.random.default_rng(1)
     n = 300
     obs = ObservationSet(tuple(f"sp{i:03d}" for i in range(200)), np.arange(n) % 200,

@@ -2,6 +2,7 @@
 rasters, and training batch assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -567,6 +568,50 @@ def test_plain_envgrid_never_takes_the_per_token_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(data_module, "_cell_value", lambda *args: 1 / 0)
     assert _load(_parse_env_raster, path, per_row=False) == per_token
     assert per_token[2] == grid.tobytes()
+
+
+_ENV_SPLIT_CASES = {
+    **_ENV_CASES,
+    "unicode spaces": _ENV_HEAD + "1\u2003 2.5\x1cNA\r\n-4\x85 0\xa01e-300\r\n",
+    "long tokens": _ENV_HEAD + " ".join(["-1.2345678901234567e-300"] * 6) + "\n",
+    "cr line ends": _ENV_HEAD.replace("\n", "\r") + "1 2 3\r4 5 6\r",
+    "not a grid": "1 2 3\n",
+    "empty": "",
+    "header only": "ENVGRID 1 1 -180\n",
+}
+
+
+@pytest.mark.parametrize("piece_chars", [1, 2, 7, 64])
+@pytest.mark.parametrize("case", list(_ENV_SPLIT_CASES))
+def test_envgrid_pieces_do_not_change_the_result(tmp_path, monkeypatch, case, piece_chars):
+    """The file is read in pieces of ``_ENV_PIECE_CHARS`` characters: tokens
+    that a piece boundary splits, Unicode whitespace and line ends between
+    pieces give the grid, bounds or error of reading it whole."""
+    path = tmp_path / "layer.env"
+    path.write_bytes(_ENV_SPLIT_CASES[case].encode("utf-8"))
+    whole = _load(_parse_env_raster, path, per_row=False)
+    monkeypatch.setattr(data_module, "_ENV_PIECE_CHARS", piece_chars)
+    assert _load(_parse_env_raster, path, per_row=False) == whole
+
+
+def test_envgrid_text_is_never_held_whole(tmp_path, monkeypatch):
+    """A 300 x 600 layer (3.2 MB of text) read in 16 KiB pieces peaks below
+    two float64 grids plus 512 KiB traced: the parsed pieces and the grid
+    they are joined into. Holding every token as a string peaked at 11.4
+    grids."""
+    grid = np.random.default_rng(48).normal(10, 5, (300, 600))
+    grid[grid < 2] = np.nan
+    path = tmp_path / "layer.env"
+    write_env_raster(path, grid, (-180.0, 180.0, -90.0, 90.0))
+    monkeypatch.setattr(data_module, "_ENV_PIECE_CHARS", 1 << 14)
+    tracemalloc.start()
+    try:
+        got, _ = _parse_env_raster(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == grid.tobytes()
+    assert peak < 2 * grid.nbytes + 2**19
 
 
 # ---------------------------------------------------------------------------

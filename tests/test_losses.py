@@ -188,11 +188,6 @@ def test_slds_requires_two_species():
         draw_j_prime(one_row_targets(0, 1), np.random.default_rng(0))
 
 
-def test_slds_rejects_j_prime_equal_to_positive():
-    with pytest.raises(ValueError):
-        loss("an-slds", np.array([[0.5, 0.5]]), one_row_targets(0, 2), j_prime=np.array([0]))
-
-
 # ---------------------------------------------------------------------------
 # Batch-mean convention and numerical safety
 # ---------------------------------------------------------------------------
@@ -266,12 +261,11 @@ def test_needs_pseudo_negatives_table():
 
 
 def test_compute_loss_requires_pseudo_predictions_when_needed():
-    y = np.array([[0.5, 0.5]])
     targets = one_row_targets(0, 2)
-    with pytest.raises(ValueError):
-        compute_loss(LossConfig(LossVariant.AN_SSDL), y, targets)
-    with pytest.raises(ValueError):
-        compute_loss(LossConfig(LossVariant.AN_SLDS), y, targets)  # no j_prime
+    for variant, y in [(LossVariant.AN_SSDL, np.array([[0.5]])),
+                       (LossVariant.ME_FULL, np.array([[0.5, 0.5]]))]:
+        with pytest.raises(ValueError, match="requires y_hat_rand"):
+            compute_loss(LossConfig(variant), y, targets)
 
 
 def test_loss_config_validation():
@@ -294,7 +288,8 @@ def test_batch_targets_validation():
 def test_shape_mismatch_rejected():
     targets = one_row_targets(0, 2)
     with pytest.raises(ValueError):
-        loss("an-ssdl", np.array([[0.5, 0.5]]), targets, y_hat_rand=np.array([[0.5]]))
+        compute_loss(LossConfig("an-ssdl"), np.array([[0.5, 0.5]]), targets,
+                     y_hat_rand=np.array([[0.5]]))
     with pytest.raises(ValueError):
         loss("an-full", np.array([[0.5, 0.5, 0.5]]), targets, 1.0,
              y_hat_rand=np.array([[0.5, 0.5, 0.5]]))

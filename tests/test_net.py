@@ -487,7 +487,7 @@ def test_train_forward_cache_keeps_only_what_backward_reads():
 
 
 # (rows, features, species, head columns or None): dense heads at several
-# shapes, and the columns of an ssdl step over 2,000 species.
+# shapes, and the columns of an eval forward over 2,000 species.
 SPLIT_SHAPES = [(512, 64, 2000, None), (333, 48, 777, None), (210, 64, 1000, None),
                 (2048, 64, 2000, 800)]
 
@@ -496,8 +496,9 @@ SPLIT_SHAPES = [(512, 64, 2000, None), (333, 48, 777, None), (210, 64, 1000, Non
 def test_split_head_products_have_the_bits_of_the_whole_products(monkeypatch, pinned, rows,
                                                                  feat, species, n_cols):
     """float32, 2 workers, blocks just past ``SMALL_GEMM_MAX``: the forward
-    product, ``feats.T @ dz``, ``dz.sum(axis=0)`` and ``dz @ w_head.T``
-    (through every gradient below it) equal the whole 1-thread products."""
+    product (over every head column or the given ones), and after a dense
+    forward ``feats.T @ dz``, ``dz.sum(axis=0)`` and ``dz @ w_head.T``
+    (through every gradient below it), equal the whole 1-thread products."""
     cfg = NetConfig(input_dim=4, n_species=species, hidden_dim=feat, n_residual_layers=1,
                     seed=4)
     params = dataclasses.replace(init_params(cfg),
@@ -511,7 +512,7 @@ def test_split_head_products_have_the_bits_of_the_whole_products(monkeypatch, pi
 
     def step():
         feats, y, cache = forward(params, cfg, x, return_cache=True, columns=columns)
-        return feats, y, backward(params, cfg, cache, d_z=d_z, columns=columns)
+        return feats, y, None if columns is not None else backward(params, cfg, cache, d_z)
 
     with monkeypatch.context() as whole:
         whole.setattr(sinr.net, "GEMM_MAX_BLOCKS", 1)
@@ -525,11 +526,10 @@ def test_split_head_products_have_the_bits_of_the_whole_products(monkeypatch, pi
     assert y.tobytes() == want_y.tobytes()
     assert y.tobytes() == reference_sigmoid(feats @ w_head + params.b_head[
         slice(None) if columns is None else columns]).tobytes()
-    g_w, g_b = got.w_head, got.b_head
     if columns is not None:
-        g_w, g_b = g_w[:, columns], g_b[columns]
-    assert g_w.tobytes() == (feats.T @ d_z).tobytes()
-    assert g_b.tobytes() == d_z.sum(axis=0).tobytes()
+        return
+    assert got.w_head.tobytes() == (feats.T @ d_z).tobytes()
+    assert got.b_head.tobytes() == d_z.sum(axis=0).tobytes()
     for name, g, w in zip(want.names(), got.flat(), want.flat()):
         assert g.tobytes() == w.tobytes(), name
 
@@ -699,35 +699,56 @@ def test_dropout_needs_a_pcg64_generator(bitgen):
     assert rng.random(4).tobytes() == np.random.Generator(bitgen(5)).random(4).tobytes()
 
 
+#: Relative agreement of the read head with the dense head, per array.
+READ_HEAD_TOLERANCE = {np.float32: 1e-5, np.float64: 1e-12}
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_read_entries_equal_the_dense_forward(monkeypatch, dtype):
-    """With ``read``, each row's read entry equals the dense forward's, over
-    several row chunks on 2 workers, with saturated sigmoids at both ends,
-    over every head column and over gathered ones; ``_sigmoid`` sees those
-    entries alone."""
-    monkeypatch.setattr(sinr.parallel, "worker_count", lambda: 2)
-    monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", 3000)
+def test_read_head_matches_the_dense_head(monkeypatch, dtype):
+    """A forward with ``read`` (200 rows x 2 entries over 300 species, most
+    of them in 3 columns, some twice in a row, with saturated sigmoids at
+    both ends), and the backward from those entries' dL/dz, agree with the
+    dense head's outputs at the entries and its gradients with dL/dz summed
+    into those entries and +0 elsewhere, within ``READ_HEAD_TOLERANCE``.
+    Their bytes do not depend on the workers (1, 2, 3) or the row chunks
+    (the default's one, or 3,000 entries: 46 rows at H=32); ``_sigmoid``
+    sees the 400 read entries alone, and every column no row reads gets +0
+    gradients."""
     cfg = NetConfig(input_dim=4, n_species=300, hidden_dim=32, n_residual_layers=2, seed=5)
     params = cast_params(init_params(cfg), dtype)
     params = dataclasses.replace(params, b_head=np.linspace(-60, 60, 300).astype(dtype))
     rng = np.random.default_rng(6)
     x = rng.uniform(-1, 1, (200, 4))
-    read = rng.integers(0, 300, 200)
-    rows = np.arange(200)
-    _, dense = forward(params, cfg, x)
-    seen = []
+    read = np.where(rng.random((200, 2)) < 0.7, rng.choice([3, 7, 250], (200, 2)),
+                    rng.integers(0, 300, (200, 2)))
+    read[:20, 1] = read[:20, 0]
+    d_z = rng.standard_normal((200, 2)).astype(dtype)
+    rows = np.arange(200)[:, None]
+    _, dense, cache = forward(params, cfg, x, return_cache=True)
+    dense_d_z = np.zeros_like(dense)
+    np.add.at(dense_d_z, (rows, read), d_z)
+    want = backward(params, cfg, cache, dense_d_z)
+    assert {0.0, 1.0} < set(np.round(dense[rows, read].astype(np.float64), 3).ravel())
+
+    seen, got = [], {}
     real_sigmoid = sinr.net._sigmoid
     monkeypatch.setattr(sinr.net, "_sigmoid", lambda z: seen.append(z.size) or real_sigmoid(z))
-    _, got = forward(params, cfg, x, read=read)
-    assert got[rows, read].tobytes() == dense[rows, read].tobytes()
-    assert sum(seen) == 200 and len(seen) == 20  # 10-row chunks
-    assert {0.0, 1.0} < set(np.round(dense[rows, read].astype(np.float64), 3))
-    columns = head_columns(read[:100], 200, 32, 300)
-    assert columns is not None and len(columns) < 300
-    gathered_read = np.searchsorted(columns, np.tile(read[:100], 2))
-    _, got = forward(params, cfg, x, columns=columns, read=gathered_read)
-    full_read = np.tile(read[:100], 2)
-    assert got[rows, gathered_read].tobytes() == dense[rows, full_read].tobytes()
+    for workers, chunk in itertools.product((1, 2, 3), (sinr.parallel.CHUNK_ENTRIES, 3000)):
+        monkeypatch.setattr(sinr.parallel, "worker_count", lambda: workers)
+        monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", chunk)
+        seen.clear()
+        _, y, cache = forward(params, cfg, x, return_cache=True, read=read)
+        assert sum(seen) == 400 and y.shape == (200, 2)
+        grads = backward(params, cfg, cache, d_z)
+        got[workers, chunk] = y.tobytes(), [g.tobytes() for g in grads.flat()]
+    assert all(g == got[1, sinr.parallel.CHUNK_ENTRIES] for g in got.values())
+
+    tolerance = READ_HEAD_TOLERANCE[dtype]
+    np.testing.assert_allclose(y, dense[rows, read], rtol=tolerance)
+    assert max_rel_error(grads, want) < tolerance
+    unread = np.setdiff1d(np.arange(300), read)
+    for g in (grads.w_head[:, unread], grads.b_head[unread]):
+        assert not g.any() and not np.signbit(g).any()
 
 
 def test_dropout_mask_scaling_keeps_expectation():
@@ -838,7 +859,7 @@ def test_adam_rejects_an_update_that_overflows_in_a_middle_chunk(monkeypatch):
 def test_adam_has_the_bits_of_the_tree_form(monkeypatch, workers):
     """Five in-place steps on a float32 4-block net give, at every step, the
     bytes of p, m and v and the step count of ``reference_adam_step``, with
-    head columns whose gradient is exactly 0 (as ``backward(columns=)``
+    head columns whose gradient is exactly 0 (as a read head's backward
     leaves them) and +0 and -0 entries in the gradients and in m and v. The
     arrays run in 7-entry chunks, which end mid-row, on 1, 2 or 3 workers."""
     monkeypatch.setattr(sinr.parallel, "worker_count", lambda: workers)

@@ -2,13 +2,14 @@
 globals (``perfbench/child.py``, ``WRAPS``). A training step that stopped
 calling one of them through that global would leave its span empty without
 failing any other test. The entries ``_sigmoid`` sees pin the head work a
-step does: every entry for the full losses, the one each row reads for
-ssdl."""
+step does: every entry for the full losses, and only the entries each row
+reads for ssdl (one) and slds (two), whatever the species count."""
 
 import collections
 import importlib
 
 import numpy as np
+import pytest
 
 from helpers import random_obs
 from sinr.losses import LossConfig, LossVariant
@@ -66,12 +67,14 @@ def test_training_calls_the_traced_names_through_their_globals(monkeypatch):
     assert entries == [32 * 3] * steps
 
 
-def test_gathered_head_steps_call_the_traced_names_once_per_step(monkeypatch):
-    """32 rows x 64 features: an an-ssdl step computes 489 of 600 head columns,
-    and its sigmoid sees only the 2B = 32 entries its loss reads."""
-    calls, widths, entries, steps = _train_counting_traced_calls(
-        monkeypatch, LossVariant.AN_SSDL, 600, 64
-    )
+@pytest.mark.parametrize("variant, rows, width", [(LossVariant.AN_SSDL, 32, 1),
+                                                   (LossVariant.ME_SLDS, 16, 2)])
+def test_read_head_steps_call_the_traced_names_once_per_step(monkeypatch, variant, rows,
+                                                              width):
+    """Over 600 species and 64 features, an ssdl step's forward returns its
+    32 rows (16 records and 16 pseudo-locations) one entry wide, and an slds
+    step's its 16 rows two wide; ``_sigmoid`` sees exactly those entries."""
+    calls, widths, entries, steps = _train_counting_traced_calls(monkeypatch, variant, 600, 64)
     assert calls == {f"{m}.{a}": steps for m, a in TRACED}
-    assert widths == [489] * steps
-    assert entries == [2 * 16] * steps
+    assert widths == [width] * steps
+    assert entries == [rows * width] * steps

@@ -16,7 +16,11 @@ import sinr.net
 import sinr.parallel
 from helpers import (
     cast_params,
+    composed_loss,
+    fd_grads,
+    gather_gradcheck_setups,
     hand_off_to_a_pool_thread,
+    max_rel_error,
     random_obs,
     reference_checkpoint_bytes,
     reference_model_bytes,
@@ -30,14 +34,20 @@ from sinr.data import (
     write_env_raster,
 )
 from sinr.geo import InputLayout
-from sinr.losses import BatchTargets, LossConfig, LossVariant, needs_pseudo_negatives
+from sinr.losses import (
+    BatchTargets,
+    LossConfig,
+    LossVariant,
+    draw_j_prime,
+    needs_pseudo_negatives,
+)
 from sinr.net import (
     AdamState,
     ModelFormatError,
     NetConfig,
+    encoder_tiles,
     forward,
     gemm_blocks,
-    head_columns,
     init_adam,
     init_params,
     model_from_bytes,
@@ -249,15 +259,15 @@ def test_pseudo_location_stream_usage(tmp_path, obs, variant, consumes):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("variant", list(LossVariant))
+@pytest.mark.parametrize("variant", [LossVariant.AN_FULL, LossVariant.ME_FULL])
 def test_row_blocked_step_matches_the_whole_matrix_step(monkeypatch, variant, dtype):
-    """The step's head products run over row and column blocks, and its
+    """A full loss's head products run over row and column blocks, and its
     bias, sigmoid, loss and dL/dz over row chunks, on 1, 2 or 3 workers; its
     loss value and gradients must have the bits of the whole-matrix
     composition.
 
     The blocks here hold at least 20 rows x 1,000 species over 64 features,
-    or all rows x at least 96 (slds: 191) species. OpenBLAS runs an SGEMM of
+    or all rows x at least 96 species. OpenBLAS runs an SGEMM of
     M*N*K <= 1e6 on another kernel, with other rounding; these blocks have
     M*N*K > 1.28e6, so each gets the kernel, and so the bits, of the whole
     product. DGEMM blocks of this shape match the whole product too. The
@@ -299,36 +309,41 @@ def test_row_blocked_step_matches_the_whole_matrix_step(monkeypatch, variant, dt
             assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
 
 
-# (batch size, species, positive species of the batch, head columns computed,
-# least rows per head block or None), over 64 features; rows are 2 * batch.
-GATHER_CASES = {
-    # one species, padded to the 63 columns that take 250 x 63 x 64 > 1e6
-    "one-species": (125, 1000, [7], 63, None),
-    # 62 species give 250 x 62 x 64 = 992,000 <= 1e6, so one more is padded on
-    "just-under": (125, 1000, range(0, 620, 10), 63, None),
-    "just-over": (125, 1000, range(0, 630, 10), 63, None),  # 1,008,000: no padding
-    # 16,000 x 1 x 64 > 1e6, yet one column would run GEMV: two columns
-    "one-species-u2": (8000, 50, [31], 2, None),
-    "two-species": (8000, 50, [3, 40], 2, None),
-    # several head and loss row blocks of at least 270 rows x 60 columns x 64
-    "row-blocks": (1000, 3000, range(0, 3000, 50), 60, 270),
+READ_VARIANTS = [LossVariant.AN_SSDL, LossVariant.ME_SSDL, LossVariant.AN_SLDS,
+                 LossVariant.ME_SLDS]
+
+# (batch size, species, positive species of the batch), over 64 features.
+READ_CASES = {
+    "one-species": (125, 1000, [7]),  # every entry of a step in one or two columns
+    "two-species": (300, 50, [3, 40]),
+    "many-species": (1000, 3000, range(0, 3000, 7)),
 }
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("case", list(GATHER_CASES))
-@pytest.mark.parametrize("variant", [LossVariant.AN_SSDL, LossVariant.ME_SSDL])
-def test_gathered_head_step_matches_the_dense_step(monkeypatch, variant, case, dtype):
-    """ssdl steps compute only the head columns their loss reads, padded past
-    OpenBLAS's small-matrix switch (M*N*K <= 1e6) and never one column (GEMV);
-    the loss value and every gradient must keep the dense step's bits.
+def _step_state(cfg, params) -> TrainState:
+    return TrainState(
+        cfg, tuple(map(str, range(cfg.net.n_species))), params, init_adam(params), 0, b"",
+        rng_dropout=np.random.default_rng(1), rng_negatives=np.random.default_rng(2),
+    )
 
-    SGEMM column gathers of the large kernel match the dense product's
-    columns at every shape tried. DGEMM ones do not always: from about 200
-    columns, and at 2 BLAS threads from 65 columns over 64 features, they
-    differ in the last bit. float64 parameters exist only in tests, so every
-    case here computes at most 63 columns."""
-    b, s, species, n_cols, block_rows = GATHER_CASES[case]
+
+def _read_step(cfg, params, x, targets):
+    return _loss_and_grads(_step_state(cfg, params), x, targets, 0, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(READ_CASES))
+@pytest.mark.parametrize("variant", READ_VARIANTS)
+def test_read_head_step_matches_the_dense_step(monkeypatch, variant, case, dtype):
+    """ssdl and slds steps compute the head only at the entries their loss
+    reads, as row-wise dot products. In float64 their loss value and every
+    gradient agree with the whole-matrix step (``reference_step``: every
+    head entry, dL/dz +0 where unread, the dense GEMMs) within 1e-12
+    relative; in float32 within 1e-4. Their bytes do not depend on the
+    workers (1, 2, 3), the row chunks (the default, or 700 entries: 10 ssdl
+    or 5 slds rows of the read head at H=64), or the encoder tiles."""
+    b, s, species = READ_CASES[case]
+    pseudo = needs_pseudo_negatives(variant)
     cfg = small_cfg(
         net=NetConfig(input_dim=4, n_species=s, hidden_dim=64, n_residual_layers=2, seed=2),
         loss=LossConfig(variant),
@@ -337,33 +352,81 @@ def test_gathered_head_step_matches_the_dense_step(monkeypatch, variant, case, d
     params = cast_params(init_params(cfg.net), dtype)
     params = dataclasses.replace(params, b_head=np.linspace(-1, 1, s).astype(dtype))
     rng = np.random.default_rng(9)
-    x = rng.uniform(-1.0, 1.0, (2 * b, cfg.net.input_dim))
+    x = rng.uniform(-1.0, 1.0, (2 * b if pseudo else b, cfg.net.input_dim))
     j = rng.choice(list(species), b)
     j[: len(species)] = list(species)  # every listed species occurs
     targets = BatchTargets(j, s)
-    columns = head_columns(j, 2 * b, 64, s)
-    assert columns is not None and len(columns) == n_cols
     want_value, want = reference_step(
         params, cfg, x, targets, np.random.default_rng(1), np.random.default_rng(2)
     )
 
-    if block_rows is not None:
-        monkeypatch.setattr(sinr.net, "BLAS_PINNED", "1")
-        monkeypatch.setattr(sinr.net, "GEMM_BLOCK_MACS", block_rows * n_cols * 64 - 1)
-        assert len(gemm_blocks(2 * b, n_cols * 64)) >= 5
-        assert len(gemm_blocks(n_cols, 2 * b * 64)) >= 5
-    calls = []
-    monkeypatch.setattr(importlib.import_module("sinr.train"), "forward",
-                        lambda *a, **k: calls.append(k) or forward(*a, **k))
-    state = TrainState(
-        cfg, tuple(map(str, range(s))), params, init_adam(params), 0, b"",
-        rng_dropout=np.random.default_rng(1), rng_negatives=np.random.default_rng(2),
-    )
-    value, got = _loss_and_grads(state, x, targets, 0, 0)
-    assert np.array_equal(calls[0]["columns"], columns)
-    assert struct.pack("<d", value) == struct.pack("<d", want_value)
-    for name, g, w in zip(want.names(), got.flat(), want.flat()):
-        assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
+    got = {}
+    for workers, chunk, split in [(1, sinr.parallel.CHUNK_ENTRIES, False), (2, 700, True),
+                                  (3, 700, True), (2, sinr.parallel.CHUNK_ENTRIES, False)]:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sinr.parallel, "worker_count", lambda: workers)
+            m.setattr(sinr.parallel, "CHUNK_ENTRIES", chunk)
+            if split:
+                m.setattr(sinr.net, "BLAS_PINNED", "1")
+                m.setattr(sinr.net, "GEMM_BLOCK_MACS", 20 * 64 * 64)
+                assert len(encoder_tiles(len(x), 64)) >= 4
+            value, grads = _read_step(cfg, params, x, targets)
+        got[workers, chunk] = struct.pack("<d", value), [g.tobytes() for g in grads.flat()]
+    assert all(g == got[1, sinr.parallel.CHUNK_ENTRIES] for g in got.values())
+
+    tolerance = 1e-12 if dtype == np.float64 else 1e-4
+    assert abs(value - want_value) <= tolerance * abs(want_value)
+    for name, g, w in zip(want.names(), grads.flat(), want.flat()):
+        assert g.dtype == w.dtype == dtype, name
+    assert max_rel_error(grads, want) < tolerance
+
+
+@pytest.mark.parametrize("variant", READ_VARIANTS)
+def test_read_head_step_gradients_match_finite_differences(variant):
+    """float64, dropout off, tiny networks: the gradients of a training
+    step that computes the head only at the entries its loss reads match
+    central differences of the same objective (the dense forward, the
+    loss at those entries, the same pseudo-locations and negative species)
+    to 1e-6 relative."""
+    for cfg, params, x_all, b, targets, _, _ in gather_gradcheck_setups(3, start_seed=2000):
+        if cfg.n_species < 2 and not needs_pseudo_negatives(variant):
+            continue
+        x = x_all if needs_pseudo_negatives(variant) else x_all[:b]
+        train_cfg = small_cfg(net=cfg, loss=LossConfig(variant), batch_size=b)
+        j_prime = None
+        if not needs_pseudo_negatives(variant):
+            j_prime = draw_j_prime(targets, np.random.default_rng(2))
+
+        def objective(p):
+            return composed_loss(p, cfg, x, b, variant, targets, 1.0, j_prime)
+
+        _, analytic = _read_step(train_cfg, params, x, targets)
+        assert max_rel_error(analytic, fd_grads(objective, params)) < 1e-6
+
+
+@pytest.mark.parametrize("variant", [LossVariant.AN_SSDL, LossVariant.AN_SLDS])
+def test_read_head_step_does_not_scale_with_species(variant):
+    """At S=50,000, H=16, one block and a batch of 64, the traced peak of a
+    step stays below 2 head-sized (H x S float32) arrays plus 1 MiB: the
+    dense head gradient it returns, and nothing of the batch's width times
+    S (an slds step that built its 64 x 50,000 head output peaked above
+    that)."""
+    s, h, b = 50_000, 16, 64
+    cfg = small_cfg(net=NetConfig(input_dim=4, n_species=s, hidden_dim=h, n_residual_layers=1,
+                                  seed=3),
+                    loss=LossConfig(variant), batch_size=b)
+    params = init_params(cfg.net)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, (2 * b if needs_pseudo_negatives(variant) else b, 4))
+    targets = BatchTargets(rng.integers(0, s, b), s)
+    state = _step_state(cfg, params)
+    tracemalloc.start()
+    try:
+        _loss_and_grads(state, x, targets, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * h * s * 4 + 2**20
 
 
 # ---------------------------------------------------------------------------
