@@ -703,54 +703,52 @@ def model_to_bytes(
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+    """Reads a file's fields in order from the binary stream ``fh``, checking
+    each against the bytes left before reading it; each array is read straight
+    into its buffer. A stream that cannot seek, such as a pipe, is read whole
+    first."""
 
-    def skip(self, n: int) -> int:
-        """Move past the next ``n`` bytes; returns their offset."""
-        if self.pos + n > len(self.buf):
-            raise TruncatedFileError(
-                f"needed {n} bytes at offset {self.pos}, file has {len(self.buf)}"
-            )
+    def __init__(self, fh):
+        self.fh = fh if fh.seekable() else io.BytesIO(fh.read())
+        self.pos = self.fh.tell()
+        self.size = self.fh.seek(0, io.SEEK_END)
+        self.fh.seek(self.pos)
+
+    def _advance(self, n: int, got: int) -> None:
+        """Move past ``n`` bytes of which a read got ``got``. Fewer is truncation: the
+        file shrank, or the read was not made (``got`` 0) as ``n`` runs past the end."""
+        if got != n:
+            raise TruncatedFileError(f"needed {n} bytes at offset {self.pos}, file has {self.size}")
         self.pos += n
-        return self.pos - n
 
     def take(self, n: int) -> bytes:
-        pos = self.skip(n)
-        return self.buf[pos : pos + n]
+        data = self.fh.read(n) if n <= self.size - self.pos else b""
+        self._advance(n, len(data))
+        return data
 
     def species_ids(self, count: int) -> list[str]:
         """``count`` ids, each a u16 UTF-8 byte length and the bytes."""
-        buf, pos, ids = self.buf, self.pos, []
-        for _ in range(count):
-            ln = _U16.unpack_from(buf, pos)[0] if pos + 2 <= len(buf) else 0
-            if pos + 2 + ln > len(buf):  # the truncation error of reading each field
-                self.pos = pos
-                self.take(2)
-                self.take(ln)
+        ids = []
+        for i in range(count):
+            raw = self.take(_U16.unpack(self.take(2))[0])
             try:
-                ids.append(buf[pos + 2 : pos + 2 + ln].decode("utf-8"))
+                ids.append(raw.decode("utf-8"))
             except UnicodeDecodeError as exc:
-                raise ModelFormatError(f"species id {len(ids)} is not valid UTF-8") from exc
-            pos += 2 + ln
-        self.pos = pos
+                raise ModelFormatError(f"species id {i} is not valid UTF-8") from exc
         return ids
 
     def params(self, cfg: NetConfig) -> NetParams:
-        """Read one float32 parameter tree shaped for ``cfg``: one copy of
-        each block, made from a view of the buffer."""
+        """One float32 parameter tree shaped for ``cfg``, each array filled by one ``readinto``."""
         arrays = []
         for shape in param_shapes(cfg):
-            n = math.prod(shape)
-            data = np.frombuffer(self.buf, dtype="<f4", count=n, offset=self.skip(4 * n))
-            arrays.append(data.astype(np.float32).reshape(shape))
+            a = np.empty(shape, "<f4")
+            self._advance(a.nbytes, self.fh.readinto(a) if a.nbytes <= self.size - self.pos else 0)
+            arrays.append(a)
         return NetParams.from_flat(arrays)
 
 
-def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
-    """Parse a model blob; returns the model and the number of bytes consumed."""
-    r = _Reader(buf)
+def read_model(r: _Reader) -> ModelFile:
+    """Parse a model from ``r``, leaving it just past the model's bytes."""
     head = r.take(_HEADER.size)
     (magic, version, flags, layout_code, input_dim, hidden_dim, n_res, n_species,
      dropout_p, seed) = _HEADER.unpack(head)
@@ -777,13 +775,15 @@ def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
     ids = r.species_ids(n_ids)
     if len(set(ids)) != len(ids):
         raise ModelFormatError("species catalog contains duplicate ids")
+    if ids and len(ids) != cfg.n_species:
+        raise ModelFormatError(f"species catalog has {len(ids)} ids for {cfg.n_species} species")
 
     (total,) = struct.unpack("<Q", r.take(8))
     # Bound the declared sizes by the bytes present (every residual layer
     # holds more than one float) before expanding them into a shape list.
     n_layers = 0 if cfg.identity_encoder else cfg.n_residual_layers
-    if 4 * max(total, n_layers) > len(buf) - r.pos:
-        raise TruncatedFileError(f"declared sizes exceed the {len(buf) - r.pos} bytes left")
+    if 4 * max(total, n_layers) > r.size - r.pos:
+        raise TruncatedFileError(f"declared sizes exceed the {r.size - r.pos} bytes left")
     expected = sum(math.prod(s) for s in param_shapes(cfg))
     if total != expected:
         raise ModelFormatError(
@@ -792,7 +792,13 @@ def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
     params = r.params(cfg)
     if not all(np.isfinite(a).all() for a in params.flat()):
         raise ModelFormatError("model parameters contain NaN or infinite values")
-    return ModelFile(params, cfg, _CODE_LAYOUTS[layout_code], tuple(ids)), r.pos
+    return ModelFile(params, cfg, _CODE_LAYOUTS[layout_code], tuple(ids))
+
+
+def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
+    """Parse a model blob; returns the model and the number of bytes consumed."""
+    r = _Reader(io.BytesIO(buf))
+    return read_model(r), r.pos
 
 
 def save_model(
@@ -811,14 +817,11 @@ def save_model(
 
 def read_model_file(path) -> ModelFile:
     """Load a model file including its input layout and species catalog."""
-    with errors_named(path):
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        model, consumed = model_from_bytes(buf)
-        if consumed != len(buf):
-            raise ModelFormatError(
-                f"{len(buf) - consumed} unexpected trailing bytes after model data"
-            )
+    with errors_named(path), open(path, "rb") as fh:
+        r = _Reader(fh)
+        model = read_model(r)
+        if r.pos != r.size:
+            raise ModelFormatError(f"{r.size - r.pos} unexpected trailing bytes after model data")
     return model
 
 

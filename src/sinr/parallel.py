@@ -43,7 +43,7 @@ BLAS_PINNED = _pin_blas()
 def worker_count() -> int:
     """``SINR_THREADS`` if set, else the number of CPUs this process may use."""
     value = os.environ.get("SINR_THREADS") or str(len(os.sched_getaffinity(0)))
-    if not value.strip().isdigit() or int(value) < 1:
+    if not value.strip().isdecimal() or int(value) < 1:
         raise ValueError(f"SINR_THREADS must be a positive integer, got {value!r}")
     return int(value)
 

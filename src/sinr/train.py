@@ -48,7 +48,7 @@ from .net import (
     forward,
     init_adam,
     init_params,
-    model_from_bytes,
+    read_model,
 )
 from .util import atomic_write, errors_named, seed_u64
 
@@ -422,12 +422,9 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    with errors_named(path):
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        model, consumed = model_from_bytes(buf)
-        r = _Reader(buf)
-        r.pos = consumed
+    with errors_named(path), open(path, "rb") as fh:
+        r = _Reader(fh)
+        model = read_model(r)
         if r.take(4) != _CKPT_MAGIC:
             raise CheckpointFormatError("missing checkpoint section after model data")
         version, epochs_done = struct.unpack("<II", r.take(8))
@@ -437,6 +434,10 @@ def load_checkpoint(path) -> TrainState:
         (t,) = struct.unpack("<Q", r.take(8))
         m_tree = r.params(model.cfg)
         v_tree = r.params(model.cfg)
+        # NaN fails v >= 0 too; v = +inf is kept: (1 - b2) * g * g overflows float32 at |g| > 5.8e20
+        if not all(np.isfinite(m).all() and (v >= 0).all()
+                   for m, v in zip(m_tree.flat(), v_tree.flat())):
+            raise CheckpointFormatError("optimizer moments must be finite (m) and non-negative (v)")
         (n_losses,) = struct.unpack("<Q", r.take(8))
         losses = np.frombuffer(r.take(8 * n_losses), dtype="<f8").tolist()
 
@@ -458,14 +459,10 @@ def load_checkpoint(path) -> TrainState:
             cfg = train_config_from_dict(cfg_dict)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise CheckpointFormatError(f"malformed training configuration: {exc!r}") from exc
-        if r.pos != len(buf):
-            raise CheckpointFormatError(
-                f"{len(buf) - r.pos} unexpected trailing bytes in checkpoint"
-            )
+        if r.pos != r.size:
+            raise CheckpointFormatError(f"{r.size - r.pos} unexpected trailing bytes in checkpoint")
         if model.cfg != cfg.net or model.input_layout is not cfg.input_layout:
             raise CheckpointFormatError("model section disagrees with the training configuration")
-        if model.species_ids and len(model.species_ids) != cfg.net.n_species:
-            raise CheckpointFormatError("species catalog size disagrees with configuration")
         if epochs_done > cfg.epochs:
             raise CheckpointFormatError("checkpoint claims more epochs than configured")
         if t != len(losses):  # each step records one loss and one optimizer update

@@ -632,7 +632,7 @@ def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, loader):
 
 _NAMED_INPUTS = (
     "obs", "env-raster", "grid", "scores-duplicate", "scores-true-species", "scores-range",
-    "model", "model-sizes", "checkpoint", "resolution", "baseline-grid", "baseline-memory",
+    "model", "model-sizes", "model-catalog", "checkpoint", "resolution", "baseline-grid", "baseline-memory",
 )
 
 
@@ -683,6 +683,12 @@ def test_input_errors_name_the_file_or_flag(tmp_path, capsys, case):
         args = ["predict", "--model", str(bad), "--species", "a", "--resolution", "2",
                 "--out", str(out)]
         message = "declared sizes exceed the "
+    elif case == "model-catalog":  # "c" would index past the two-species head
+        cfg = NetConfig(input_dim=4, n_species=2, hidden_dim=4, n_residual_layers=1)
+        save_model(init_params(cfg), cfg, bad, species_ids=("a", "b", "c"))
+        args = ["predict", "--model", str(bad), "--species", "c", "--resolution", "2",
+                "--out", str(out)]
+        message = "species catalog has 3 ids for 2 species"
     elif case == "checkpoint":
         bad.write_bytes(b"spec" + bytes(60))
         args = [*train, "--checkpoint", str(bad)]

@@ -153,7 +153,7 @@ def test_worker_count_reads_sinr_threads(monkeypatch):
     assert worker_count() == len(os.sched_getaffinity(0))
     monkeypatch.setenv("SINR_THREADS", "3")
     assert worker_count() == 3
-    for bad in ("0", "-1", "two", "1.5"):
+    for bad in ("0", "-1", "two", "1.5", "²"):
         monkeypatch.setenv("SINR_THREADS", bad)
         with pytest.raises(ValueError, match="SINR_THREADS must be a positive integer"):
             worker_count()
