@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import os
 import platform
 import sys
@@ -20,6 +21,7 @@ from . import _THREAD_VARS, __version__
 from .data import (
     EnvRasterStack,
     ObservationSet,
+    _take_records,
     assemble_inputs,
     filter_min_count,
     load_env_rasters,
@@ -189,17 +191,33 @@ def _load_obs(path) -> ObservationSet:
 # ---------------------------------------------------------------------------
 
 
+def _bounded(kind, ok, rule: str):
+    """An argparse type: ``kind`` parses the value and ``ok`` accepts it, else
+    ``rule`` says what the flag takes."""
+    def parse(value: str):
+        try:
+            number = kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {value!r}") from None
+        if not ok(number):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return number
+    return parse
+
+
+_COUNT = _bounded(int, lambda n: n >= 1, "must be >= 1")
+_DEPTH = _bounded(int, lambda n: n >= 0, "must be >= 0")
+_RATE = _bounded(float, lambda x: 0 < x < math.inf, "must be positive and finite")
+_DROPOUT = _bounded(float, lambda p: 0 <= p < 1, "must lie in [0, 1)")
+_SEED = _bounded(int, lambda n: -(2**63) <= n < 2**63, "must fit in a signed 64-bit integer")
+
+
 def _baseline_arg(value: str):
     if value == "lr":
         return ("lr", None)
     if value.startswith("grid:"):
-        try:
-            res = int(value[len("grid:") :])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad grid resolution in {value!r}") from None
-        if res < 1:
-            raise argparse.ArgumentTypeError("grid resolution must be >= 1")
-        return ("grid", res)
+        resolution = _bounded(int, lambda n: n >= 1, "grid resolution must be >= 1")
+        return ("grid", resolution(value[len("grid:") :]))
     raise argparse.ArgumentTypeError(
         f"baseline must be 'lr' or 'grid:RESOLUTION', got {value!r}"
     )
@@ -208,13 +226,8 @@ def _baseline_arg(value: str):
 def _threshold_arg(value: str):
     kind, sep, rest = value.partition(":")
     if kind == "fixed" and sep:
-        try:
-            t = float(rest)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad fixed threshold {rest!r}") from None
-        if not (0.0 <= t <= 1.0):
-            raise argparse.ArgumentTypeError("fixed threshold must lie in [0, 1]")
-        return ("fixed", t)
+        threshold = _bounded(float, lambda t: 0 <= t <= 1, "fixed threshold must lie in [0, 1]")
+        return ("fixed", threshold(rest))
     if kind == "f1" and sep and rest:
         return ("f1", rest)
     raise argparse.ArgumentTypeError(
@@ -385,15 +398,28 @@ def cmd_export_raster(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_predictor_flags(args) -> None:
+    """Refuse, as usage errors, the flags that the chosen predictor never reads."""
+    if args.baseline is not None and args.baseline[0] == "grid":
+        if args.obs is None:
+            args.parser.error("--baseline grid:RES requires --obs")
+        if args.model is not None or args.env_raster:
+            args.parser.error("--baseline grid:RES reads neither --model nor --env-raster")
+    elif args.obs is not None:
+        args.parser.error("--obs is read only by --baseline grid:RES")
+    elif args.model is None:
+        args.parser.error("need --model (or --baseline grid:RES)")
+
+
 def _eval_predictor(args, mode: str, wanted_ids):
     """Resolve --model/--baseline into (predictor, label). The predictor's
     ``species_ids`` are the ``wanted_ids`` it knows, in that order, and it
-    scores exactly those."""
+    scores exactly those; the grid baseline counts only their records."""
     baseline = args.baseline
     if baseline is not None and baseline[0] == "grid":
-        if args.obs is None:
-            args.parser.error("--baseline grid:RES requires --obs")
         obs = _load_obs(args.obs)
+        wanted = set(wanted_ids)
+        obs = _take_records(obs, np.array([s in wanted for s in obs.species_ids], dtype=bool))
         label = f"grid:{baseline[1]}"
         with errors_named(f"--baseline {label}"):
             model = grid_baseline_fit(obs, GridSpec(baseline[1]))
@@ -401,8 +427,6 @@ def _eval_predictor(args, mode: str, wanted_ids):
         def scorer(cols):
             return lambda lons, lats: grid_baseline_scores(model, lons, lats, mode)[:, cols]
     else:
-        if args.model is None:
-            args.parser.error("need --model (or --baseline grid:RES)")
         model, env = _open_model(args)
         if baseline is not None and not model.cfg.identity_encoder:
             raise ValueError("--baseline lr expects a model trained with --identity-encoder")
@@ -420,6 +444,7 @@ def _eval_predictor(args, mode: str, wanted_ids):
 
 
 def cmd_eval_map(args) -> int:
+    _check_predictor_flags(args)
     eval_grid = load_eval_grid(args.grid)
     predictor, label = _eval_predictor(args, "ratio", eval_grid.species_ids)
     if not predictor.species_ids:
@@ -464,6 +489,7 @@ def cmd_eval_map(args) -> int:
 
 
 def cmd_eval_geoprior(args) -> int:
+    _check_predictor_flags(args)
     score_set = load_classifier_scores(args.scores)
     wanted = dict.fromkeys(s for rec in score_set.records for s in rec.candidates)
     predictor, label = _eval_predictor(args, "indicator", wanted)
@@ -495,6 +521,7 @@ def cmd_eval_geofeature(args) -> int:
         args.parser.error("geofeature requires --env-raster target layers")
     if args.model is None:
         args.parser.error("geofeature requires --model")
+    _check_predictor_flags(args)  # refuses --obs
     model, stack = _open_model(args)
 
     cells = stack.fully_observed_cells()
@@ -547,23 +574,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=LossVariant.AN_FULL.value,
         choices=[v.value for v in LossVariant],
     )
-    p_train.add_argument("--lambda", dest="lam", type=float, default=2048.0,
+    p_train.add_argument("--lambda", dest="lam", type=_RATE, default=2048.0,
                          help="positive-term weight for the full losses")
-    p_train.add_argument("--epochs", type=int, default=10)
-    p_train.add_argument("--batch-size", type=int, default=2048)
-    p_train.add_argument("--lr", type=float, default=5e-4, help="initial learning rate")
-    p_train.add_argument("--min-count", type=int, default=None,
+    p_train.add_argument("--epochs", type=_COUNT, default=10)
+    p_train.add_argument("--batch-size", type=_COUNT, default=2048)
+    p_train.add_argument("--lr", type=_RATE, default=5e-4, help="initial learning rate")
+    p_train.add_argument("--min-count", type=_COUNT, default=None,
                          help="drop species with fewer records than this")
-    p_train.add_argument("--cap-per-species", type=int, default=None,
+    p_train.add_argument("--cap-per-species", type=_COUNT, default=None,
                          help="subsample each species to at most this many records")
     p_train.add_argument("--input", default=InputLayout.COORDS.value,
                          choices=[v.value for v in InputLayout])
     p_train.add_argument("--env-raster", action="append", default=[],
                          help="environmental raster file (repeatable)")
-    p_train.add_argument("--seed", type=int, default=0, help="master random seed")
-    p_train.add_argument("--hidden-dim", type=int, default=256)
-    p_train.add_argument("--residual-layers", type=int, default=4)
-    p_train.add_argument("--dropout", type=float, default=0.5)
+    p_train.add_argument("--seed", type=_SEED, default=0, help="master random seed")
+    p_train.add_argument("--hidden-dim", type=_COUNT, default=256)
+    p_train.add_argument("--residual-layers", type=_DEPTH, default=4)
+    p_train.add_argument("--dropout", type=_DROPOUT, default=0.5)
     p_train.add_argument("--identity-encoder", action="store_true",
                          help="skip the encoder (per-species logistic regression)")
     p_train.add_argument("--checkpoint", default=None,

@@ -11,13 +11,14 @@ import platform
 import struct
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import sinr
 from helpers import hand_off_to_a_pool_thread, read_manifest, reference_model_bytes
-from sinr.cli import _write_cell_scores, main, write_manifest, write_pgm
+from sinr.cli import _write_cell_scores, build_parser, main, write_manifest, write_pgm
 from sinr.data import (
     ObservationSet,
     assemble_inputs,
@@ -33,7 +34,7 @@ from sinr.evaluate import (
     map_task,
     save_eval_grid,
 )
-from sinr.geo import GridSpec, InputLayout, cell_centroids, input_dim
+from sinr.geo import GridSpec, InputLayout, cell_centroids, cell_indices, input_dim
 from sinr.losses import LossConfig, LossVariant
 from sinr.net import (
     NetConfig,
@@ -130,6 +131,34 @@ def test_missing_obs_file_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "m.sinr")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epochs", "0"), ("--batch-size", "0"), ("--hidden-dim", "0"), ("--min-count", "0"),
+    ("--cap-per-species", "-3"), ("--residual-layers", "-1"), ("--lr", "-1"),
+    ("--lambda", "nan"), ("--dropout", "1"), ("--seed", "9223372036854775808"),
+])
+def test_out_of_range_train_flags_exit_2_before_any_file_is_read(tmp_path, capsys, flag, value):
+    """An out-of-range value is a usage error naming the flag, caught by the
+    parser: the missing observations file is never opened."""
+    out = tmp_path / "m.sinr"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--obs", str(tmp_path / "absent.csv"), "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and f"got {value}" in err, err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_flags_take_their_edge_values():
+    args = build_parser().parse_args([
+        "train", "--obs", "o.csv", "--out", "m.sinr", "--epochs", "1", "--residual-layers", "0",
+        "--dropout", "0", "--lr", "5e-324", "--seed", str(-(2**63)), "--cap-per-species", "1"])
+    assert (args.epochs, args.residual_layers, args.dropout) == (1, 0, 0.0)
+    assert (args.lr, args.seed, args.cap_per_species) == (5e-324, -(2**63), 1)
+    assert build_parser().parse_args(["train", "--obs", "o", "--out", "m", "--seed",
+                                      str(2**63 - 1)]).seed == 2**63 - 1
 
 
 def test_unknown_species_exits_1(tmp_path, capsys):
@@ -799,6 +828,18 @@ def test_importing_sinr_pins_blas_to_one_thread():
         assert _python(_BLAS_THREADS, "sinr", **env).split() == ["1", "1"], env
 
 
+def test_sinr_train_is_the_module(monkeypatch):
+    """The package root re-exports no name: ``sinr.train`` is the module, not
+    its ``train`` function, and a dotted monkeypatch path reaches it."""
+    import sinr.train
+
+    assert sinr.train.TrainConfig is TrainConfig
+    assert all(isinstance(v, types.ModuleType) for k, v in vars(sinr).items() if k[0] != "_")
+    marker = object()
+    monkeypatch.setattr("sinr.train.forward", marker)
+    assert sys.modules["sinr.train"].forward is marker
+
+
 def _models_at_thread_counts(tmp_path, obs_path, *extra) -> list[bytes]:
     """Model bytes of one ``sinr train`` run under 1 and under 2 BLAS threads."""
     models = []
@@ -1311,6 +1352,50 @@ def test_eval_geoprior_with_grid_baseline(tmp_path, capsys):
     assert "delta +50.00 points" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("protocol", ["map", "geoprior"])
+def test_grid_baseline_fits_only_the_species_it_scores(tmp_path, capsys, monkeypatch, protocol):
+    """Of 2,000 species the grid or the candidates name three (and one the
+    corpus lacks): the baseline counts only those three species' records,
+    and its reports have the bytes of a whole-corpus fit."""
+    obs_path = tmp_path / "obs.csv"
+    write_2000_species_csv(obs_path)
+    whole, _ = load_observations(obs_path)
+    named = ("sp1999", "zz", "sp0007", "sp0500")
+    records = np.flatnonzero(np.isin(np.asarray(whole.species_ids)[whole.species_index], named))
+    grid = GridSpec(3)
+    if protocol == "map":
+        labels = np.zeros((len(named), grid.n_cells), dtype=np.int8)
+        labels[:, ::7] = -1
+        for i in records.tolist():
+            row = named.index(whole.species_ids[whole.species_index[i]])
+            labels[row, cell_indices(whole.lons[i : i + 1], whole.lats[i : i + 1], grid)] = 1
+        save_eval_grid(EvalGrid(grid, named, labels), tmp_path / "g.evalgrid")
+        args = ["map", "--grid", str(tmp_path / "g.evalgrid")]
+    else:
+        candidates = ",".join(f"{s}:0.{k + 3}" for k, s in enumerate(named))
+        (tmp_path / "scores.csv").write_text("".join(
+            f"r{i},{whole.species_ids[whole.species_index[i]]},{float(whole.lons[i])!r},"
+            f"{float(whole.lats[i])!r},{candidates}\n" for i in records.tolist()))
+        args = ["geoprior", "--scores", str(tmp_path / "scores.csv")]
+
+    real_fit, fitted = sinr.cli.grid_baseline_fit, []
+
+    def run(fit, name):
+        monkeypatch.setattr("sinr.cli.grid_baseline_fit", fit)
+        assert main(["eval", *args, "--baseline", "grid:3", "--obs", str(obs_path),
+                     "--report", str(tmp_path / name)]) == 0
+        return (tmp_path / name).read_bytes()
+
+    scored = run(lambda obs, g: fitted.append(obs.species_ids) or real_fit(obs, g), "scored.csv")
+    assert run(lambda obs, g: real_fit(whole, g), "whole.csv") == scored
+    assert fitted == [tuple(s for s in whole.species_ids if s in named)] and len(fitted[0]) == 3
+    rows = scored.decode().splitlines()
+    if protocol == "map":  # the three species, then the one the corpus lacks
+        assert [r.rsplit(",", 1)[1] for r in rows[1:-1]] == ["ok"] * 3 + ["not in predictor"]
+    else:  # a header, the nine records and the delta
+        assert len(rows) == 11 and rows[-1].startswith("DELTA,")
+
+
 def test_eval_geofeature_end_to_end(tmp_path, capsys):
     rows, cols = 8, 16
     lat_centroids = 90.0 - (np.arange(rows) + 0.5) * 180.0 / rows
@@ -1354,6 +1439,38 @@ def test_eval_geofeature_rejects_baseline(tmp_path, capsys):
               "--env-raster", "y", "--report", str(tmp_path / "r")])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", [
+    "map-grid-model", "map-grid-env", "map-grid-no-obs", "map-model-obs", "map-lr-obs",
+    "map-lr-no-model", "geoprior-grid-model", "geoprior-model-obs", "geofeature-obs",
+])
+def test_eval_refuses_flags_its_predictor_never_reads(tmp_path, capsys, case):
+    """``--baseline grid:RES`` reads neither a model nor rasters, and only it
+    reads ``--obs``: such a flag is a usage error, even where the files exist
+    and the run would otherwise succeed."""
+    protocol, predictor = case.split("-", 1)
+    obs, grid = grid_fixture(tmp_path)
+    model, env, scores = tmp_path / "flat.sinr", tmp_path / "t.env", tmp_path / "scores.csv"
+    flat_model(model, species=("a", "b"))
+    write_env_raster(env, np.arange(32.0).reshape(4, 8), (-180, 180, -90, 90))
+    scores.write_text("r1,a,10.0,20.0,a:0.6,b:0.9\n")
+    args = {"map": ["--grid", str(grid)], "geoprior": ["--scores", str(scores)],
+            "geofeature": ["--model", str(model), "--env-raster", str(env)]}[protocol]
+    args += {"grid-model": ["--baseline", "grid:2", "--obs", str(obs), "--model", str(model)],
+             "grid-env": ["--baseline", "grid:2", "--obs", str(obs), "--env-raster", str(env)],
+             "grid-no-obs": ["--baseline", "grid:2"],
+             "model-obs": ["--model", str(model), "--obs", str(obs)],
+             "lr-obs": ["--baseline", "lr", "--model", str(model), "--obs", str(obs)],
+             "lr-no-model": ["--baseline", "lr"],
+             "obs": ["--obs", str(obs)]}[predictor]
+    report = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", protocol, *args, "--report", str(report)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err, err
+    assert not report.exists()
 
 
 def test_model_layout_requires_env_rasters_exits_2(tmp_path, capsys):
