@@ -48,7 +48,7 @@ from .net import (
     save_model,
 )
 from .parallel import BLAS_PINNED, worker_count
-from .train import TrainConfig, TrainingDivergedError, resume, train
+from .train import TrainConfig, TrainingDivergedError, train
 from .util import atomic_write, errors_named, seed_u64
 
 _PREDICT_CHUNK = 65536
@@ -277,10 +277,7 @@ def cmd_train(args) -> int:
         print(f"epoch {epoch + 1}/{cfg.epochs} lr={lr:.6g} mean_loss={mean_loss:.6f}")
         sys.stdout.flush()
 
-    if args.checkpoint and os.path.exists(args.checkpoint):
-        result = resume(args.checkpoint, obs, env, expect_cfg=cfg, on_epoch=on_epoch)
-    else:
-        result = train(cfg, obs, env, checkpoint_path=args.checkpoint, on_epoch=on_epoch)
+    result = train(cfg, obs, env, checkpoint_path=args.checkpoint, on_epoch=on_epoch)
     save_model(
         result.params,
         cfg.net,
@@ -594,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--identity-encoder", action="store_true",
                          help="skip the encoder (per-species logistic regression)")
     p_train.add_argument("--checkpoint", default=None,
-                         help="write a resumable checkpoint here after every epoch")
+                         help="checkpoint file, updated after every epoch; an existing "
+                              "one is continued")
     p_train.add_argument("--manifest", default=None,
                          help="manifest path (default: OUT.manifest)")
     p_train.set_defaults(func=cmd_train, parser=p_train)
@@ -602,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred = sub.add_parser("predict", help="score every cell of a global grid")
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--species", required=True)
-    p_pred.add_argument("--resolution", type=int, required=True)
+    p_pred.add_argument("--resolution", type=_COUNT, required=True)
     p_pred.add_argument("--out", required=True, help="output CSV (lon,lat,score)")
     p_pred.add_argument("--env-raster", action="append", default=[])
     p_pred.set_defaults(func=cmd_predict, parser=p_pred)
@@ -610,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rast = sub.add_parser("export-raster", help="render a range map as a PGM image")
     p_rast.add_argument("--model", required=True)
     p_rast.add_argument("--species", required=True)
-    p_rast.add_argument("--resolution", type=int, required=True)
+    p_rast.add_argument("--resolution", type=_COUNT, required=True)
     p_rast.add_argument("--out", required=True, help="output PGM file")
     p_rast.add_argument("--csv", default=None, help="also write cell scores as CSV")
     p_rast.add_argument("--binary-threshold", type=_threshold_arg, default=None,
@@ -643,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gf = eval_sub.add_parser("geofeature", help="environmental-feature transfer")
     add_common(p_gf)
-    p_gf.add_argument("--split-seed", type=int, default=0)
+    p_gf.add_argument("--split-seed", type=_SEED, default=0)
     p_gf.add_argument("--train-frac", type=float, default=0.5)
     p_gf.set_defaults(func=cmd_eval_geofeature, parser=p_gf)
 

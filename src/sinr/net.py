@@ -695,18 +695,6 @@ def _write_params(fh, params: NetParams) -> None:
         fh.write(np.ascontiguousarray(a, dtype=np.float32))
 
 
-def model_to_bytes(
-    params: NetParams,
-    cfg: NetConfig,
-    input_layout: InputLayout = InputLayout.COORDS,
-    species_ids: tuple[str, ...] = (),
-) -> bytes:
-    """The bytes of a model file (see :func:`save_model`)."""
-    buf = io.BytesIO()
-    _write_model(buf, params, cfg, input_layout, species_ids)
-    return buf.getvalue()
-
-
 class _Reader:
     """Reads a file's fields in order from the binary stream ``fh``, checking
     each against the bytes left before reading it; each array is read straight
@@ -797,12 +785,6 @@ def read_model(r: _Reader) -> ModelFile:
     return ModelFile(params, cfg, _CODE_LAYOUTS[layout_code], tuple(ids))
 
 
-def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
-    """Parse a model blob; returns the model and the number of bytes consumed."""
-    r = _Reader(io.BytesIO(buf))
-    return read_model(r), r.pos
-
-
 def save_model(
     params: NetParams,
     cfg: NetConfig,
@@ -829,12 +811,4 @@ def read_model_file(path) -> ModelFile:
 
 def zeros_like_params(params: NetParams) -> NetParams:
     return NetParams.from_flat([np.zeros_like(a) for a in params.flat()])
-
-
-def params_equal(a: NetParams, b: NetParams) -> bool:
-    """True when every corresponding array pair is bit-identical."""
-    fa, fb = a.flat(), b.flat()
-    return len(fa) == len(fb) and all(
-        x.shape == y.shape and np.array_equal(x, y) for x, y in zip(fa, fb)
-    )
 

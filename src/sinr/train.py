@@ -1,11 +1,11 @@
-"""Deterministic minibatch training with checkpoint/resume.
+"""Deterministic minibatch training that continues from its own checkpoint.
 
 A run is fully determined by its :class:`TrainConfig`: all randomness
 (parameter init, batch draws, pseudo-locations, sampled negative species,
 dropout masks) flows from independent generators spawned off the single
-``master_seed``, and a checkpoint captures every piece of mutable state, so
-an interrupted-and-resumed run produces bit-identical parameters to an
-uninterrupted one.
+``master_seed``, and a checkpoint captures every piece of mutable state.
+:func:`train` is the one entry point: handed the checkpoint of an
+interrupted run, it continues that run to bit-identical parameters.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -116,23 +117,6 @@ class TrainConfig:
         object.__setattr__(self, "input_layout", InputLayout(self.input_layout))
 
 
-@dataclass(frozen=True)
-class TrainingLog:
-    """Per-step loss values for the completed epochs of a run."""
-
-    step_losses: np.ndarray
-    steps_per_epoch: int
-
-    @property
-    def n_epochs(self) -> int:
-        return int(self.step_losses.shape[0]) // self.steps_per_epoch
-
-    def epoch_means(self) -> np.ndarray:
-        """Mean loss of each completed epoch, in order."""
-        n = self.n_epochs * self.steps_per_epoch
-        return self.step_losses[:n].reshape(self.n_epochs, self.steps_per_epoch).mean(axis=1)
-
-
 @dataclass
 class TrainState:
     """Mutable mid-run state; exactly what a checkpoint stores."""
@@ -142,7 +126,7 @@ class TrainState:
     params: NetParams
     adam: AdamState
     epochs_done: int
-    corpus_sha256: bytes  # of the effective corpus; resume refuses other records
+    corpus_sha256: bytes  # of the effective corpus; a continued run refuses other records
     step_losses: list[float] = field(default_factory=list)
     rng_batch: np.random.Generator = None
     rng_locations: np.random.Generator = None
@@ -152,13 +136,12 @@ class TrainState:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Final parameters plus the loss trajectory that produced them."""
+    """Final parameters plus the loss of every step that produced them."""
 
     params: NetParams
     cfg: TrainConfig
     species_ids: tuple[str, ...]
-    log: TrainingLog
-    adam: AdamState
+    step_losses: np.ndarray  # float64, epoch after epoch
     n_records_used: int
 
 
@@ -250,14 +233,9 @@ def _run(
     obs: ObservationSet,
     env: EnvRasterStack | None,
     checkpoint_path=None,
-    stop_after_epoch: int | None = None,
     on_epoch=None,
 ) -> TrainResult:
     cfg = state.cfg
-    if stop_after_epoch is not None and not (1 <= stop_after_epoch <= cfg.epochs):
-        raise ValueError(
-            f"stop_after_epoch must lie in [1, {cfg.epochs}], got {stop_after_epoch}"
-        )
     n_steps = steps_per_epoch(obs.n_records, cfg.batch_size)
     layout = cfg.input_layout
     pseudo = needs_pseudo_negatives(cfg.loss.variant)
@@ -283,15 +261,12 @@ def _run(
             on_epoch(epoch, float(np.mean(state.step_losses[-n_steps:])), lr)
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, state)
-        if stop_after_epoch is not None and state.epochs_done >= stop_after_epoch:
-            break
 
     return TrainResult(
         params=state.params,
         cfg=cfg,
         species_ids=state.species_ids,
-        log=TrainingLog(np.asarray(state.step_losses, dtype=np.float64), n_steps),
-        adam=state.adam,
+        step_losses=np.asarray(state.step_losses, dtype=np.float64),
         n_records_used=obs.n_records,
     )
 
@@ -302,64 +277,52 @@ def train(
     env: EnvRasterStack | None = None,
     *,
     checkpoint_path=None,
-    stop_after_epoch: int | None = None,
     on_epoch=None,
 ) -> TrainResult:
-    """Train a fresh model; optionally checkpoint after every epoch.
+    """Run training to ``cfg.epochs``; with ``checkpoint_path``, write a
+    checkpoint there after every epoch.
 
-    ``stop_after_epoch`` halts the run once that many epochs have completed
-    (for later :func:`resume`); otherwise all ``cfg.epochs`` are run.
+    When ``checkpoint_path`` names an existing file, the run it holds
+    continues instead of a fresh one. Its configuration must equal ``cfg``,
+    and its species catalog, step count and record digest must fit the
+    corpus (after ``cap_per_species``); otherwise a ``ValueError`` names the
+    file, which is left as it was. With the same corpus and rasters, the
+    result is bit-identical to the uninterrupted run.
     ``on_epoch(epoch_index, mean_loss, lr)`` is called as each epoch ends.
     """
+    state = None
+    if checkpoint_path is not None and os.path.exists(checkpoint_path):
+        state = load_checkpoint(checkpoint_path)
+        with errors_named(checkpoint_path):
+            if state.cfg != cfg:
+                raise ValueError("checkpoint configuration does not match the expected one")
     obs = _effective_obs(cfg, obs)
     _check_inputs(cfg, obs, env)
-    rngs = _spawn_rngs(cfg.master_seed)
-    params = init_params(cfg.net)
-    state = TrainState(
-        cfg=cfg,
-        species_ids=obs.species_ids,
-        params=params,
-        adam=init_adam(params),
-        epochs_done=0,
-        corpus_sha256=_corpus_sha256(obs),
-        rng_batch=rngs[0],
-        rng_locations=rngs[1],
-        rng_negatives=rngs[2],
-        rng_dropout=rngs[3],
-    )
-    return _run(state, obs, env, checkpoint_path, stop_after_epoch, on_epoch)
-
-
-def resume(
-    checkpoint_path,
-    obs: ObservationSet,
-    env: EnvRasterStack | None = None,
-    *,
-    expect_cfg: TrainConfig | None = None,
-    stop_after_epoch: int | None = None,
-    on_epoch=None,
-) -> TrainResult:
-    """Continue a checkpointed run to completion.
-
-    With the same corpus and rasters, the result is bit-identical to the
-    uninterrupted run. ``expect_cfg`` guards against resuming under a
-    different configuration.
-    """
-    state = load_checkpoint(checkpoint_path)
-    with errors_named(checkpoint_path):
-        if expect_cfg is not None and expect_cfg != state.cfg:
-            raise ValueError("checkpoint configuration does not match the expected one")
-    obs = _effective_obs(state.cfg, obs)
-    _check_inputs(state.cfg, obs, env)
-    with errors_named(checkpoint_path):
-        if obs.species_ids != state.species_ids:
-            raise ValueError("checkpoint species catalog does not match the corpus")
-        n_steps = steps_per_epoch(obs.n_records, state.cfg.batch_size)
-        if len(state.step_losses) != state.epochs_done * n_steps:
-            raise ValueError("checkpoint step count does not match the corpus size")
-        if _corpus_sha256(obs) != state.corpus_sha256:
-            raise ValueError("checkpoint was written for other observation records")
-    return _run(state, obs, env, checkpoint_path, stop_after_epoch, on_epoch)
+    if state is None:
+        rngs = _spawn_rngs(cfg.master_seed)
+        params = init_params(cfg.net)
+        state = TrainState(
+            cfg=cfg,
+            species_ids=obs.species_ids,
+            params=params,
+            adam=init_adam(params),
+            epochs_done=0,
+            corpus_sha256=_corpus_sha256(obs),
+            rng_batch=rngs[0],
+            rng_locations=rngs[1],
+            rng_negatives=rngs[2],
+            rng_dropout=rngs[3],
+        )
+    else:
+        with errors_named(checkpoint_path):
+            if obs.species_ids != state.species_ids:
+                raise ValueError("checkpoint species catalog does not match the corpus")
+            n_steps = steps_per_epoch(obs.n_records, cfg.batch_size)
+            if len(state.step_losses) != state.epochs_done * n_steps:
+                raise ValueError("checkpoint step count does not match the corpus size")
+            if _corpus_sha256(obs) != state.corpus_sha256:
+                raise ValueError("checkpoint was written for other observation records")
+    return _run(state, obs, env, checkpoint_path, on_epoch)
 
 
 # ---------------------------------------------------------------------------

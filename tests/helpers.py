@@ -1,6 +1,6 @@
 """Shared test utilities: corpus builders, finite-difference gradient checks,
-an exhaustive average-precision oracle, and parameter-tree and manifest
-helpers.
+an exhaustive average-precision oracle, parameter-tree, model-blob and
+manifest helpers, and an interrupted training run.
 
 Everything here is deliberately independent of the library's internals: the
 oracles re-derive expected values from first principles (definition-level
@@ -10,6 +10,7 @@ loops, pure-Python accumulation) so library bugs cannot cancel out.
 from __future__ import annotations
 
 import importlib
+import io
 import json
 import math
 import re
@@ -21,6 +22,7 @@ from unittest import mock
 import numpy as np
 
 import sinr.net
+import sinr.train
 from sinr.data import ObservationSet
 from sinr.evaluate import EVAL_GRID_MAGIC, EvalGrid, f1_at_threshold
 from sinr.geo import GridSpec, InputLayout
@@ -39,6 +41,7 @@ from sinr.net import (
     ADAM_EPS,
     AdamState,
     ForwardCache,
+    ModelFile,
     NetConfig,
     NetParams,
     NonFiniteGradientError,
@@ -47,7 +50,7 @@ from sinr.net import (
     forward,
     init_params,
 )
-from sinr.train import TrainState, train_config_to_dict
+from sinr.train import TrainConfig, TrainResult, TrainState, steps_per_epoch, train_config_to_dict
 
 
 def hand_off_to_a_pool_thread(monkeypatch, module: str, attr: str) -> threading.Event:
@@ -692,6 +695,14 @@ def gather_gradcheck_setups(n: int, start_seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
+def params_equal(a: NetParams, b: NetParams) -> bool:
+    """True when every corresponding array pair is bit-identical."""
+    fa, fb = a.flat(), b.flat()
+    return len(fa) == len(fb) and all(
+        x.shape == y.shape and np.array_equal(x, y) for x, y in zip(fa, fb)
+    )
+
+
 def params_close(a: NetParams, b: NetParams, **kwargs) -> bool:
     """True when every corresponding array pair is allclose."""
     fa, fb = a.flat(), b.flat()
@@ -703,6 +714,21 @@ def params_close(a: NetParams, b: NetParams, **kwargs) -> bool:
 def cast_params(params: NetParams, dtype) -> NetParams:
     """A copy of ``params`` with every array in ``dtype``."""
     return NetParams.from_flat([a.astype(dtype) for a in params.flat()])
+
+
+def model_to_bytes(params: NetParams, cfg: NetConfig,
+                   input_layout: InputLayout = InputLayout.COORDS,
+                   species_ids: tuple[str, ...] = ()) -> bytes:
+    """The bytes ``save_model`` writes, without a file."""
+    buf = io.BytesIO()
+    sinr.net._write_model(buf, params, cfg, input_layout, species_ids)
+    return buf.getvalue()
+
+
+def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
+    """Parse a model blob; returns the model and the number of bytes consumed."""
+    r = sinr.net._Reader(io.BytesIO(buf))
+    return sinr.net.read_model(r), r.pos
 
 
 def read_manifest(path) -> dict[str, str]:
@@ -718,3 +744,38 @@ def read_manifest(path) -> dict[str, str]:
                 raise ValueError(f"{path}: malformed manifest line {line!r}")
             out[key] = value
     return out
+
+
+# ---------------------------------------------------------------------------
+# Training runs
+# ---------------------------------------------------------------------------
+
+
+class _Interrupted(Exception):
+    """Raised by the checkpoint writer of :func:`train_interrupted`."""
+
+
+def train_interrupted(cfg: TrainConfig, obs: ObservationSet, checkpoint_path, after: int,
+                      env=None) -> None:
+    """Run ``train`` with a checkpoint at ``checkpoint_path`` and stop it as a
+    killed process stops: ``save_checkpoint`` raises once it has written the
+    checkpoint of epoch ``after``. ``train`` handed that file continues the run."""
+    real_save = sinr.train.save_checkpoint
+
+    def save_then_stop(path, state: TrainState) -> None:
+        real_save(path, state)
+        if state.epochs_done == after:
+            raise _Interrupted
+
+    with mock.patch.object(sinr.train, "save_checkpoint", save_then_stop):
+        try:
+            sinr.train.train(cfg, obs, env, checkpoint_path=checkpoint_path)
+        except _Interrupted:
+            return
+    raise AssertionError(f"the run ended without reaching epoch {after}")
+
+
+def epoch_means(result: TrainResult) -> np.ndarray:
+    """Mean loss of each epoch of a finished run, in order."""
+    n_steps = steps_per_epoch(result.n_records_used, result.cfg.batch_size)
+    return result.step_losses.reshape(-1, n_steps).mean(axis=1)

@@ -17,9 +17,13 @@ from helpers import (
     composed_grads,
     composed_loss,
     disk_obs,
+    epoch_means,
     fd_grads,
     loss,
     max_rel_error,
+    model_to_bytes,
+    params_equal,
+    train_interrupted,
     well_conditioned_setup,
 )
 from sinr.data import (
@@ -48,8 +52,8 @@ from sinr.losses import (
     LossVariant,
     bernoulli_entropy,
 )
-from sinr.net import NetConfig, forward, model_to_bytes, params_equal, read_model_file, save_model
-from sinr.train import LR_DECAY, TrainConfig, lr_at_epoch, resume, train
+from sinr.net import NetConfig, forward, read_model_file, save_model
+from sinr.train import LR_DECAY, TrainConfig, lr_at_epoch, train
 
 DISK_CENTERS = ((-90.0, 30.0), (0.0, -30.0), (100.0, 15.0))
 DISK_RADIUS_DEG = 20.0
@@ -94,7 +98,7 @@ def _disk_run(variant_value: str, seed: int):
         return forward(result.params, cfg.net, x)[1]
 
     mean_ap = map_task(predict, eval_grid).mean_ap
-    return mean_ap, tuple(result.log.epoch_means()), elapsed
+    return mean_ap, tuple(epoch_means(result)), elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +469,8 @@ def test_criterion_11_determinism_and_serialization(tmp_path):
 
     # Checkpoint-resume: bit-identical parameters and predictions.
     ckpt = tmp_path / "run.ckpt"
-    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=2)
-    resumed = resume(ckpt, obs)
+    train_interrupted(cfg, obs, ckpt, after=2)
+    resumed = train(cfg, obs, checkpoint_path=ckpt)
     assert params_equal(straight.params, resumed.params)
     assert model_to_bytes(straight.params, cfg.net) == model_to_bytes(resumed.params, cfg.net)
     _, y_resumed = forward(resumed.params, cfg.net, x)

@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 
 import sinr
-from helpers import hand_off_to_a_pool_thread, read_manifest, reference_model_bytes
+from helpers import (
+    hand_off_to_a_pool_thread,
+    model_from_bytes,
+    read_manifest,
+    reference_model_bytes,
+)
 from sinr.cli import _write_cell_scores, build_parser, main, write_manifest, write_pgm
 from sinr.data import (
     ObservationSet,
@@ -42,7 +47,6 @@ from sinr.net import (
     forward,
     gemm_blocks,
     init_params,
-    model_from_bytes,
     read_model_file,
     save_model,
     zeros_like_params,
@@ -159,6 +163,31 @@ def test_train_flags_take_their_edge_values():
     assert (args.lr, args.seed, args.cap_per_species) == (5e-324, -(2**63), 1)
     assert build_parser().parse_args(["train", "--obs", "o", "--out", "m", "--seed",
                                       str(2**63 - 1)]).seed == 2**63 - 1
+
+
+@pytest.mark.parametrize("args, flag, value", [
+    (["predict", "--species", "a", "--resolution", "0"], "--resolution", "0"),
+    (["predict", "--species", "a", "--resolution", "-2"], "--resolution", "-2"),
+    (["export-raster", "--species", "a", "--resolution", "0"], "--resolution", "0"),
+    (["export-raster", "--species", "a", "--resolution", "-2"], "--resolution", "-2"),
+    (["eval", "geofeature", "--env-raster", "t.env", "--report", "r.csv",
+      "--split-seed", str(2**64)], "--split-seed", str(2**64)),
+])
+def test_out_of_range_grid_and_split_flags_exit_2_before_any_file_is_read(
+        tmp_path, capsys, args, flag, value):
+    """``--resolution`` below 1 and a ``--split-seed`` past 64 bits are usage
+    errors caught by the parser: the missing model is never opened and no
+    file is written."""
+    model, out = tmp_path / "absent.sinr", tmp_path / "out"
+    if args[0] != "eval":
+        args = [*args, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--model", str(model)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and f"got {value}" in err, err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_species_exits_1(tmp_path, capsys):

@@ -20,7 +20,10 @@ from helpers import (
     fd_grads,
     gather_gradcheck_setups,
     max_rel_error,
+    model_from_bytes,
+    model_to_bytes,
     params_close,
+    params_equal,
     reference_adam_step,
     reference_backward,
     reference_encoder,
@@ -52,10 +55,7 @@ from sinr.net import (
     gemm_blocks,
     init_adam,
     init_params,
-    model_from_bytes,
-    model_to_bytes,
     param_shapes,
-    params_equal,
     read_model,
     read_model_file,
     save_model,

@@ -1,5 +1,5 @@
 """Deterministic training loop, learning-rate schedule, divergence handling,
-and checkpoint/resume bit-exactness."""
+and the bit-exactness of a run continued from its checkpoint."""
 
 import dataclasses
 import importlib
@@ -17,14 +17,19 @@ import sinr.parallel
 from helpers import (
     cast_params,
     composed_loss,
+    epoch_means,
     fd_grads,
     gather_gradcheck_setups,
     hand_off_to_a_pool_thread,
     max_rel_error,
+    model_from_bytes,
+    model_to_bytes,
+    params_equal,
     random_obs,
     reference_checkpoint_bytes,
     reference_model_bytes,
     reference_step,
+    train_interrupted,
 )
 from sinr.data import (
     ObservationSet,
@@ -50,9 +55,6 @@ from sinr.net import (
     gemm_blocks,
     init_adam,
     init_params,
-    model_from_bytes,
-    model_to_bytes,
-    params_equal,
     save_model,
 )
 from sinr.parallel import row_chunks
@@ -65,7 +67,6 @@ from sinr.train import (
     _loss_and_grads,
     load_checkpoint,
     lr_at_epoch,
-    resume,
     save_checkpoint,
     steps_per_epoch,
     train,
@@ -178,8 +179,7 @@ def test_training_is_deterministic(obs):
     a = train(cfg, obs)
     b = train(cfg, obs)
     assert params_equal(a.params, b.params)
-    assert a.log.step_losses.tobytes() == b.log.step_losses.tobytes()
-    assert a.adam.t == b.adam.t
+    assert a.step_losses.tobytes() == b.step_losses.tobytes()
     assert model_to_bytes(a.params, cfg.net) == model_to_bytes(b.params, cfg.net)
 
 
@@ -193,13 +193,11 @@ def test_log_shape_and_epoch_means(obs):
     cfg = small_cfg()
     result = train(cfg, obs)
     n_steps = steps_per_epoch(obs.n_records, cfg.batch_size)
-    assert result.log.steps_per_epoch == n_steps
-    assert len(result.log.step_losses) == n_steps * cfg.epochs
-    means = result.log.epoch_means()
+    assert result.step_losses.dtype == np.float64
+    assert len(result.step_losses) == n_steps * cfg.epochs
+    means = epoch_means(result)
     assert means.shape == (cfg.epochs,)
-    np.testing.assert_allclose(
-        means[0], result.log.step_losses[:n_steps].mean(), rtol=1e-12
-    )
+    np.testing.assert_allclose(means[0], result.step_losses[:n_steps].mean(), rtol=1e-12)
     assert result.n_records_used == obs.n_records
 
 
@@ -208,7 +206,7 @@ def test_on_epoch_callback(obs):
     seen = []
     result = train(cfg, obs, on_epoch=lambda e, loss, lr: seen.append((e, loss, lr)))
     assert [e for e, _, _ in seen] == list(range(cfg.epochs))
-    np.testing.assert_allclose([m for _, m, _ in seen], result.log.epoch_means(), rtol=1e-12)
+    np.testing.assert_allclose([m for _, m, _ in seen], epoch_means(result), rtol=1e-12)
     np.testing.assert_allclose(
         [lr for _, _, lr in seen],
         [lr_at_epoch(cfg.initial_lr, e) for e in range(cfg.epochs)],
@@ -430,7 +428,7 @@ def test_read_head_step_does_not_scale_with_species(variant):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint / resume
+# Checkpoints and continued runs
 # ---------------------------------------------------------------------------
 
 
@@ -439,13 +437,13 @@ def test_resume_matches_uninterrupted_run(tmp_path, obs):
     straight = train(cfg, obs)
 
     ckpt = tmp_path / "run.ckpt"
-    partial = train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=2)
-    assert len(partial.log.step_losses) == 2 * partial.log.steps_per_epoch
-    finished = resume(ckpt, obs, expect_cfg=cfg)
+    train_interrupted(cfg, obs, ckpt, after=2)
+    n_steps = steps_per_epoch(obs.n_records, cfg.batch_size)
+    assert len(load_checkpoint(ckpt).step_losses) == 2 * n_steps
+    finished = train(cfg, obs, checkpoint_path=ckpt)
 
     assert params_equal(straight.params, finished.params)
-    assert straight.log.step_losses.tobytes() == finished.log.step_losses.tobytes()
-    assert straight.adam.t == finished.adam.t
+    assert straight.step_losses.tobytes() == finished.step_losses.tobytes()
     assert model_to_bytes(straight.params, cfg.net) == model_to_bytes(finished.params, cfg.net)
 
 
@@ -454,15 +452,31 @@ def test_resume_from_every_epoch_boundary(tmp_path, obs):
     straight = train(cfg, obs)
     for stop in (1, 2, 3):
         ckpt = tmp_path / f"stop{stop}.ckpt"
-        train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=stop)
-        finished = resume(ckpt, obs)
+        train_interrupted(cfg, obs, ckpt, after=stop)
+        finished = train(cfg, obs, checkpoint_path=ckpt)
         assert params_equal(straight.params, finished.params), stop
+
+
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_every_variant_continues_to_the_uninterrupted_bytes(tmp_path, obs, variant):
+    """Each loss, stopped after epoch 1 of 2 and continued by ``train``,
+    ends with the model and the checkpoint bytes of the run that was never
+    stopped. The ssdl and full variants draw pseudo-locations and the slds
+    ones negative species, from streams that come back from the checkpoint."""
+    cfg = small_cfg(loss=LossConfig(variant, lam=64.0), epochs=2)
+    straight_ckpt, ckpt = tmp_path / "straight.ckpt", tmp_path / "run.ckpt"
+    straight = train(cfg, obs, checkpoint_path=straight_ckpt)
+    train_interrupted(cfg, obs, ckpt, after=1)
+    finished = train(cfg, obs, checkpoint_path=ckpt)
+    assert ckpt.read_bytes() == straight_ckpt.read_bytes()
+    assert (model_to_bytes(finished.params, cfg.net, species_ids=finished.species_ids)
+            == model_to_bytes(straight.params, cfg.net, species_ids=straight.species_ids))
 
 
 def test_checkpoint_roundtrips_optimizer_state(tmp_path, obs):
     cfg = small_cfg(epochs=2)
     ckpt = tmp_path / "state.ckpt"
-    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    train_interrupted(cfg, obs, ckpt, after=1)
     state = load_checkpoint(ckpt)
     assert state.epochs_done == 1
     assert state.cfg == cfg
@@ -566,22 +580,27 @@ def test_species_catalog_is_written_in_pieces(tmp_path, monkeypatch):
 
 
 def test_resume_rejects_mismatched_config(tmp_path, obs):
+    """``train`` handed the checkpoint of another configuration refuses it
+    under the file's name and leaves its bytes as they were."""
     cfg = small_cfg(epochs=3)
     ckpt = tmp_path / "run.ckpt"
-    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: checkpoint configuration"):
-        resume(ckpt, obs, expect_cfg=small_cfg(epochs=3, master_seed=99))
+    train_interrupted(cfg, obs, ckpt, after=1)
+    saved = ckpt.read_bytes()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: checkpoint configuration "
+                                         "does not match the expected one$"):
+        train(small_cfg(epochs=3, master_seed=99), obs, checkpoint_path=ckpt)
+    assert ckpt.read_bytes() == saved
 
 
 def test_resume_rejects_mismatched_corpus(tmp_path, obs):
     cfg = small_cfg(epochs=2)
     ckpt = tmp_path / "run.ckpt"
-    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    train_interrupted(cfg, obs, ckpt, after=1)
     renamed = ObservationSet(
         ("x", "y", "z"), obs.species_index, obs.lons, obs.lats
     )
     with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: checkpoint species catalog"):
-        resume(ckpt, renamed)
+        train(cfg, renamed, checkpoint_path=ckpt)
 
 
 @pytest.mark.parametrize("ids, message", [
@@ -607,7 +626,7 @@ def test_writers_refuse_a_catalog_the_reader_rejects(tmp_path, ids, message):
 def test_checkpoint_rejects_corruption(tmp_path, obs):
     cfg = small_cfg(epochs=2)
     ckpt = tmp_path / "run.ckpt"
-    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    train_interrupted(cfg, obs, ckpt, after=1)
     blob = ckpt.read_bytes()
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(blob + b"tail")
@@ -646,7 +665,7 @@ def _replace_config_section(blob: bytes, cfg: TrainConfig, section: bytes) -> by
 def test_checkpoint_config_errors_are_format_errors(tmp_path, obs):
     cfg = small_cfg(epochs=2)
     ckpt = tmp_path / "run.ckpt"
-    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    train_interrupted(cfg, obs, ckpt, after=1)
     blob = ckpt.read_bytes()
     no_input_dim = train_config_to_dict(cfg)
     del no_input_dim["net"]["input_dim"]
@@ -664,7 +683,7 @@ def test_checkpoint_config_errors_are_format_errors(tmp_path, obs):
 def test_checkpoint_step_history_is_cross_checked(tmp_path, obs):
     cfg = small_cfg(epochs=3)
     ckpt = tmp_path / "run.ckpt"
-    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=2)
+    train_interrupted(cfg, obs, ckpt, after=2)
     state = load_checkpoint(ckpt)
     bad = tmp_path / "bad.ckpt"
 
@@ -676,27 +695,27 @@ def test_checkpoint_step_history_is_cross_checked(tmp_path, obs):
     state.step_losses.append(0.5)  # t matches again, but the epochs are uneven
     save_checkpoint(bad, state)
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: checkpoint step count"):
-        resume(bad, obs)
+        train(cfg, obs, checkpoint_path=bad)
 
 
 def test_resume_rejects_a_corpus_of_another_size(tmp_path, obs):
     cfg = small_cfg(epochs=2)
     ckpt = tmp_path / "run.ckpt"
-    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    train_interrupted(cfg, obs, ckpt, after=1)
     bigger = random_obs(np.random.default_rng(1), n_species=3, n_records=90)
     assert bigger.species_ids == obs.species_ids
     with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: checkpoint step count"):
-        resume(ckpt, bigger)
+        train(cfg, bigger, checkpoint_path=ckpt)
 
 
 def test_resume_rejects_other_records_of_the_same_catalog_and_size(tmp_path, obs):
     cfg = small_cfg(epochs=2)
     ckpt = tmp_path / "run.ckpt"
-    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    train_interrupted(cfg, obs, ckpt, after=1)
     moved = dataclasses.replace(obs, lons=obs.lons[::-1].copy())
     with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: checkpoint was written for "
                                          "other observation records$"):
-        resume(ckpt, moved)
+        train(cfg, moved, checkpoint_path=ckpt)
 
 
 @pytest.fixture(scope="module")
@@ -708,7 +727,7 @@ def small_checkpoint(tmp_path_factory):
     )
     ckpt = tmp_path_factory.mktemp("fuzz") / "run.ckpt"
     obs = random_obs(np.random.default_rng(1), n_species=3, n_records=20)
-    train(cfg, obs, checkpoint_path=ckpt, stop_after_epoch=1)
+    train_interrupted(cfg, obs, ckpt, after=1)
     blob = ckpt.read_bytes()
     return blob, model_from_bytes(blob)[1], ckpt
 
@@ -736,14 +755,6 @@ def test_corrupted_files_raise_only_format_errors(small_checkpoint, data, which)
             load_checkpoint(path)
     except ModelFormatError:
         pass
-
-
-def test_stop_after_epoch_validation(obs):
-    cfg = small_cfg(epochs=3)
-    with pytest.raises(ValueError):
-        train(cfg, obs, stop_after_epoch=0)
-    with pytest.raises(ValueError):
-        train(cfg, obs, stop_after_epoch=4)
 
 
 # ---------------------------------------------------------------------------
