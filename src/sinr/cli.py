@@ -210,6 +210,7 @@ _DEPTH = _bounded(int, lambda n: n >= 0, "must be >= 0")
 _RATE = _bounded(float, lambda x: 0 < x < math.inf, "must be positive and finite")
 _DROPOUT = _bounded(float, lambda p: 0 <= p < 1, "must lie in [0, 1)")
 _SEED = _bounded(int, lambda n: -(2**63) <= n < 2**63, "must fit in a signed 64-bit integer")
+_OUTPUT = _bounded(str, bool, "must name a file")
 
 
 def _baseline_arg(value: str):
@@ -240,8 +241,23 @@ def _threshold_arg(value: str):
 # ---------------------------------------------------------------------------
 
 
+def _check_output(flag: str, path) -> None:
+    """Refuse, before any work, an output path that cannot be written: a
+    directory, or a file whose directory is missing or not writable."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} {path}: is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise ValueError(f"{flag} {path}: directory {folder} is missing or not writable")
+
+
 def cmd_train(args) -> int:
     start = time.time()
+    manifest_path = args.manifest or (os.fspath(args.out) + ".manifest")
+    for flag, path in [("--out", args.out), ("--manifest", manifest_path),
+                       ("--checkpoint", args.checkpoint)]:
+        if path is not None:
+            _check_output(flag, path)
     layout = InputLayout(args.input)
     env = _load_env_stack(args)
     _require_env_for_layout(args, layout, env)
@@ -286,7 +302,6 @@ def cmd_train(args) -> int:
         species_ids=result.species_ids,
     )
 
-    manifest_path = args.manifest or (os.fspath(args.out) + ".manifest")
     entries: list[tuple[str, object]] = [
         ("manifest_version", 1),
         ("tool", f"sinr/{__version__}"),
@@ -565,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit a range model")
     p_train.add_argument("--obs", required=True, help="observations CSV")
-    p_train.add_argument("--out", required=True, help="output model file")
+    p_train.add_argument("--out", type=_OUTPUT, required=True, help="output model file")
     p_train.add_argument(
         "--loss",
         default=LossVariant.AN_FULL.value,
@@ -590,10 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--dropout", type=_DROPOUT, default=0.5)
     p_train.add_argument("--identity-encoder", action="store_true",
                          help="skip the encoder (per-species logistic regression)")
-    p_train.add_argument("--checkpoint", default=None,
+    p_train.add_argument("--checkpoint", type=_OUTPUT, default=None,
                          help="checkpoint file, updated after every epoch; an existing "
                               "one is continued")
-    p_train.add_argument("--manifest", default=None,
+    p_train.add_argument("--manifest", type=_OUTPUT, default=None,
                          help="manifest path (default: OUT.manifest)")
     p_train.set_defaults(func=cmd_train, parser=p_train)
 

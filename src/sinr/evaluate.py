@@ -24,6 +24,7 @@ only those k columns holds n x k scores, whatever the size of its catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -36,6 +37,8 @@ from .util import atomic_write, csv_rows, errors_named
 DEFAULT_ALPHAS = (0.1, 1.0, 10.0)
 
 EVAL_GRID_MAGIC = "EVALGRID"
+#: Characters per piece of an EVALGRID read: its text is never held whole.
+_GRID_PIECE_CHARS = 1 << 18
 
 #: predict_fn(lons, lats) -> (n, n_species) scores in [0, 1]
 PredictFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -142,60 +145,76 @@ def save_eval_grid(eval_grid: EvalGrid, path) -> None:
 
 
 def load_eval_grid(path) -> EvalGrid:
-    """Read the form :func:`save_eval_grid` writes.
-
-    A file in exactly that form (a header line without padding, then
-    ``id cell label`` lines one space apart) is parsed in bulk from its bytes.
-    Any other file, and any such file that the bulk pass cannot take, is read
-    line by line; both passes give the same grid and the same first error.
+    """Read the form :func:`save_eval_grid` writes, in pieces of
+    :data:`_GRID_PIECE_CHARS` characters cut at line ends, each piece's
+    entries going straight into the label array. A piece in exactly that form
+    is parsed in bulk from its bytes, any other line by line. Once the whole
+    file is read, the first failing check is raised: the header (the first
+    non-blank line), the first bad line, the species count, a label count
+    past int64, the first repeated entry, then the label array's allocation.
     """
     with errors_named(path):
+        header = fault = late = labels = None
+        catalog: dict[str, int] = {}  # species ids in order of first appearance
+        pending = ""
         with open(path) as fh:
-            text = fh.read()
-        end = text.find("\n")
-        first = text[:end] if end >= 0 else text
-        plain = first != "" and first == first.strip()
-        lines = [first] if plain else _stripped_lines(text)
-        if not lines:
+            # A last line break takes the final line when the file ends without one.
+            for piece in chain(iter(lambda: fh.read(_GRID_PIECE_CHARS), ""), ["\n"]):
+                cut = piece.rfind("\n") + 1
+                text, pending = ((pending + piece[:cut], piece[cut:]) if cut
+                                 else ("", pending + piece))
+                if fault is not None or not text or text.isspace():
+                    continue  # no line to parse, or only a decode error can precede the fault
+                try:
+                    if header is None:
+                        line, _, text = text.lstrip().partition("\n")
+                        header = line.rstrip()
+                        try:
+                            magic, resolution, n_species = header.split()
+                            resolution, n_species = int(resolution), int(n_species)
+                            if magic != EVAL_GRID_MAGIC:
+                                raise ValueError
+                        except ValueError:
+                            raise ValueError(f"malformed header {header!r}") from None
+                        grid = GridSpec(resolution)
+                        if 0 <= n_species * grid.n_cells <= 2**63 - 1:  # else a check fails first
+                            try:  # label + 1: untouched pages cost nothing, and 0 is unset
+                                labels = np.zeros((n_species, grid.n_cells), dtype=np.int8)
+                            except MemoryError as exc:
+                                late = ValueError(f"header {header!r}: {exc}")
+                        if not text:
+                            continue
+                    body = np.frombuffer(text.encode(), np.uint8)
+                    species, cells, values = (_bulk_entries(body, grid, catalog)
+                                              or _checked_entries(text, grid, catalog))
+                except ValueError as exc:
+                    fault = exc
+                    continue
+                if labels is None or len(catalog) > n_species:
+                    continue  # a check before the first repeat fails, or the repeat was found
+                flat, keys = labels.reshape(-1), species * grid.n_cells + cells
+                # A set slot repeats an earlier piece; equal sorted keys, this piece.
+                again = flat[keys] != 0
+                order = np.argsort(keys, kind="stable")
+                again[order[1:][np.diff(keys[order]) == 0]] = True
+                if again.any():
+                    i = int(np.argmax(again))
+                    late, labels = ValueError(
+                        f"duplicate entry for species index {species[i]}, cell {cells[i]}"), None
+                else:
+                    flat[keys] = values + 1
+        if header is None:
             raise ValueError("empty evaluation grid file")
-        head = lines[0].split()
-        if len(head) != 3 or head[0] != EVAL_GRID_MAGIC:
-            raise ValueError(f"malformed header {lines[0]!r}")
-        try:
-            resolution, n_species = int(head[1]), int(head[2])
-        except ValueError:
-            raise ValueError(f"malformed header {lines[0]!r}") from None
-        grid = GridSpec(resolution)
-        entries = None
-        if plain:
-            body = np.frombuffer(text.encode(), np.uint8)[len(first.encode()) + 1 :]
-            entries = _bulk_entries(body, grid)
-            if entries is None:
-                lines = _stripped_lines(text)
-        if entries is None:
-            entries = _checked_entries(lines[1:], grid)
-        species_ids, species, cells, values = entries
-        if len(species_ids) != n_species:
-            raise ValueError(f"header declares {n_species} species, file lists {len(species_ids)}")
-        if n_species * grid.n_cells > 2**63 - 1:  # the keys below would wrap
-            raise ValueError(f"header {lines[0]!r} has more labels than an array holds")
-        keys = species * grid.n_cells + cells
-        _, first_seen = np.unique(keys, return_index=True)
-        if first_seen.size != keys.size:
-            repeat = np.ones(keys.size, dtype=bool)
-            repeat[first_seen] = False
-            i = int(np.argmax(repeat))  # the first entry that repeats an earlier one
-            raise ValueError(f"duplicate entry for species index {species[i]}, cell {cells[i]}")
-        try:
-            labels = np.full((n_species, grid.n_cells), -1, dtype=np.int8)
-        except MemoryError as exc:
-            raise ValueError(f"header {lines[0]!r}: {exc}") from None
-        labels[species, cells] = values
-    return EvalGrid(grid=grid, species_ids=species_ids, labels=labels)
-
-
-def _stripped_lines(text: str) -> list[str]:
-    return [ln.strip() for ln in text.split("\n") if ln.strip()]
+        if fault is not None:
+            raise fault
+        if len(catalog) != n_species:
+            raise ValueError(f"header declares {n_species} species, file lists {len(catalog)}")
+        if n_species * grid.n_cells > 2**63 - 1:
+            raise ValueError(f"header {header!r} has more labels than an array holds")
+        if late is not None:
+            raise late
+        labels -= 1
+    return EvalGrid(grid=grid, species_ids=tuple(catalog), labels=labels)
 
 
 #: Cell fields of at most this many digits are below 2**63.
@@ -204,16 +223,15 @@ _MAX_CELL_DIGITS = 18
 _WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
-def _bulk_entries(body: np.ndarray, grid: GridSpec):
-    """(species ids in order of appearance, species index, cell, label) per
-    line of ``body``, the UTF-8 bytes after the header, when every line is
-    ``id cell label`` one space apart: an id without whitespace, a cell of
-    1 to ``_MAX_CELL_DIGITS`` ASCII digits below ``grid.n_cells`` and a label
-    0 or 1; the final line break may be missing. None for any other body, an
-    empty one included, which ``_checked_entries`` then reads."""
+def _bulk_entries(body: np.ndarray, grid: GridSpec, catalog: dict[str, int]):
+    """(species index, cell, label) per line of ``body``, the UTF-8 bytes of
+    whole lines, when every line is ``id cell label`` one space apart: an id
+    without whitespace, a cell of 1 to ``_MAX_CELL_DIGITS`` ASCII digits below
+    ``grid.n_cells`` and a label 0 or 1. Ids new to ``catalog`` (id to
+    species index) join it in order of first appearance. None for any other
+    body, an empty one included, which ``_checked_entries`` then reads."""
     # Eight zero bytes past the end let every id be read as 8-byte words.
-    tail = [ord("\n")] if body.size and body[-1] != ord("\n") else []
-    body = np.concatenate((body, np.array(tail + [0] * 8, dtype=np.uint8)))
+    body = np.concatenate((body, np.zeros(8, dtype=np.uint8)))
     # Every byte at or below the space is a separator: the ASCII whitespace
     # (tab, line and file separators, ...) and the other control bytes. A plain
     # line has exactly three, ' ', ' ' and '\n', the second just before the
@@ -266,22 +284,19 @@ def _bulk_entries(body: np.ndarray, grid: GridSpec):
         same = same[~differ]
         k += 8
     heads = np.flatnonzero(run_start)
-    index: dict[str, int] = {}
-    head_species = []
-    for a, b in zip(starts[heads].tolist(), gap1[heads].tolist()):
-        sid = body[a:b].tobytes().decode()
-        if not sid.isascii() and sid.split() != [sid]:  # Unicode whitespace in the id
-            return None
-        head_species.append(index.setdefault(sid, len(index)))
-    species = np.repeat(np.array(head_species, dtype=np.int64), np.diff(heads, append=cells.size))
-    return tuple(index), species, cells, values.astype(np.int8)
+    sids = [body[a:b].tobytes().decode()
+            for a, b in zip(starts[heads].tolist(), gap1[heads].tolist())]
+    if not all(s.isascii() or s.split() == [s] for s in sids):  # Unicode whitespace in an id
+        return None
+    head_species = np.array([catalog.setdefault(s, len(catalog)) for s in sids], dtype=np.int64)
+    return np.repeat(head_species, np.diff(heads, append=cells.size)), cells, values.astype(np.int8)
 
 
-def _checked_entries(lines: list[str], grid: GridSpec):
-    """``_bulk_entries`` for any body, line by line, raising on the first bad line."""
-    catalog: dict[str, int] = {}
+def _checked_entries(text: str, grid: GridSpec, catalog: dict[str, int]):
+    """``_bulk_entries`` for any whole lines, each stripped, blank ones
+    skipped, raising on the first bad line."""
     entries = []
-    for ln in lines:
+    for ln in filter(None, map(str.strip, text.split("\n"))):
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"malformed line {ln!r}")
@@ -294,11 +309,9 @@ def _checked_entries(lines: list[str], grid: GridSpec):
             raise ValueError(f"cell index {cell} outside [0, {grid.n_cells})")
         if label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {label}")
-        if sid not in catalog:
-            catalog[sid] = len(catalog)
-        entries.append((catalog[sid], cell, label))
+        entries.append((catalog.setdefault(sid, len(catalog)), cell, label))
     rows = np.array(entries, dtype=np.int64).reshape(-1, 3)
-    return tuple(catalog), rows[:, 0], rows[:, 1], rows[:, 2].astype(np.int8)
+    return rows[:, 0], rows[:, 1], rows[:, 2].astype(np.int8)
 
 
 @dataclass(frozen=True)

@@ -719,15 +719,34 @@ class _Reader:
         self._advance(n, len(data))
         return data
 
+    def _ahead(self, buf: bytes, at: int, n: int) -> bytes:
+        """Move past ``buf[:at]`` and read the next piece after ``buf[at:]``,
+        raising truncation unless the two hold the ``n`` bytes wanted."""
+        self.pos += at
+        unread = self.size - self.pos - (len(buf) - at)
+        buf = buf[at:] + self.fh.read(min(max(n, CATALOG_PIECE_BYTES), unread))
+        if len(buf) < n:
+            self._advance(n, len(buf))
+        return buf
+
     def species_ids(self, count: int) -> list[str]:
-        """``count`` ids, each a u16 UTF-8 byte length and the bytes."""
-        ids = []
+        """``count`` ids, each a u16 UTF-8 byte length and the bytes, split out
+        of pieces of about :data:`CATALOG_PIECE_BYTES` read at once."""
+        ids, buf, at = [], b"", 0  # buf[0] is the byte at offset self.pos
         for i in range(count):
-            raw = self.take(_U16.unpack(self.take(2))[0])
+            if len(buf) - at < 2:
+                buf, at = self._ahead(buf, at, 2), 0
+            (n,) = _U16.unpack_from(buf, at)
+            at += 2
+            if len(buf) - at < n:
+                buf, at = self._ahead(buf, at, n), 0
             try:
-                ids.append(raw.decode("utf-8"))
+                ids.append(buf[at:at + n].decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise ModelFormatError(f"species id {i} is not valid UTF-8") from exc
+            at += n
+        self.pos += at
+        self.fh.seek(self.pos)
         return ids
 
     def params(self, cfg: NetConfig) -> NetParams:

@@ -731,6 +731,19 @@ def model_from_bytes(buf: bytes) -> tuple[ModelFile, int]:
     return sinr.net.read_model(r), r.pos
 
 
+def reference_species_ids(r: sinr.net._Reader, count: int) -> list[str]:
+    """A model catalog read field by field: two ``take`` calls per id, each
+    raising the truncation error of the field that runs past the end."""
+    ids = []
+    for i in range(count):
+        raw = r.take(struct.unpack("<H", r.take(2))[0])
+        try:
+            ids.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise sinr.net.ModelFormatError(f"species id {i} is not valid UTF-8") from exc
+    return ids
+
+
 def read_manifest(path) -> dict[str, str]:
     """The ``key=value`` lines of a manifest as a dict."""
     out: dict[str, str] = {}

@@ -155,6 +155,44 @@ def test_out_of_range_train_flags_exit_2_before_any_file_is_read(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--out", "--manifest", "--checkpoint"])
+def test_empty_train_output_path_exits_2(tmp_path, capsys, flag):
+    obs = tmp_path / "obs.csv"
+    make_obs_csv(obs)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--obs", str(obs), "--out", str(tmp_path / "m.sinr"), flag, "",
+              *TRAIN_ARGS])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must name a file, got \n" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["obs.csv"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--out", "nodir/m.sinr", "directory {}/nodir is missing or not writable"),
+    ("--manifest", "nodir/m.manifest", "directory {}/nodir is missing or not writable"),
+    ("--checkpoint", "nodir/c.ckpt", "directory {}/nodir is missing or not writable"),
+    ("--out", "obs.csv/m.sinr", "directory {}/obs.csv is missing or not writable"),
+    ("--out", "dir", "is a directory"),
+    ("--checkpoint", "dir", "is a directory"),
+])
+def test_unwritable_train_output_exits_1_before_any_compute(tmp_path, capsys, monkeypatch,
+                                                            flag, value, message):
+    """An output path the run could not write fails before the observations
+    are read: no forward pass runs and no file is left behind."""
+    obs = tmp_path / "obs.csv"
+    make_obs_csv(obs)
+    (tmp_path / "dir").mkdir()
+    calls = []
+    monkeypatch.setattr("sinr.train.forward", lambda *a, **k: calls.append(a))
+    args = {"--out": str(tmp_path / "m.sinr"), flag: str(tmp_path / value)}
+    assert main(["train", "--obs", str(obs), *itertools.chain(*args.items()), *TRAIN_ARGS]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} {tmp_path / value}: {message.format(tmp_path)}\n"
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "obs.csv"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 def test_train_flags_take_their_edge_values():
     args = build_parser().parse_args([
         "train", "--obs", "o.csv", "--out", "m.sinr", "--epochs", "1", "--residual-layers", "0",

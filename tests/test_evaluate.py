@@ -1,5 +1,9 @@
 """Ranking metrics, evaluation tasks, ridge regression, and the grid baseline."""
 
+import re
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,6 +304,90 @@ def test_eval_grid_load_agrees_with_the_token_reader_on_one_odd_line(tmp_path, l
     path = tmp_path / "g.evalgrid"
     path.write_text(f"EVALGRID 1 2\nb 1 0\n{line}\nb 0 1\n")
     assert _grid_or_error(load_eval_grid, path) == _grid_or_error(reference_load_eval_grid, path)
+
+
+def test_eval_grid_load_agrees_with_the_token_reader_in_7_character_pieces(grid_fuzz_dir):
+    """The generated files again, read 7 characters at a time: pieces end
+    inside lines, and most lines span two or more pieces."""
+    with mock.patch.object(evaluate_module, "_GRID_PIECE_CHARS", 7):
+        test_eval_grid_load_agrees_with_the_token_reader(grid_fuzz_dir)
+
+
+@pytest.mark.parametrize("form", ["plain", "free"])
+def test_eval_grid_load_agrees_across_line_forms_in_7_character_pieces(tmp_path, form,
+                                                                       monkeypatch):
+    monkeypatch.setattr(evaluate_module, "_GRID_PIECE_CHARS", 7)
+    test_eval_grid_load_agrees_across_line_forms(tmp_path, form, monkeypatch)
+
+
+def test_eval_grid_decode_error_in_a_later_piece_comes_before_a_bad_line(tmp_path,
+                                                                         monkeypatch):
+    """A bad line in the first piece does not stop the read: a byte that is
+    not UTF-8 pieces later, past the bytes the first reads decode, is still
+    the error."""
+    monkeypatch.setattr(evaluate_module, "_GRID_PIECE_CHARS", 64)
+    path = tmp_path / "g.evalgrid"
+    path.write_bytes(b"EVALGRID 1 1\na 0 x\n" + b"a 1 1\n" * 10_000 + b"a\xff 0 1\n")
+    with pytest.raises(ValueError) as exc:
+        load_eval_grid(path)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{path}: not utf-8 text: invalid start byte (byte 0xff)"
+
+
+@pytest.mark.parametrize("piece_chars", [7, 16, 40, 1 << 18])
+@pytest.mark.parametrize("lines, first", [
+    # "a 1 0" repeats a line pieces before it, ahead of a repeat inside one piece
+    (["a 0 1", "a 1 1", "b 0 1", "b 1 0", "b 2 0", "a 1 0", "b 3 1", "b 3 0"], "0, cell 1"),
+    (["a 0 1", "a 1 1", "b 0 1", "b 3 1", "b 3 0", "b 2 0", "a 1 0"], "1, cell 3"),
+    (["a 0 1", "b 0 1", "a 0 1"], "0, cell 0"),
+])
+def test_eval_grid_duplicate_across_pieces_is_reported_at_its_first_repeat(
+        tmp_path, monkeypatch, piece_chars, lines, first):
+    """Whether a repeat's first entry sits in an earlier piece or its own,
+    the error names the first entry in the file that repeats another."""
+    monkeypatch.setattr(evaluate_module, "_GRID_PIECE_CHARS", piece_chars)
+    path = tmp_path / "g.evalgrid"
+    path.write_text("\n".join(["EVALGRID 2 2", *lines]) + "\n")
+    got = _grid_or_error(load_eval_grid, path)
+    assert got == _grid_or_error(reference_load_eval_grid, path)
+    assert got == (ValueError, f"{path}: duplicate entry for species index {first}")
+
+
+def test_eval_grid_duplicate_in_an_unallocatable_grid_reports_the_allocation(tmp_path):
+    """No label array exists to find the repeat in, so the allocation fails
+    in its place; the checks before the repeat still come first."""
+    path = tmp_path / "g.evalgrid"
+    path.write_text("EVALGRID 1000000000 1\na 0 1\na 0 0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: header "
+                                         r"'EVALGRID 1000000000 1': Unable to allocate "):
+        load_eval_grid(path)
+    path.write_text("EVALGRID 1000000000 2\na 0 1\na 0 0\n")
+    with pytest.raises(ValueError, match="declares 2 species, file lists 1$"):
+        load_eval_grid(path)
+
+
+def test_eval_grid_load_holds_the_labels_and_one_piece(tmp_path):
+    """A 5.4 MB grid of some 21 pieces loads with a traced peak below twice
+    its 4 MB label array plus 4 MiB: the text is never held whole, nor an
+    index array over every entry (about 50 MiB here)."""
+    grid = GridSpec(100)
+    rng = np.random.default_rng(3)
+    labels = np.full((200, grid.n_cells), -1, dtype=np.int8)
+    for row in labels:
+        cells = rng.choice(grid.n_cells, 2_000, replace=False)
+        row[cells] = rng.integers(0, 2, cells.size)
+    eg = EvalGrid(grid, tuple(f"species{i:04d}" for i in range(200)), labels)
+    path = tmp_path / "big.evalgrid"
+    save_eval_grid(eg, path)
+    assert path.stat().st_size > 20 * evaluate_module._GRID_PIECE_CHARS
+    tracemalloc.start()
+    try:
+        back = load_eval_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.species_ids == eg.species_ids and back.labels.tobytes() == labels.tobytes()
+    assert peak < 2 * labels.nbytes + 4 * 2**20, peak / 2**20
 
 
 def test_save_eval_grid_rejects_whitespace_ids(tmp_path):

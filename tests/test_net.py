@@ -30,6 +30,7 @@ from helpers import (
     reference_init_params,
     reference_model_bytes,
     reference_sigmoid,
+    reference_species_ids,
 )
 from sinr.geo import InputLayout
 from sinr.losses import BatchTargets, LossVariant
@@ -1163,6 +1164,41 @@ def test_a_short_read_is_truncation(kept):
     with pytest.raises(TruncatedFileError,
                        match=rf"^needed \d+ bytes at offset \d+, file has {len(blob)}$"):
         read_model(_Reader(_ShrunkFile(blob[:cut], len(blob))))
+
+
+def _read_or_error(blob: bytes, size: int):
+    """The model read from ``blob`` as the first bytes of a ``size``-byte
+    file, with the bytes consumed, or the error's type and message."""
+    r = _Reader(_ShrunkFile(blob, size))
+    try:
+        mf = read_model(r)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return mf.species_ids, r.pos
+
+
+@pytest.mark.parametrize("piece_bytes", [3, 7, sinr.net.CATALOG_PIECE_BYTES])
+@pytest.mark.parametrize("shrunk", [False, True])
+def test_catalog_cut_at_every_byte_fails_as_the_field_by_field_read(monkeypatch, piece_bytes,
+                                                                    shrunk):
+    """A 3-id model cut at every byte of its catalog, as a shorter file or as
+    one that shrank after its size was taken, and with an id that is not
+    UTF-8: the catalog read in pieces gives the ids and offset, or the error
+    and message, of reading it two fields an id."""
+    monkeypatch.setattr(sinr.net, "CATALOG_PIECE_BYTES", piece_bytes)
+    cfg, ids = roundtrip_cfg(), ("a", "\u00e9t\u00e9", "sp3")
+    good = model_to_bytes(init_params(cfg), cfg, species_ids=ids)
+    start = sinr.net._HEADER.size + 4
+    end = start + sum(2 + len(s.encode()) for s in ids)
+    bad = good.replace(b"\xc3\xa9t\xc3\xa9", b"\xc3\xa9t\xff\xa9")
+    for blob in good, bad:
+        for cut in range(start, end + 9):  # and through the parameter count after it
+            size = len(blob) if shrunk else cut
+            got = _read_or_error(blob[:cut], size)
+            with monkeypatch.context() as m:
+                m.setattr(_Reader, "species_ids", reference_species_ids)
+                assert got == _read_or_error(blob[:cut], size), cut
+    assert _read_or_error(good, len(good))[0] == ids
 
 
 def test_model_predictions_survive_roundtrip(tmp_path):
