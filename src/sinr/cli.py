@@ -12,6 +12,7 @@ import hashlib
 import math
 import os
 import platform
+import resource
 import sys
 import time
 
@@ -309,6 +310,7 @@ def cmd_train(args) -> int:
         *_environment(),
         ("created_unix", int(start)),
         ("elapsed_seconds", round(time.time() - start, 3)),
+        ("peak_rss_mib", round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)),
         ("master_seed", args.seed),
         ("obs", args.obs),
         ("obs_sha256", _sha256(args.obs)),

@@ -199,17 +199,18 @@ class ForwardCache:
     """What :func:`backward` reads of a cached forward: the input ``x``; the
     L+1 block inputs ``h``, ``h[0]`` the input layer's ReLU output and
     ``h[-1]`` the features (``[x]`` for the identity encoder); each block's
-    dropped-out hidden units ``d`` and second pre-activations ``v``;
+    dropped-out hidden units ``d`` and the mask ``v_pos`` of its second
+    pre-activations ``v > 0``, a bool array (one byte an entry);
     ``dropout_scale``, the ``1/(1-p)`` of a kept unit when masks were drawn,
     else None; and after a forward with a 2-D ``read``, those head columns
     and their weights, ``w_read[r, k] = w_head[:, read[r, k]]``, else None. The
-    ReLU and dropout masks are read back from ``d`` and ``h[0]``: ``d > 0``
+    other ReLU and dropout masks are read back from ``d`` and ``h[0]``: ``d > 0``
     exactly where the unit was kept and its pre-activation was positive."""
 
     x: np.ndarray
     h: list[np.ndarray]
     d: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    v_pos: list[np.ndarray] = field(default_factory=list)
     dropout_scale: np.floating | None = None
     read: np.ndarray | None = None
     w_read: np.ndarray | None = None
@@ -295,7 +296,7 @@ def _encode(params: NetParams, x: np.ndarray, dropout_p: float,
     block's mask from a copy of ``rng`` advanced to them, so the masks are
     those of drawing one whole mask per block, in block order; ``rng`` then
     moves past all of them. With ``keep_cache`` the tiles write the cache's
-    block inputs, ``d`` and ``v``; without it, a tile keeps tile-sized
+    block inputs, ``d`` and ``v_pos``; without it, a tile keeps tile-sized
     temporaries and the features overwrite the input layer's output."""
     a = x @ params.w_in + params.b_in
     blocks = params.blocks
@@ -313,7 +314,8 @@ def _encode(params: NetParams, x: np.ndarray, dropout_p: float,
         piece_rows = max(1, MASK_PIECE_DRAWS // width)
     n_cached = len(blocks) if keep_cache else 0
     hs = [a] + [np.empty_like(a) for _ in range(n_cached)]
-    ds, vs = ([np.empty_like(a) for _ in range(n_cached)] for _ in range(2))
+    ds = [np.empty_like(a) for _ in range(n_cached)]
+    v_pos = [np.empty(a.shape, dtype=bool) for _ in range(n_cached)]
 
     def tile(r0: int, r1: int) -> None:
         if dropout:
@@ -330,18 +332,19 @@ def _encode(params: NetParams, x: np.ndarray, dropout_p: float,
                     kept = draws.random(size=piece.shape) < keep
                     piece *= kept.astype(dtype) / dtype.type(keep)
                 draws.bit_generator.advance((n - (r1 - r0)) * width)  # to the next block's rows
-            v = np.matmul(d, blk.w2, out=vs[i][r0:r1] if keep_cache else None)
+            v = np.matmul(d, blk.w2)
             v += blk.b2
-            relu_v = np.maximum(v, 0, out=None if keep_cache else v)
-            h = np.add(h, relu_v, out=hs[i + 1][r0:r1] if keep_cache else h)
+            if keep_cache:
+                np.greater(v, 0, out=v_pos[i][r0:r1])
+            h = np.add(h, np.maximum(v, 0, out=v), out=hs[i + 1][r0:r1] if keep_cache else h)
 
     map_ranges(tile, encoder_tiles(n, width))
     if not dropout:
-        return ForwardCache(x, hs, ds, vs, None)
+        return ForwardCache(x, hs, ds, v_pos, None)
     bitgen.advance(len(blocks) * n * width)
     if start["has_uint32"]:  # advance drops the buffered 32-bit half, which doubles leave
         bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": start["uinteger"]}
-    return ForwardCache(x, hs, ds, vs, dtype.type(1) / dtype.type(keep))
+    return ForwardCache(x, hs, ds, v_pos, dtype.type(1) / dtype.type(keep))
 
 
 def forward(
@@ -440,18 +443,17 @@ def _weight_grads(inp: np.ndarray, d_out: np.ndarray, g_w: np.ndarray, g_b: np.n
     np.sum(d_out, axis=0, out=g_b)
 
 
-def _block_backward(blk: ResidualBlock, cache: ForwardCache, i: int,
-                    dh: np.ndarray) -> tuple[ResidualBlock, np.ndarray]:
-    """Block ``i``'s parameter gradients and the gradient at its input, from
-    ``dh``, the gradient at its output. Two rounds each run a weight gradient
-    beside an input gradient (:func:`_beside`): ``w2`` and ``b2`` beside
-    ``du``, then ``w1`` and ``b1`` beside the block input's gradient. Every
-    product runs whole, so the bits are those of running them in turn; every
-    output is allocated here, on the calling thread."""
-    h_in, d, scale, dtype = cache.h[i], cache.d[i], cache.dropout_scale, dh.dtype
-    dv = dh * (cache.v[i] > 0)
-    g_w1, g_w2 = np.empty(blk.w1.shape, dtype), np.empty(blk.w2.shape, dtype)
-    g_b1, g_b2 = np.empty(blk.b1.shape, dtype), np.empty(blk.b2.shape, dtype)
+def _block_backward(blk: ResidualBlock, cache: ForwardCache, i: int, dh: np.ndarray,
+                    out: ResidualBlock) -> np.ndarray:
+    """Block ``i``'s parameter gradients, written into ``out``, and the
+    gradient at its input, from ``dh``, the gradient at its output. Two
+    rounds each run a weight gradient beside an input gradient
+    (:func:`_beside`): ``w2`` and ``b2`` beside ``du``, then ``w1`` and ``b1``
+    beside the block input's gradient. Every product runs whole, so the bits
+    are those of running them in turn; ``du`` and the input gradient are
+    allocated on the calling thread before the rounds start."""
+    h_in, d, scale = cache.h[i], cache.d[i], cache.dropout_scale
+    dv = dh * cache.v_pos[i]
     du, dh_in = np.empty_like(dh), np.empty_like(dh)
 
     def hidden_grads() -> None:  # through the dropout scale and the ReLU and dropout masks
@@ -464,9 +466,9 @@ def _block_backward(blk: ResidualBlock, cache: ForwardCache, i: int,
         np.matmul(du, blk.w1.T, out=dh_in)
         np.add(dh, dh_in, out=dh_in)
 
-    _beside(lambda: _weight_grads(d, dv, g_w2, g_b2), hidden_grads)
-    _beside(lambda: _weight_grads(h_in, du, g_w1, g_b1), input_grads)
-    return ResidualBlock(g_w1, g_b1, g_w2, g_b2), dh_in
+    _beside(lambda: _weight_grads(d, dv, out.w2, out.b2), hidden_grads)
+    _beside(lambda: _weight_grads(h_in, du, out.w1, out.b1), input_grads)
+    return dh_in
 
 
 def backward(
@@ -474,57 +476,56 @@ def backward(
     cfg: NetConfig,
     cache: ForwardCache,
     d_z: np.ndarray,
+    out: NetParams | None = None,
 ) -> NetParams:
     """Exact reverse-mode gradients for a cached forward pass.
 
     ``d_z``, the derivative of a scalar objective with respect to the head
     logits (what :func:`sinr.losses.compute_loss` leaves in the predictions),
-    seeds the pass; the result is a :class:`NetParams` tree of derivatives
-    with respect to every parameter, in the parameters' dtype. After a
-    forward with a 2-D ``read``, ``d_z`` holds the read entries alone, and the
-    head's gradients come from them (:func:`_read_head_backward`); otherwise
-    the head products run in :func:`gemm_blocks` on the workers. Each
-    residual block runs in two rounds of two products side by side
+    seeds the pass. Every derivative with respect to a parameter is written
+    into ``out``, a :class:`NetParams` tree of the parameters' shapes in their
+    dtype, which is returned; without ``out`` a new tree is allocated, so a
+    training run can hand one tree back every step. After a forward with a
+    2-D ``read``, ``d_z`` holds the read entries alone, and the head's
+    gradients come from them (:func:`_read_head_backward`); otherwise the
+    head products run in :func:`gemm_blocks` on the workers. Each residual
+    block runs in two rounds of two products side by side
     (:func:`_block_backward`).
     """
     dtype = params.w_head.dtype
+    if out is None:
+        out = NetParams.from_flat([np.empty(a.shape, dtype) for a in params.flat()])
     feats = cache.features
     dz = np.asarray(d_z).astype(dtype, copy=False)
     if cache.read is not None:
-        g_w_head, g_b_head, dh = _read_head_backward(params, feats, cache, dz)
+        dh = _read_head_backward(params, feats, cache, dz, out)
     else:
         # Each block of the head products writes its slice of one output array.
         w_head = params.w_head
-        g_w_head = np.empty(w_head.shape, dtype=dtype)
-        g_b_head = np.empty(w_head.shape[1], dtype=dtype)
-        map_ranges(lambda c0, c1: _weight_grads(feats, dz[:, c0:c1], g_w_head[:, c0:c1],
-                                                g_b_head[c0:c1]),
+        map_ranges(lambda c0, c1: _weight_grads(feats, dz[:, c0:c1], out.w_head[:, c0:c1],
+                                                out.b_head[c0:c1]),
                    gemm_blocks(w_head.shape[1], feats.size))
         dh = np.empty(feats.shape, dtype=dtype)
         map_ranges(lambda r0, r1: np.matmul(dz[r0:r1], w_head.T, out=dh[r0:r1]),
                    gemm_blocks(len(feats), w_head.size))
 
     if cfg.identity_encoder:
-        return NetParams(None, None, (), g_w_head, g_b_head)
-
-    g_blocks: list[ResidualBlock] = []
+        return out
     for i in range(len(params.blocks) - 1, -1, -1):
-        grads, dh = _block_backward(params.blocks[i], cache, i, dh)
-        g_blocks.append(grads)
-    da = dh * (cache.h[0] > 0)
-    g_w_in = cache.x.T @ da
-    g_b_in = da.sum(axis=0)
-    return NetParams(g_w_in, g_b_in, tuple(reversed(g_blocks)), g_w_head, g_b_head)
+        dh = _block_backward(params.blocks[i], cache, i, dh, out.blocks[i])
+    _weight_grads(cache.x, dh * (cache.h[0] > 0), out.w_in, out.b_in)
+    return out
 
 
 def _read_head_backward(params: NetParams, feats: np.ndarray, cache: ForwardCache,
-                        dz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(g_w_head, g_b_head, dh)`` from the derivatives ``dz`` at a read
-    forward's entries. Row r's feature gradient, ``sum_k dz[r, k] *
-    w_head[:, read[r, k]]``, runs in row chunks on the workers. A read
-    column's head gradients sum its entries' ``dz * feats[r]`` and ``dz`` in
-    a pairwise tree over them in row order, on the calling thread, so their
-    bits depend on those entries alone; columns no row reads get +0."""
+                        dz: np.ndarray, out: NetParams) -> np.ndarray:
+    """``dh`` from the derivatives ``dz`` at a read forward's entries, with
+    the head gradients written into ``out.w_head`` and ``out.b_head``. Row
+    r's feature gradient, ``sum_k dz[r, k] * w_head[:, read[r, k]]``, runs in
+    row chunks on the workers. A read column's head gradients sum its
+    entries' ``dz * feats[r]`` and ``dz`` in a pairwise tree over them in row
+    order, on the calling thread, so their bits depend on those entries
+    alone; columns no row reads get +0."""
     read, w_read = cache.read, cache.w_read
     dh = np.empty(feats.shape, dtype=dz.dtype)
     map_ranges(lambda r0, r1: np.multiply(w_read[r0:r1], dz[r0:r1, :, None]).sum(
@@ -543,10 +544,11 @@ def _read_head_backward(params: NetParams, feats: np.ndarray, cache: ForwardCach
         pairs = np.flatnonzero((at % (2 * step) == 0) & (left > step))
         terms[pairs] += terms[pairs + step]
         step *= 2
-    g_w_head, g_b_head = np.zeros_like(params.w_head), np.zeros_like(params.b_head)
-    g_w_head.T[cols[starts]] = terms[starts, :-1]
-    g_b_head[cols[starts]] = terms[starts, -1]
-    return g_w_head, g_b_head, dh
+    out.w_head.fill(0)
+    out.b_head.fill(0)
+    out.w_head.T[cols[starts]] = terms[starts, :-1]
+    out.b_head[cols[starts]] = terms[starts, -1]
+    return dh
 
 
 @dataclass

@@ -204,10 +204,12 @@ def _pseudo_bounds(env: EnvRasterStack | None, layout: InputLayout):
 
 
 def _loss_and_grads(
-    state: TrainState, x: np.ndarray, targets: BatchTargets, epoch: int, step: int
+    state: TrainState, x: np.ndarray, targets: BatchTargets, epoch: int, step: int,
+    grads: NetParams | None = None,
 ) -> tuple[float, NetParams]:
     """Loss value and parameter gradients of one batch; ``x`` holds its rows,
-    then any pseudo-location rows. ``compute_loss`` overwrites the head output
+    then any pseudo-location rows. The gradients are written into ``grads``
+    (a new tree when None). ``compute_loss`` overwrites the head output
     with dL/dz. ssdl and slds steps compute the head only at the entries
     their loss reads (``forward``'s ``read``), so their cost does not grow
     with S: the positive's column at each record and at its pseudo-location
@@ -225,7 +227,7 @@ def _loss_and_grads(
     value = compute_loss(cfg.loss, y_all[:b], targets, y_hat_rand=y_all[b:] if pseudo else None)
     if not np.isfinite(value):
         raise TrainingDivergedError(epoch, step, value)
-    return value, backward(state.params, cfg.net, cache, d_z=y_all)
+    return value, backward(state.params, cfg.net, cache, d_z=y_all, out=grads)
 
 
 def _run(
@@ -241,6 +243,7 @@ def _run(
     pseudo = needs_pseudo_negatives(cfg.loss.variant)
     bounds = _pseudo_bounds(env, layout)
     b = cfg.batch_size
+    grads = None  # one gradient tree for the run, written by every step's backward
 
     for epoch in range(state.epochs_done, cfg.epochs):
         lr = lr_at_epoch(cfg.initial_lr, epoch)
@@ -253,7 +256,7 @@ def _run(
             # finite-gradient and finite-parameter checks report it; numpy's
             # warnings would only print source lines ahead of that error.
             with np.errstate(over="ignore", invalid="ignore"):
-                value, grads = _loss_and_grads(state, x, targets, epoch, step)
+                value, grads = _loss_and_grads(state, x, targets, epoch, step, grads)
                 adam_step(state.params, grads, state.adam, lr)
             state.step_losses.append(value)
         state.epochs_done = epoch + 1

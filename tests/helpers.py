@@ -464,10 +464,12 @@ def composed_grads(params: NetParams, cfg: NetConfig, x_all, b, variant, targets
 class EncoderRecord:
     """What the whole-array encoder computed that a ``ForwardCache`` does not
     keep: the input layer's output ``a`` before its ReLU, each block's first
-    pre-activations ``u`` and its float dropout masks (None without dropout)."""
+    and second pre-activations ``u`` and ``v`` and its float dropout masks
+    (None without dropout)."""
 
     a: np.ndarray
     u: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
     masks: list[np.ndarray | None] = field(default_factory=list)
 
 
@@ -498,8 +500,9 @@ def reference_encoder(params: NetParams, cfg: NetConfig, x,
         h = h + np.maximum(v, 0)
         cache.h.append(h)
         cache.d.append(d)
-        cache.v.append(v)
+        cache.v_pos.append(v > 0)
         record.u.append(u)
+        record.v.append(v)
         record.masks.append(mask)
     return h, cache, record
 
@@ -507,8 +510,9 @@ def reference_encoder(params: NetParams, cfg: NetConfig, x,
 def reference_backward(params: NetParams, cfg: NetConfig, cache: ForwardCache,
                        record: EncoderRecord, d_z) -> NetParams:
     """``backward`` on whole arrays, reading the ReLU masks from the
-    pre-activations ``record.a`` and ``record.u`` and the dropout masks from
-    ``record.masks`` instead of from ``d`` and the block inputs."""
+    pre-activations ``record.a``, ``record.u`` and ``record.v`` and the
+    dropout masks from ``record.masks`` instead of from ``d``, the block
+    inputs and the cached ``v > 0``."""
     dtype = params.w_head.dtype
     feats = cache.features
     dz = np.asarray(d_z).astype(dtype, copy=False)
@@ -519,7 +523,7 @@ def reference_backward(params: NetParams, cfg: NetConfig, cache: ForwardCache,
     g_blocks = []
     for i in range(len(params.blocks) - 1, -1, -1):
         blk = params.blocks[i]
-        dv = dh * (cache.v[i] > 0)
+        dv = dh * (record.v[i] > 0)
         g_w2 = cache.d[i].T @ dv
         g_b2 = dv.sum(axis=0)
         dd = dv @ blk.w2.T
@@ -664,7 +668,7 @@ def well_conditioned_setup(seed: int, h: float = 1e-5):
     _, y_all = forward(params, cfg, x_all)
     _, cache, record = reference_encoder(params, cfg, x_all)
     margin = 1e-3
-    for arr in [record.a] + record.u + cache.v:
+    for arr in [record.a] + record.u + record.v:
         if np.any(np.abs(arr) < margin):
             return None
     if np.any(y_all < 1e-4) or np.any(y_all > 1.0 - 1e-4):

@@ -337,6 +337,7 @@ def test_train_writes_model_and_manifest(tmp_path, capsys):
     assert manifest["n_species"] == "2"
     assert manifest["records_trained"] == "80"
     assert manifest["cfg_loss_variant"] == "an-full"
+    assert float(manifest["peak_rss_mib"]) > 0 and "." in manifest["peak_rss_mib"]
     import hashlib
 
     assert manifest["model_sha256"] == hashlib.sha256(model_path.read_bytes()).hexdigest()

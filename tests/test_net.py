@@ -366,7 +366,7 @@ def test_tiled_encoder_has_the_bits_of_the_whole_array_encoder(monkeypatch, rows
     no_cache_feats, _ = forward(params, cfg, x, dropout_rng())
     assert feats.tobytes() == want.tobytes() and no_cache_feats.tobytes() == want.tobytes()
     assert cache.x.tobytes() == want_cache.x.tobytes()
-    for name, count in (("h", 3), ("d", 2), ("v", 2)):
+    for name, count in (("h", 3), ("d", 2), ("v_pos", 2)):
         got, ref = getattr(cache, name), getattr(want_cache, name)
         assert len(got) == len(ref) == count, name
         for g, r in zip(got, ref):
@@ -476,11 +476,39 @@ def test_backward_holds_no_extra_row_buffers():
     assert peak / (4096 * 256 * 4) < 5
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("head", ["dense", "ssdl", "slds", "identity"])
+def test_backward_writes_its_gradients_into_a_given_tree(head, dtype):
+    """``backward(..., out=tree)`` returns ``tree`` itself, with the bytes of
+    ``backward`` without it: a dense head, a 1-column (ssdl) and a 2-column
+    (slds) read head and the identity encoder, in float32 and float64.
+    ``tree`` starts as NaN, so the 40 head columns no row reads must be
+    zero-filled to +0."""
+    cfg = NetConfig(input_dim=4, n_species=50, hidden_dim=16, n_residual_layers=2,
+                    dropout_p=0.5, seed=9, identity_encoder=head == "identity")
+    params = cast_params(init_params(cfg), dtype)
+    rng = np.random.default_rng(10)
+    x = rng.uniform(-1, 1, (40, 4))
+    read = {"ssdl": rng.integers(0, 10, (40, 1)), "slds": rng.integers(0, 10, (40, 2))}.get(head)
+    _, y, cache = forward(params, cfg, x, np.random.default_rng(11), return_cache=True,
+                          read=read)
+    d_z = rng.standard_normal(y.shape).astype(dtype)
+    want = backward(params, cfg, cache, d_z)
+    tree = NetParams.from_flat([np.full(a.shape, np.nan, dtype) for a in params.flat()])
+    assert backward(params, cfg, cache, d_z, out=tree) is tree
+    for name, g, w in zip(want.names(), tree.flat(), want.flat()):
+        assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
+    if read is not None:
+        for g in (tree.w_head[:, 10:], tree.b_head[10:]):
+            assert not g.any() and not np.signbit(g).any()
+
+
 def test_train_forward_cache_keeps_only_what_backward_reads():
     """A cached training forward (4,096 rows, H=256, 4 blocks, p=0.5)
-    retains the 5 block inputs and each block's ``d`` and ``v``: 13 row x H
-    float32 arrays, below 14. Keeping the pre-activations, the input layer's
-    output and the float dropout masks as well made it 22."""
+    retains the 5 block inputs, each block's ``d`` and each block's
+    ``v > 0`` as one byte an entry: 10 row x H float32 arrays, below 11.
+    Keeping ``v`` itself made it 13; keeping the pre-activations, the input
+    layer's output and the float dropout masks as well made it 22."""
     cfg = NetConfig(input_dim=4, n_species=2, hidden_dim=256, n_residual_layers=4,
                     dropout_p=0.5)
     params = init_params(cfg)
@@ -492,8 +520,9 @@ def test_train_forward_cache_keeps_only_what_backward_reads():
     finally:
         tracemalloc.stop()
     cache = kept[2]
-    assert (len(cache.h), len(cache.d), len(cache.v)) == (5, 4, 4)
-    assert retained / (4096 * 256 * 4) < 14
+    assert (len(cache.h), len(cache.d), len(cache.v_pos)) == (5, 4, 4)
+    assert all(m.dtype == bool for m in cache.v_pos)
+    assert retained / (4096 * 256 * 4) < 11
 
 
 # (rows, features, species, head columns or None): dense heads at several
@@ -736,7 +765,7 @@ def test_tiles_draw_their_rows_of_whole_dropout_masks(monkeypatch, workers):
         x = np.random.default_rng(seed).uniform(-1, 1, (2048, 4))
         _, _, cache = forward(params, cfg, x, rng, return_cache=True)
         _, want, _ = reference_encoder(params, cfg, x, ref_rng)
-        for name in ("h", "d", "v"):
+        for name in ("h", "d", "v_pos"):
             got, ref = getattr(cache, name), getattr(want, name)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref], name
         assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import sinr.net
 import sinr.parallel
+import sinr.train
 from helpers import (
     cast_params,
     composed_loss,
@@ -305,6 +306,26 @@ def test_row_blocked_step_matches_the_whole_matrix_step(monkeypatch, variant, dt
         assert struct.pack("<d", value) == struct.pack("<d", want_value)
         for name, g, w in zip(want.names(), got.flat(), want.flat()):
             assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", [LossVariant.AN_FULL, LossVariant.AN_SSDL])
+def test_a_run_hands_backward_one_gradient_tree(monkeypatch, obs, variant):
+    """Over a 3-step run every ``backward`` after the first writes into the
+    tree the first one returned, so a run holds one gradient tree."""
+    calls = []
+    real_backward = sinr.train.backward
+
+    def spy(*args, out=None, **kwargs):
+        result = real_backward(*args, out=out, **kwargs)
+        calls.append((out, result))
+        return result
+
+    monkeypatch.setattr(sinr.train, "backward", spy)
+    train(small_cfg(epochs=1, batch_size=17, loss=LossConfig(variant, lam=64.0)), obs)
+    assert len(calls) == 3 and calls[0][0] is None
+    first = calls[0][1]
+    for out, result in calls[1:]:
+        assert out is result is first and out.w_head is first.w_head
 
 
 READ_VARIANTS = [LossVariant.AN_SSDL, LossVariant.ME_SSDL, LossVariant.AN_SLDS,
