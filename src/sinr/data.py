@@ -14,8 +14,10 @@ excluded from the statistics and then set to zero.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from itertools import chain, count, filterfalse, repeat
+from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -37,15 +39,15 @@ _SALT_SUBSAMPLE = 1
 
 ENV_MAGIC = "ENVGRID"
 _ENV_MISSING_TOKEN = "NA"
-_NA_AS_NAN = {_ENV_MISSING_TOKEN: "nan"}.get  # called as (token, token)
-_FLOAT_MAX = float(np.finfo(np.float64).max)
 
-#: Characters per piece of an ENVGRID read: its text is never held whole.
-_ENV_PIECE_CHARS = 1 << 18
-
-#: Characters per ``readlines`` chunk of an observations CSV. Smaller chunks
-#: stay in cache and leave fewer memory pools held by the catalog's id strings.
-_CSV_CHUNK_CHARS = 1 << 16
+#: Characters per piece of an observations CSV or ENVGRID read.
+_PIECE_CHARS = 1 << 18
+#: ``_decimals`` reads at most this many digits: they make an integer below
+#: 2**53, and ``10**k`` is an exact double up to ``k = 22``.
+_MAX_DIGITS = 15
+_POW10 = (10 ** np.arange(_MAX_DIGITS + 3)).astype(np.float64)
+#: ``_WORD_MASKS[r]`` keeps the first ``r`` bytes of a little-endian 8-byte word.
+_WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,11 @@ class ObservationSet:
         ids = tuple(str(s) for s in self.species_ids)
         if len(set(ids)) != len(ids):
             raise ValueError("species catalog contains duplicate ids")
-        for sid in ids:
-            if len(sid.encode("utf-8")) > MAX_SPECIES_ID_BYTES:
-                raise ValueError(
-                    f"species id {sid[:32]!r}... is longer than {MAX_SPECIES_ID_BYTES} UTF-8 bytes"
-                )
+        if max(map(len, ids), default=0) * 4 > MAX_SPECIES_ID_BYTES:  # 4 bytes a character at most
+            for sid in ids:
+                if len(sid.encode("utf-8")) > MAX_SPECIES_ID_BYTES:
+                    raise ValueError(f"species id {sid[:32]!r}... is longer than "
+                                     f"{MAX_SPECIES_ID_BYTES} UTF-8 bytes")
         idx = np.asarray(self.species_index)
         if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
             raise ValueError("species_index must be a 1-D integer array")
@@ -108,11 +110,11 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
     out-of-range coordinates, or the wrong field count, are returned as
     :class:`RowRejection` entries; everything else becomes the corpus.
 
-    The body is read in chunks of about ``_CSV_CHUNK_CHARS`` characters. A
-    chunk of plain lines (the header's field count each, no quote, no CR
-    except in CRLF line ends) with no bad row is parsed in bulk. Any other
-    chunk takes the per-row pass, and from a chunk with a quote on, so does
-    the rest of the file; both passes give the same result.
+    The body is read in pieces of ``_PIECE_CHARS`` characters cut at line
+    ends. A plain piece (no quote, no CR but in CRLF line ends, the header's
+    field count on every line) with no bad row is parsed from its bytes; any
+    other takes the per-row pass, and from a piece with a quote on, so does
+    the rest of the file. Both passes give the same result.
     """
     with errors_named(path), open(path, newline="") as fh:
         try:
@@ -131,53 +133,145 @@ def load_observations(path) -> tuple[ObservationSet, tuple[RowRejection, ...]]:
         parts = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
         rejected: list[RowRejection] = []
         line_no = 2
-        for lines in iter(lambda: fh.readlines(_CSV_CHUNK_CHARS), []):
-            chunk = "".join(lines).replace("\r\n", "\n")  # csv.writer's line ends
-            plain = (
-                '"' not in chunk
-                and "\r" not in chunk
-                and max(map(len, lines)) <= csv.field_size_limit()  # csv raises past it
-                and set(map(str.count, lines, repeat(","))) == {len(header) - 1}
-            )
-            part = _plain_rows(chunk, len(lines), len(header), cols, catalog) if plain else None
-            if part is None:
+        pieces = _line_pieces(fh)
+        for text in pieces:
+            chunk = text.replace("\r\n", "\n")  # csv.writer's line ends
+            plain = '"' not in chunk and "\r" not in chunk
+            part = _byte_rows(chunk, len(header), cols, catalog) if plain else None
+            lines = None if part else io.StringIO(text, newline="").readlines()  # as csv reads
+            if lines is not None:
                 # A quoted field may hold line breaks, so from a quote on the
                 # per-row pass reads the rest of the file.
-                rest = chain(lines, fh) if '"' in chunk else lines
-                part = _checked_rows(rest, line_no, cols, need, catalog, rejected)
+                rest = chain(lines, chain.from_iterable(
+                    io.StringIO(later, newline="") for later in pieces))
+                part = _checked_rows(rest if '"' in chunk else lines, line_no, cols, need,
+                                     catalog, rejected)
+            line_no += part[0].size if lines is None else len(lines)
             parts.append(part)
-            line_no += len(lines)
         sp, lons, lats = (np.concatenate(arrays) for arrays in zip(*parts))
         obs = ObservationSet(species_ids=tuple(catalog), species_index=sp, lons=lons, lats=lats)
     return obs, tuple(rejected)
 
 
-def _bulk_floats(tokens: list[str], lo: float, hi: float, n_missing: int = 0):
-    """``float()`` of every token (the same bits) as one float64 array, with
-    ``NA`` read as NaN; None if a token does not parse or other than
-    ``n_missing`` values lie outside ``[lo, hi]``."""
-    try:
-        named = map(_NA_AS_NAN, tokens, tokens) if n_missing else tokens
-        values = np.fromiter(map(float, named), np.float64, len(tokens))
-    except ValueError:
-        return None
-    outside = len(tokens) - np.count_nonzero((values >= lo) & (values <= hi))
-    return values if outside == n_missing else None
+def _line_pieces(fh):
+    """``fh``'s text read ``_PIECE_CHARS`` characters at a time, each piece
+    cut after its last line end (a LF, or a CR that a LF cannot follow in
+    it); a piece without one is joined to the next."""
+    pending = ""
+    for piece in iter(lambda: fh.read(_PIECE_CHARS), ""):
+        cut = piece.rfind("\n") + 1 or piece.rfind("\r", 0, -1) + 1
+        text, pending = (pending + piece[:cut], piece[cut:]) if cut else ("", pending + piece)
+        if text:
+            yield text
+    if pending:
+        yield pending
 
 
-def _plain_rows(chunk: str, n_lines: int, n_fields: int, cols: dict, catalog: dict):
-    """``_checked_rows`` of ``n_lines`` lines of ``n_fields`` fields each with
-    no quote or CR, in bulk; None, with ``catalog`` untouched, if a row is bad."""
-    tokens = chunk.replace("\n", ",").split(",")
-    end = n_lines * n_fields
-    ids = list(map(str.strip, tokens[cols["species_id"] : end : n_fields]))
-    lons = _bulk_floats(tokens[cols["lon"] : end : n_fields], LON_MIN, LON_MAX)
-    lats = _bulk_floats(tokens[cols["lat"] : end : n_fields], LAT_MIN, LAT_MAX)
-    if lons is None or lats is None or "" in ids:
+def _decimals(body: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """``(values, read)`` for the fields ``body[s:e]``: ``float()`` of those
+    that read ``-?[0-9]*\\.?[0-9]*`` with 1 to ``_MAX_DIGITS`` digits, NaN for
+    any other. A field read is ``±m / 10**k`` of two exact doubles, so one
+    correctly rounded division gives the double nearest it, as ``float()``
+    does (Clinger's fast path).
+
+    >>> body = np.frombuffer(b"-0 .5 5. 0012.50 1e3 +1 .", np.uint8)
+    >>> ends = np.flatnonzero(np.append(body, 32) == 32)
+    >>> values, read = _decimals(body, np.append(0, ends[:-1] + 1), ends)
+    >>> values.tolist(), read.tolist()
+    ([-0.0, 0.5, 5.0, 12.5, nan, nan, nan], [True, True, True, True, False, False, False])
+    """
+    width = np.minimum(ends - starts, _MAX_DIGITS + 3).astype(np.uint8)  # past 2 + 15: not read
+    m = np.zeros(width.size)  # the digits so far, exact below 2**53
+    n_digits, n_dots, after_dot = np.zeros((3, width.size), dtype=np.uint8)
+    neg, seen_dot = np.zeros((2, width.size), dtype=bool)
+    for p in range(min(int(width.max(initial=0)), _MAX_DIGITS + 2)):  # a pass a position
+        char = np.take(body[p:], starts, mode="clip")
+        digit, live = char - np.uint8(ord("0")), width > p
+        is_digit, is_dot = (digit < 10) & live, (char == ord(".")) & live
+        m *= is_digit * np.uint8(9) + np.uint8(1)
+        m += digit * is_digit
+        n_digits += is_digit
+        after_dot += is_digit & seen_dot
+        seen_dot |= is_dot
+        n_dots += is_dot
+        neg = (char == ord("-")) & live if p == 0 else neg
+    read = ((1 <= n_digits) & (n_digits <= _MAX_DIGITS) & (n_dots <= 1)
+            & (n_digits + n_dots + neg == width))
+    return np.where(read, np.where(neg, -m, m) / _POW10[after_dot], np.nan), read
+
+
+def _numbers(body: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The values of the fields ``body[s:e]``, by ``_decimals`` or else
+    ``float()`` (the same bits); None if a field does not parse or is not
+    finite."""
+    values, read = _decimals(body, starts, ends)
+    if not read.all():
+        try:
+            rest = np.fromiter(map(float, _texts(body, starts[~read], ends[~read])), np.float64)
+        except ValueError:
+            return None
+        if not np.isfinite(rest).all():
+            return None
+        values[~read] = rest
+    return values
+
+
+def _texts(body: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The fields ``body[s:e]``, which hold no LF and end before a byte of
+    ``body``, decoded in one go."""
+    size = ends - starts + 1  # each field and the byte after it, made a LF
+    first = np.cumsum(size) - size
+    joined = body[np.arange(size.sum()) - np.repeat(first - starts, size)]
+    joined[first + size - 1] = ord("\n")
+    return joined.tobytes().decode().split("\n")[:-1]
+
+
+def _first_of_each(body: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """``(first, inverse)`` for the fields ``body[s:e]``, each followed by a
+    byte none of them holds: ascending field indices, among them the first
+    occurrence of each distinct field, and for each field the index in
+    ``first`` of one with its bytes. Fields are compared as 8-byte words with
+    the byte after them, so none equals a longer one."""
+    width = ends - starts + 1
+    padded = np.concatenate((body, np.zeros(8, dtype=np.uint8)))
+    words = np.ndarray((padded.size - 7,), "<u8", padded, 0, (1,))
+    keys = [words[np.minimum(starts + k, words.size - 1)] & _WORD_MASKS[np.clip(width - k, 0, 8)]
+            for k in range(0, int(width.max()), 8)]
+    # Equal fields are runs of ``order``; a collision of the hash splits runs.
+    order = np.argsort(reduce(lambda h, key: h * np.uint64(0x9E3779B97F4A7C15) ^ key, keys))
+    runs = np.flatnonzero(np.any([np.diff(key[order], prepend=~key[order[0]]) for key in keys], 0))
+    first = np.minimum.reduceat(order, runs)
+    inverse = np.empty_like(order)
+    inverse[order] = np.repeat(np.argsort(np.argsort(first)), np.diff(runs, append=order.size))
+    return np.sort(first), inverse
+
+
+def _byte_rows(chunk: str, n_fields: int, cols: dict, catalog: dict):
+    """``_checked_rows`` of the lines of ``chunk``, which hold no quote or CR,
+    from their UTF-8 bytes; None, with ``catalog`` untouched, unless each
+    line has ``n_fields`` fields, fits ``csv.field_size_limit()`` and makes a
+    good row."""
+    body = np.frombuffer((chunk if chunk.endswith("\n") else chunk + "\n").encode(), np.uint8)
+    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+    line_ends = ends[n_fields - 1 :: n_fields]
+    if (ends.size % n_fields or (body[line_ends] != ord("\n")).any()
+            or np.count_nonzero(body[ends] == ord("\n")) != line_ends.size
+            or np.diff(line_ends, prepend=-1).max() > csv.field_size_limit()):
         return None
-    new_ids = filterfalse(catalog.__contains__, dict.fromkeys(ids))  # in order of appearance
-    catalog.update(zip(new_ids, count(len(catalog))))
-    return np.fromiter(map(catalog.__getitem__, ids), np.int64, len(ids)), lons, lats
+    ends = ends.reshape(-1, n_fields)
+    starts = np.concatenate(([0], ends.reshape(-1)[:-1] + 1)).reshape(ends.shape)
+    at = [cols["lon"], cols["lat"]]
+    lonlat = _numbers(body, starts[:, at].ravel(), ends[:, at].ravel())
+    if lonlat is None or not ((lonlat.reshape(-1, 2) >= (LON_MIN, LAT_MIN))
+                              & (lonlat.reshape(-1, 2) <= (LON_MAX, LAT_MAX))).all():
+        return None
+    starts, ends = starts[:, cols["species_id"]], ends[:, cols["species_id"]]
+    first, inverse = _first_of_each(body, starts, ends)
+    sids = list(map(str.strip, _texts(body, starts[first], ends[first])))
+    if "" in sids:
+        return None
+    index = np.array([catalog.setdefault(sid, len(catalog)) for sid in sids], dtype=np.int64)
+    return index[inverse], lonlat[0::2], lonlat[1::2]
 
 
 def _checked_rows(lines, line_no: int, cols: dict, need: int, catalog: dict, rejected):
@@ -383,19 +477,25 @@ def _parse_env_raster(path) -> tuple[np.ndarray, tuple[float, float, float, floa
     with open(path) as fh:
         # A token that a piece boundary splits is joined again; a last blank
         # piece takes the final token.
-        for piece in chain(iter(lambda: fh.read(_ENV_PIECE_CHARS), ""), [" "]):
-            tokens = (carry + piece).split()
-            carry = "" if piece[-1].isspace() or not tokens else tokens.pop()
-            take = 7 - len(header)
-            header, tokens = header + tokens[:take], tokens[take:]
+        for piece in chain(iter(lambda: fh.read(_PIECE_CHARS), ""), [" "]):
+            text = carry + piece
+            carry = "" if piece[-1].isspace() else text.rsplit(None, 1)[-1]
+            text = text[: len(text) - len(carry)]
+            if len(header) < 7:
+                take = 7 - len(header)
+                head = text.split(None, take)
+                text = head.pop() if len(head) > take else ""
+                header += head
+            values = _byte_cells(text)
+            tokens = text.split() if values is None else values
             n_cells += len(tokens)
-            if bad is None and tokens:  # the bulk pass, else the per-token one
-                values = _bulk_floats(tokens, -_FLOAT_MAX, _FLOAT_MAX,
-                                      tokens.count(_ENV_MISSING_TOKEN))
+            if values is None and bad is None:  # the per-token pass
                 try:
-                    parts.append([_cell_value(t) for t in tokens] if values is None else values)
+                    values = [_cell_value(t) for t in tokens]
                 except ValueError as exc:  # at the first bad token
                     bad, parts = exc, []
+            if bad is None:
+                parts.append(values)
     if not header or header[0] != ENV_MAGIC:
         raise ValueError(f"not an {ENV_MAGIC} file")
     if len(header) < 7:
@@ -428,6 +528,26 @@ def _cell_value(tok: str) -> float:
     if not np.isfinite(value):
         raise ValueError(f"non-finite cell value {tok!r}")
     return value
+
+
+def _byte_cells(text: str):
+    """The values of the ENVGRID cell tokens in ``text``, which is empty or
+    ends in whitespace, NaN for ``NA``, parsed from UTF-8 bytes; None unless
+    every other token is a finite float."""
+    if not text.isascii():  # whitespace outside ASCII: the tokens one space apart
+        text = " ".join(text.split()) + " "
+    body = np.frombuffer(text.encode(), np.uint8)
+    # The ASCII whitespace str.split() splits at: \t\n\v\f\r, \x1c-\x1f, space.
+    space = (body == ord(" ")) | (body - np.uint8(9) <= 4) | (body - np.uint8(28) <= 3)
+    edges = np.flatnonzero(np.diff(space, prepend=True))
+    starts, ends = edges[0::2], edges[1::2]
+    missing = (ends - starts == 2) & (body[starts] == ord("N")) & (body[starts + 1] == ord("A"))
+    cells = _numbers(body, starts[~missing], ends[~missing])
+    if cells is None:
+        return None
+    values = np.full(starts.size, np.nan)
+    values[~missing] = cells
+    return values
 
 
 def load_env_rasters(paths) -> EnvRasterStack:

@@ -29,7 +29,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .data import EnvRasterStack, ObservationSet
+from .data import _WORD_MASKS, EnvRasterStack, ObservationSet
 from .geo import LAT_MAX, LAT_MIN, LON_MAX, LON_MIN, GridSpec, cell_centroids, cell_indices
 from .util import atomic_write, csv_rows, errors_named
 
@@ -219,8 +219,6 @@ def load_eval_grid(path) -> EvalGrid:
 
 #: Cell fields of at most this many digits are below 2**63.
 _MAX_CELL_DIGITS = 18
-#: ``_WORD_MASKS[r]`` keeps the first ``r`` bytes of a little-endian 8-byte word.
-_WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
 def _bulk_entries(body: np.ndarray, grid: GridSpec, catalog: dict[str, int]):

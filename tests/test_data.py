@@ -2,11 +2,12 @@
 rasters, and training batch assembly."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sinr.data as data_module
 from helpers import random_obs
@@ -44,6 +45,23 @@ def test_observation_set_validation():
         ObservationSet(("a",), np.array([0]), np.zeros(2), np.zeros(1))  # length mismatch
     with pytest.raises(ValueError):
         ObservationSet(("a",), np.array([0]), np.array([200.0]), np.zeros(1))  # range
+
+
+@pytest.mark.parametrize("sid, too_long", [
+    ("\U0001f600" * 16383, False),  # 65,532 bytes: short enough not to be encoded
+    ("\U0001f600" * 16384, True),  # 65,536 bytes
+    ("a" * 65535, False),
+    ("a" * 65536, True),
+])
+def test_observation_set_id_length_limit(sid, too_long):
+    """Ids are refused past 65,535 UTF-8 bytes, on either side of the length
+    below which no id is encoded."""
+    args = (("x", sid), np.array([0, 1]), np.zeros(2), np.zeros(2))
+    if too_long:
+        with pytest.raises(ValueError, match="longer than 65535 UTF-8 bytes"):
+            ObservationSet(*args)
+    else:
+        assert ObservationSet(*args).species_ids[1] == sid
 
 
 def test_counts():
@@ -378,10 +396,10 @@ def _load(loader, path, per_row: bool, chunk_chars: int = 1 << 20):
     """A loader's result as bytes, or the type and message of what it raises;
     ``per_row`` turns the bulk pass off."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(data_module, "_CSV_CHUNK_CHARS", chunk_chars)
+        m.setattr(data_module, "_PIECE_CHARS", chunk_chars)
         if per_row:
-            m.setattr(data_module, "_plain_rows", lambda *args: None)
-            m.setattr(data_module, "_bulk_floats", lambda *args: None)
+            m.setattr(data_module, "_byte_rows", lambda *args: None)
+            m.setattr(data_module, "_byte_cells", lambda *args: None)
         try:
             result = loader(path)
         except Exception as exc:  # compared across the two passes
@@ -501,6 +519,106 @@ def test_plain_csv_chunks_never_take_the_per_row_pass(tmp_path, monkeypatch):
     assert bulk == _load(load_observations, path, per_row=True)
 
 
+def _bulk_spies(monkeypatch):
+    """Record each byte pass's results, check that ``_decimals`` reads every
+    number it is given, so none reaches ``float()``, and fail on a call to
+    the per-row or per-token pass."""
+    results = []
+
+    def recorded(name):
+        def spy(*args, _pass=getattr(data_module, name)):
+            results.append(_pass(*args))
+            return results[-1]
+        monkeypatch.setattr(data_module, name, spy)
+
+    def decimals(*args, _decimals=data_module._decimals):
+        values, read = _decimals(*args)
+        assert read.all()
+        return values, read
+
+    recorded("_byte_rows")
+    recorded("_byte_cells")
+    monkeypatch.setattr(data_module, "_decimals", decimals)
+    for name in ("_checked_rows", "_cell_value"):
+        monkeypatch.setattr(data_module, name, lambda *args, _name=name: pytest.fail(_name))
+    return results
+
+
+def test_benchmark_shaped_csv_takes_the_byte_pass_in_every_piece(tmp_path, monkeypatch):
+    """5-decimal coordinates and ids of more than 8 bytes, with spaces and
+    letters outside ASCII, are parsed from bytes in every piece: no row
+    reaches the per-row pass and no coordinate reaches ``float()``."""
+    rng = np.random.default_rng(49)
+    ids = np.array([f"Pœcile atricapillus {i:03d}" for i in range(40)])
+    species = rng.integers(0, 40, 600)
+    lons, lats = np.round(rng.uniform(-180, 180, 600), 5), np.round(rng.uniform(-90, 90, 600), 5)
+    rows = (f"{s},{lo!r},{la!r}\n"
+            for s, lo, la in zip(ids[species].tolist(), lons.tolist(), lats.tolist()))
+    path = tmp_path / "obs.csv"
+    path.write_text("species_id,lon,lat\n" + "".join(rows), encoding="utf-8")
+    per_row = _load(load_observations, path, per_row=True)
+    results = _bulk_spies(monkeypatch)
+    assert _load(load_observations, path, per_row=False, chunk_chars=1024) == per_row
+    assert len(results) > 20 and all(part is not None for part in results)
+    sids, rejected, arrays = per_row
+    assert rejected == () and arrays[1][1] == lons.tobytes() and arrays[2][1] == lats.tobytes()
+    assert sids == tuple(dict.fromkeys(ids[species]))
+
+
+def test_rounded_envgrid_takes_the_byte_pass_in_every_piece(tmp_path, monkeypatch):
+    """A layer written by write_env_raster with 3-decimal values and missing
+    cells is parsed from bytes in every piece, with no token through
+    ``float()`` or the per-token pass."""
+    grid = np.round(np.random.default_rng(50).normal(0, 100, (30, 40)), 3)
+    grid[grid > 80] = np.nan
+    path = tmp_path / "layer.env"
+    write_env_raster(path, grid, (-180.0, 180.0, -90.0, 90.0))
+    per_token = _load(_parse_env_raster, path, per_row=True)
+    results = _bulk_spies(monkeypatch)
+    assert _load(_parse_env_raster, path, per_row=False, chunk_chars=256) == per_token
+    assert len(results) > 20 and all(values is not None for values in results)
+    assert per_token[2] == grid.tobytes()
+
+
+_DIGITS = st.text("0123456789", max_size=17)
+
+
+@st.composite
+def _decimal_fields(draw):
+    """Fields in and around ``_decimals``'s form ``-?[0-9]*\\.?[0-9]*``."""
+    sign = draw(st.sampled_from(["", "", "-", "+"]))
+    whole, frac = draw(_DIGITS), draw(_DIGITS)
+    dot = draw(st.sampled_from([".", ".", ""]))
+    field = sign + whole + dot + frac if dot else sign + whole
+    return draw(st.sampled_from([
+        field, field, field, field + draw(st.sampled_from(["e3", "E-2", "_1", " ", "x"])),
+        " " + field, repr(draw(st.floats(allow_nan=False))), str(2**53 + draw(st.integers(-3, 3))),
+        draw(st.sampled_from(["nan", "inf", "-inf", ".", "-", "-.", "", "1_000", "0x10", "١٢"])),
+    ]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_decimal_fields(), min_size=1, max_size=20))
+@example(["-0", ".5", "5.", "007", "-000.000", "123456789012345", "1234567890123456",
+          "12345678.12345678", "900719925474099.3", "9007199254740993", "0.000000000000001",
+          "99999999999999.9", "-.", "1e5", "+1", " 1", "1 ", "nan", "inf"])
+def test_decimals_give_the_bits_of_float_or_refuse(fields):
+    """``_decimals`` takes exactly the fields of its form with 1 to 15 digits,
+    and gives ``float()``'s bits for each; every other field reads NaN."""
+    raw = [f.encode() for f in fields]
+    ends = np.cumsum([len(b) + 1 for b in raw]) - 1
+    body = np.frombuffer(b",".join(raw) + b",", np.uint8)
+    values, ok = data_module._decimals(body, ends - [len(b) for b in raw], ends)
+    for field, value, took in zip(fields, values.tolist(), ok.tolist()):
+        digits = sum(c.isdigit() for c in field)
+        assert took == (re.fullmatch(r"-?[0-9]*\.?[0-9]*", field) is not None
+                        and 1 <= digits <= 15), field
+        if took:
+            assert np.float64(value).tobytes() == np.float64(float(field)).tobytes(), field
+        else:
+            assert math.isnan(value), field
+
+
 @pytest.mark.parametrize("chunk_chars", [1, 24, 1 << 20])
 def test_rejections_after_a_quoted_line_break_name_the_line_a_row_starts_on(tmp_path,
                                                                             chunk_chars):
@@ -583,15 +701,14 @@ _ENV_SPLIT_CASES = {
 
 @pytest.mark.parametrize("piece_chars", [1, 2, 7, 64])
 @pytest.mark.parametrize("case", list(_ENV_SPLIT_CASES))
-def test_envgrid_pieces_do_not_change_the_result(tmp_path, monkeypatch, case, piece_chars):
-    """The file is read in pieces of ``_ENV_PIECE_CHARS`` characters: tokens
-    that a piece boundary splits, Unicode whitespace and line ends between
-    pieces give the grid, bounds or error of reading it whole."""
+def test_envgrid_pieces_do_not_change_the_result(tmp_path, case, piece_chars):
+    """The file is read in pieces of ``_PIECE_CHARS`` characters: tokens that
+    a piece boundary splits, Unicode whitespace and line ends between pieces
+    give the grid, bounds or error of reading it whole."""
     path = tmp_path / "layer.env"
     path.write_bytes(_ENV_SPLIT_CASES[case].encode("utf-8"))
     whole = _load(_parse_env_raster, path, per_row=False)
-    monkeypatch.setattr(data_module, "_ENV_PIECE_CHARS", piece_chars)
-    assert _load(_parse_env_raster, path, per_row=False) == whole
+    assert _load(_parse_env_raster, path, per_row=False, chunk_chars=piece_chars) == whole
 
 
 def test_envgrid_text_is_never_held_whole(tmp_path, monkeypatch):
@@ -603,7 +720,7 @@ def test_envgrid_text_is_never_held_whole(tmp_path, monkeypatch):
     grid[grid < 2] = np.nan
     path = tmp_path / "layer.env"
     write_env_raster(path, grid, (-180.0, 180.0, -90.0, 90.0))
-    monkeypatch.setattr(data_module, "_ENV_PIECE_CHARS", 1 << 14)
+    monkeypatch.setattr(data_module, "_PIECE_CHARS", 1 << 14)
     tracemalloc.start()
     try:
         got, _ = _parse_env_raster(path)
