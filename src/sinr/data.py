@@ -17,7 +17,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, filterfalse
 
 import numpy as np
 
@@ -48,6 +48,9 @@ _MAX_DIGITS = 15
 _POW10 = (10 ** np.arange(_MAX_DIGITS + 3)).astype(np.float64)
 #: ``_WORD_MASKS[r]`` keeps the first ``r`` bytes of a little-endian 8-byte word.
 _WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+#: A CSV piece with a longer species id takes the per-row pass, so the byte
+#: pass compares at most 8 words an id.
+_MAX_BYTE_ID = 63
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,13 @@ class ObservationSet:
         ids = tuple(str(s) for s in self.species_ids)
         if len(set(ids)) != len(ids):
             raise ValueError("species catalog contains duplicate ids")
-        if max(map(len, ids), default=0) * 4 > MAX_SPECIES_ID_BYTES:  # 4 bytes a character at most
-            for sid in ids:
-                if len(sid.encode("utf-8")) > MAX_SPECIES_ID_BYTES:
-                    raise ValueError(f"species id {sid[:32]!r}... is longer than "
-                                     f"{MAX_SPECIES_ID_BYTES} UTF-8 bytes")
+        # A UTF-8 character is at most 4 bytes. Below that no id is too long,
+        # and only one outside ASCII can fail to encode (a lone surrogate).
+        may_be_long = max(map(len, ids), default=0) * 4 > MAX_SPECIES_ID_BYTES
+        for sid in ids if may_be_long else filterfalse(str.isascii, ids):
+            if len(sid.encode("utf-8")) > MAX_SPECIES_ID_BYTES:
+                raise ValueError(f"species id {sid[:32]!r}... is longer than "
+                                 f"{MAX_SPECIES_ID_BYTES} UTF-8 bytes")
         idx = np.asarray(self.species_index)
         if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
             raise ValueError("species_index must be a 1-D integer array")
@@ -249,8 +254,8 @@ def _first_of_each(body: np.ndarray, starts: np.ndarray, ends: np.ndarray):
 def _byte_rows(chunk: str, n_fields: int, cols: dict, catalog: dict):
     """``_checked_rows`` of the lines of ``chunk``, which hold no quote or CR,
     from their UTF-8 bytes; None, with ``catalog`` untouched, unless each
-    line has ``n_fields`` fields, fits ``csv.field_size_limit()`` and makes a
-    good row."""
+    line has ``n_fields`` fields, fits ``csv.field_size_limit()``, has an id
+    of at most ``_MAX_BYTE_ID`` bytes and makes a good row."""
     body = np.frombuffer((chunk if chunk.endswith("\n") else chunk + "\n").encode(), np.uint8)
     ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
     line_ends = ends[n_fields - 1 :: n_fields]
@@ -266,6 +271,8 @@ def _byte_rows(chunk: str, n_fields: int, cols: dict, catalog: dict):
                               & (lonlat.reshape(-1, 2) <= (LON_MAX, LAT_MAX))).all():
         return None
     starts, ends = starts[:, cols["species_id"]], ends[:, cols["species_id"]]
+    if (ends - starts).max() > _MAX_BYTE_ID:
+        return None
     first, inverse = _first_of_each(body, starts, ends)
     sids = list(map(str.strip, _texts(body, starts[first], ends[first])))
     if "" in sids:

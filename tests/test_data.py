@@ -47,18 +47,20 @@ def test_observation_set_validation():
         ObservationSet(("a",), np.array([0]), np.array([200.0]), np.zeros(1))  # range
 
 
-@pytest.mark.parametrize("sid, too_long", [
-    ("\U0001f600" * 16383, False),  # 65,532 bytes: short enough not to be encoded
-    ("\U0001f600" * 16384, True),  # 65,536 bytes
-    ("a" * 65535, False),
-    ("a" * 65536, True),
+@pytest.mark.parametrize("sid, error", [
+    ("\U0001f600" * 16383, None),  # 65,532 bytes: short enough not to be encoded one by one
+    ("\U0001f600" * 16384, "longer than 65535 UTF-8 bytes"),  # 65,536 bytes
+    ("a" * 65535, None),
+    ("a" * 65536, "longer than 65535 UTF-8 bytes"),
+    ("sp\ud800", "'\\\\ud800' in position 2: surrogates not allowed"),  # no UTF-8 form
 ])
-def test_observation_set_id_length_limit(sid, too_long):
+def test_observation_set_id_length_limit(sid, error):
     """Ids are refused past 65,535 UTF-8 bytes, on either side of the length
-    below which no id is encoded."""
+    below which ids are not encoded one by one, and an id with no UTF-8 form
+    raises the error of encoding it alone."""
     args = (("x", sid), np.array([0, 1]), np.zeros(2), np.zeros(2))
-    if too_long:
-        with pytest.raises(ValueError, match="longer than 65535 UTF-8 bytes"):
+    if error:
+        with pytest.raises(ValueError, match=error):
             ObservationSet(*args)
     else:
         assert ObservationSet(*args).species_ids[1] == sid
@@ -517,6 +519,33 @@ def test_plain_csv_chunks_never_take_the_per_row_pass(tmp_path, monkeypatch):
     assert len(first_lines) == 1 and 140 < first_lines[0] <= 151
     assert bulk[1] == (RowRejection(151, "too few fields"),)
     assert bulk == _load(load_observations, path, per_row=True)
+
+
+def test_one_long_id_sends_its_piece_to_the_per_row_pass(tmp_path, monkeypatch):
+    """A 4,000-byte id among 12,000 short rows of one piece: the byte pass
+    leaves the piece to the per-row pass, whose result it is, in memory of
+    the order of the file's size."""
+    rows = [f"sp{i % 50},{i % 359 - 179}.5,{i % 179 - 89}.25\n" for i in range(12_000)]
+    rows[6_000] = "L" * 4_000 + ",1.5,2.5\n"
+    path = tmp_path / "obs.csv"
+    path.write_text("species_id,lon,lat\n" + "".join(rows))
+    assert path.stat().st_size < data_module._PIECE_CHARS
+    per_row = _load(load_observations, path, per_row=True)
+    results = []
+
+    def byte_rows(*args, _pass=data_module._byte_rows):
+        results.append(_pass(*args))
+        return results[-1]
+
+    monkeypatch.setattr(data_module, "_byte_rows", byte_rows)
+    tracemalloc.start()
+    try:
+        got = _load(load_observations, path, per_row=False, chunk_chars=data_module._PIECE_CHARS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == per_row and got[1] == () and results == [None]
+    assert peak < 32 * path.stat().st_size, peak
 
 
 def _bulk_spies(monkeypatch):
