@@ -53,6 +53,20 @@ _WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 _MAX_BYTE_ID = 63
 
 
+def _word_reader(body: np.ndarray):
+    """``read(at)``: the little-endian 8-byte words ``body[at:at + 8]`` at the
+    int64 byte offsets ``at``, zero past ``body``'s end, each joined from two
+    aligned words: a gather through an unaligned 8-byte view is slower."""
+    aligned = np.zeros(body.size // 8 + 2, dtype="<u8")
+    aligned.view(np.uint8)[:body.size] = body
+
+    def read(at: np.ndarray) -> np.ndarray:
+        q, shift = at >> 3, (at & 7).view(np.uint64) << np.uint64(3)
+        return aligned[q] >> shift | aligned[q + 1] << (np.uint64(64) - shift)  # << 64 gives 0
+
+    return read
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Presence-only records plus the species catalog they index into."""
@@ -237,10 +251,8 @@ def _first_of_each(body: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     occurrence of each distinct field, and for each field the index in
     ``first`` of one with its bytes. Fields are compared as 8-byte words with
     the byte after them, so none equals a longer one."""
-    width = ends - starts + 1
-    padded = np.concatenate((body, np.zeros(8, dtype=np.uint8)))
-    words = np.ndarray((padded.size - 7,), "<u8", padded, 0, (1,))
-    keys = [words[np.minimum(starts + k, words.size - 1)] & _WORD_MASKS[np.clip(width - k, 0, 8)]
+    width, read = ends - starts + 1, _word_reader(body)
+    keys = [read(np.minimum(starts + k, body.size)) & _WORD_MASKS[np.clip(width - k, 0, 8)]
             for k in range(0, int(width.max()), 8)]
     # Equal fields are runs of ``order``; a collision of the hash splits runs.
     order = np.argsort(reduce(lambda h, key: h * np.uint64(0x9E3779B97F4A7C15) ^ key, keys))

@@ -29,7 +29,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .data import _WORD_MASKS, EnvRasterStack, ObservationSet
+from .data import _WORD_MASKS, EnvRasterStack, ObservationSet, _word_reader
 from .geo import LAT_MAX, LAT_MIN, LON_MAX, LON_MIN, GridSpec, cell_centroids, cell_indices
 from .util import atomic_write, csv_rows, errors_named
 
@@ -228,13 +228,11 @@ def _bulk_entries(body: np.ndarray, grid: GridSpec, catalog: dict[str, int]):
     ``grid.n_cells`` and a label 0 or 1. Ids new to ``catalog`` (id to
     species index) join it in order of first appearance. None for any other
     body, an empty one included, which ``_checked_entries`` then reads."""
-    # Eight zero bytes past the end let every id be read as 8-byte words.
-    body = np.concatenate((body, np.zeros(8, dtype=np.uint8)))
     # Every byte at or below the space is a separator: the ASCII whitespace
     # (tab, line and file separators, ...) and the other control bytes. A plain
     # line has exactly three, ' ', ' ' and '\n', the second just before the
     # label byte. Whitespace outside ASCII is caught in the ids below.
-    sep = np.flatnonzero(body[:-8] <= ord(" "))
+    sep = np.flatnonzero(body <= ord(" "))
     if sep.size == 0 or sep.size % 3:
         return None
     gap1, gap2, ends = sep[0::3], sep[1::3], sep[2::3]
@@ -269,15 +267,15 @@ def _bulk_entries(body: np.ndarray, grid: GridSpec, catalog: dict[str, int]):
     # Ids: a line starts a run unless its id has the bytes of the line before's,
     # compared 8 bytes at a time: first the first word of every line, then
     # the later words of the lines that still match.
-    words = np.ndarray((body.size - 7,), "<u8", body, 0, (1,))
-    head = words[starts] & _WORD_MASKS[np.minimum(id_len, 8)]
+    words = _word_reader(body)
+    head = words(starts) & _WORD_MASKS[np.minimum(id_len, 8)]
     run_start = np.ones(cells.size, dtype=bool)
     run_start[1:] = (id_len[1:] != id_len[:-1]) | (head[1:] != head[:-1])
     same, k = np.flatnonzero(~run_start), 8
     while same.size:
         same = same[id_len[same] > k]
         mask = _WORD_MASKS[np.minimum(id_len[same] - k, 8)]
-        differ = (words[starts[same] + k] ^ words[starts[same - 1] + k]) & mask != 0
+        differ = (words(starts[same] + k) ^ words(starts[same - 1] + k)) & mask != 0
         run_start[same[differ]] = True
         same = same[~differ]
         k += 8

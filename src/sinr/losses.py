@@ -14,18 +14,20 @@ and the six variants are one table, absence term x negative selection:
 Values are batch means. :func:`compute_loss` takes the sigmoid outputs y at
 the head entries a variant reads, one or two a row for ``ssdl`` and ``slds``
 (a training step computes only those: :func:`sinr.net.forward`'s ``read``),
-and overwrites them with dL/dz, the exact gradient with respect to the head
-logits, which seeds :func:`sinr.net.backward`: ``w (y - 1) / n`` at a
-positive, ``y / n`` at an ``an`` absence and ``y (1 - y) (log(1 - c) - log
-c) / n`` at an ``me`` one, where n is ``S * B`` for ``full`` and B
+and every species for ``full``, which a training step takes a block of
+species at a time (:class:`FullLoss`). Both overwrite them with dL/dz, the
+exact gradient with respect to the head logits, which seeds
+:func:`sinr.net.backward`: ``w (y - 1) / n`` at a positive, ``y / n`` at an
+``an`` absence and ``y (1 - y) (log(1 - c) - log c) / n`` at an ``me`` one,
+where n is ``S * B`` for ``full`` and B
 otherwise, w is ``lam`` for the ``full`` positive and 1 otherwise, and c is
 y clipped to ``[CLAMP_EPS, 1 - CLAMP_EPS]``. The values' logarithms read
 c, which keeps them finite, while a saturated sigmoid still gets its exact
 gradient. Work over the batch's entries stays in the predictions' dtype;
 row sums, the mean and the positive entries are float64.
 
-The API is :func:`compute_loss` for every variant, plus :func:`draw_j_prime`
-for the negative species that ``slds`` reads.
+The API is :func:`compute_loss` for every variant, :class:`FullLoss` for a
+full training step, and :func:`draw_j_prime` for the negatives ``slds`` reads.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import net
 from .parallel import map_ranges, row_chunks
 
 #: Predictions are clamped this far inside the unit interval before logs.
@@ -220,8 +223,9 @@ def compute_loss(
 
     Overwrites ``y_hat``, and ``y_hat_rand`` when the variant reads it, with
     dL/dz, the gradient with respect to the head logits, in their dtype. The
-    rows run in chunks on the step's workers (:func:`row_chunks`), and each
-    chunk does the whole batch's arithmetic, bit for bit.
+    rows run in chunks on the workers (:func:`row_chunks`), and each chunk
+    does the whole batch's arithmetic, bit for bit; full is the one-block
+    case of :class:`FullLoss`'s core, which a training step uses instead.
 
     >>> y, y_rand = np.array([[0.8]]), np.array([[0.6]])
     >>> compute_loss(LossConfig("an-ssdl"), y, BatchTargets(np.array([0]), 1),
@@ -242,23 +246,53 @@ def compute_loss(
 
     def chunk(r0: int, r1: int) -> np.ndarray:
         return _loss_rows(cfg, y_hat[r0:r1], j[r0:r1],
-                          None if y_hat_rand is None else y_hat_rand[r0:r1], b)
+                          None if y_hat_rand is None else y_hat_rand[r0:r1], b, s)
 
-    return float(np.mean(np.concatenate(map_ranges(chunk, row_chunks(*y_hat.shape)))))
+    rows = np.concatenate(map_ranges(chunk, row_chunks(*y_hat.shape)))
+    return float(np.mean(rows / s if selection == "full" else rows))
 
 
-def _loss_rows(cfg: LossConfig, y_hat, j, y_hat_rand, b: int) -> np.ndarray:
-    """The losses of the rows ``y_hat`` with positives ``j`` of a batch of
-    ``b``. Overwrites ``y_hat``, and ``y_hat_rand`` unless None, with dL/dz."""
+class FullLoss:
+    """A full variant's loss, as :func:`sinr.net.backward`'s ``d_z``, over a
+    ``(2B, S)`` head of records then pseudo-locations: a call writes the
+    bias, sigmoid and dL/dz over a block's products ``z`` from species ``c0``
+    on, in row chunks that pair record r with pseudo-location r, and keeps
+    the float64 row sums, which :meth:`value` adds in block order."""
+
+    def __init__(self, cfg: LossConfig, targets: BatchTargets, b_head: np.ndarray):
+        self.cfg, self.targets, self.b_head, self.sums = cfg, targets, b_head, {}
+
+    def __call__(self, z: np.ndarray, c0: int) -> None:
+        b, s, j = self.targets.batch_size, self.targets.n_species, self.targets.positive_index
+
+        def chunk(r0: int, r1: int) -> np.ndarray:
+            for part in (z[r0:r1], z[b + r0:b + r1]):
+                part += self.b_head[c0:c0 + z.shape[1]]
+                part[...] = net._sigmoid(part)
+            return _loss_rows(self.cfg, z[r0:r1], j[r0:r1], z[b + r0:b + r1], b, s, c0)
+
+        self.sums[c0] = np.concatenate([chunk(*r) for r in row_chunks(b, 2 * z.shape[1])])
+
+    def value(self) -> float:
+        rows = np.sum([self.sums[c0] for c0 in sorted(self.sums)], axis=0)
+        return float(np.mean(rows / self.targets.n_species))
+
+
+def _loss_rows(cfg: LossConfig, y_hat, j, y_hat_rand, b: int, s: int, c0: int = 0) -> np.ndarray:
+    """The loss sums of the rows ``y_hat`` with positives ``j`` of a batch of
+    ``b`` over ``s`` species; for full, ``s`` times the losses over the
+    species ``c0`` on that the rows hold. Overwrites ``y_hat``, and
+    ``y_hat_rand`` unless None, with dL/dz."""
     family, selection = cfg.variant.value.split("-")
     absence = _ABSENCE[family]
     if selection == "full":
-        rows = np.arange(len(j))
-        pos = y_hat[rows, j]
-        s, n = y_hat.shape[1], y_hat.shape[1] * b
-        sums = absence(y_hat, n, (rows, j)) + absence(y_hat_rand, n, None)
-        terms, y_hat[rows, j] = _positive(pos, cfg.lam, n)
-        return (sums + terms) / s
+        rows = np.flatnonzero((j >= c0) & (j < c0 + y_hat.shape[1]))
+        cols, n = j[rows] - c0, s * b
+        pos = y_hat[rows, cols]
+        sums = absence(y_hat, n, (rows, cols)) + absence(y_hat_rand, n, None)
+        terms, y_hat[rows, cols] = _positive(pos, cfg.lam, n)
+        sums[rows] += terms
+        return sums
     neg = y_hat_rand if selection == "ssdl" else y_hat[:, 1:]
     terms, y_hat[:, 0] = _positive(y_hat[:, 0], 1.0, b)
     return terms + absence(neg, b, None)

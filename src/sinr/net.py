@@ -259,6 +259,19 @@ def encoder_tiles(n: int, hidden_dim: int) -> list[tuple[int, int]]:
     return _near_equal(n, least, n)
 
 
+#: Species a block of the dense head takes, and the most groups of blocks.
+HEAD_BLOCK, HEAD_GROUPS = 512, 2
+
+
+def head_plan(n_species: int) -> list[list[tuple[int, int]]]:
+    """The dense head's ``(start, stop)`` blocks of ``HEAD_BLOCK`` species in
+    order, dealt into at most ``HEAD_GROUPS`` near-equal groups: a function
+    of S alone, so neither the workers nor the BLAS threads move a bit."""
+    blocks = [(c, min(c + HEAD_BLOCK, n_species)) for c in range(0, n_species, HEAD_BLOCK)]
+    count = min(HEAD_GROUPS, len(blocks))
+    return [blocks[g * len(blocks) // count:(g + 1) * len(blocks) // count] for g in range(count)]
+
+
 def _head_columns(needed, n_rows: int, n_feat: int, n_species: int) -> np.ndarray | None:
     """Head columns to compute when only ``needed`` are read: those, sorted
     and unique, padded with the lowest unused ids so the head product takes
@@ -363,7 +376,8 @@ def forward(
     dense head's bytes, from a product over the columns :func:`_head_columns`
     plans (whose cache :func:`backward` cannot use). A ``(batch, k)`` ``read``
     gives ``y_hat[r, k]``, row r's output for species ``read[r, k]``,
-    computed at those entries alone (see :func:`_read_head`). Given ``rng``,
+    computed at those entries alone (see :func:`_read_head`), and a
+    ``(batch, 0)`` one runs the encoder alone. Given ``rng``,
     with ``dropout_p > 0`` and residual blocks, an inverted-dropout mask
     (kept units scaled by ``1/(1-p)``) is drawn from it for each block, one
     whole mask per block in block order, which needs a PCG64 bit generator
@@ -384,7 +398,7 @@ def forward(
         cache = _encode(params, x, cfg.dropout_p, rng, return_cache)
     h = cache.features
     if read is not None and read.ndim == 2:
-        y_hat = _read_head(params, h, cache, read)
+        y_hat = _read_head(params, h, cache, read) if read.shape[1] else h[:, :0]
     else:
         cols = None if read is None else _head_columns(read, len(h), h.shape[1], cfg.n_species)
         w_head, b_head = ((params.w_head, params.b_head) if cols is None
@@ -475,7 +489,7 @@ def backward(
     params: NetParams,
     cfg: NetConfig,
     cache: ForwardCache,
-    d_z: np.ndarray,
+    d_z: np.ndarray | Callable[[np.ndarray, int], None],
     out: NetParams | None = None,
 ) -> NetParams:
     """Exact reverse-mode gradients for a cached forward pass.
@@ -487,27 +501,21 @@ def backward(
     dtype, which is returned; without ``out`` a new tree is allocated, so a
     training run can hand one tree back every step. After a forward with a
     2-D ``read``, ``d_z`` holds the read entries alone, and the head's
-    gradients come from them (:func:`_read_head_backward`); otherwise the
-    head products run in :func:`gemm_blocks` on the workers. Each residual
-    block runs in two rounds of two products side by side
-    (:func:`_block_backward`).
+    gradients come from them (:func:`_read_head_backward`). Otherwise ``d_z``
+    is a function ``d_z(z, c0)`` that overwrites ``z = features @ w_head[:,
+    c0:c0 + k]`` with dL/dz there (``losses.FullLoss``), and the head runs
+    block by block (:func:`_dense_head_backward`). Each residual block runs
+    in two rounds of two products side by side (:func:`_block_backward`).
     """
     dtype = params.w_head.dtype
     if out is None:
         out = NetParams.from_flat([np.empty(a.shape, dtype) for a in params.flat()])
     feats = cache.features
-    dz = np.asarray(d_z).astype(dtype, copy=False)
     if cache.read is not None:
+        dz = np.asarray(d_z).astype(dtype, copy=False)
         dh = _read_head_backward(params, feats, cache, dz, out)
     else:
-        # Each block of the head products writes its slice of one output array.
-        w_head = params.w_head
-        map_ranges(lambda c0, c1: _weight_grads(feats, dz[:, c0:c1], out.w_head[:, c0:c1],
-                                                out.b_head[c0:c1]),
-                   gemm_blocks(w_head.shape[1], feats.size))
-        dh = np.empty(feats.shape, dtype=dtype)
-        map_ranges(lambda r0, r1: np.matmul(dz[r0:r1], w_head.T, out=dh[r0:r1]),
-                   gemm_blocks(len(feats), w_head.size))
+        dh = _dense_head_backward(params, feats, d_z, out, not cfg.identity_encoder)
 
     if cfg.identity_encoder:
         return out
@@ -515,6 +523,37 @@ def backward(
         dh = _block_backward(params.blocks[i], cache, i, dh, out.blocks[i])
     _weight_grads(cache.x, dh * (cache.h[0] > 0), out.w_in, out.b_in)
     return out
+
+
+def _dense_head_backward(params: NetParams, feats: np.ndarray, d_z: Callable, out: NetParams,
+                         need_dh: bool) -> np.ndarray | None:
+    """``dh`` (None unless ``need_dh``) over :func:`head_plan`'s blocks, with
+    their head gradients written into ``out``. Each group runs its blocks in
+    turn in one block buffer, where ``d_z`` writes dL/dz, and adds each
+    ``dz @ w_head[:, blk].T`` into its ``dh`` partial; the groups run side by
+    side when BLAS is pinned, and their partials are added in group order."""
+    w_head, groups = params.w_head, head_plan(params.w_head.shape[1])
+    # Allocated on this thread: each group's block buffer, dh partial and dh term.
+    width = min(HEAD_BLOCK, w_head.shape[1])
+    bufs = [(np.empty((len(feats), width), feats.dtype), np.zeros_like(feats), np.empty_like(feats))
+            for _ in groups]
+
+    def group(g: int) -> None:
+        buf, dh, term = bufs[g]
+        for c0, c1 in groups[g]:
+            dz = np.matmul(feats, w_head[:, c0:c1], out=buf[:, :c1 - c0])
+            d_z(dz, c0)
+            _weight_grads(feats, dz, out.w_head[:, c0:c1], out.b_head[c0:c1])
+            if need_dh:
+                dh += np.matmul(dz, w_head[:, c0:c1].T, out=term)
+
+    map_ranges(lambda g0, g1: [group(g) for g in range(g0, g1)],
+               [(g, g + 1) for g in range(len(groups))] if BLAS_PINNED == "1"
+               else [(0, len(groups))])
+    dh = bufs[0][1]
+    for _, part, _ in bufs[1:]:
+        dh += part
+    return dh if need_dh else None
 
 
 def _read_head_backward(params: NetParams, feats: np.ndarray, cache: ForwardCache,

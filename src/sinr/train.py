@@ -30,6 +30,7 @@ from .data import (
 from .geo import InputLayout, input_dim
 from .losses import (
     BatchTargets,
+    FullLoss,
     LossConfig,
     LossVariant,
     compute_loss,
@@ -209,25 +210,33 @@ def _loss_and_grads(
 ) -> tuple[float, NetParams]:
     """Loss value and parameter gradients of one batch; ``x`` holds its rows,
     then any pseudo-location rows. The gradients are written into ``grads``
-    (a new tree when None). ``compute_loss`` overwrites the head output
-    with dL/dz. ssdl and slds steps compute the head only at the entries
-    their loss reads (``forward``'s ``read``), so their cost does not grow
-    with S: the positive's column at each record and at its pseudo-location
-    (ssdl), or the positive's and a drawn negative species' (slds)."""
+    (a new tree when None). ssdl and slds steps compute the head only at the
+    entries their loss reads (``forward``'s ``read``), so their cost does not
+    grow with S: the positive's column at each record and at its
+    pseudo-location (ssdl), or the positive's and a drawn negative species'
+    (slds); ``compute_loss`` overwrites them with dL/dz. A full step's
+    forward runs the encoder alone, and ``backward`` the head block by block
+    with :class:`FullLoss`, so no ``(2B, S)`` array is held."""
     cfg = state.cfg
     b, j = targets.batch_size, targets.positive_index
     pseudo = needs_pseudo_negatives(cfg.loss.variant)
-    read = None
+    read = np.empty((len(x), 0), dtype=np.int64)  # full: the encoder alone
     if cfg.loss.variant in (LossVariant.AN_SSDL, LossVariant.ME_SSDL):
         read = np.tile(j, 2)[:, None]
     elif not pseudo:  # slds variants draw the negative species of the whole batch in one call
         read = np.stack([j, draw_j_prime(targets, state.rng_negatives)], axis=1)
     _, y_all, cache = forward(state.params, cfg.net, x, rng=state.rng_dropout, return_cache=True,
                               read=read)
-    value = compute_loss(cfg.loss, y_all[:b], targets, y_hat_rand=y_all[b:] if pseudo else None)
+    if read.shape[1]:
+        value = compute_loss(cfg.loss, y_all[:b], targets, y_hat_rand=y_all[b:] if pseudo else None)
+        grads = backward(state.params, cfg.net, cache, d_z=y_all, out=grads)
+    else:
+        d_z = FullLoss(cfg.loss, targets, state.params.b_head)
+        grads = backward(state.params, cfg.net, cache, d_z=d_z, out=grads)
+        value = d_z.value()
     if not np.isfinite(value):
         raise TrainingDivergedError(epoch, step, value)
-    return value, backward(state.params, cfg.net, cache, d_z=y_all, out=grads)
+    return value, grads
 
 
 def _run(

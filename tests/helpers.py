@@ -457,7 +457,15 @@ def composed_grads(params: NetParams, cfg: NetConfig, x_all, b, variant, targets
                               read=None if at is None else at[1])
     compute_loss(LossConfig(variant, lam), y_all[:b], targets,
                  y_hat_rand=y_all[b:] if len(x_all) > b else None)
-    return backward(params, cfg, cache, d_z=y_all)
+    return backward(params, cfg, cache, d_z=y_all if at is not None else dense_d_z(y_all))
+
+
+def dense_d_z(d_z):
+    """``backward``'s ``d_z`` after a forward over every species, from the
+    ``(rows, S)`` array ``d_z``: each head block takes its columns of it, in
+    the parameters' dtype."""
+    d_z = np.asarray(d_z)
+    return lambda z, c0: np.copyto(z, d_z[:, c0:c0 + z.shape[1]], casting="same_kind")
 
 
 @dataclass
@@ -591,27 +599,22 @@ def reference_loss(cfg: LossConfig, y, targets: BatchTargets, y_rand=None, j_pri
 
 def reference_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
     """One training step's ``(loss value, parameter gradients)`` on whole
-    matrices: ``forward`` with every head entry's sigmoid, the dL/dz of
-    :func:`reference_loss` on the full batch, then ``backward``, with every
-    head product in one block.
+    matrices: :func:`reference_encoder`, every head entry's sigmoid, the
+    dL/dz of :func:`reference_loss` on the full batch, then
+    :func:`reference_backward`, every head product whole.
 
     ``cfg`` is a ``TrainConfig``; ``x`` holds the batch rows, then the
     pseudo-location rows when the loss uses them.
     """
-    with mock.patch.object(sinr.net, "GEMM_MAX_BLOCKS", 1):
-        return _whole_step(params, cfg, x, targets, rng_dropout, rng_negatives)
-
-
-def _whole_step(params: NetParams, cfg, x, targets, rng_dropout, rng_negatives):
     b = targets.batch_size
     pseudo = needs_pseudo_negatives(cfg.loss.variant)
-    _, y_all, cache = forward(params, cfg.net, x, rng=rng_dropout,
-                              return_cache=True)
+    feats, cache, record = reference_encoder(params, cfg.net, x, rng_dropout)
+    y_all = reference_sigmoid(feats @ params.w_head + params.b_head)
     j_prime = None if pseudo else draw_j_prime(targets, rng_negatives)
     value, d_z, d_z_rand = reference_loss(cfg.loss, y_all[:b], targets,
                                           y_all[b:] if pseudo else None, j_prime)
     d_z = np.concatenate([d_z, d_z_rand]) if pseudo else d_z
-    return value, backward(params, cfg.net, cache, d_z=d_z)
+    return value, reference_backward(params, cfg.net, cache, record, d_z)
 
 
 def fd_grads(objective, params: NetParams, h: float = 1e-5) -> NetParams:

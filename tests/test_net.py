@@ -17,6 +17,7 @@ from helpers import (
     cast_params,
     composed_grads,
     composed_loss,
+    dense_d_z,
     fd_grads,
     gather_gradcheck_setups,
     max_rel_error,
@@ -38,6 +39,8 @@ from sinr.net import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    HEAD_BLOCK,
+    HEAD_GROUPS,
     AdamState,
     BadMagicError,
     ModelFormatError,
@@ -54,6 +57,7 @@ from sinr.net import (
     forward,
     _head_columns,
     gemm_blocks,
+    head_plan,
     init_adam,
     init_params,
     param_shapes,
@@ -103,7 +107,7 @@ def test_head_bias_gradient_closed_form():
     params = f64_params(cfg)
     x = np.random.default_rng(2).uniform(-1, 1, (6, 4))
     _, y, cache = forward(params, cfg, x, return_cache=True)
-    grads = backward(params, cfg, cache, d_z=y * (1 - y))
+    grads = backward(params, cfg, cache, d_z=dense_d_z(y * (1 - y)))
     np.testing.assert_allclose(grads.b_head, (y * (1 - y)).sum(axis=0), rtol=1e-12)
 
 
@@ -200,7 +204,7 @@ def test_identity_encoder_is_logistic_regression():
     _, _, cache = forward(params, cfg, x, return_cache=True)
     d_y = np.random.default_rng(5).uniform(-1, 1, y.shape)
     dz = d_y * y * (1 - y)
-    grads = backward(params, cfg, cache, d_z=dz)
+    grads = backward(params, cfg, cache, d_z=dense_d_z(dz))
     np.testing.assert_allclose(grads.w_head, x.T @ dz, rtol=1e-12)
     np.testing.assert_allclose(grads.b_head, dz.sum(axis=0), rtol=1e-12)
 
@@ -245,9 +249,28 @@ def test_backward_leaves_its_inputs_untouched():
         for d_dtype in (np.float32, np.float64):
             d_z = rng.standard_normal(y.shape).astype(d_dtype)
             d_z_before = d_z.copy()
-            backward(params, cfg, cache, d_z=d_z)
+            backward(params, cfg, cache, d_z=dense_d_z(d_z))
             np.testing.assert_array_equal(d_z, d_z_before)
             np.testing.assert_array_equal(cache.features, features_before)
+
+
+@pytest.mark.parametrize("s", [1, 3, 511, 512, 513, 1300, 2048, 10_240, 47_375])
+def test_head_plan_is_a_function_of_the_species_count_alone(monkeypatch, s):
+    """The dense head's blocks tile the species in order, ``HEAD_BLOCK``
+    wide but the last, dealt into at most ``HEAD_GROUPS`` non-empty runs;
+    the plan is the same whatever the workers and whether BLAS is pinned,
+    so the order the partials are added in is too."""
+    plans = set()
+    for workers, blas in itertools.product((1, 2, 3), ("1", "no: another BLAS")):
+        monkeypatch.setattr(sinr.parallel, "worker_count", lambda: workers)
+        monkeypatch.setattr(sinr.net, "BLAS_PINNED", blas)
+        plans.add(repr(head_plan(s)))
+    assert len(plans) == 1
+    groups = head_plan(s)
+    blocks = [blk for group in groups for blk in group]
+    assert blocks == [(c, min(c + HEAD_BLOCK, s)) for c in range(0, s, HEAD_BLOCK)]
+    assert len(groups) == min(HEAD_GROUPS, len(blocks)) and all(groups)
+    assert max(map(len, groups)) - min(map(len, groups)) <= 1
 
 
 @pytest.fixture
@@ -373,7 +396,7 @@ def test_tiled_encoder_has_the_bits_of_the_whole_array_encoder(monkeypatch, rows
             assert g.tobytes() == r.tobytes(), name
     assert repr(cache.dropout_scale) == repr(want_cache.dropout_scale)
     assert (cache.dropout_scale is None) == (mode == "eval")
-    grads = backward(params, cfg, cache, d_z=d_z)
+    grads = backward(params, cfg, cache, d_z=dense_d_z(d_z))
     want_grads = reference_backward(params, cfg, want_cache, record, d_z)
     for name, g, w in zip(grads.names(), grads.flat(), want_grads.flat()):
         assert g.tobytes() == w.tobytes(), name
@@ -407,7 +430,7 @@ def test_backward_has_the_bits_of_the_mask_and_preactivation_backward(monkeypatc
 
     _, _, cache = forward(params, cfg, x, dropout_rng(), return_cache=True)
     _, want_cache, record = reference_encoder(params, cfg, x, dropout_rng())
-    grads = backward(params, cfg, cache, d_z)
+    grads = backward(params, cfg, cache, dense_d_z(d_z))
     want = reference_backward(params, cfg, want_cache, record, d_z)
     for name, g, w in zip(grads.names(), grads.flat(), want.flat()):
         assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
@@ -444,7 +467,7 @@ def test_backward_runs_each_block_on_the_workers_only_when_blas_is_pinned(monkey
 
     real_beside = sinr.net._beside
     monkeypatch.setattr(sinr.net, "_beside", lambda *jobs: real_beside(*map(recorded, jobs)))
-    grads = backward(params, cfg, cache, d_z)
+    grads = backward(params, cfg, cache, dense_d_z(d_z))
     want = reference_backward(params, cfg, cache, record, d_z)
     for name, g, w in zip(grads.names(), grads.flat(), want.flat()):
         assert g.tobytes() == w.tobytes(), name
@@ -469,7 +492,7 @@ def test_backward_holds_no_extra_row_buffers():
     d_z = np.random.default_rng(3).standard_normal(y.shape).astype(np.float32)
     tracemalloc.start()
     try:
-        backward(params, cfg, cache, d_z)
+        backward(params, cfg, cache, dense_d_z(d_z))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -493,6 +516,7 @@ def test_backward_writes_its_gradients_into_a_given_tree(head, dtype):
     _, y, cache = forward(params, cfg, x, np.random.default_rng(11), return_cache=True,
                           read=read)
     d_z = rng.standard_normal(y.shape).astype(dtype)
+    d_z = d_z if read is not None else dense_d_z(d_z)
     want = backward(params, cfg, cache, d_z)
     tree = NetParams.from_flat([np.full(a.shape, np.nan, dtype) for a in params.flat()])
     assert backward(params, cfg, cache, d_z, out=tree) is tree
@@ -535,9 +559,9 @@ SPLIT_SHAPES = [(512, 64, 2000, None), (333, 48, 777, None), (210, 64, 1000, Non
 def test_split_head_products_have_the_bits_of_the_whole_products(monkeypatch, pinned, rows,
                                                                  feat, species, n_cols):
     """float32, 2 workers, blocks just past ``SMALL_GEMM_MAX``: the forward
-    product (over every head column or the ones read), and after a dense
-    forward ``feats.T @ dz``, ``dz.sum(axis=0)`` and ``dz @ w_head.T``
-    (through every gradient below it), equal the whole 1-thread products."""
+    product (over every head column or the ones read) equals the whole
+    1-thread product, and so do the gradients of a backward after a dense
+    forward, whose head blocks follow ``head_plan`` alone."""
     cfg = NetConfig(input_dim=4, n_species=species, hidden_dim=feat, n_residual_layers=1,
                     seed=4)
     params = dataclasses.replace(init_params(cfg),
@@ -551,7 +575,8 @@ def test_split_head_products_have_the_bits_of_the_whole_products(monkeypatch, pi
 
     def step():
         feats, y, cache = forward(params, cfg, x, return_cache=True, read=columns)
-        return feats, y, None if columns is not None else backward(params, cfg, cache, d_z)
+        grads = None if columns is not None else backward(params, cfg, cache, dense_d_z(d_z))
+        return feats, y, grads
 
     with monkeypatch.context() as whole:
         whole.setattr(sinr.net, "GEMM_MAX_BLOCKS", 1)
@@ -811,9 +836,9 @@ def test_read_head_matches_the_dense_head(monkeypatch, dtype):
     d_z = rng.standard_normal((200, 2)).astype(dtype)
     rows = np.arange(200)[:, None]
     _, dense, cache = forward(params, cfg, x, return_cache=True)
-    dense_d_z = np.zeros_like(dense)
-    np.add.at(dense_d_z, (rows, read), d_z)
-    want = backward(params, cfg, cache, dense_d_z)
+    dense_dz = np.zeros_like(dense)
+    np.add.at(dense_dz, (rows, read), d_z)
+    want = backward(params, cfg, cache, dense_d_z(dense_dz))
     assert {0.0, 1.0} < set(np.round(dense[rows, read].astype(np.float64), 3).ravel())
 
     seen, got = [], {}

@@ -99,7 +99,9 @@ def test_span_attrs_read_the_training_step_calls(child, monkeypatch, tmp_path, c
     arguments and results, under ``suppress(AttributeError, ...)``, so a
     renamed cache field would empty the backward spans without failing the
     run. On every call of real an-full and an-ssdl training runs, each
-    attribute function returns its keys."""
+    attribute function returns its keys. An an-full step calls ``forward``
+    for the encoder alone (0 head columns) and ``backward``, which runs the
+    head and the loss block by block, and never ``compute_loss``."""
     calls = collections.defaultdict(list)
     step_module = importlib.import_module("sinr.train")
     for attr in ("forward", "compute_loss", "backward"):
@@ -119,12 +121,16 @@ def test_span_attrs_read_the_training_step_calls(child, monkeypatch, tmp_path, c
         assert main(["train", "--obs", str(obs_path), "--out", str(tmp_path / "m.sinr"),
                      "--loss", loss, "--batch-size", "64", "--hidden-dim", "8",
                      "--residual-layers", "2", "--epochs", "1", "--seed", "3"]) == 0
-        assert len(calls["forward"]) == len(calls["compute_loss"]) == len(calls["backward"]) > 1
-        for fwd, lss, bwd in zip(calls["forward"], calls["compute_loss"], calls["backward"]):
+        full = loss == "an-full"
+        assert len(calls["forward"]) == len(calls["backward"]) > 1
+        assert len(calls["compute_loss"]) == (0 if full else len(calls["forward"]))
+        for fwd, bwd in zip(calls["forward"], calls["backward"]):
             f_attrs = child._forward_attrs(*fwd)
             b_attrs = child._backward_attrs(*bwd)
             assert set(f_attrs) == set(b_attrs) == {"rows", "cols", "feat"}
             assert b_attrs["rows"] == f_attrs["rows"] and b_attrs["feat"] == f_attrs["feat"] == 8
             assert b_attrs["cols"] == 40
+            assert f_attrs["cols"] == 0 or not full
+        for lss in calls["compute_loss"]:
             assert set(child._loss_attrs(*lss)) == {"used"}
     capsys.readouterr()

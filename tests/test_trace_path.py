@@ -58,12 +58,16 @@ def _train_counting_traced_calls(monkeypatch, variant, n_species, hidden):
 
 
 def test_training_calls_the_traced_names_through_their_globals(monkeypatch):
-    """An an-full step's sigmoid sees every entry of its 32 rows x 3 species."""
+    """An an-full step's forward runs the encoder alone (width 0), and its
+    backward runs the head block by block with the loss, not through
+    ``compute_loss``; the sigmoid sees every entry of its 32 rows x 3
+    species, the 16 record rows and the 16 pseudo-location rows apart."""
     calls, widths, entries, steps = _train_counting_traced_calls(
         monkeypatch, LossVariant.AN_FULL, 3, 4
     )
-    assert calls == {f"{m}.{a}": steps for m, a in TRACED}
-    assert widths == [3] * steps
+    assert calls == {"sinr.train.forward": steps, "sinr.train.backward": steps,
+                     "sinr.net._sigmoid": 2 * steps}
+    assert widths == [0] * steps
     assert entries == [32 * 3] * steps
 
 
