@@ -60,14 +60,16 @@ class SpeciesPredictor(Protocol):
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     """Average precision of ranking ``labels`` by descending ``scores``.
 
-    Equal scores keep their input order (stable sort), so the result is
-    deterministic for tied predictors. Labels are 0/1 with at least one
-    positive.
+    Equal scores keep their input order (a stable descending order, -0 equal
+    to +0, NaN last), so the result is deterministic for tied predictors.
+    Float32 scores are ranked as they are, other scores as float64, which
+    orders them alike. Labels are 0/1 with at least one positive.
 
     >>> round(average_precision([0.9, 0.8, 0.7], [1, 0, 1]), 4)
     0.8333
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    raw = np.asarray(scores)
+    scores = raw if raw.dtype == np.float32 else np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or scores.shape != labels.shape:
         raise ValueError("scores and labels must be equal-length 1-D arrays")
@@ -76,10 +78,22 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     n_pos = int((labels == 1).sum())
     if n_pos == 0:
         raise ValueError("average precision is undefined without positives")
-    order = np.argsort(-scores, kind="stable")
+    packed = scores.dtype == np.float32 and scores.size <= 1 << 32 and not np.isnan(scores).any()
+    order = _descending_order(scores) if packed else np.argsort(-scores, kind="stable")
     ranked = (labels[order] == 1).astype(np.float64)
     precision_at = np.cumsum(ranked) / np.arange(1, scores.size + 1)
     return float((precision_at * ranked).sum() / n_pos)
+
+
+def _descending_order(scores: np.ndarray) -> np.ndarray:
+    """The stable descending order of float32 ``scores`` without NaN, from
+    one (SIMD) sort of uint64 keys: the score's order-preserving bits,
+    inverted, above its index, so equal scores keep their input order."""
+    key = (scores + np.float32(0)).view(np.uint32).astype(np.uint64)  # -0 + 0 is +0
+    key ^= ((key >> 31) - 1) & 0x7FFFFFFF  # non-negative: inverted; negative bits descend
+    key = key << 32 | np.arange(key.size, dtype=np.uint64)
+    key.sort()
+    return (key & 0xFFFFFFFF).view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -323,35 +337,43 @@ class MapResult:
         return len(self.per_species)
 
 
+#: Species per species-major score block of :func:`map_task`; cells per cached transpose tile.
+_MAP_BLOCK, _MAP_TILE = 16, 1024
+
+
 def map_task(predict_fn: PredictFn, eval_grid: EvalGrid) -> MapResult:
     """Score a predictor's ranked range maps against an evaluation grid.
 
     The predictor is queried once at the centroids of every cell that is
     valid for at least one species. A species is evaluable only if its valid
     cells include at least one presence and one absence; others are skipped
-    and reported, not averaged.
+    and reported, not averaged. Scores keep the predictor's dtype, and are
+    read from species-major copies of ``_MAP_BLOCK`` columns at a time.
     """
-    cells = np.flatnonzero((eval_grid.labels != -1).any(axis=0))
+    cells = np.flatnonzero(eval_grid.labels.max(axis=0, initial=-1) != -1)
     if cells.size == 0:
         raise ValueError("evaluation grid has no valid cells")
-    lons, lats = cell_centroids(eval_grid.grid, cells)
-    scores = np.asarray(predict_fn(lons, lats), dtype=np.float64)
+    scores = np.asarray(predict_fn(*cell_centroids(eval_grid.grid, cells)))
     n_species = len(eval_grid.species_ids)
     if scores.shape != (cells.size, n_species):
         raise ValueError(
             f"predictor returned shape {scores.shape}, expected {(cells.size, n_species)}"
         )
-    per_species: list[tuple[str, float]] = []
-    skipped: list[tuple[str, str]] = []
-    for s, sid in enumerate(eval_grid.species_ids):
-        labels = eval_grid.labels[s, cells]
-        valid = labels != -1
-        n_pos = int((labels == 1).sum())
-        n_neg = int((labels == 0).sum())
-        if n_pos == 0 or n_neg == 0:
-            skipped.append((sid, "no valid presences" if n_pos == 0 else "no valid absences"))
-            continue
-        per_species.append((sid, average_precision(scores[valid, s], labels[valid])))
+    per_species, skipped = [], []  # (id, AP) and (id, reason) pairs
+    block = np.empty((min(_MAP_BLOCK, n_species), cells.size), dtype=scores.dtype)
+    for s0 in range(0, n_species, _MAP_BLOCK):
+        s1 = min(s0 + _MAP_BLOCK, n_species)
+        for c0 in range(0, cells.size, _MAP_TILE):
+            block[:s1 - s0, c0:c0 + _MAP_TILE] = scores[c0:c0 + _MAP_TILE, s0:s1].T
+        species_labels = eval_grid.labels[s0:s1].take(cells, axis=1)
+        for sid, row, labels in zip(eval_grid.species_ids[s0:s1], block, species_labels):
+            valid = np.flatnonzero(labels != -1)  # a gather by index beats a boolean mask
+            labels = labels.take(valid)
+            n_pos = np.count_nonzero(labels)
+            if n_pos == 0 or n_pos == labels.size:
+                skipped.append((sid, "no valid absences" if n_pos else "no valid presences"))
+                continue
+            per_species.append((sid, average_precision(row.take(valid), labels)))
     if not per_species:
         raise ValueError("no species was evaluable (each needs a presence and an absence)")
     mean_ap = float(np.mean([ap for _, ap in per_species]))
@@ -713,19 +735,6 @@ def grid_baseline_scores(
 # ---------------------------------------------------------------------------
 
 
-def f1_at_threshold(scores: np.ndarray, labels: np.ndarray, threshold: float) -> float:
-    """F1 of predicting positive where ``score >= threshold`` (0 if nothing
-    is predicted positive)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(bool)
-    pred = scores >= threshold
-    tp = int((pred & labels).sum())
-    fp = int((pred & ~labels).sum())
-    fn = int((~pred & labels).sum())
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
-
-
 def f1_max_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     """Smallest threshold maximizing F1 over a canonical candidate set.
 
@@ -746,8 +755,8 @@ def f1_max_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     uniq = np.unique(scores)
     candidates = np.sort(np.concatenate([[0.0], (uniq[:-1] + uniq[1:]) / 2.0, [1.0]]))
     pos, neg = np.sort(scores[labels == 1]), np.sort(scores[labels == 0])
-    # f1_at_threshold at every candidate: the scores >= t are predicted
-    # positive, which a NaN score (sorted last) never is
+    # F1 at every candidate t: the scores >= t are predicted positive,
+    # which a NaN score (sorted last) never is
     tp = np.count_nonzero(pos == pos) - np.searchsorted(pos, candidates, side="left")
     fp = np.count_nonzero(neg == neg) - np.searchsorted(neg, candidates, side="left")
     f1 = 2 * tp / (2 * tp + fp + (pos.size - tp))  # at least one positive: never 0/0

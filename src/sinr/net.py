@@ -374,7 +374,8 @@ def forward(
     ``return_cache`` is set. Without ``read`` ``y_hat`` has every species.
     A 1-D ``read`` of k species gives ``(batch, k)`` in that order with the
     dense head's bytes, from a product over the columns :func:`_head_columns`
-    plans (whose cache :func:`backward` cannot use). A ``(batch, k)`` ``read``
+    plans (whose cache :func:`backward` cannot use), gathered unless the
+    plan is ``read`` itself. A ``(batch, k)`` ``read``
     gives ``y_hat[r, k]``, row r's output for species ``read[r, k]``,
     computed at those entries alone (see :func:`_read_head`), and a
     ``(batch, 0)`` one runs the encoder alone. Given ``rng``,
@@ -413,7 +414,8 @@ def forward(
             z[...] = _sigmoid(z)
 
         map_ranges(bias_and_sigmoid, row_chunks(*y_hat.shape))
-        if read is not None:
+        if read is not None and not np.array_equal(
+                read, np.arange(cfg.n_species) if cols is None else cols):
             y_hat = y_hat[:, read if cols is None else np.searchsorted(cols, read)]
     return (h, y_hat, cache) if return_cache else (h, y_hat)
 

@@ -24,7 +24,7 @@ import numpy as np
 import sinr.net
 import sinr.train
 from sinr.data import ObservationSet
-from sinr.evaluate import EVAL_GRID_MAGIC, EvalGrid, f1_at_threshold
+from sinr.evaluate import EVAL_GRID_MAGIC, EvalGrid
 from sinr.geo import GridSpec, InputLayout
 from sinr.losses import (
     CLAMP_EPS,
@@ -382,6 +382,31 @@ def ap_oracle(scores, labels) -> float:
     if hits == 0:
         raise ValueError("no positives")
     return total / hits
+
+
+def reference_average_precision(scores, labels) -> float:
+    """``average_precision`` as it ranks float64 scores: a stable ``argsort``
+    of the negated scores (equal scores, -0 and +0 among them, keep their
+    input order; NaN goes last), then the same cumulative precision sum."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    ranked = (labels[np.argsort(-scores, kind="stable")] == 1).astype(np.float64)
+    precision_at = np.cumsum(ranked) / np.arange(1, scores.size + 1)
+    return float((precision_at * ranked).sum() / int((labels == 1).sum()))
+
+
+def f1_at_threshold(scores, labels, threshold: float) -> float:
+    """F1 of predicting positive where ``score >= threshold`` (0 if nothing
+    is predicted positive): the per-candidate reference for
+    ``f1_max_threshold``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    pred = scores >= threshold
+    tp = int((pred & labels).sum())
+    fp = int((pred & ~labels).sum())
+    fn = int((~pred & labels).sum())
+    denom = 2 * tp + fp + fn
+    return 2 * tp / denom if denom else 0.0
 
 
 def reference_f1_max_threshold(scores, labels) -> float:

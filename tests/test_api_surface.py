@@ -13,7 +13,6 @@ EXEMPT = {
     "save_observations": "README defines the observations CSV through it",
     "write_env_raster": "README defines the ENVGRID format through it",
     "save_eval_grid": "README defines the EVALGRID bulk-parsed form through it",
-    "f1_at_threshold": "doctested reference for f1_max_threshold",
     "bernoulli_entropy": "doctested reference for the me-* absence term",
 }
 

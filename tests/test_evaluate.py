@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 import sinr.evaluate as evaluate_module
 from helpers import (
     ap_oracle,
+    f1_at_threshold,
+    reference_average_precision,
     reference_f1_max_threshold,
     reference_load_eval_grid,
     reference_save_eval_grid,
@@ -21,7 +23,6 @@ from sinr.evaluate import (
     ClassifierScoreSet,
     EvalGrid,
     average_precision,
-    f1_at_threshold,
     f1_max_threshold,
     geo_feature_task,
     geo_prior_delta,
@@ -89,6 +90,42 @@ def test_ap_rejects_degenerate_input():
         average_precision([0.5, 0.2], [2, 1])
     with pytest.raises(ValueError):
         average_precision([0.5], [1, 0])
+
+
+#: float32 values that sort awkwardly: signed zeros, the smallest subnormals,
+#: a normal next to a subnormal, infinities and the largest finite value.
+_AP_EDGES = [0.0, -0.0, 0.5, -0.5, 1.0, 2.0**-149, -(2.0**-149), 2.0**-126, 2.0**-127,
+             float("inf"), float("-inf"), 3.4028234663852886e38]
+_AP_SCORES = {
+    "float32": st.sampled_from(_AP_EDGES) | st.floats(width=32, allow_nan=False),
+    "float32 with NaN": st.sampled_from(_AP_EDGES + [float("nan")]) | st.floats(width=32),
+    "float64": st.sampled_from(_AP_EDGES + [0.5 + 2**-53]) | st.floats(allow_nan=False),
+    "int64": st.integers(-(2**62), 2**62) | st.sampled_from([-1, 0, 1]),
+}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ap_equals_the_stable_argsort_reference(data):
+    """float32 scores with ties, signed zeros, negative, subnormal and
+    infinite values (NaN too, which takes the stable argsort), float64 and
+    integer scores, one cell or all cells tied: the AP of a stable argsort of
+    the negated float64 scores, equal to the last bit."""
+    kind = data.draw(st.sampled_from(sorted(_AP_SCORES)), label="kind")
+    n = data.draw(st.integers(1, 50), label="n")
+    if data.draw(st.booleans(), label="all tied"):
+        values = [data.draw(_AP_SCORES[kind], label="tied score")] * n
+    else:  # few distinct values, so that ties are common
+        pool = data.draw(st.lists(_AP_SCORES[kind], min_size=1, max_size=6), label="pool")
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="scores")
+    scores = np.array(values, dtype=np.int64 if kind == "int64" else kind.split()[0])
+    labels = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n),
+                                label="labels"))
+    labels[data.draw(st.integers(0, n - 1), label="a positive")] = 1
+    assert average_precision(scores, labels) == reference_average_precision(scores, labels)
+    if kind == "float32":  # the packed-key order is the stable order itself
+        want = np.argsort(-scores.astype(np.float64), kind="stable")
+        assert np.array_equal(evaluate_module._descending_order(scores), want)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +486,69 @@ def test_map_task_checks_predictor_shape():
     eg = small_eval_grid()
     with pytest.raises(ValueError, match="shape"):
         map_task(lambda lons, lats: np.ones((len(lons), 5)), eg)
+
+
+def test_map_task_ranks_float32_scores_as_their_float64_cast():
+    """Over several species blocks, with ties, signed zeros and skipped
+    species, float32 scores give the result of the same scores cast to
+    float64, each AP that of the stable-argsort reference on its valid cells."""
+    grid = GridSpec(6)
+    n_species = 2 * evaluate_module._MAP_BLOCK + 5
+    rng = np.random.default_rng(11)
+    labels = rng.choice(np.array([-1, 0, 1], dtype=np.int8), (n_species, grid.n_cells),
+                        p=[0.3, 0.5, 0.2])
+    labels[3, labels[3] == 1] = 0  # no valid presences
+    labels[20] = -1
+    labels[20, :2] = 1  # no valid absences
+    table = np.round(rng.uniform(-1, 1, (grid.n_cells, n_species)), 1).astype(np.float32)
+    table[::3, 7] = -0.0
+    eg = EvalGrid(grid, tuple(f"s{i}" for i in range(n_species)), labels)
+
+    def predictor(dtype):
+        return lambda lons, lats: table[cell_indices(lons, lats, grid)].astype(dtype)
+
+    got, want = map_task(predictor(np.float32), eg), map_task(predictor(np.float64), eg)
+    assert got == want
+    assert dict(got.skipped) == {"s3": "no valid presences", "s20": "no valid absences"}
+    cells = np.flatnonzero((labels != -1).any(axis=0))
+    expected = []
+    for s, sid in enumerate(eg.species_ids):
+        valid = labels[s, cells] != -1
+        if sid not in ("s3", "s20"):
+            expected.append((sid, reference_average_precision(
+                table[cells[valid], s].astype(np.float64), labels[s, cells[valid]])))
+    assert got.per_species == tuple(expected)
+
+
+def test_map_task_calls_average_precision_through_its_global(monkeypatch):
+    """The benchmark's traced run times ``evaluate.average_precision`` by
+    replacing the module global: ``map_task`` calls it there, once per
+    evaluable species."""
+    seen = []
+    real = evaluate_module.average_precision
+    monkeypatch.setattr(evaluate_module, "average_precision",
+                        lambda scores, labels: seen.append(len(scores)) or real(scores, labels))
+    result = map_task(lambda lons, lats: np.linspace(0, 1, 3 * len(lons)).reshape(-1, 3),
+                      small_eval_grid())
+    assert result.n_evaluated == 2 and seen == [3, 3]
+
+
+def test_map_task_makes_no_float64_copy_of_float32_scores():
+    """On 20,000 cells x 64 species of float32 scores, ``map_task``'s traced
+    peak stays below half the bytes of a float64 copy of them."""
+    grid = GridSpec(100)
+    rng = np.random.default_rng(4)
+    labels = (rng.random((64, grid.n_cells)) < 0.1).astype(np.int8)
+    scores = rng.random((grid.n_cells, 64), dtype=np.float32)
+    eg = EvalGrid(grid, tuple(f"s{i}" for i in range(64)), labels)
+    tracemalloc.start()
+    try:
+        result = map_task(lambda lons, lats: scores, eg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_evaluated == 64
+    assert peak < scores.size * 8 / 2, peak / 2**20
 
 
 # ---------------------------------------------------------------------------

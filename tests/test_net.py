@@ -684,6 +684,29 @@ def test_a_shared_read_has_the_dense_head_bytes(monkeypatch, case, threads):
     assert got_feats.tobytes() == feats.tobytes()
 
 
+@pytest.mark.parametrize("rows, read", [(1, range(300)), (4096, range(5, 300, 6))])
+def test_a_read_of_exactly_its_plan_has_the_dense_head_bytes(rows, read):
+    """A sorted 1-D ``read`` that :func:`_head_columns` plans as it is (every
+    species for one row) gives the bytes of the dense head's columns, and of
+    a shuffled read of the same columns put back in order."""
+    read = np.array(read, dtype=np.int64)
+    cfg = NetConfig(input_dim=4, n_species=300, hidden_dim=64, n_residual_layers=1, seed=3)
+    params = dataclasses.replace(init_params(cfg),
+                                 b_head=np.linspace(-2, 2, 300).astype(np.float32))
+    plan = _head_columns(read, rows, cfg.feature_dim, cfg.n_species)
+    assert np.array_equal(np.arange(300) if plan is None else plan, read)
+    x = np.random.default_rng(rows).uniform(-1, 1, (rows, 4))
+    _, dense = forward(params, cfg, x)
+    _, y = forward(params, cfg, x, read=read)
+    shuffle = np.random.default_rng(1).permutation(read.size)
+    _, shuffled = forward(params, cfg, x, read=read[shuffle])
+    assert y.shape == (rows, read.size) and y.dtype == np.float32
+    assert y.tobytes() == dense[:, read].tobytes()
+    restored = np.empty_like(shuffled)
+    restored[:, shuffle] = shuffled
+    assert y.tobytes() == restored.tobytes()
+
+
 def test_forward_validates_inputs():
     cfg = NetConfig(input_dim=4, n_species=2, hidden_dim=4, n_residual_layers=1)
     params = init_params(cfg)
