@@ -18,7 +18,7 @@ import copy
 import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -108,13 +108,17 @@ class ResidualBlock:
 @dataclass(frozen=True)
 class NetParams:
     """Parameter tree. ``w_in``/``b_in`` and ``blocks`` are absent (None/empty)
-    for the identity encoder."""
+    for the identity encoder. A gradient tree may hold the head's columns of
+    ``head_species`` alone, ascending: ``w_head`` is then ``(H, k)``, column
+    i the gradient of ``w_head[:, head_species[i]]``, and ``b_head`` ``(k,)``;
+    every other head entry's gradient is +0."""
 
     w_in: np.ndarray | None
     b_in: np.ndarray | None
     blocks: tuple[ResidualBlock, ...]
     w_head: np.ndarray
     b_head: np.ndarray
+    head_species: np.ndarray | None = None
 
     def flat(self) -> list[np.ndarray]:
         """Arrays in serialization order: input layer, blocks, head."""
@@ -460,17 +464,17 @@ def _weight_grads(inp: np.ndarray, d_out: np.ndarray, g_w: np.ndarray, g_b: np.n
 
 
 def _block_backward(blk: ResidualBlock, cache: ForwardCache, i: int, dh: np.ndarray,
-                    out: ResidualBlock) -> np.ndarray:
+                    out: ResidualBlock, scratch: tuple[np.ndarray, np.ndarray]) -> None:
     """Block ``i``'s parameter gradients, written into ``out``, and the
-    gradient at its input, from ``dh``, the gradient at its output. Two
-    rounds each run a weight gradient beside an input gradient
+    gradient at its input, which overwrites ``dh``, the gradient at its
+    output. Two rounds each run a weight gradient beside an input gradient
     (:func:`_beside`): ``w2`` and ``b2`` beside ``du``, then ``w1`` and ``b1``
     beside the block input's gradient. Every product runs whole, so the bits
-    are those of running them in turn; ``du`` and the input gradient are
-    allocated on the calling thread before the rounds start."""
+    are those of running them in turn. ``scratch``, two arrays of ``dh``'s
+    shape, holds ``dv`` (then the first layer's input gradient) and ``du``."""
     h_in, d, scale = cache.h[i], cache.d[i], cache.dropout_scale
-    dv = dh * cache.v_pos[i]
-    du, dh_in = np.empty_like(dh), np.empty_like(dh)
+    dv, du = scratch
+    np.multiply(dh, cache.v_pos[i], out=dv)
 
     def hidden_grads() -> None:  # through the dropout scale and the ReLU and dropout masks
         np.matmul(dv, blk.w2.T, out=du)
@@ -478,13 +482,12 @@ def _block_backward(blk: ResidualBlock, cache: ForwardCache, i: int, dh: np.ndar
             np.multiply(du, scale, out=du)
         np.multiply(du, d > 0, out=du)
 
-    def input_grads() -> None:  # the skip path plus the first layer's path
-        np.matmul(du, blk.w1.T, out=dh_in)
-        np.add(dh, dh_in, out=dh_in)
+    def input_grads() -> None:  # the skip path plus the first layer's path, in dv's buffer
+        np.matmul(du, blk.w1.T, out=dv)
+        np.add(dh, dv, out=dh)
 
     _beside(lambda: _weight_grads(d, dv, out.w2, out.b2), hidden_grads)
     _beside(lambda: _weight_grads(h_in, du, out.w1, out.b1), input_grads)
-    return dh_in
 
 
 def backward(
@@ -503,27 +506,35 @@ def backward(
     dtype, which is returned; without ``out`` a new tree is allocated, so a
     training run can hand one tree back every step. After a forward with a
     2-D ``read``, ``d_z`` holds the read entries alone, and the head's
-    gradients come from them (:func:`_read_head_backward`). Otherwise ``d_z``
-    is a function ``d_z(z, c0)`` that overwrites ``z = features @ w_head[:,
-    c0:c0 + k]`` with dL/dz there (``losses.FullLoss``), and the head runs
-    block by block (:func:`_dense_head_backward`). Each residual block runs
-    in two rounds of two products side by side (:func:`_block_backward`).
+    gradients come from them (:func:`_read_head_backward`): the result is
+    ``out`` with the read columns as its head (:class:`NetParams`), and no
+    ``(H, S)`` array is written or allocated. Otherwise ``d_z`` is a function
+    ``d_z(z, c0)`` that overwrites ``z = features @ w_head[:, c0:c0 + k]``
+    with dL/dz there (``losses.FullLoss``), and the head runs block by block
+    (:func:`_dense_head_backward`). Each residual block runs in two rounds of
+    two products side by side (:func:`_block_backward`), in two scratch
+    arrays shared by the blocks.
     """
     dtype = params.w_head.dtype
     if out is None:
-        out = NetParams.from_flat([np.empty(a.shape, dtype) for a in params.flat()])
+        arrays = params.flat()
+        if cache.read is not None:  # the head comes as rows
+            arrays = arrays[:-2] + [np.empty((0, 0)), np.empty(0)]
+        out = NetParams.from_flat([np.empty(a.shape, dtype) for a in arrays])
     feats = cache.features
     if cache.read is not None:
         dz = np.asarray(d_z).astype(dtype, copy=False)
-        dh = _read_head_backward(params, feats, cache, dz, out)
+        dh, species, g_w, g_b = _read_head_backward(feats, cache, dz)
+        out = replace(out, w_head=g_w.T, b_head=g_b, head_species=species)
     else:
         dh = _dense_head_backward(params, feats, d_z, out, not cfg.identity_encoder)
 
     if cfg.identity_encoder:
         return out
+    scratch = (np.empty_like(dh), np.empty_like(dh))
     for i in range(len(params.blocks) - 1, -1, -1):
-        dh = _block_backward(params.blocks[i], cache, i, dh, out.blocks[i])
-    _weight_grads(cache.x, dh * (cache.h[0] > 0), out.w_in, out.b_in)
+        _block_backward(params.blocks[i], cache, i, dh, out.blocks[i], scratch)
+    _weight_grads(cache.x, np.multiply(dh, cache.h[0] > 0, out=dh), out.w_in, out.b_in)
     return out
 
 
@@ -558,15 +569,14 @@ def _dense_head_backward(params: NetParams, feats: np.ndarray, d_z: Callable, ou
     return dh if need_dh else None
 
 
-def _read_head_backward(params: NetParams, feats: np.ndarray, cache: ForwardCache,
-                        dz: np.ndarray, out: NetParams) -> np.ndarray:
-    """``dh`` from the derivatives ``dz`` at a read forward's entries, with
-    the head gradients written into ``out.w_head`` and ``out.b_head``. Row
-    r's feature gradient, ``sum_k dz[r, k] * w_head[:, read[r, k]]``, runs in
-    row chunks on the workers. A read column's head gradients sum its
-    entries' ``dz * feats[r]`` and ``dz`` in a pairwise tree over them in row
-    order, on the calling thread, so their bits depend on those entries
-    alone; columns no row reads get +0."""
+def _read_head_backward(feats: np.ndarray, cache: ForwardCache, dz: np.ndarray):
+    """``(dh, species, g_w, g_b)`` from the derivatives ``dz`` at a read
+    forward's entries: the read species ascending and their head gradients
+    as rows, ``(k, H)`` and ``(k,)``. Row r's feature gradient, ``sum_k dz[r,
+    k] * w_head[:, read[r, k]]``, runs in row chunks on the workers. A read
+    column's head gradients sum its entries' ``dz * feats[r]`` and ``dz`` in
+    a pairwise tree over them in row order, on the calling thread, so their
+    bits depend on those entries alone."""
     read, w_read = cache.read, cache.w_read
     dh = np.empty(feats.shape, dtype=dz.dtype)
     map_ranges(lambda r0, r1: np.multiply(w_read[r0:r1], dz[r0:r1, :, None]).sum(
@@ -585,11 +595,7 @@ def _read_head_backward(params: NetParams, feats: np.ndarray, cache: ForwardCach
         pairs = np.flatnonzero((at % (2 * step) == 0) & (left > step))
         terms[pairs] += terms[pairs + step]
         step *= 2
-    out.w_head.fill(0)
-    out.b_head.fill(0)
-    out.w_head.T[cols[starts]] = terms[starts, :-1]
-    out.b_head[cols[starts]] = terms[starts, -1]
-    return dh
+    return dh, cols[starts], terms[starts, :-1], terms[starts, -1]
 
 
 @dataclass
@@ -607,43 +613,51 @@ def init_adam(params: NetParams) -> AdamState:
 
 def adam_step(params: NetParams, grads: NetParams, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, written in place into ``params``,
-    ``state.m`` and ``state.v``; ``grads`` is only read. Each array is split
-    into :func:`row_chunks` of its flattened entries, and the chunks of every
-    array run on the workers.
+    ``state.m`` and ``state.v``; ``grads`` is only read. Each encoder array is
+    split into :func:`row_chunks` of its flattened entries, and the head
+    arrays into chunks of whole rows of their ``(H, S)`` shape (``b_head`` one
+    row); the chunks of every array run on the workers. A head gradient of
+    read columns (``grads.head_species``) is written into a zeroed
+    chunk-sized buffer for each chunk, so each unread entry gets the g = 0
+    update of a dense zero-filled gradient.
 
     Each chunk runs the scalar operations of ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + (1-b2)*g*g`` and ``p = p - lr*(m/bc1)/(sqrt(v/bc2)+eps)``
     in that order, so p, m and v get the bits of those expressions.
 
     Raises :class:`NonFiniteGradientError` if any gradient entry is NaN or
-    infinite; every chunk is checked before any is written, so the inputs
-    are left untouched. Also raises it if the update itself overflows (a
-    huge learning rate) to a NaN or infinite parameter. Every chunk has then
-    been written, but ``state.t`` is unchanged.
+    infinite, naming the first such array; every entry is checked before any
+    chunk is written, so the inputs are left untouched. Also raises it if the
+    update itself overflows (a huge learning rate) to a NaN or infinite
+    parameter. Every chunk has then been written, but ``state.t`` is
+    unchanged.
     """
-    chunks = []  # (array index, p, m, v, g) over each row chunk of each flattened array
-    arrays = zip(params.flat(), state.m.flat(), state.v.flat(), grads.flat())
-    for k, (p, m, v, g) in enumerate(arrays):
-        p, m, v = (a.reshape(-1, copy=False) for a in (p, m, v))
-        g = g.reshape(-1)
-        chunks += [(k, p[a:b], m[a:b], v[a:b], g[a:b]) for a, b in row_chunks(p.size, 1)]
-    jobs = [(i, i + 1) for i in range(len(chunks))]
-
-    def finite_grads(i: int, _) -> bool:
-        return bool(np.all(np.isfinite(chunks[i][4])))
-
-    finite = map_ranges(finite_grads, jobs)
+    checks = [(k, g[a:b]) for k, g in enumerate(g.ravel("K") for g in grads.flat())
+              for a, b in row_chunks(g.size, 1)]
+    finite = map_ranges(lambda i, _: bool(np.all(np.isfinite(checks[i][1]))),
+                        [(i, i + 1) for i in range(len(checks))])
     if not all(finite):
-        name = grads.names()[chunks[finite.index(False)][0]]
+        name = grads.names()[checks[finite.index(False)][0]]
         raise NonFiniteGradientError(
             f"non-finite gradient entries in {name} at step {state.t + 1}"
         )
     t = state.t + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
+    species, n_encoder = grads.head_species, len(grads.flat()) - 2
+    chunks = []  # (p, m, v, g) over row chunks of each array, shaped (rows, width)
+    arrays = zip(params.flat(), state.m.flat(), state.v.flat(), grads.flat())
+    for k, (p, m, v, g) in enumerate(arrays):
+        width = p.shape[-1] if k >= n_encoder else 1
+        p, m, v = (a.reshape(-1, width, copy=False) for a in (p, m, v))
+        g = g.reshape(len(p), -1)  # (rows, k) for a head of read columns
+        chunks += [(p[a:b], m[a:b], v[a:b], g[a:b]) for a, b in row_chunks(len(p), width)]
 
     def update(i: int, _) -> None:
-        _, p, m, v, g = chunks[i]
+        p, m, v, g = chunks[i]
+        if g.shape != p.shape:  # a head of read columns
+            g, cols = np.zeros(p.shape, g.dtype), g
+            g[:, species] = cols
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -654,7 +668,7 @@ def adam_step(params: NetParams, grads: NetParams, state: AdamState, lr: float) 
                 f"non-finite parameters after the update at step {t} (lr={lr!r})"
             )
 
-    map_ranges(update, jobs)
+    map_ranges(update, [(i, i + 1) for i in range(len(chunks))])
     state.t = t
 
 

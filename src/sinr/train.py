@@ -210,7 +210,8 @@ def _loss_and_grads(
 ) -> tuple[float, NetParams]:
     """Loss value and parameter gradients of one batch; ``x`` holds its rows,
     then any pseudo-location rows. The gradients are written into ``grads``
-    (a new tree when None). ssdl and slds steps compute the head only at the
+    (a new tree when None); an ssdl or slds step's head comes back as its
+    read columns (:class:`NetParams`). Those steps compute the head only at the
     entries their loss reads (``forward``'s ``read``), so their cost does not
     grow with S: the positive's column at each record and at its
     pseudo-location (ssdl), or the positive's and a drawn negative species'

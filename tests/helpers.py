@@ -16,7 +16,7 @@ import math
 import re
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from unittest import mock
 
 import numpy as np
@@ -482,7 +482,21 @@ def composed_grads(params: NetParams, cfg: NetConfig, x_all, b, variant, targets
                               read=None if at is None else at[1])
     compute_loss(LossConfig(variant, lam), y_all[:b], targets,
                  y_hat_rand=y_all[b:] if len(x_all) > b else None)
-    return backward(params, cfg, cache, d_z=y_all if at is not None else dense_d_z(y_all))
+    return dense_head(backward(params, cfg, cache, d_z=y_all if at is not None else dense_d_z(y_all)),
+                      cfg.n_species)
+
+
+def dense_head(grads: NetParams, n_species: int) -> NetParams:
+    """``grads`` with a head of read columns (``head_species``, as a read
+    step's ``backward`` returns it) written out as the dense ``(H, S)`` and
+    ``(S,)`` gradient, +0 in every other column; other trees as they are."""
+    if grads.head_species is None:
+        return grads
+    w_head = np.zeros((len(grads.w_head), n_species), grads.w_head.dtype)
+    b_head = np.zeros(n_species, grads.b_head.dtype)
+    w_head[:, grads.head_species] = grads.w_head
+    b_head[grads.head_species] = grads.b_head
+    return replace(grads, w_head=w_head, b_head=b_head, head_species=None)
 
 
 def dense_d_z(d_z):

@@ -18,6 +18,7 @@ from helpers import (
     composed_grads,
     composed_loss,
     dense_d_z,
+    dense_head,
     fd_grads,
     gather_gradcheck_setups,
     max_rel_error,
@@ -502,11 +503,12 @@ def test_backward_holds_no_extra_row_buffers():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("head", ["dense", "ssdl", "slds", "identity"])
 def test_backward_writes_its_gradients_into_a_given_tree(head, dtype):
-    """``backward(..., out=tree)`` returns ``tree`` itself, with the bytes of
+    """``backward(..., out=tree)`` writes into ``tree`` the bytes of
     ``backward`` without it: a dense head, a 1-column (ssdl) and a 2-column
-    (slds) read head and the identity encoder, in float32 and float64.
-    ``tree`` starts as NaN, so the 40 head columns no row reads must be
-    zero-filled to +0."""
+    (slds) read head and the identity encoder, in float32 and float64. It
+    returns ``tree`` itself, except after a read forward: then it returns
+    ``tree``'s encoder arrays with the read columns as its head, the same
+    ones as without ``tree``, and ``tree``'s NaN head is left as it was."""
     cfg = NetConfig(input_dim=4, n_species=50, hidden_dim=16, n_residual_layers=2,
                     dropout_p=0.5, seed=9, identity_encoder=head == "identity")
     params = cast_params(init_params(cfg), dtype)
@@ -519,12 +521,14 @@ def test_backward_writes_its_gradients_into_a_given_tree(head, dtype):
     d_z = d_z if read is not None else dense_d_z(d_z)
     want = backward(params, cfg, cache, d_z)
     tree = NetParams.from_flat([np.full(a.shape, np.nan, dtype) for a in params.flat()])
-    assert backward(params, cfg, cache, d_z, out=tree) is tree
-    for name, g, w in zip(want.names(), tree.flat(), want.flat()):
+    got = backward(params, cfg, cache, d_z, out=tree)
+    assert (got is tree) == (read is None)
+    assert all(g is t for g, t in zip(got.flat()[:-2], tree.flat()))
+    for name, g, w in zip(want.names(), got.flat(), want.flat()):
         assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), name
+    assert np.array_equal(got.head_species, want.head_species)
     if read is not None:
-        for g in (tree.w_head[:, 10:], tree.b_head[10:]):
-            assert not g.any() and not np.signbit(g).any()
+        assert np.isnan(tree.w_head).all() and np.isnan(tree.b_head).all()
 
 
 def test_train_forward_cache_keeps_only_what_backward_reads():
@@ -879,6 +883,8 @@ def test_read_head_matches_the_dense_head(monkeypatch, dtype):
 
     tolerance = READ_HEAD_TOLERANCE[dtype]
     np.testing.assert_allclose(y, dense[rows, read], rtol=tolerance)
+    assert np.array_equal(grads.head_species, np.unique(read))
+    grads = dense_head(grads, cfg.n_species)
     assert max_rel_error(grads, want) < tolerance
     unread = np.setdiff1d(np.arange(300), read)
     for g in (grads.w_head[:, unread], grads.b_head[unread]):
@@ -972,30 +978,35 @@ def test_adam_rejects_an_update_that_overflows():
 
 
 def test_adam_rejects_an_update_that_overflows_in_a_middle_chunk(monkeypatch):
-    """Only the third of five 4-entry head chunks overflows (its weights sit
-    near the float32 maximum); on 2 workers the update raises, and the step
-    count is unchanged."""
+    """Only the third of four head chunks, each a 5-entry row, overflows (its
+    weights sit near the float32 maximum); on 2 workers the update raises,
+    and the step count is unchanged."""
     monkeypatch.setattr(sinr.parallel, "worker_count", lambda: 2)
     monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", 4)
     cfg = NetConfig(input_dim=4, n_species=5, identity_encoder=True, dropout_p=0.0)
     params = init_params(cfg)
-    params.w_head.reshape(-1)[8:12] = 3e38
+    params.w_head.reshape(-1)[10:15] = 3e38
     state = init_adam(params)
     grads = NetParams.from_flat([np.full((4, 5), -1, np.float32), np.ones(5, np.float32)])
     with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError, match="parameters"):
         adam_step(params, grads, state, lr=1e38)  # each weight moves by about +1e38
     assert state.t == 0
-    assert np.isinf(params.w_head.reshape(-1)[8:12]).all()
-    assert np.isfinite(np.delete(params.w_head.reshape(-1), range(8, 12))).all()
+    assert np.isinf(params.w_head.reshape(-1)[10:15]).all()
+    assert np.isfinite(np.delete(params.w_head.reshape(-1), range(10, 15))).all()
 
 
+@pytest.mark.parametrize("head", ["dense", "read columns"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_adam_has_the_bits_of_the_tree_form(monkeypatch, workers):
+def test_adam_has_the_bits_of_the_tree_form(monkeypatch, workers, head):
     """Five in-place steps on a float32 4-block net give, at every step, the
     bytes of p, m and v and the step count of ``reference_adam_step``, with
-    head columns whose gradient is exactly 0 (as a read head's backward
-    leaves them) and +0 and -0 entries in the gradients and in m and v. The
-    arrays run in 7-entry chunks, which end mid-row, on 1, 2 or 3 workers."""
+    head columns whose gradient is exactly 0 (columns no row of a read step
+    reads) and +0 and -0 entries in the gradients and in m and v. The head
+    gradient is given dense, or as its read columns alone (``head_species``,
+    ``w_head`` F-ordered as a read step's ``backward`` returns it) while the
+    reference gets the dense zero-filled one. The arrays run in 7-entry
+    chunks, which end mid-row (the head in whole rows), on 1, 2 or 3
+    workers."""
     monkeypatch.setattr(sinr.parallel, "worker_count", lambda: workers)
     monkeypatch.setattr(sinr.parallel, "CHUNK_ENTRIES", 7)
     cfg = NetConfig(input_dim=4, n_species=40, hidden_dim=16, n_residual_layers=4)
@@ -1025,12 +1036,15 @@ def test_adam_has_the_bits_of_the_tree_form(monkeypatch, workers):
         idle = rng.random(cfg.n_species) < 0.5  # columns outside this step's batch
         grads.w_head[:, idle] = 0.0
         grads.b_head[idle] = 0.0
-        before = [g.tobytes() for g in grads.flat()]
+        given = grads if head == "dense" else dataclasses.replace(
+            grads, w_head=np.asfortranarray(grads.w_head[:, ~idle]), b_head=grads.b_head[~idle],
+            head_species=np.flatnonzero(~idle))
+        before = [g.tobytes() for g in given.flat()]
         neg_zero = [np.signbit(m) & (m == 0) for m in state.m.flat()]
         lr = 1e-2 * 0.98**step
         ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, lr)
-        adam_step(params, grads, state, lr)
-        assert [g.tobytes() for g in grads.flat()] == before  # gradients are only read
+        adam_step(params, given, state, lr)
+        assert [g.tobytes() for g in given.flat()] == before  # gradients are only read
         assert state.t == ref_state.t == 4 + step
         for got, want in [(params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)]:
             assert [a.tobytes() for a in got.flat()] == [a.tobytes() for a in want.flat()]
@@ -1060,6 +1074,32 @@ def test_adam_holds_less_than_one_head_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak / params.w_head.nbytes < 1
+
+
+@pytest.mark.parametrize("bad", ["w_head", "b_head"])
+def test_adam_names_a_non_finite_read_column_and_writes_nothing(bad):
+    """A head gradient of read columns with a NaN in ``bad`` (and for
+    ``w_head`` an inf in ``b_head`` too) raises, naming the first bad array
+    in flat order, before p, m, v or the step count change."""
+    cfg = NetConfig(input_dim=2, n_species=6, hidden_dim=4, n_residual_layers=1)
+    params = init_params(cfg)
+    rng = np.random.default_rng(12)
+    grads = NetParams.from_flat([rng.standard_normal(a.shape).astype(np.float32)
+                                 for a in params.flat()])
+    grads = dataclasses.replace(grads, w_head=grads.w_head[:, [1, 4]],
+                                b_head=grads.b_head[[1, 4]], head_species=np.array([1, 4]))
+    getattr(grads, bad)[..., -1] = np.nan
+    if bad == "w_head":
+        grads.b_head[0] = np.inf
+    m, v = (NetParams.from_flat([rng.random(a.shape, np.float32) for a in params.flat()])
+            for _ in range(2))
+    state = AdamState(m, v, t=3)
+    before = [a.tobytes() for tree in (params, state.m, state.v) for a in tree.flat()]
+    with pytest.raises(NonFiniteGradientError,
+                       match=rf"^non-finite gradient entries in {bad} at step 4$"):
+        adam_step(params, grads, state, lr=0.1)
+    assert state.t == 3
+    assert [a.tobytes() for tree in (params, state.m, state.v) for a in tree.flat()] == before
 
 
 def test_adam_names_the_first_non_finite_gradient():

@@ -101,7 +101,9 @@ def test_span_attrs_read_the_training_step_calls(child, monkeypatch, tmp_path, c
     run. On every call of real an-full and an-ssdl training runs, each
     attribute function returns its keys. An an-full step calls ``forward``
     for the encoder alone (0 head columns) and ``backward``, which runs the
-    head and the loss block by block, and never ``compute_loss``."""
+    head and the loss block by block, and never ``compute_loss``. An
+    an-ssdl step's ``backward`` returns its head as the read columns alone,
+    so its span counts those columns."""
     calls = collections.defaultdict(list)
     step_module = importlib.import_module("sinr.train")
     for attr in ("forward", "compute_loss", "backward"):
@@ -129,7 +131,7 @@ def test_span_attrs_read_the_training_step_calls(child, monkeypatch, tmp_path, c
             b_attrs = child._backward_attrs(*bwd)
             assert set(f_attrs) == set(b_attrs) == {"rows", "cols", "feat"}
             assert b_attrs["rows"] == f_attrs["rows"] and b_attrs["feat"] == f_attrs["feat"] == 8
-            assert b_attrs["cols"] == 40
+            assert b_attrs["cols"] == (40 if full else len(bwd[2].head_species))
             assert f_attrs["cols"] == 0 or not full
         for lss in calls["compute_loss"]:
             assert set(child._loss_attrs(*lss)) == {"used"}
