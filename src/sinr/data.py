@@ -363,18 +363,6 @@ def filter_min_count(obs: ObservationSet, min_count: int) -> ObservationSet:
     return _take_records(obs, obs.counts() >= min_count)
 
 
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, 2**32)``,
-    as stable sorts of the keys' low, then high 16 bits, which numpy runs as
-    radix passes; the high pass is left out when every key is below 2**16."""
-    keys = keys.astype(np.uint32)
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    high = (keys >> 16).astype(np.uint16)
-    if high.any():
-        order = order[np.argsort(high[order], kind="stable")]
-    return order
-
-
 def subsample_cap(obs: ObservationSet, cap: int, seed: int) -> ObservationSet:
     """Cap each species at ``cap`` records, chosen uniformly without replacement.
 
@@ -385,7 +373,7 @@ def subsample_cap(obs: ObservationSet, cap: int, seed: int) -> ObservationSet:
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    order = _stable_order(obs.species_index)
+    order = np.argsort(obs.species_index, kind="stable")
     counts = obs.counts()
     ends = np.cumsum(counts)
     keep = np.ones(obs.n_records, dtype=bool)

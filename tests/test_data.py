@@ -199,18 +199,6 @@ def test_subsample_cap_counts_and_determinism():
     assert capped.lons.tobytes() != different.lons.tobytes()
 
 
-@pytest.mark.parametrize("top", [1 << 16, 1 << 32])
-def test_stable_order_is_the_stable_argsort(top):
-    """``subsample_cap``'s two 16-bit passes give ``np.argsort(kind="stable")``
-    on 20,000 keys from 300 values (many ties) below ``top``: below 2**16,
-    where the high pass is left out, and up to 2**32 - 1, with the keys at
-    either side of 2**16 among them."""
-    rng = np.random.default_rng(41)
-    values = np.r_[rng.integers(0, top, 296), [0, (1 << 16) - 1, 1 << 16, 1 << 17]] % top
-    keys = rng.choice(values, 20_000)
-    assert np.array_equal(data_module._stable_order(keys), np.argsort(keys, kind="stable"))
-
-
 def test_subsample_cap_preserves_record_order():
     rng = np.random.default_rng(31)
     obs = random_obs(rng, n_species=4, n_records=100)

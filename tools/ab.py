@@ -97,6 +97,23 @@ def same_length_dir(root: str) -> str:
             continue
 
 
+def extract(rev: str, root: str) -> str:
+    """A :func:`same_length_dir` of ``root`` holding ``rev`` of the repository at
+    ``root``, extracted with ``git archive``; the caller removes it. Exits with
+    code 2 when ``git archive`` fails."""
+    tree = same_length_dir(root)
+    try:
+        archive = subprocess.run(["git", "-C", root, "archive", rev], capture_output=True)
+        if archive.returncode:
+            print(f"git archive {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
+            raise SystemExit(2)
+        subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
+    except BaseException:
+        shutil.rmtree(tree, ignore_errors=True)
+        raise
+    return tree
+
+
 def differing_files(a: str, b: str) -> list[str]:
     """Paths under ``a`` and ``b`` that only one holds or whose bytes differ,
     ignoring ``__pycache__``."""
@@ -138,16 +155,9 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"unknown workload {args.workload!r}")
-    base_tree = same_length_dir(root)
+    base_tree = extract(args.against, root)
     pairs, correct = [], True
     try:
-        archive = subprocess.run(["git", "-C", root, "archive", args.against],
-                                 capture_output=True)
-        if archive.returncode:
-            print(f"ab: git archive {args.against}: {archive.stderr.decode().strip()}",
-                  file=sys.stderr)
-            return 2
-        subprocess.run(["tar", "-x", "-C", base_tree], input=archive.stdout, check=True)
         differ = differing_files(os.path.join(base_tree, "perfbench"),
                                  os.path.join(root, "perfbench"))
         if differ:

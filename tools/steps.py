@@ -2,13 +2,13 @@
 
 Usage (from the repository root):
 
-    python3 tools/steps.py [--species 10240,47375] [--variants an-ssdl,...]
-                           [--batch 2048] [--hidden 256] [--blocks 4]
-                           [--steps 3] [--runs 1] [--against REV] [--out F]
+    python3 tools/steps.py [--species 10240,47375] [--batch 2048] [--hidden 256]
+                           [--blocks 4] [--steps 3] [--runs 1] [--against REV]
+                           [--out F]
 
-Each configuration (a loss variant at a species count S) runs in a fresh
-process with a tree's ``src`` on ``PYTHONPATH``. The process trains one epoch
-of ``--steps`` + 1 steps through ``sinr.train.train`` on a synthetic
+Each configuration (one of the six loss variants at a species count S) runs
+in a fresh process with a tree's ``src`` on ``PYTHONPATH``. The process trains
+one epoch of ``--steps`` + 1 steps through ``sinr.train.train`` on a synthetic
 coordinate corpus, at B = ``--batch`` records (plus B pseudo-locations for
 the variants that read them), H = ``--hidden`` and ``--blocks`` residual
 blocks, with the default dropout. It times, per step, the calls that a step
@@ -18,11 +18,11 @@ makes through ``sinr.train``'s globals: ``forward``, ``compute_loss``
 ``adam_step``). It reports the median of each over every step but the first,
 and the process's max RSS.
 
-With ``--against REV``, REV is extracted with ``git archive`` into a
-temporary directory and each configuration runs ``--runs`` times in each
-tree, alternating which tree goes first; the table gives each side's median
-over its runs. ``SINR_THREADS`` is passed on to every process. ``--out``
-writes every run as JSON.
+With ``--against REV``, REV is extracted as ``tools/ab.py`` extracts it, into
+a temporary directory whose path is as long as the working tree's, and each
+configuration runs ``--runs`` times in each tree, alternating which tree goes
+first; the table gives each side's median over its runs. ``SINR_THREADS`` is
+passed on to every process. ``--out`` writes every run as JSON.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 
 VARIANTS = ("an-ssdl", "an-slds", "an-full", "me-ssdl", "me-slds", "me-full")
@@ -116,7 +116,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--child", nargs=2, metavar=("VARIANT", "S"), help=argparse.SUPPRESS)
     parser.add_argument("--species", default="10240,47375", help="species counts S")
-    parser.add_argument("--variants", default=",".join(VARIANTS), help="loss variants")
     parser.add_argument("--batch", type=int, default=2048, help="records a step")
     parser.add_argument("--hidden", type=int, default=256, help="hidden width H")
     parser.add_argument("--blocks", type=int, default=4, help="residual blocks")
@@ -130,24 +129,16 @@ def main(argv=None) -> int:
         print(json.dumps(measure(variant, n_species, args.batch, args.hidden, args.blocks,
                                  args.steps)))
         return 0
-    variants = args.variants.split(",")
-    if not set(variants) <= set(VARIANTS):
-        parser.error(f"unknown variants {sorted(set(variants) - set(VARIANTS))}")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with tempfile.TemporaryDirectory() as base_tree:
-        trees = {"change": root}
-        if args.against:
-            archive = subprocess.run(["git", "-C", root, "archive", args.against],
-                                     capture_output=True)
-            if archive.returncode:
-                print(f"steps: git archive {args.against}: {archive.stderr.decode().strip()}",
-                      file=sys.stderr)
-                return 2
-            subprocess.run(["tar", "-x", "-C", base_tree], input=archive.stdout, check=True)
-            trees = {"base": base_tree, **trees}
+    trees = {"change": root}
+    if args.against:
+        from ab import extract  # tools/ leads sys.path when this file runs as a script
+
+        trees = {"base": extract(args.against, root), **trees}
+    try:
         rows = []
         for n_species in map(int, args.species.split(",")):
-            for variant in variants:
+            for variant in VARIANTS:
                 runs = {side: [] for side in trees}
                 for i in range(args.runs):
                     for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
@@ -155,6 +146,9 @@ def main(argv=None) -> int:
                 rows += [{"variant": variant, "species": n_species, "side": side,
                           "runs": runs[side]} for side in trees]
                 print(format_table(rows[-len(trees):]).split("\n", 1)[1], flush=True)
+    finally:
+        if args.against:
+            shutil.rmtree(trees["base"], ignore_errors=True)
     import numpy as np
 
     print(f"B={args.batch} H={args.hidden} blocks={args.blocks} steps={args.steps} "
